@@ -6,6 +6,13 @@ congruence closure: we search for a propositionally consistent way to
 falsify the formula whose literal set is satisfiable modulo the identity
 axioms (reflexivity, symmetry, transitivity, function and predicate
 congruence).
+
+The search is DPLL(T) with congruence closure as the theory (Nieuwenhuis,
+Oliveras & Tinelli, JACM 2006).  One closure over the subterms of all the
+formula's atoms lives for the whole search.  Each literal is checked
+against the literals before it as it is asserted, so a conflict prunes its
+branch at once; goals that leave no choice are taken before any branch;
+backtracking undoes the closure from its trail.
 """
 
 from __future__ import annotations
@@ -24,8 +31,10 @@ from .syntax import (
     Not,
     Or,
     PredApp,
+    PredicateSymbol,
     Term,
     Variable,
+    atoms_of,
     canonical_key,
     is_quantifier_free,
     subterms,
@@ -47,85 +56,104 @@ class Literal:
 
 
 class CongruenceEngine:
-    """Congruence closure over a fixed subterm-closed universe."""
+    """Congruence closure over a fixed universe, closed under subterms on
+    construction (Downey, Sethi & Tarjan, JACM 1980), with undo.
+
+    Classes are joined by size and never path-compressed, so a union
+    changes one parent link.  Each union leaves one trail entry: the
+    absorbed root, the keeping root, the keeper's use-list length before
+    the union and the signature keys the union inserted.  `undo(mark)`
+    pops the trail back to a `mark()` and restores the partition, the
+    class sizes, the use-lists and the signature table exactly.
+    """
 
     def __init__(self, universe: Iterable[Term]):
         self.ids: dict[Term, int] = {}
         self.terms: list[Term] = []
+        self.args: list[tuple[int, ...]] = []  # argument ids of each term
         self.parent: list[int] = []
-        self.uses: list[list[int]] = []  # ids of applications using this id
+        self.size: list[int] = []  # class sizes, valid at roots
+        self.uses: list[list[int]] = []  # ids of applications using this class
+        self.trail: list[tuple[int, int, int, list[tuple]]] = []
         for t in universe:
             self._add(t)
         self.sig: dict[tuple, int] = {}
-        for i, t in enumerate(self.terms):
-            if isinstance(t, Application) and t.args:
-                self._index_signature(i, t)
+        for i, arg_ids in enumerate(self.args):
+            if arg_ids:
+                self.sig[self._signature(i)] = i
 
     def _add(self, t: Term) -> int:
         known = self.ids.get(t)
         if known is not None:
             return known
         if isinstance(t, Variable):
-            raise ContractError("congruence closure requires ground terms")
-        arg_ids = []
+            raise ContractError(f"congruence closure requires ground terms, got {t}")
+        arg_ids: tuple[int, ...] = ()
         if isinstance(t, Application):
-            arg_ids = [self._add(a) for a in t.args]
+            arg_ids = tuple([self._add(a) for a in t.args])
         tid = len(self.terms)
         self.ids[t] = tid
         self.terms.append(t)
+        self.args.append(arg_ids)
         self.parent.append(tid)
+        self.size.append(1)
         self.uses.append([])
         for aid in arg_ids:
             self.uses[aid].append(tid)
         return tid
 
-    def contains(self, t: Term) -> bool:
-        return t in self.ids
-
     def find(self, i: int) -> int:
         parent = self.parent
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:
-            parent[i], i = root, parent[i]
-        return root
+        while parent[i] != i:
+            i = parent[i]
+        return i
 
-    def _signature(self, t: Application) -> tuple:
-        return (t.symbol, tuple(self.find(self.ids[a]) for a in t.args))
+    def _signature(self, tid: int) -> tuple:
+        find = self.find
+        return (self.terms[tid].symbol, tuple([find(a) for a in self.args[tid]]))
 
-    def _index_signature(self, tid: int, t: Application) -> int | None:
-        """Record t's signature; return a congruent id on collision."""
-        key = self._signature(t)
-        other = self.sig.get(key)
-        if other is None:
-            self.sig[key] = tid
-            return None
-        return other
+    def mark(self) -> int:
+        """A point of the trail that `undo` can return to."""
+        return len(self.trail)
 
     def merge(self, a: Term, b: Term) -> None:
         try:
             pending = [(self.ids[a], self.ids[b])]
         except KeyError as missing:
             raise DomainError(f"term outside universe: {missing.args[0]}") from None
+        find, parent, size, uses, sig = self.find, self.parent, self.size, self.uses, self.sig
         while pending:
             i, j = pending.pop()
-            ri, rj = self.find(i), self.find(j)
+            ri, rj = find(i), find(j)
             if ri == rj:
                 continue
-            # keep the use lists balanced
-            if len(self.uses[ri]) < len(self.uses[rj]):
+            if size[ri] < size[rj]:
                 ri, rj = rj, ri
-            self.parent[rj] = ri
-            moved = self.uses[rj]
-            self.uses[ri].extend(moved)
-            self.uses[rj] = []
+            parent[rj] = ri
+            size[ri] += size[rj]
+            inserted: list[tuple] = []
+            self.trail.append((rj, ri, len(uses[ri]), inserted))
+            moved = uses[rj]  # left in place: rj is no root until undone
             for uid in moved:
-                user = self.terms[uid]
-                assert isinstance(user, Application)
-                other = self._index_signature(uid, user)
-                if other is not None and self.find(other) != self.find(uid):
+                key = self._signature(uid)
+                other = sig.get(key)
+                if other is None:
+                    sig[key] = uid
+                    inserted.append(key)
+                elif find(other) != find(uid):
                     pending.append((other, uid))
+            uses[ri].extend(moved)
+
+    def undo(self, mark: int) -> None:
+        """Return to the state at `mark`, undoing every later union."""
+        trail, parent, size, uses, sig = self.trail, self.parent, self.size, self.uses, self.sig
+        while len(trail) > mark:
+            rj, ri, kept, inserted = trail.pop()
+            for key in inserted:
+                del sig[key]
+            del uses[ri][kept:]
+            size[ri] -= size[rj]
+            parent[rj] = rj
 
     def same(self, a: Term, b: Term) -> bool:
         try:
@@ -192,12 +220,8 @@ def congruence_close(
 # Satisfiability of ground literal sets
 
 
-def _check_ground_atom(atom: Atom) -> None:
-    sides = (atom.lhs, atom.rhs) if isinstance(atom, Equality) else atom.args
-    for t in sides:
-        for sub in subterms(t):
-            if isinstance(sub, Variable):
-                raise ContractError(f"literal is not ground: {atom}")
+def _atom_terms(atom: Atom) -> tuple[Term, ...]:
+    return (atom.lhs, atom.rhs) if isinstance(atom, Equality) else atom.args
 
 
 def e_satisfiable(literals: Sequence[Literal]) -> bool:
@@ -206,16 +230,9 @@ def e_satisfiable(literals: Sequence[Literal]) -> bool:
     Positive equalities are closed under the identity axioms; the set is
     unsatisfiable exactly when a negated equality joins one class or a
     predicate occurs positively and negatively on congruent argument
-    tuples.
+    tuples.  A literal with a variable raises ContractError.
     """
-    leaves: list[Term] = []
-    for lit in literals:
-        _check_ground_atom(lit.atom)
-        if isinstance(lit.atom, Equality):
-            leaves.extend((lit.atom.lhs, lit.atom.rhs))
-        else:
-            leaves.extend(lit.atom.args)
-    closure = CongruenceEngine(subterm_closure(leaves))
+    closure = CongruenceEngine(t for lit in literals for t in _atom_terms(lit.atom))
     for lit in literals:
         if lit.positive and isinstance(lit.atom, Equality):
             closure.merge(lit.atom.lhs, lit.atom.rhs)
@@ -242,57 +259,97 @@ def falsifying_literals(f: Formula) -> dict[Atom, bool] | None:
     """A satisfiable truth assignment (partial, as literals) making f false.
 
     Returns None when no structure falsifies f, i.e. when f is valid.
-    The search walks the propositional structure, accumulating forced
-    literals and branching where falsification allows a choice; complete
-    branches are checked with `e_satisfiable`.
+    The search starts from the goal "f is false" and keeps one congruence
+    closure over the subterms of f's atoms, built once; a variable in an
+    atom raises ContractError there.  At each node it first takes every
+    goal that leaves no choice (an atom, a negation, a true conjunction,
+    a false disjunction or implication), asserting atoms as it meets them.
+    Each asserted literal is checked against those before it: a negated
+    equality whose sides are congruent, or a predicate asserted both ways
+    on congruent arguments, is a conflict and closes the branch at once.
+    Only then does it branch, on the first remaining goal, left side
+    first.  Closing a branch undoes its literals and its merges.
     """
     if not is_quantifier_free(f):
         raise ContractError("input must be quantifier-free")
-    checked: dict[frozenset, bool] = {}
+    closure = CongruenceEngine(t for atom in atoms_of(f) for t in _atom_terms(atom))
+    ids, find = closure.ids, closure.find
+    lits: dict[Atom, bool] = {}
+    asserted: list[Atom] = []  # the keys of lits, in assertion order
+    apart: list[tuple[int, int]] = []  # ids of the negated equalities
+    held: list[tuple[bool, PredicateSymbol, tuple[int, ...]]] = []  # predicate literals
 
-    def leaf_ok(lits: dict[Atom, bool]) -> bool:
-        key = frozenset(lits.items())
-        hit = checked.get(key)
-        if hit is None:
-            hit = e_satisfiable([Literal(v, a) for a, v in lits.items()])
-            checked[key] = hit
-        return hit
+    def consistent() -> bool:
+        """No negated equality and no predicate literal pair conflicts."""
+        if any(find(i) == find(j) for i, j in apart):
+            return False
+        keys = {(v, s, tuple([find(a) for a in args])) for v, s, args in held}
+        return not any((not v, s, roots) in keys for v, s, roots in keys)
 
-    def search(goals: list[tuple[Formula, bool]], lits: dict[Atom, bool]) -> dict[Atom, bool] | None:
-        if not goals:
-            return dict(lits) if leaf_ok(lits) else None
-        g, want = goals[0]
-        rest = goals[1:]
-        if isinstance(g, (Equality, PredApp)):
-            _check_ground_atom(g)
-            seen = lits.get(g)
-            if seen is not None:
-                return search(rest, lits) if seen == want else None
-            lits[g] = want
-            found = search(rest, lits)
-            if found is None:
-                del lits[g]
-            return found
-        if isinstance(g, Not):
-            return search([(g.body, not want)] + rest, lits)
-        if isinstance(g, And):
-            if want:
-                return search([(g.lhs, True), (g.rhs, True)] + rest, lits)
-            return (search([(g.lhs, False)] + rest, lits)
-                    or search([(g.rhs, False)] + rest, lits))
-        if isinstance(g, Or):
-            if want:
-                return (search([(g.lhs, True)] + rest, lits)
-                        or search([(g.rhs, True)] + rest, lits))
-            return search([(g.lhs, False), (g.rhs, False)] + rest, lits)
-        if isinstance(g, Implies):
-            if want:
-                return (search([(g.lhs, False)] + rest, lits)
-                        or search([(g.rhs, True)] + rest, lits))
-            return search([(g.lhs, True), (g.rhs, False)] + rest, lits)
-        raise ContractError(f"not a formula: {g!r}")
+    def assert_literal(atom: Atom, value: bool) -> bool:
+        """Record atom = value; False when it conflicts with the literals."""
+        seen = lits.get(atom)
+        if seen is not None:
+            return seen == value
+        lits[atom] = value
+        asserted.append(atom)
+        if isinstance(atom, Equality):
+            if value:
+                before = closure.mark()
+                closure.merge(atom.lhs, atom.rhs)
+                return closure.mark() == before or consistent()
+            i, j = ids[atom.lhs], ids[atom.rhs]
+            apart.append((i, j))
+            return find(i) != find(j)
+        arg_ids = tuple([ids[a] for a in atom.args])
+        held.append((value, atom.symbol, arg_ids))
+        roots = [find(a) for a in arg_ids]
+        return not any(v != value and s == atom.symbol and [find(a) for a in args] == roots
+                       for v, s, args in held)
 
-    return search([(f, False)], {})
+    def retract(mark: int, count: int) -> None:
+        closure.undo(mark)
+        while len(asserted) > count:
+            atom = asserted.pop()
+            if isinstance(atom, PredApp):
+                held.pop()
+            elif not lits[atom]:
+                apart.pop()
+            del lits[atom]
+
+    def search(goals: list[tuple[Formula, bool]]) -> dict[Atom, bool] | None:
+        mark, count = closure.mark(), len(asserted)
+        stack = goals[::-1]
+        choices: list[tuple[Formula, bool]] = []
+        while stack:
+            g, want = stack.pop()
+            if isinstance(g, (Equality, PredApp)):
+                if not assert_literal(g, want):
+                    retract(mark, count)
+                    return None
+            elif isinstance(g, Not):
+                stack.append((g.body, not want))
+            elif isinstance(g, Implies):
+                if want:
+                    choices.append((g, want))
+                else:
+                    stack += ((g.rhs, False), (g.lhs, True))
+            elif isinstance(g, And) if want else isinstance(g, Or):
+                stack += ((g.rhs, want), (g.lhs, want))
+            else:
+                choices.append((g, want))
+        if not choices:
+            return dict(lits)
+        (g, want), rest = choices[0], choices[1:]
+        left = not want if isinstance(g, Implies) else want
+        for branch in ((g.lhs, left), (g.rhs, want)):
+            found = search([branch] + rest)
+            if found is not None:
+                return found
+        retract(mark, count)
+        return None
+
+    return search([(f, False)])
 
 
 _VERDICTS: dict[Formula, bool] = {}

@@ -349,14 +349,6 @@ def term_size(t: Term) -> int:
     return 0
 
 
-def is_ground_term(t: Term) -> bool:
-    if isinstance(t, Variable):
-        return False
-    if isinstance(t, Application):
-        return all(is_ground_term(a) for a in t.args)
-    return True
-
-
 def is_solution_eligible(t: Term) -> bool:
     """True when t contains neither variables nor unknowns."""
     if isinstance(t, (Variable, Unknown)):
@@ -497,12 +489,6 @@ class Signature:
     def constants(self) -> list[FunctionSymbol]:
         return sorted(
             (f for f in self.function_symbols if f.arity == 0), key=lambda f: f.name
-        )
-
-    def union(self, other: Signature) -> Signature:
-        return Signature(
-            self.function_symbols | other.function_symbols,
-            self.predicate_symbols | other.predicate_symbols,
         )
 
 

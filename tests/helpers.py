@@ -18,6 +18,8 @@ from hsk.syntax import (
     PredApp,
     PredicateSymbol,
     Term,
+    conj,
+    disj,
     subterms,
 )
 
@@ -65,6 +67,31 @@ def random_ground_formula(rng: random.Random, pool: list[Term], depth: int,
     return Implies(sub(), sub())
 
 
+def _constant(name: str) -> Term:
+    return Application(FunctionSymbol(name, 0), ())
+
+
+def cycle_formula(n: int) -> Formula:
+    """Every vertex of an n-cycle is red or blue, adjacent vertices differ
+    -> red = blue.  Valid exactly when n is odd."""
+    vs = [_constant(f"v{i}") for i in range(n)]
+    red, blue = _constant("red"), _constant("blue")
+    colours = [Or(Equality(v, red), Equality(v, blue)) for v in vs]
+    edges = [Not(Equality(vs[i], vs[(i + 1) % n])) for i in range(n)]
+    return Implies(conj(colours + edges), Equality(red, blue))
+
+
+def pigeonhole_formula(pigeons: int, holes: int) -> Formula:
+    """Pairwise distinct pigeons, each equal to some hole -> e1 = e2.
+    Valid exactly when there are more pigeons than holes."""
+    ps = [_constant(f"p{i}") for i in range(pigeons)]
+    hs = [_constant(f"h{j}") for j in range(holes)]
+    places = [disj([Equality(p, h) for h in hs]) for p in ps]
+    apart = [Not(Equality(ps[i], ps[j]))
+             for i in range(pigeons) for j in range(i + 1, pigeons)]
+    return Implies(conj(places + apart), Equality(_constant("e1"), _constant("e2")))
+
+
 # ---------------------------------------------------------------------------
 # Exhaustive model enumeration for small ground formulas.
 #
@@ -87,7 +114,8 @@ def _set_partitions(items: list) -> Iterator[list[list]]:
         yield [[head]] + partition
 
 
-def _formula_terms(f: Formula) -> list[Term]:
+def formula_terms(f: Formula) -> list[Term]:
+    """Distinct subterms of the atoms of f, in first occurrence order."""
     out: list[Term] = []
     seen = set()
 
@@ -162,7 +190,7 @@ def _evaluate(f: Formula, block_of: dict[Term, int], pred_val: dict[tuple, bool]
 def valid_by_model_enumeration(f: Formula) -> bool:
     """Independent validity oracle: try every congruence-compatible
     identification of the subterms and every predicate valuation."""
-    terms = _formula_terms(f)
+    terms = formula_terms(f)
     atoms = _pred_atoms(f)
     for partition in _set_partitions(terms):
         block_of = {t: i for i, block in enumerate(partition) for t in block}

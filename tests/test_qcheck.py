@@ -2,23 +2,30 @@ import random
 
 import pytest
 
+import reference_qcheck
 from helpers import (
     CONSTS,
     F1,
     G2,
     H3,
     P1,
+    Q2,
+    cycle_formula,
+    formula_terms,
+    pigeonhole_formula,
     random_ground_formula,
     random_ground_term,
     valid_by_model_enumeration,
 )
 from hsk import models
 from hsk.qcheck import (
+    CongruenceEngine,
     ContractError,
     DomainError,
     Literal,
     congruence_close,
     e_satisfiable,
+    falsifying_literals,
     is_quasitautology,
 )
 from hsk.syntax import (
@@ -27,6 +34,7 @@ from hsk.syntax import (
     Equality,
     Exists,
     Implies,
+    Not,
     Or,
     PredApp,
     Variable,
@@ -239,3 +247,140 @@ def test_validity_implies_truth_in_structures():
         if is_quasitautology(f):
             for structure in zoo:
                 assert models.holds(structure, f)
+
+
+# ---------------------------------------------------------------------------
+# The incremental search against the procedure it replaced
+
+
+def _kleene(f, lits):
+    """Value of f under the partial assignment lits: True, False or None."""
+    if isinstance(f, (Equality, PredApp)):
+        return lits.get(f)
+    if isinstance(f, Not):
+        value = _kleene(f.body, lits)
+        return None if value is None else not value
+    lhs, rhs = _kleene(f.lhs, lits), _kleene(f.rhs, lits)
+    if isinstance(f, And):
+        if lhs is False or rhs is False:
+            return False
+        return True if lhs and rhs else None
+    if isinstance(f, Implies):
+        lhs = None if lhs is None else not lhs
+    if lhs is True or rhs is True:
+        return True
+    return False if lhs is False and rhs is False else None
+
+
+def _differential_cases():
+    rng = random.Random(9001)
+    for _ in range(150):
+        pool = sorted({random_ground_term(rng, 4) for _ in range(rng.randint(2, 4))}, key=repr)
+        atoms = [PredApp(P1, (rng.choice(pool),)) for _ in range(2)]
+        atoms += [PredApp(Q2, (rng.choice(pool), rng.choice(pool))) for _ in range(2)]
+        yield random_ground_formula(rng, pool, rng.randint(2, 5), atoms)
+    for _ in range(40):
+        # predicate congruence, the equalities asserted after and before
+        xs = tuple(random_ground_term(rng, 3) for _ in range(2))
+        ys = tuple(random_ground_term(rng, 3) for _ in range(2))
+        joined = conj([Equality(x, y) for x, y in zip(xs, ys)][:rng.randint(1, 2)])
+        yield Implies(And(PredApp(Q2, xs), Not(PredApp(Q2, ys))), Not(joined))
+        yield Implies(And(joined, PredApp(Q2, xs)), PredApp(Q2, ys))
+    for n in range(3, 10):
+        yield cycle_formula(n)
+    for h in range(1, 5):
+        yield pigeonhole_formula(h + 1, h)
+        yield pigeonhole_formula(h, h)
+
+
+def test_search_agrees_with_reference_and_oracle():
+    enumerated = 0
+    for f in _differential_cases():
+        found = falsifying_literals(f)
+        assert (found is None) == (reference_qcheck.falsifying_literals(f) is None)
+        if len(formula_terms(f)) <= 7:
+            assert (found is None) == valid_by_model_enumeration(f)
+            enumerated += 1
+        if found is not None:
+            assert _kleene(f, found) is False
+            assert e_satisfiable([Literal(v, a) for a, v in found.items()])
+    assert enumerated >= 100
+
+
+# ---------------------------------------------------------------------------
+# Undo on the congruence engine
+
+
+def _engine_state(engine):
+    return (engine.parent, engine.size, engine.uses, engine.sig)
+
+
+def test_engine_undo_restores_the_replayed_prefix():
+    rng = random.Random(4242)
+    for _ in range(60):
+        universe = []
+        for t in (random_ground_term(rng, 6) for _ in range(rng.randint(3, 8))):
+            for sub in subterms(t):
+                if sub not in universe:
+                    universe.append(sub)
+        engine = CongruenceEngine(universe)
+        active = []  # the merges in effect, as (lhs, rhs)
+        marks = []  # (engine mark, number of merges in effect at it)
+        for _ in range(40):
+            roll = rng.random()
+            if roll < 0.55:
+                pair = (rng.choice(universe), rng.choice(universe))
+                engine.merge(*pair)
+                active.append(pair)
+            elif roll < 0.75:
+                marks.append((engine.mark(), len(active)))
+            elif marks:
+                mark, kept = marks.pop()
+                engine.undo(mark)
+                del active[kept:]
+                fresh = CongruenceEngine(universe)
+                for pair in active:
+                    fresh.merge(*pair)
+                assert _engine_state(engine) == _engine_state(fresh)
+                assert [engine.find(i) for i in range(len(universe))] == \
+                    [fresh.find(i) for i in range(len(universe))]
+
+
+# ---------------------------------------------------------------------------
+# Work counts of the search
+
+
+class _TooManyMerges(Exception):
+    pass
+
+
+def _valid_within(monkeypatch, f, bound):
+    """The search's verdict on f; raises once it makes more than bound
+    merge calls."""
+    calls = [0]
+    merge = CongruenceEngine.merge
+
+    def counted(self, a, b):
+        calls[0] += 1
+        if calls[0] > bound:
+            raise _TooManyMerges(f"more than {bound} merges")
+        return merge(self, a, b)
+
+    monkeypatch.setattr(CongruenceEngine, "merge", counted)
+    verdict = falsifying_literals(f) is None
+    monkeypatch.setattr(CongruenceEngine, "merge", merge)
+    return verdict
+
+
+def test_odd_cycles_take_quadratically_many_merges(monkeypatch):
+    for n in range(5, 32, 2):
+        assert _valid_within(monkeypatch, cycle_formula(n), n * n)
+
+
+# measured: one more pigeon than holes, h = 1..6
+PIGEONHOLE_MERGES = {1: 2, 2: 10, 3: 48, 4: 260, 5: 1630, 6: 11742}
+
+
+def test_pigeonhole_merge_counts(monkeypatch):
+    for h, bound in PIGEONHOLE_MERGES.items():
+        assert _valid_within(monkeypatch, pigeonhole_formula(h + 1, h), bound)
