@@ -34,6 +34,7 @@ from .syntax import (
     Variable,
     conj,
     const,
+    flatten_and,
     is_solution_eligible,
     numeral,
     numeral_of,
@@ -674,20 +675,6 @@ def classify_failures(
 # Recognising instances from plain formulas
 
 
-def _match_equalities(f: Formula) -> list[Equality] | None:
-    parts: list[Equality] = []
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, And):
-            stack.extend((g.rhs, g.lhs))  # left conjunct pops first
-        elif isinstance(g, Equality):
-            parts.append(g)
-        else:
-            return None
-    return parts
-
-
 def _candidate_languages(f: Formula) -> list[int]:
     """Language indices of the special constants occurring in f."""
     indices: list[int] = []
@@ -729,8 +716,8 @@ def recognize_conjunct(f: Formula) -> Primitive | None:
 def _recognize_in_language(f: Formula, lang: int) -> Primitive | None:
     if not isinstance(f, Implies) or not isinstance(f.rhs, Equality):
         return None
-    hyp = _match_equalities(f.lhs)
-    if hyp is None:
+    hyp = flatten_and(f.lhs)
+    if not all(isinstance(h, Equality) for h in hyp):
         return None
     concl: Equality = f.rhs
     z, zh, zt = zero(lang), zero_hat(lang), zero_tilde(lang)
@@ -781,15 +768,7 @@ def recognize_instance(f: Formula) -> VariantInstance:
     All conjuncts must match a primitive shape over one common language.
     """
     primitives: list[Primitive] = []
-    stack = [f]
-    flat: list[Formula] = []
-    while stack:
-        g = stack.pop()
-        if isinstance(g, And):
-            stack.extend((g.rhs, g.lhs))  # left conjunct pops first
-        else:
-            flat.append(g)
-    for g in flat:
+    for g in flatten_and(f):
         p = recognize_conjunct(g)
         if p is None:
             raise ContractError(f"conjunct does not match a primitive shape: {g}")

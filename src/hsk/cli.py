@@ -3,7 +3,8 @@
 Commands: check, skeleton, solve, sreu, encode, eval, countermodel.
 Input is one formula per file ('-' reads standard input); lines starting
 with '#' and blank lines are ignored.  Exit status: 0 for a positive
-result, 1 for a negative or exhausted one, 2 for usage or parse errors.
+result, 1 for a negative or exhausted one, 2 for usage or parse errors,
+3 for an internal error (a one-line diagnostic names the exception).
 
 Output is plain text, or line-oriented records (`--format records`) of
 tab-separated KEY=VALUE pairs with keys among verdict, witness,
@@ -182,19 +183,10 @@ def _cmd_encode(config: RunConfig, text: str) -> tuple[int, list[str]]:
             bound = [v for variant in assigned.variants
                      for v in (*variant.numeric_vars(), *variant.table_vars())]
         psi = skeleton.ExistentialFormula(tuple(bound), matrix)
-    rendered = print_formula(_close_existentially(psi))
+    rendered = print_formula(skeleton.close_existentially(psi))
     if config.fmt == "records":
         return 0, [_record(verdict="ok", witness=rendered)]
     return 0, [rendered]
-
-
-def _close_existentially(psi: skeleton.ExistentialFormula):
-    from .syntax import Exists
-
-    out = psi.matrix
-    for v in reversed(psi.bound_vars):
-        out = Exists(v, out)
-    return out
 
 
 def _cmd_eval(config: RunConfig, text: str) -> tuple[int, list[str]]:
@@ -339,7 +331,7 @@ def main(argv: list[str] | None = None) -> int:
     path = args.dioph if config.command == "encode" else args.input
     try:
         text = _read_input(path)
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         _diagnose(str(err))
         return 2
     try:
@@ -350,6 +342,9 @@ def main(argv: list[str] | None = None) -> int:
     except (_UsageError, ContractError) as err:
         _diagnose(str(err))
         return 2
+    except Exception as err:  # a crash must not read as a verdict
+        _diagnose(f"internal error: {type(err).__name__}: {err}")
+        return 3
     print(output, end="")
     return status
 

@@ -21,6 +21,7 @@ from .syntax import (
     Application,
     ContractError,
     Equality,
+    Exists,
     Formula,
     FunctionSymbol,
     Implies,
@@ -64,13 +65,19 @@ class ExistentialFormula:
 
 def existential_of(f: Formula) -> ExistentialFormula:
     """Peel the leading exists-prefix of a closed formula."""
-    from .syntax import Exists
-
     bound: list[Variable] = []
     while isinstance(f, Exists):
         bound.append(f.var)
         f = f.body
     return ExistentialFormula(tuple(bound), f)
+
+
+def close_existentially(psi: ExistentialFormula) -> Formula:
+    """The closed formula `exists bound_vars. matrix`; inverse of existential_of."""
+    out = psi.matrix
+    for v in reversed(psi.bound_vars):
+        out = Exists(v, out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -269,18 +276,20 @@ def _class_member_buckets(
 
 def _candidate_buckets(
     conjuncts: list[Formula],
+    used_by: list[list[Unknown]],
     unknowns: tuple[Unknown, ...],
     sig: Signature,
     max_size: int,
 ) -> tuple[list[list[list[Term]]], set[int]] | None:
     """Per-unknown size buckets, narrowed by matching unary constraints.
 
-    Returns the buckets plus the indices of conjuncts consumed as stream
-    constraints (their validity is guaranteed for stream members), or None
-    when some unknown-free conjunct is already invalid.
+    `used_by[i]` lists the unknowns of `conjuncts[i]`.  Returns the buckets
+    plus the indices of conjuncts consumed as stream constraints (their
+    validity is guaranteed for stream members), or None when some
+    unknown-free conjunct is already invalid.
     """
-    for c in conjuncts:
-        if not unknowns_of(c) and not free_variables(c):
+    for c, used in zip(conjuncts, used_by):
+        if not used and not free_variables(c):
             if not qcheck.is_quasitautology(c):
                 return None
     default: list[list[Term]] | None = None
@@ -289,7 +298,7 @@ def _candidate_buckets(
     for u in unknowns:
         constraint = None
         for idx, c in enumerate(conjuncts):
-            if idx not in consumed and unknowns_of(c) == [u]:
+            if idx not in consumed and used_by[idx] == [u]:
                 constraint = _unary_constraint(c, u)
                 if constraint is not None:
                     consumed.add(idx)
@@ -324,7 +333,8 @@ def iter_formula_solutions(
             yield Substitution({})
         return
     conjuncts = flatten_and(formula)
-    narrowed = _candidate_buckets(conjuncts, unknowns, sig, max_size)
+    used_by = [unknowns_of(c) for c in conjuncts]
+    narrowed = _candidate_buckets(conjuncts, used_by, unknowns, sig, max_size)
     if narrowed is None:
         return
     per_unknown, consumed = narrowed
@@ -333,10 +343,9 @@ def iter_formula_solutions(
     checks_at_depth: list[list[tuple[Formula, tuple[Unknown, ...]]]] = [
         [] for _ in unknowns
     ]
-    for idx, c in enumerate(conjuncts):
+    for idx, (c, used) in enumerate(zip(conjuncts, used_by)):
         if idx in consumed:
             continue
-        used = unknowns_of(c)
         if used and all(u in position for u in used):
             checks_at_depth[max(position[u] for u in used)].append((c, tuple(used)))
 

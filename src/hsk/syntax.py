@@ -3,11 +3,19 @@
 Terms may contain named variables and *unknowns* (indexed solution slots
 written ``*1``, ``*2``, ...).  Unknowns are a separate constructor rather
 than nullary applications so that solution terms can be recognised
-structurally.  All values are immutable and hashable.
+structurally.
+
+Terms and formulas are hash-consed (Filliâtre & Conchon, "Type-safe
+modular hash-consing", ML Workshop 2006): building a node returns the live
+node with the same class and fields when there is one, so structurally
+equal nodes are one object.  Equality is identity and the hash is the
+object's address; neither recurses.  Nodes are immutable.  The table of
+live nodes holds them weakly, so it shrinks when they are dropped.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, Union
@@ -102,17 +110,43 @@ def _kind_of(name: str) -> VarKind:
     return VarKind.PLAIN
 
 
-
-def _stash(obj, key: str, value):
-    object.__setattr__(obj, key, value)
-    return value
+# Every live term and formula, keyed by its class and its fields.
+_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-class Term:
+class Node:
+    """A hash-consed term or formula.
+
+    `Node.__new__` is the only constructor: it returns the live node with
+    the same class and fields, or builds one, checks it in `__post_init__`
+    and only then enters it in `_NODES`, so a node that fails its checks
+    is never shared.  Subclasses are frozen dataclasses with `eq=False`
+    and `init=False`, and their fields are given positionally.
+    """
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        node = _NODES.get(key)
+        if node is None:
+            names = cls.__match_args__
+            if len(fields) != len(names):
+                raise TypeError(f"{cls.__name__} takes {len(names)} fields, got {len(fields)}")
+            node = object.__new__(cls)
+            for name, value in zip(names, fields):
+                object.__setattr__(node, name, value)
+            node.__post_init__()
+            _NODES[key] = node
+        return node
+
+    def __post_init__(self) -> None:
+        pass
+
+
+class Term(Node):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Variable(Term):
     """A named variable; its kind is derived from the leading letter."""
 
@@ -128,39 +162,34 @@ class Variable(Term):
         return f"?{self.name}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Unknown(Term):
     """A solution slot: a designated constant written ``*i``."""
 
     index: Union[int, str]
 
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        return h if h is not None else _stash(self, "_hash", hash((3, self.index)))
-
     def __str__(self) -> str:
         return f"*{self.index}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Application(Term):
     symbol: FunctionSymbol
-    args: tuple[Term, ...] = ()
+    args: tuple[Term, ...]
+    size: int = field(init=False, repr=False)  # term_size, from the children
 
     def __post_init__(self) -> None:
         if len(self.args) != self.symbol.arity:
             raise ContractError(
                 f"{self.symbol.name} expects {self.symbol.arity} args, got {len(self.args)}"
             )
+        size = 1 + sum([a.size for a in self.args if isinstance(a, Application)])
+        object.__setattr__(self, "size", size)
 
     def __str__(self) -> str:
         if not self.args:
             return self.symbol.name
         return f"{self.symbol.name}({', '.join(str(a) for a in self.args)})"
-
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        return h if h is not None else _stash(self, "_hash", hash((5, self.symbol, self.args)))
 
 
 def const(symbol: FunctionSymbol) -> Term:
@@ -206,24 +235,20 @@ def numeral_of(t: Term, base: FunctionSymbol) -> int | None:
 # Formulas
 
 
-class Formula:
+class Formula(Node):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Equality(Formula):
     lhs: Term
     rhs: Term
 
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        return h if h is not None else _stash(self, "_hash", hash((7, self.lhs, self.rhs)))
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class PredApp(Formula):
     symbol: PredicateSymbol
-    args: tuple[Term, ...] = ()
+    args: tuple[Term, ...]
 
     def __post_init__(self) -> None:
         if len(self.args) != self.symbol.arity:
@@ -231,57 +256,37 @@ class PredApp(Formula):
                 f"{self.symbol.name} expects {self.symbol.arity} args, got {len(self.args)}"
             )
 
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        return h if h is not None else _stash(self, "_hash", hash((23, self.symbol, self.args)))
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Not(Formula):
     body: Formula
 
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        return h if h is not None else _stash(self, "_hash", hash((11, self.body)))
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class And(Formula):
     lhs: Formula
     rhs: Formula
 
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        return h if h is not None else _stash(self, "_hash", hash((13, self.lhs, self.rhs)))
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Or(Formula):
     lhs: Formula
     rhs: Formula
 
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        return h if h is not None else _stash(self, "_hash", hash((17, self.lhs, self.rhs)))
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Implies(Formula):
     lhs: Formula
     rhs: Formula
 
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        return h if h is not None else _stash(self, "_hash", hash((19, self.lhs, self.rhs)))
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Exists(Formula):
     var: Variable
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Forall(Formula):
     var: Variable
     body: Formula
@@ -313,15 +318,24 @@ def disj(parts: Iterable[Formula]) -> Formula:
 
 def flatten_and(f: Formula) -> list[Formula]:
     """Conjuncts of the maximal And-tree rooted at f, left to right."""
-    if isinstance(f, And):
-        return flatten_and(f.lhs) + flatten_and(f.rhs)
-    return [f]
+    return _flatten(f, And)
 
 
 def flatten_or(f: Formula) -> list[Formula]:
-    if isinstance(f, Or):
-        return flatten_or(f.lhs) + flatten_or(f.rhs)
-    return [f]
+    """Disjuncts of the maximal Or-tree rooted at f, left to right."""
+    return _flatten(f, Or)
+
+
+def _flatten(f: Formula, connective: type) -> list[Formula]:
+    parts: list[Formula] = []
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, connective):
+            stack += (g.rhs, g.lhs)  # the left part pops first
+        else:
+            parts.append(g)
+    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -341,12 +355,7 @@ def term_size(t: Term) -> int:
 
     Variables and unknowns contribute nothing; constants count one.
     """
-    if isinstance(t, Application):
-        size = t.__dict__.get("_size")
-        if size is None:
-            size = _stash(t, "_size", 1 + sum(term_size(a) for a in t.args))
-        return size
-    return 0
+    return t.size if isinstance(t, Application) else 0
 
 
 def is_solution_eligible(t: Term) -> bool:

@@ -1,9 +1,13 @@
 import io
+import os
 import pathlib
+import subprocess
+import sys
 from contextlib import redirect_stdout
 
 import pytest
 
+from hsk import cli
 from hsk.cli import main
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -56,6 +60,28 @@ def test_byte_identical_across_runs(args, status, golden):
     assert len(outputs) == 1
 
 
+@pytest.mark.parametrize("golden", [
+    "solve_guarded_choice_n2.txt",
+    "sreu_solve_clause_pipeline.txt",
+    "countermodel_variant_failures.txt",
+])
+def test_byte_identical_across_hash_seeds(golden):
+    """Node hashes are addresses and str hashes are salted per process, so
+    the output must not depend on the order of any set or dict of nodes."""
+    args = next(a for a, _, g in GOLDEN_RUNS if g == golden)
+    args = [str(FIXTURES / a) if (FIXTURES / a).is_file() else a for a in args]
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "hsk", *args], env=env,
+                              capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1] == (FIXTURES / "golden" / golden).read_bytes()
+
+
 def test_text_and_record_verdicts_agree():
     pairs = [
         (["check", "implication_interference.fml"],
@@ -84,6 +110,28 @@ def test_parse_error_exits_2(tmp_path, capsys):
     status, _ = run_cli(["check", str(source)])
     assert status == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
+    def crash(config, text):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setitem(cli._COMMANDS, "check", crash)
+    source = tmp_path / "eq.fml"
+    source.write_text("a = a\n")
+    status, out = run_cli(["check", str(source)])
+    err = capsys.readouterr().err
+    assert status == 3
+    assert out == ""
+    assert err == "error: internal error: RecursionError: maximum recursion depth exceeded\n"
+
+
+def test_undecodable_input_exits_2(tmp_path, capsys):
+    source = tmp_path / "latin1.fml"
+    source.write_bytes(b"\xff = a\n")
+    status, out = run_cli(["check", str(source)])
+    assert (status, out) == (2, "")
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_missing_file_exits_2(capsys):

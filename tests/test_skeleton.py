@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from hsk import arith, qcheck
+from hsk import arith, qcheck, skeleton
 from hsk.arith import zero_symbol, zero_tilde
 from hsk.skeleton import (
     ContractError,
@@ -10,6 +10,7 @@ from hsk.skeleton import (
     Skeleton,
     enumerate_terms,
     existential_of,
+    iter_formula_solutions,
     iter_solutions,
     make_skeleton,
     solve_bounded,
@@ -23,10 +24,12 @@ from hsk.syntax import (
     Unknown,
     Variable,
     canonical_key,
+    flatten_and,
     numeral,
     signature_of,
     substitute,
     term_size,
+    unknowns_of,
 )
 from hsk.textform import parse_formula, parse_term
 
@@ -182,6 +185,24 @@ def test_solve_returns_first_in_canonical_order():
     psi = existential_of(parse_formula("exists ?v. ?v = a | ?v = f(a)"))
     sol = solve_bounded(make_skeleton(psi, 1), max_size=3)
     assert sol == Substitution({Unknown(1): A})
+
+
+def test_unknowns_scanned_once_per_conjunct(monkeypatch):
+    sk = make_skeleton(existential_of(parse_formula(
+        "exists ?v. exists ?u. (a = b -> ?v = a) & (p(?v) -> p(?u)) & (?u = f(?v) | ?u = ?v)"
+        " & (p(a) -> p(a))")), 1)
+    scanned = []
+
+    def counting(x):
+        scanned.append(x)
+        return unknowns_of(x)
+
+    monkeypatch.setattr(skeleton, "unknowns_of", counting)
+    solutions = list(iter_formula_solutions(sk.formula, sk.all_unknowns(), max_size=2))
+    conjuncts = flatten_and(sk.formula)
+    assert len(conjuncts) == 4
+    assert len(scanned) <= len(conjuncts)
+    assert solutions and solutions == list(iter_solutions(sk, max_size=2))
 
 
 def test_solver_deterministic():

@@ -1,7 +1,10 @@
+import dataclasses
+import gc
 import random
 
 import pytest
 
+from hsk import syntax
 from hsk.syntax import (
     And,
     Application,
@@ -9,8 +12,10 @@ from hsk.syntax import (
     ContractError,
     Equality,
     Exists,
+    Forall,
     FunctionSymbol,
     Implies,
+    Not,
     Or,
     PredApp,
     PredicateSymbol,
@@ -20,6 +25,10 @@ from hsk.syntax import (
     Variable,
     VarKind,
     canonical_key,
+    conj,
+    disj,
+    flatten_and,
+    flatten_or,
     is_solution_eligible,
     numeral,
     numeral_of,
@@ -167,3 +176,73 @@ def test_solution_eligibility():
     assert is_solution_eligible(succ(A))
     assert not is_solution_eligible(Unknown(1))
     assert not is_solution_eligible(Application(FunctionSymbol("f", 1), (Variable("x1"),)))
+
+
+# ---------------------------------------------------------------------------
+# Hash-consing
+
+
+def test_equal_structures_are_one_object():
+    f, x = FunctionSymbol("f", 2), Variable("x1")
+
+    def build():
+        t = Application(f, (A, Application(FunctionSymbol("g", 1), (Unknown(1),))))
+        atom = Equality(t, x)
+        return [
+            t, x, Unknown(1), atom, p(t),
+            Not(atom), And(atom, p(A)), Or(atom, p(A)), Implies(atom, p(A)),
+            Exists(x, atom), Forall(x, atom),
+        ]
+
+    for first, second in zip(build(), build()):
+        assert first is second
+    assert And(p(A), p(B)) is not Or(p(A), p(B))
+    assert Exists(x, p(x)) is not Forall(x, p(x))
+
+
+def test_deep_terms_compare_and_hash_without_recursion():
+    deep = numeral(5000, Z)
+    assert deep == numeral(5000, Z)
+    assert term_size(deep) == 5001
+    assert deep in {deep}
+    assert {deep: 1}[numeral(5000, Z)] == 1
+
+
+def test_dropped_nodes_leave_the_table():
+    def build_and_drop():
+        f = FunctionSymbol("hash_consing_probe", 1)
+        t = numeral(50, FunctionSymbol("hash_consing_probe", 0))
+        assert Equality(Application(f, (t,)), t) is Equality(Application(f, (t,)), t)
+
+    gc.collect()
+    before = len(syntax._NODES)
+    build_and_drop()
+    gc.collect()
+    assert len(syntax._NODES) == before
+
+
+def test_nodes_are_immutable():
+    t = succ(A)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.args = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        Equality(A, B).lhs = B
+
+
+def test_rejected_node_is_never_entered():
+    g = FunctionSymbol("arity_probe", 2)
+    gc.collect()
+    before = len(syntax._NODES)
+    for _ in range(2):
+        with pytest.raises(ContractError):
+            Application(g, (A,))
+    with pytest.raises(ContractError):
+        Variable("")
+    assert len(syntax._NODES) == before
+
+
+@pytest.mark.parametrize("join,flatten", [(conj, flatten_and), (disj, flatten_or)])
+def test_flattening_is_iterative_and_ordered(join, flatten):
+    parts = [p(Unknown(i)) for i in range(5000)]
+    assert flatten(join(parts)) == parts
+    assert flatten(parts[0]) == [parts[0]]
