@@ -174,7 +174,7 @@ class Semitable:
     def instantiate(self, x: Term, y: Term, z_slot: Term) -> Term:
         out = z_slot
         for p, q in reversed(self.rows):
-            row = pair(numeral_term(p, x), numeral_term(q, y))
+            row = pair(numeral(p, x), numeral(q, y))
             out = pair(row, out)
         return out
 
@@ -182,13 +182,6 @@ class Semitable:
         """Does this semitable record the course of values of m * j for
         j = p-1 down to 0?"""
         return self.rows == tuple((j, m * j) for j in range(p - 1, -1, -1))
-
-
-def numeral_term(exponent: int, base: Term) -> Term:
-    out = base
-    for _ in range(exponent):
-        out = succ(out)
-    return out
 
 
 def mp_semitable(m: int, p: int) -> Semitable:
@@ -207,22 +200,12 @@ def parse_semitable(t: Term, x: Term, y: Term, z_slot: Term) -> Semitable | None
         row, t = t.args
         if not (isinstance(row, Application) and row.symbol.name == "pair"):
             return None
-        p = _strip_numeral(row.args[0], x)
-        q = _strip_numeral(row.args[1], y)
+        p = numeral_of(row.args[0], x)
+        q = numeral_of(row.args[1], y)
         if p is None or q is None:
             return None
         rows.append((p, q))
     return Semitable(tuple(rows))
-
-
-def _strip_numeral(t: Term, base: Term) -> int | None:
-    m = 0
-    while t != base:
-        if not (isinstance(t, Application) and t.symbol.name == "s"):
-            return None
-        t = t.args[0]
-        m += 1
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +237,7 @@ def _check_dioph_argument(t: Term) -> None:
         if t.kind is not VarKind.NUMERIC:
             raise ContractError(f"diophantine variables must be numeric (x...): {t}")
         return
-    if numeral_of(t, zero_symbol(0)) is None:
+    if numeral_of(t, zero(0)) is None:
         raise ContractError(f"diophantine arguments are variables or numerals: {t}")
 
 
@@ -277,7 +260,7 @@ class DiophantineFormula:
 
 def eval_diophantine(psi: DiophantineFormula) -> bool:
     """Arithmetic truth of a closed diophantine formula."""
-    z0 = zero_symbol(0)
+    z0 = zero(0)
     total = True
     for atom in psi.atoms:
         values = []
@@ -324,7 +307,7 @@ def _parse_dioph_term(text: str, lineno: int) -> Term:
     m = _DIOPH_NUMERAL.match(text)
     if m is not None:
         exponent = int(m.group("exp") if m.group("exp") is not None else m.group("nat"))
-        return numeral(exponent, zero_symbol(0))
+        return numeral(exponent, zero(0))
     if re.match(r"^x[A-Za-z0-9_]*$", text):
         return Variable(text)
     raise ContractError(
@@ -506,10 +489,10 @@ def associate(psi: DiophantineFormula, lang: int = 0) -> PCArithFormula:
 def _retarget_language(t: Term, lang: int) -> Term:
     if lang == 0 or isinstance(t, Variable):
         return t
-    m = numeral_of(t, zero_symbol(0))
+    m = numeral_of(t, zero(0))
     if m is None:
         raise ContractError(f"cannot move {t} to language {lang}")
-    return numeral(m, zero_symbol(lang))
+    return numeral(m, zero(lang))
 
 
 def _map_block_terms(block: Block, fn: Callable[[Term], Term]) -> Block:
@@ -533,7 +516,7 @@ def instantiate_numeral(phi: PCArithFormula, x: Variable, m: int) -> PCArithForm
         raise ContractError(f"{x} is not a numeric variable")
     if x not in phi.numeric_vars():
         raise ContractError(f"{x} does not occur in the formula")
-    value = numeral(m, zero_symbol(phi.language_index))
+    value = numeral(m, zero(phi.language_index))
     fn = lambda t: value if t == x else t
     return PCArithFormula(
         tuple(_map_block_terms(b, fn) for b in phi.blocks), phi.language_index
@@ -662,7 +645,7 @@ def classify_failures(
                 continue
             if case is not FailureCase.PLUS_OR_TIM:
                 return Diagnosis(case)
-            m = numeral_of(p.args[0], zero_symbol(p.lang))
+            m = numeral_of(p.args[0], zero(p.lang))
             if m is None:
                 raise ContractError(
                     f"{p.kind.value} conjunct fails on a non-numeral first argument"

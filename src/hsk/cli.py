@@ -66,6 +66,13 @@ def _alpha_value_text(value: int) -> str:
     return f"J({parts[0]},{parts[1]})"
 
 
+def _alpha_number(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise _UsageError(f"alpha value must be a number: {text!r}") from None
+
+
 def _parse_alpha_bindings(pairs: list[str]) -> AlphaAssignment:
     values: dict[FunctionSymbol, int] = {}
     for pair_text in pairs:
@@ -80,9 +87,9 @@ def _parse_alpha_bindings(pairs: list[str]) -> AlphaAssignment:
             inner = value_text[2:-1].split(",")
             if len(inner) != 2:
                 raise _UsageError(f"malformed pairing value: {value_text!r}")
-            values[symbol] = pairing_j(int(inner[0]), int(inner[1]))
+            values[symbol] = pairing_j(_alpha_number(inner[0]), _alpha_number(inner[1]))
         else:
-            values[symbol] = int(value_text)
+            values[symbol] = _alpha_number(value_text)
     return AlphaAssignment(values)
 
 

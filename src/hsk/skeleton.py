@@ -2,10 +2,13 @@
 
 The solver enumerates candidate tuples in a fixed canonical order (total
 size first, then component-wise term order) so results are reproducible.
-Conjuncts of the target formula that constrain a single unknown through a
-chain of ground equality hypotheses are used to narrow that unknown's
-candidate stream to the matching congruence class, which keeps searches
-with large bounds tractable; every reported witness is still verified
+Candidate terms come from one bottom-up tree-automaton enumerator,
+`_sized_terms`.  An unconstrained unknown gets the one-state automaton, which
+accepts every term.  A conjunct that constrains a single unknown through a
+chain of ground equality hypotheses narrows its stream to the target's
+congruence class: the states are then the closure classes of the
+hypotheses' subterms, and these streams are kept in an LRU cache of
+`_CLASS_CACHE_SIZE` entries.  Every reported witness is still verified
 against the whole formula.
 """
 
@@ -14,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import qcheck
 from .syntax import (
@@ -135,6 +138,10 @@ def _sorted_symbols(sig: Signature) -> list[FunctionSymbol]:
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """All ways to write total as an ordered sum of `parts` positive ints."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
     if parts == 1:
         if total >= 1:
             yield (total,)
@@ -144,25 +151,44 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + tail
 
 
-def _terms_by_size(sig: Signature, max_size: int) -> list[list[Term]]:
-    """buckets[n] = all solution-eligible terms over sig of size n, sorted."""
+def _sized_terms(
+    sig: Signature,
+    max_size: int,
+    step: Callable[[FunctionSymbol, tuple[int, ...]], int | None],
+) -> list[dict[int, list[Term]]]:
+    """sized[n][state] = the terms over sig of size n that the bottom-up tree
+    automaton `step` takes to `state`, each list sorted by canonical_key.
+
+    `step(symbol, arg_states)` is the transition: the state of an
+    application from the states of its arguments, or None to reject it.  It
+    is called once per tuple of argument states, and the argument terms are
+    combined only for accepted tuples.  A signature without constants gets
+    one fresh constant injected so the enumeration is never vacuously empty.
+    """
     symbols = _sorted_symbols(sig)
     if not any(f.arity == 0 for f in symbols):
         symbols = sorted(symbols + [_INJECTED_CONSTANT], key=lambda f: (f.name, f.arity))
-    buckets: list[list[Term]] = [[] for _ in range(max_size + 1)]
+    sized: list[dict[int, list[Term]]] = [{} for _ in range(max_size + 1)]
     for n in range(1, max_size + 1):
-        batch: list[Term] = []
+        fresh = sized[n]
         for symbol in symbols:
-            if symbol.arity == 0:
-                if n == 1:
-                    batch.append(Application(symbol, ()))
-                continue
             for shape in _compositions(n - 1, symbol.arity):
-                for args in itertools.product(*(buckets[s] for s in shape)):
-                    batch.append(Application(symbol, args))
-        batch.sort(key=canonical_key)
-        buckets[n] = batch
-    return buckets
+                for states in itertools.product(*(sized[s] for s in shape)):
+                    state = step(symbol, states)
+                    if state is None:
+                        continue
+                    pools = (sized[s][q] for s, q in zip(shape, states))
+                    fresh.setdefault(state, []).extend(
+                        Application(symbol, args) for args in itertools.product(*pools)
+                    )
+        for terms in fresh.values():
+            terms.sort(key=canonical_key)
+    return sized
+
+
+def _any_term(symbol: FunctionSymbol, arg_states: tuple[int, ...]) -> int:
+    """The one-state automaton: it accepts every term."""
+    return 0
 
 
 def enumerate_terms(sig: Signature, max_size: int) -> Iterator[Term]:
@@ -172,8 +198,10 @@ def enumerate_terms(sig: Signature, max_size: int) -> Iterator[Term]:
     A signature without constants gets one fresh constant injected so the
     stream is never vacuously empty.
     """
-    for bucket in _terms_by_size(sig, max_size):
-        yield from bucket
+    if max_size < 0:
+        raise ContractError("size bound must be >= 0")
+    for by_state in _sized_terms(sig, max_size, _any_term):
+        yield from by_state.get(0, ())
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +234,12 @@ def _unary_constraint(conjunct: Formula, u: Unknown) -> tuple[tuple[tuple[Term, 
     return None
 
 
-@lru_cache(maxsize=None)
+# Distinct (equalities, target, sig, max_size) keys kept by
+# _class_member_buckets; the least recently used one is dropped beyond it.
+_CLASS_CACHE_SIZE = 128
+
+
+@lru_cache(maxsize=_CLASS_CACHE_SIZE)
 def _class_member_buckets(
     equalities: tuple[tuple[Term, Term], ...],
     target: Term,
@@ -237,37 +270,12 @@ def _class_member_buckets(
             key = (t.symbol, tuple(root_of(a) for a in t.args))
             transitions[key] = root_of(t)
 
-    symbols = _sorted_symbols(sig)
+    def step(symbol: FunctionSymbol, states: tuple[int, ...]) -> int | None:
+        return transitions.get((symbol, states))
+
+    sized = _sized_terms(sig, max_size, step)
     target_root = root_of(target)
-    # sized[n][cls] = universe-class members of size n built over sig
-    sized: list[dict[int, list[Term]]] = [dict() for _ in range(max_size + 1)]
-    for n in range(1, max_size + 1):
-        fresh = sized[n]
-        for symbol in symbols:
-            if symbol.arity == 0:
-                if n != 1:
-                    continue
-                cls = transitions.get((symbol, ()))
-                if cls is not None:
-                    fresh.setdefault(cls, []).append(Application(symbol, ()))
-                continue
-            for shape in _compositions(n - 1, symbol.arity):
-                pools = [
-                    [(cls, term) for cls, terms in sized[s].items() for term in terms]
-                    for s in shape
-                ]
-                for combo in itertools.product(*pools):
-                    key = (symbol, tuple(cls for cls, _ in combo))
-                    cls = transitions.get(key)
-                    if cls is not None:
-                        fresh.setdefault(cls, []).append(
-                            Application(symbol, tuple(term for _, term in combo))
-                        )
-        for terms in fresh.values():
-            terms.sort(key=canonical_key)
-    return tuple(
-        tuple(sized[n].get(target_root, ())) for n in range(max_size + 1)
-    )
+    return tuple(tuple(by_state.get(target_root, ())) for by_state in sized)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +288,7 @@ def _candidate_buckets(
     unknowns: tuple[Unknown, ...],
     sig: Signature,
     max_size: int,
-) -> tuple[list[list[list[Term]]], set[int]] | None:
+) -> tuple[list[Sequence[Sequence[Term]]], set[int]] | None:
     """Per-unknown size buckets, narrowed by matching unary constraints.
 
     `used_by[i]` lists the unknowns of `conjuncts[i]`.  Returns the buckets
@@ -292,8 +300,8 @@ def _candidate_buckets(
         if not used and not free_variables(c):
             if not qcheck.is_quasitautology(c):
                 return None
-    default: list[list[Term]] | None = None
-    per_unknown: list[list[list[Term]]] = []
+    default: list[Sequence[Term]] | None = None
+    per_unknown: list[Sequence[Sequence[Term]]] = []
     consumed: set[int] = set()
     for u in unknowns:
         constraint = None
@@ -305,10 +313,10 @@ def _candidate_buckets(
                     break
         if constraint is not None:
             eqs, target = constraint
-            buckets = [list(b) for b in _class_member_buckets(eqs, target, sig, max_size)]
+            buckets = _class_member_buckets(eqs, target, sig, max_size)
         else:
             if default is None:
-                default = _terms_by_size(sig, max_size)
+                default = [b.get(0, ()) for b in _sized_terms(sig, max_size, _any_term)]
             buckets = default
         per_unknown.append(buckets)
     return per_unknown, consumed
@@ -325,6 +333,8 @@ def iter_formula_solutions(
     Order: smallest total size first, then lexicographically by the
     canonical term order along the tuple.
     """
+    if max_size < 0:
+        raise ContractError("size bound must be >= 0")
     unknowns = tuple(unknowns)
     if sig is None:
         sig = signature_of(formula)

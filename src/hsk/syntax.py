@@ -208,27 +208,26 @@ def pair(a: Term, b: Term) -> Term:
     return Application(PAIR, (a, b))
 
 
-def numeral(m: int, base: FunctionSymbol) -> Term:
+def numeral(m: int, base: Term) -> Term:
     """The term s^m(base)."""
     if m < 0:
         raise ContractError("numeral exponent must be >= 0")
-    t: Term = const(base)
+    t = base
     for _ in range(m):
         t = succ(t)
     return t
 
 
-def numeral_of(t: Term, base: FunctionSymbol) -> int | None:
-    """Return m when t = s^m(base); None for any other shape."""
-    if base.arity != 0:
-        raise ContractError("numeral base must be nullary")
+def numeral_of(t: Term, base: Term) -> int | None:
+    """Return m when t = s^m(base), peeling outer s(...) until base is
+    reached; None for any other shape."""
     m = 0
-    while isinstance(t, Application) and t.symbol == SUCC:
+    while t != base:
+        if not (isinstance(t, Application) and t.symbol == SUCC):
+            return None
         t = t.args[0]
         m += 1
-    if isinstance(t, Application) and t.symbol == base and not t.args:
-        return m
-    return None
+    return m
 
 
 # ---------------------------------------------------------------------------

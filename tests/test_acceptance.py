@@ -34,7 +34,6 @@ from hsk.arith import (
     parse_diophantine,
     zero,
     zero_hat,
-    zero_symbol,
     zero_tilde,
 )
 from hsk.cli import RunConfig, run
@@ -195,12 +194,12 @@ def _solve_matrix(matrix, bound_vars, max_size, sig=None):
 
 def test_criterion_5_simulation_lemmas():
     t0 = time.monotonic()
-    z0 = zero_symbol()
-    zt0 = zero_tilde().symbol
+    z0 = zero()
+    zt0 = zero_tilde()
 
     # numeral characterisation for every term of size <= 4 over the language
     lemma_sig = Signature(
-        frozenset({z0, zt0, k_plain().symbol, FunctionSymbol("s", 1),
+        frozenset({z0.symbol, zt0.symbol, k_plain().symbol, FunctionSymbol("s", 1),
                    FunctionSymbol("pair", 2)}),
         frozenset(),
     )
@@ -334,8 +333,8 @@ def test_criterion_6_truth_matches_solvability():
         for atom in psi.atoms:
             if atom.kind.value == "*":
                 from hsk.syntax import numeral_of
-                m = numeral_of(atom.a, zero_symbol())
-                p = numeral_of(atom.b, zero_symbol())
+                m = numeral_of(atom.a, zero())
+                p = numeral_of(atom.b, zero())
                 table = mp_semitable(m, p).instantiate(zero(), zero(), k_plain())
                 bound = max(bound, term_size(table))
         matrix = phi.formula()
@@ -356,8 +355,8 @@ def test_criterion_7_interference():
     phi = associate(psi)
     x1, w1 = Variable("x1"), Variable("w1")
     inst0 = instantiate(phi, {x1: zero(), w1: zero_tilde()})
-    inst1 = instantiate(phi, {x1: numeral(1, zero_symbol()),
-                              w1: numeral(1, zero_tilde().symbol)})
+    inst1 = instantiate(phi, {x1: numeral(1, zero()),
+                              w1: numeral(1, zero_tilde())})
     assert not is_quasitautology(inst0.formula())
     assert not is_quasitautology(inst1.formula())
     assert is_quasitautology(Or(inst0.formula(), inst1.formula()))
@@ -386,7 +385,7 @@ def _fresh(lang, text):
 def test_criterion_8_bounded_main_property():
     t0 = time.monotonic()
     x1, w1, w2 = Variable("x1"), Variable("w1"), Variable("w2")
-    z0 = zero_symbol()
+    z0 = zero()
 
     add_phi = associate(parse_diophantine("x1 + 1 = 0"))
     sat_phi = associate(parse_diophantine("x1 + 1 = 2"))
@@ -400,7 +399,7 @@ def test_criterion_8_bounded_main_property():
             return {x1: zero(i), w1: parse_term(f"s(k_{i})")}
         if which == 2:
             return {x1: zero(i), w1: zero_tilde(i)}
-        return {x1: numeral(1, zero_symbol(i)), w1: numeral(1, zero_tilde(i).symbol)}
+        return {x1: numeral(1, zero(i)), w1: numeral(1, zero_tilde(i))}
 
     def bad_mul(i, which):
         if which == 0:
@@ -449,10 +448,10 @@ def test_criterion_8_bounded_main_property():
         assert not is_quasitautology(disjunction)
 
     # families with one genuinely valid disjunct are accepted
-    good_add = {x1: numeral(1, z0), w1: numeral(1, zero_tilde().symbol)}
+    good_add = {x1: numeral(1, z0), w1: numeral(1, zero_tilde())}
     positive_families = []
     for i in (1, 2, 3):
-        renamed = {x1: numeral(1, zero_symbol(i)), w1: numeral(1, zero_tilde(i).symbol)}
+        renamed = {x1: numeral(1, zero(i)), w1: numeral(1, zero_tilde(i))}
         good = instantiate(make_variant(sat_phi, i),
                            {Variable(f"{v.name}@{i}"): t for v, t in renamed.items()})
         assert is_quasitautology(good.formula())
@@ -463,8 +462,8 @@ def test_criterion_8_bounded_main_property():
             positive_families.append(family)
     positive_families.append([
         instantiate(make_variant(sat_phi, 1),
-                    {Variable("x1@1"): numeral(1, zero_symbol(1)),
-                     Variable("w1@1"): numeral(1, zero_tilde(1).symbol)}),
+                    {Variable("x1@1"): numeral(1, zero(1)),
+                     Variable("w1@1"): numeral(1, zero_tilde(1))}),
     ])
     assert len(positive_families) == 10
     for family in positive_families:

@@ -39,7 +39,6 @@ from hsk.arith import (
     tim,
     zero,
     zero_hat,
-    zero_symbol,
     zero_tilde,
 )
 from hsk.models import construct_alpha, holds, m_alpha
@@ -107,8 +106,8 @@ def test_literal_similarity_breaks_multiplication():
     # with the plain similarity conjunct no table pair is ever accepted
     m = p = 1
     table = mp_semitable(m, p)
-    f = mul(numeral(m, zero_symbol()), numeral(p, zero_symbol()),
-            numeral(m * p, zero_symbol()), W1, Variable("w2"), literal_sim=True)
+    f = mul(numeral(m, zero()), numeral(p, zero()),
+            numeral(m * p, zero()), W1, Variable("w2"), literal_sim=True)
     sigma = Substitution({
         W1: table.instantiate(zero(), zero(), k_plain()),
         Variable("w2"): table.instantiate(zero_hat(), zero_tilde(), k_tilde()),
@@ -155,7 +154,7 @@ def test_shift_equation_characterizes_mp_tables():
         for p in range(4):
             for table in candidates:
                 lhs = table.instantiate(parse_term("s(z)"),
-                                        numeral(m, zero_symbol()), shifted_base)
+                                        numeral(m, zero()), shifted_base)
                 rhs_row = parse_term(
                     f"pair({print_term_numeral(p)}, {print_term_numeral(m * p)})")
                 from hsk.syntax import pair as mk_pair
@@ -176,8 +175,8 @@ def print_term_numeral(exponent):
 
 def test_parse_diophantine():
     psi = parse_diophantine("x1 + 1 = 0\nx1 * x2 = s^2(z)\n")
-    assert psi.atoms[0] == DiophAtom(DiophKind.ADD, X1, numeral(1, zero_symbol()),
-                                     numeral(0, zero_symbol()))
+    assert psi.atoms[0] == DiophAtom(DiophKind.ADD, X1, numeral(1, zero()),
+                                     numeral(0, zero()))
     assert psi.atoms[1].kind is DiophKind.MUL
     assert psi.variables() == (X1, Variable("x2"))
 
@@ -206,9 +205,9 @@ def test_associate_add_atom():
     phi = associate(parse_diophantine("x1 + 1 = 0"))
     assert phi.blocks == (
         NumBlock(X1),
-        NumBlock(numeral(1, zero_symbol())),
-        NumBlock(numeral(0, zero_symbol())),
-        AddBlock(X1, numeral(1, zero_symbol()), numeral(0, zero_symbol()), W1),
+        NumBlock(numeral(1, zero())),
+        NumBlock(numeral(0, zero())),
+        AddBlock(X1, numeral(1, zero()), numeral(0, zero()), W1),
     )
     assert phi.numeric_vars() == (X1,)
     assert phi.table_vars() == (W1,)
@@ -233,10 +232,10 @@ def test_num_coverage_invariant_enforced():
 def test_instantiate_numeral():
     phi = associate(parse_diophantine("x1 + 1 = 0"))
     inst = instantiate_numeral(phi, X1, 0)
-    assert inst.blocks[0] == NumBlock(numeral(0, zero_symbol()))
+    assert inst.blocks[0] == NumBlock(numeral(0, zero()))
     assert inst.numeric_vars() == ()
     inst1 = instantiate_numeral(phi, X1, 1)
-    assert inst1.blocks[0] == NumBlock(numeral(1, zero_symbol()))
+    assert inst1.blocks[0] == NumBlock(numeral(1, zero()))
     with pytest.raises(ContractError):
         instantiate_numeral(phi, Variable("x9"), 1)
     with pytest.raises(ContractError):
@@ -293,12 +292,12 @@ def test_variant_shares_no_special_constants():
 def test_variant_solvability_transfers():
     # renaming a solution moves it between the languages
     phi = associate(parse_diophantine("x1 + 1 = 2"))
-    inst = instantiate(phi, {X1: numeral(1, zero_symbol()),
-                             W1: numeral(1, zero_tilde().symbol)})
+    inst = instantiate(phi, {X1: numeral(1, zero()),
+                             W1: numeral(1, zero_tilde())})
     assert qcheck.is_quasitautology(inst.formula())
     v3 = make_variant(phi, 3)
-    inst3 = instantiate(v3, {Variable("x1@3"): numeral(1, zero_symbol(3)),
-                             Variable("w1@3"): numeral(1, zero_tilde(3).symbol)})
+    inst3 = instantiate(v3, {Variable("x1@3"): numeral(1, zero(3)),
+                             Variable("w1@3"): numeral(1, zero_tilde(3))})
     assert qcheck.is_quasitautology(inst3.formula())
 
 
@@ -345,8 +344,8 @@ def test_reduction_f_varies_only_in_the_numeral():
     leaf_pairs(members[0].matrix, members[2].matrix, diffs)
     assert diffs  # the numeral slot does change
     for a, b in diffs:
-        assert numeral_of(a, zero_symbol()) == 0
-        assert numeral_of(b, zero_symbol()) == 2
+        assert numeral_of(a, zero()) == 0
+        assert numeral_of(b, zero()) == 2
 
 
 def test_reduction_f_two_variants():
@@ -385,13 +384,13 @@ def test_classify_similarity_failure():
 
 def test_classify_additive_failure_reports_numeral():
     inst = _instance("x1 + 1 = 0",
-                     {X1: numeral(2, zero_symbol()), W1: numeral(1, zero_tilde().symbol)})
+                     {X1: numeral(2, zero()), W1: numeral(1, zero_tilde())})
     assert classify_failures(inst) == Diagnosis(FailureCase.PLUS_OR_TIM, m=2)
 
 
 def test_classify_valid_instance_is_contract_error():
     inst = _instance("x1 + 1 = 2",
-                     {X1: numeral(1, zero_symbol()), W1: numeral(1, zero_tilde().symbol)})
+                     {X1: numeral(1, zero()), W1: numeral(1, zero_tilde())})
     with pytest.raises(ContractError):
         classify_failures(inst)
 
@@ -401,7 +400,7 @@ def test_classified_failures_are_falsified_by_their_alpha():
         ("x1 + 1 = 0", {X1: parse_term("pair(z, z)"), W1: zero_tilde()}),
         ("x1 + 1 = 0", {X1: zero(), W1: parse_term("s(k)")}),
         ("x1 + 1 = 0", {X1: zero(), W1: zero_tilde()}),
-        ("x1 + 1 = 0", {X1: numeral(1, zero_symbol()), W1: parse_term("s(zt)")}),
+        ("x1 + 1 = 0", {X1: numeral(1, zero()), W1: parse_term("s(zt)")}),
         ("x1 * x1 = 1", {X1: zero(), W1: parse_term("s(k)"),
                          Variable("w2"): k_tilde()}),
     ]
@@ -421,8 +420,8 @@ def test_recognize_round_trip():
     phi = associate(parse_diophantine("x1 + 1 = 0\nx1 * x1 = 2"))
     v1 = make_variant(phi, 1)
     values = {
-        Variable("x1@1"): numeral(1, zero_symbol(1)),
-        Variable("w1@1"): numeral(1, zero_tilde(1).symbol),
+        Variable("x1@1"): numeral(1, zero(1)),
+        Variable("w1@1"): numeral(1, zero_tilde(1)),
         Variable("w2@1"): mp_semitable(1, 1).instantiate(zero(1), zero(1), k_plain(1)),
         Variable("w3@1"): mp_semitable(1, 1).instantiate(zero_hat(1), zero_tilde(1),
                                                          k_tilde(1)),

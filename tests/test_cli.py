@@ -170,6 +170,35 @@ def test_eval_m_alpha_bindings(tmp_path):
     assert (status, out) == (1, "FALSE\n")
 
 
+@pytest.mark.parametrize("binding", ["z_1=abc", "z_1=J(1,x)"])
+def test_malformed_alpha_value_exits_2(tmp_path, capsys, binding):
+    source = tmp_path / "succ.fml"
+    source.write_text("z_1 = s(z_1)\n")
+    status, out = run_cli(["eval", "--structure", "m-alpha", "--alpha", binding,
+                           str(source)])
+    assert (status, out) == (2, "")
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "internal error" not in err
+
+
+@pytest.mark.parametrize("args", [
+    ["solve", "--max-size", "-1", "guarded_choice.fml"],
+    ["sreu", "--solve", "--max-size", "-1", "clause_pipeline.fml"],
+])
+def test_negative_size_bound_exits_2(capsys, args):
+    status, out = run_cli(args)
+    assert (status, out) == (2, "")
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "internal error" not in err
+
+
+def test_zero_size_bound_is_an_exhausted_search():
+    status, out = run_cli(["solve", "--max-size", "0", "guarded_choice.fml"])
+    assert (status, out) == (1, "NO SOLUTION WITHIN BOUND 0\n")
+
+
 def test_encode_with_larger_numeral(tmp_path):
     source = tmp_path / "sys.dioph"
     source.write_text("x1 + 1 = 2\n")

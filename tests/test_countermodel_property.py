@@ -20,7 +20,6 @@ from hsk.arith import (
     parse_diophantine,
     zero,
     zero_hat,
-    zero_symbol,
     zero_tilde,
 )
 from hsk.models import construct_alpha, holds, m_alpha
@@ -58,17 +57,16 @@ def _solution_values(phi, numeric_solution, lang):
     def exponent(term):
         if isinstance(term, Variable):
             return numeric_solution[term.name.split("@")[0]]
-        value = numeral_of(term, zero_symbol(lang))
+        value = numeral_of(term, zero(lang))
         assert value is not None
         return value
 
     values = {}
     for v in phi.numeric_vars():
-        values[v] = numeral(numeric_solution[v.name.split("@")[0]],
-                            zero_symbol(lang))
+        values[v] = numeral(numeric_solution[v.name.split("@")[0]], zero(lang))
     for block in phi.blocks:
         if isinstance(block, AddBlock):
-            values[block.w] = numeral(exponent(block.b), zero_tilde(lang).symbol)
+            values[block.w] = numeral(exponent(block.b), zero_tilde(lang))
         elif isinstance(block, MulBlock):
             table = mp_semitable(exponent(block.a), exponent(block.b))
             values[block.w1] = table.instantiate(zero(lang), zero(lang),
@@ -96,7 +94,7 @@ def _random_value(rng: random.Random, lang: int, kind: VarKind):
     roll = rng.random()
     if kind is VarKind.NUMERIC:
         if roll < 0.6:
-            return numeral(rng.randint(0, 3), zero_symbol(lang))
+            return numeral(rng.randint(0, 3), zero(lang))
         return _random_ground(rng, lang, 2)
     # table slot: tables, mirrored numerals, or junk
     if roll < 0.35:
@@ -107,7 +105,7 @@ def _random_value(rng: random.Random, lang: int, kind: VarKind):
         return Semitable(rows).instantiate(zero_hat(lang), zero_tilde(lang),
                                            k_tilde(lang))
     if roll < 0.7:
-        return numeral(rng.randint(0, 3), zero_tilde(lang).symbol)
+        return numeral(rng.randint(0, 3), zero_tilde(lang))
     return _random_ground(rng, lang, 2)
 
 

@@ -90,7 +90,7 @@ def test_two_point_structure_rules():
     assert eval_term(M, parse_term("f(z)")) == 1
     assert holds(M, parse_formula("z = s(z)"))
     assert not holds(M, num(parse_term("f(z)")))
-    assert holds(M, num(numeral(3, zero_symbol())))
+    assert holds(M, num(numeral(3, zero())))
 
 
 def test_table_structure_rules():
@@ -222,7 +222,7 @@ def _num_alpha(i):
 
 def test_num_equivalence_in_tailored_model():
     M = m_alpha(_num_alpha(1))
-    candidates = [numeral(m, zero_symbol(1)) for m in range(5)]
+    candidates = [numeral(m, zero(1)) for m in range(5)]
     candidates += [parse_term("f(z_1)"), parse_term("s(f(z_1))"),
                    parse_term("pair(z_1, z_1)"), parse_term("k_1"),
                    parse_term("s(s(kt_1))")]
@@ -233,7 +233,7 @@ def test_num_equivalence_in_tailored_model():
 
 def test_num_tilde_equivalence_in_tailored_model():
     M = m_alpha(AlphaAssignment({zero_tilde(1).symbol: J(3, 1)}))
-    candidates = [numeral(m, zero_tilde(1).symbol) for m in range(5)]
+    candidates = [numeral(m, zero_tilde(1)) for m in range(5)]
     candidates += [parse_term("z_1"), parse_term("s(k_1)"), parse_term("pair(zt_1, zt_1)")]
     for t in candidates:
         f = num_tilde(t, lang=1)
@@ -245,7 +245,7 @@ def test_sim_equivalence_in_tailored_model():
     M = m_alpha(alpha)
     for m in range(5):
         for p in range(5):
-            f = sim(numeral(m, zero_symbol(1)), numeral(p, zero_tilde(1).symbol), lang=1)
+            f = sim(numeral(m, zero(1)), numeral(p, zero_tilde(1)), lang=1)
             assert is_quasitautology(f) == holds(M, f) == (m == p)
 
 
@@ -256,8 +256,8 @@ def test_plus_equivalence_in_tailored_model():
         M = m_alpha(alpha)
         for p in range(4):
             for q in range(5):
-                f = plus(numeral(m, zero_symbol(1)), numeral(p, zero_tilde(1).symbol),
-                         numeral(q, zero_symbol(1)), lang=1)
+                f = plus(numeral(m, zero(1)), numeral(p, zero_tilde(1)),
+                         numeral(q, zero(1)), lang=1)
                 assert is_quasitautology(f) == holds(M, f) == (q == m + p)
 
 
@@ -321,8 +321,8 @@ def test_tim_equivalence_in_tailored_model():
                     k_tilde(1).symbol: J(0, J(J(0, 0), 0)),
                 })
                 M = m_alpha(alpha)
-                f = tim(numeral(m, zero_symbol(1)), numeral(p, zero_symbol(1)),
-                        numeral(q, zero_symbol(1)),
+                f = tim(numeral(m, zero(1)), numeral(p, zero(1)),
+                        numeral(q, zero(1)),
                         table.instantiate(zero(1), zero(1), k_plain(1)),
                         table.instantiate(zero_hat(1), zero_tilde(1), k_tilde(1)),
                         lang=1)

@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 
+import reference_skeleton
 from hsk import arith, qcheck, skeleton
-from hsk.arith import zero_symbol, zero_tilde
+from hsk.arith import zero, zero_symbol, zero_tilde
 from hsk.skeleton import (
     ContractError,
     ExistentialFormula,
@@ -136,8 +138,7 @@ def test_enumerate_single_constant():
 def test_enumerate_numerals():
     sig = Signature(frozenset({zero_symbol(), FunctionSymbol("s", 1)}), frozenset())
     got = list(enumerate_terms(sig, 3))
-    assert got == [numeral(0, zero_symbol()), numeral(1, zero_symbol()),
-                   numeral(2, zero_symbol())]
+    assert got == [numeral(0, zero()), numeral(1, zero()), numeral(2, zero())]
 
 
 def test_enumerate_counts_match_recursive_oracle():
@@ -173,11 +174,11 @@ def test_solve_guarded_choice():
 
 def test_solve_add_unique_witness():
     for m, p in [(2, 3), (0, 0), (1, 2)]:
-        matrix = arith.add(numeral(m, zero_symbol()), numeral(p, zero_symbol()),
-                           numeral(m + p, zero_symbol()), Variable("w1"))
+        matrix = arith.add(numeral(m, zero()), numeral(p, zero()),
+                           numeral(m + p, zero()), Variable("w1"))
         psi = ExistentialFormula((Variable("w1"),), matrix)
         sols = list(iter_solutions(make_skeleton(psi, 1), max_size=m + p + 3))
-        expected = numeral(p, zero_tilde().symbol)
+        expected = numeral(p, zero_tilde())
         assert sols == [Substitution({Unknown(1): expected})]
 
 
@@ -336,6 +337,102 @@ def test_class_streams_match_brute_force_filter():
         assert fast == slow, (eqs, target)
 
 
+_ENUM_POOL = [FunctionSymbol(n, 0) for n in ("a", "b", "c", "d")] + \
+    [FunctionSymbol(n, 1) for n in ("f", "s")] + \
+    [FunctionSymbol(n, 2) for n in ("g", "pair")]
+
+
+def _random_class_query(rng):
+    """Ground equations and a target term over _ENUM_POOL, which may use
+    symbols outside the signature enumerated, as sreu hypotheses do.
+
+    Sides are flat (a symbol applied to constants).  Equations between
+    constants and between applications of one symbol put several tuples of
+    argument classes into one class, so its members come from several state
+    tuples; an equation t = f(.., t, ..) makes t's class infinite."""
+    consts = [f for f in _ENUM_POOL if f.arity == 0]
+
+    def flat(symbol):
+        return Application(symbol, tuple(Application(rng.choice(consts), ())
+                                          for _ in range(symbol.arity)))
+
+    eqs = []
+    for _ in range(rng.randint(0, 6)):
+        roll = rng.random()
+        if roll < 0.4:
+            eqs.append((flat(rng.choice(consts)), flat(rng.choice(consts))))
+            continue
+        lhs = flat(rng.choice(_ENUM_POOL))
+        if roll < 0.55:
+            wrapper = rng.choice([f for f in _ENUM_POOL if f.arity])
+            args = list(flat(wrapper).args)
+            args[rng.randrange(wrapper.arity)] = lhs
+            rhs = Application(wrapper, tuple(args))
+        elif lhs.args and roll < 0.8:
+            rhs = flat(lhs.symbol)
+        else:
+            rhs = flat(rng.choice(_ENUM_POOL))
+        eqs.append((lhs, rhs))
+    applications = [t for eq in eqs for t in eq if t.args]
+    if applications and rng.random() < 0.8:
+        return tuple(eqs), rng.choice(applications)
+    return tuple(eqs), flat(rng.choice(_ENUM_POOL))
+
+
+def _random_signature(rng, least):
+    symbols = rng.sample(_ENUM_POOL, rng.randint(least, len(_ENUM_POOL)))
+    return Signature(frozenset(symbols), frozenset())
+
+
+def test_enumerator_matches_reference_enumerators():
+    # the one tree-automaton enumerator against the two loops it replaced,
+    # bucket by bucket and in order: with the one-state automaton it must
+    # give `_terms_by_size`, with closure classes as states the members of
+    # the target's class
+    rng = random.Random(4242)
+    for _ in range(60):
+        sig = _random_signature(rng, 1)
+        bound = rng.randint(0, 5)
+        got = [b.get(0, []) for b in skeleton._sized_terms(sig, bound, skeleton._any_term)]
+        assert got == reference_skeleton._terms_by_size(sig, bound), (sig, bound)
+    shared_buckets = 0
+    for _ in range(1500):
+        sig = _random_signature(rng, 4)
+        bound = rng.randint(0, 5)
+        eqs, target = _random_class_query(rng)
+        got = skeleton._class_member_buckets.__wrapped__(eqs, target, sig, bound)
+        want = reference_skeleton._class_member_buckets(eqs, target, sig, bound)
+        assert got == want, (eqs, target, sig, bound)
+        shared_buckets += sum(len(b) > 1 for b in got)
+    assert shared_buckets > 300  # buckets of several members, whose order is checked
+
+
+def test_class_member_cache_is_bounded():
+    cached = skeleton._class_member_buckets
+    bound = skeleton._CLASS_CACHE_SIZE
+    assert cached.cache_info().maxsize == bound
+    cached.cache_clear()
+    try:
+        for i in range(bound + 20):
+            c = FunctionSymbol(f"c{i}", 0)
+            cached((), Application(c, ()), Signature(frozenset({c}), frozenset()), 1)
+            assert cached.cache_info().currsize <= bound
+        assert cached.cache_info().currsize == bound
+    finally:
+        cached.cache_clear()
+
+
+def test_negative_size_bound_is_rejected():
+    sig = Signature(frozenset({FunctionSymbol("a", 0)}), frozenset())
+    with pytest.raises(ContractError):
+        list(enumerate_terms(sig, -1))
+    with pytest.raises(ContractError):
+        list(iter_formula_solutions(parse_formula("p(*1)"), [Unknown(1)], sig, -1))
+    with pytest.raises(ContractError):
+        list(iter_formula_solutions(parse_formula("a = a"), [], sig, -1))
+    assert list(enumerate_terms(sig, 0)) == []
+
+
 def test_completeness_within_bound():
     # any accepted assignment within the bound is found by the search
     matrix = arith.num(Variable("x1"))
@@ -345,5 +442,5 @@ def test_completeness_within_bound():
                                FunctionSymbol("pair", 2), zero_tilde().symbol}),
                     frozenset())
     found = list(iter_solutions(sk, sig, 4))
-    expected = [Substitution({Unknown(1): numeral(m, zero_symbol())}) for m in range(4)]
+    expected = [Substitution({Unknown(1): numeral(m, zero())}) for m in range(4)]
     assert found == expected

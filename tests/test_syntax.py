@@ -45,6 +45,7 @@ A = Application(FunctionSymbol("a", 0), ())
 B = Application(FunctionSymbol("b", 0), ())
 P = PredicateSymbol("p", 1)
 Z = special_constant(SpecialBase.ZERO)
+ZERO = Application(Z, ())
 
 
 def p(t):
@@ -105,8 +106,8 @@ def test_size_counts_function_symbols():
     assert term_size(Unknown(1)) == 0
     assert term_size(Variable("x1")) == 0
     # the unique additive witness has the same size as the numeral it mirrors
-    zt = special_constant(SpecialBase.ZERO_TILDE)
-    assert term_size(numeral(3, zt)) == term_size(numeral(3, Z))
+    zt = Application(special_constant(SpecialBase.ZERO_TILDE), ())
+    assert term_size(numeral(3, zt)) == term_size(numeral(3, ZERO))
 
 
 def test_size_additive_under_substitution():
@@ -122,17 +123,25 @@ def test_size_additive_under_substitution():
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 17, 64])
-@pytest.mark.parametrize("base", [Z, FunctionSymbol("a", 0), special_constant(SpecialBase.K_TILDE, 2)])
+@pytest.mark.parametrize("base", [
+    ZERO, A, Application(special_constant(SpecialBase.K_TILDE, 2), ()),
+    succ(ZERO), Variable("x1"),
+])
 def test_numeral_roundtrip(m, base):
     assert numeral_of(numeral(m, base), base) == m
 
 
 def test_numeral_of_rejects_other_shapes():
-    assert numeral_of(numeral(2, Z), FunctionSymbol("a", 0)) is None
-    zt = special_constant(SpecialBase.ZERO_TILDE)
-    assert numeral_of(Application(zt, ()), Z) is None
+    assert numeral_of(numeral(2, ZERO), A) is None
+    zt = Application(special_constant(SpecialBase.ZERO_TILDE), ())
+    assert numeral_of(zt, ZERO) is None
     f = FunctionSymbol("f", 1)
-    assert numeral_of(succ(Application(f, (numeral(0, Z),))), Z) is None
+    assert numeral_of(succ(Application(f, (numeral(0, ZERO),))), ZERO) is None
+    # the peeling stops at the base, so a numeral over s(z) is not one over s(s(z))
+    assert numeral_of(numeral(3, ZERO), succ(ZERO)) == 2
+    assert numeral_of(succ(ZERO), succ(succ(ZERO))) is None
+    # the successor is matched by symbol, not by its name alone
+    assert numeral_of(Application(FunctionSymbol("s", 2), (ZERO, ZERO)), ZERO) is None
 
 
 def test_signature_of():
@@ -140,8 +149,8 @@ def test_signature_of():
     assert sig.function_symbols == frozenset({FunctionSymbol("a", 0)})
     assert sig.predicate_symbols == frozenset({P})
 
-    num_shape = Implies(Equality(numeral(0, Z), numeral(1, Z)),
-                        Equality(numeral(0, Z), Variable("x1")))
+    num_shape = Implies(Equality(numeral(0, ZERO), numeral(1, ZERO)),
+                        Equality(numeral(0, ZERO), Variable("x1")))
     sig = signature_of(num_shape)
     assert sig.function_symbols == frozenset({Z, FunctionSymbol("s", 1)})
     assert sig.predicate_symbols == frozenset()
@@ -201,17 +210,17 @@ def test_equal_structures_are_one_object():
 
 
 def test_deep_terms_compare_and_hash_without_recursion():
-    deep = numeral(5000, Z)
-    assert deep == numeral(5000, Z)
+    deep = numeral(5000, ZERO)
+    assert deep == numeral(5000, ZERO)
     assert term_size(deep) == 5001
     assert deep in {deep}
-    assert {deep: 1}[numeral(5000, Z)] == 1
+    assert {deep: 1}[numeral(5000, ZERO)] == 1
 
 
 def test_dropped_nodes_leave_the_table():
     def build_and_drop():
         f = FunctionSymbol("hash_consing_probe", 1)
-        t = numeral(50, FunctionSymbol("hash_consing_probe", 0))
+        t = numeral(50, Application(FunctionSymbol("hash_consing_probe", 0), ()))
         assert Equality(Application(f, (t,)), t) is Equality(Application(f, (t,)), t)
 
     gc.collect()
