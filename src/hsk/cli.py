@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from . import arith, models, qcheck, skeleton, sreu, textform
 from .models import AlphaAssignment, pairing_j, unpair
-from .syntax import ContractError, FunctionSymbol, Substitution, Unknown
+from .syntax import ContractError, FunctionSymbol, Substitution, Term, Unknown, canonical_key
 from .textform import ParseError, parse_formula, print_formula, print_term
 
 
@@ -50,13 +50,13 @@ def _record(**fields: str) -> str:
     return "\t".join(f"{key}={value}" for key, value in fields.items())
 
 
+def _bindings(solution: Substitution) -> list[tuple[Unknown, Term]]:
+    """The solution's bindings, unknowns in canonical order."""
+    return sorted(solution.bindings.items(), key=lambda kv: canonical_key(kv[0]))
+
+
 def _witness_text(solution: Substitution) -> str:
-    items = sorted(solution.bindings.items(), key=lambda kv: _unknown_sort(kv[0]))
-    return ";".join(f"*{u.index}:={print_term(t)}" for u, t in items)
-
-
-def _unknown_sort(u: Unknown) -> tuple:
-    return (0, u.index) if isinstance(u.index, int) else (1, u.index)
+    return ";".join(f"*{u.index}:={print_term(t)}" for u, t in _bindings(solution))
 
 
 def _alpha_value_text(value: int) -> str:
@@ -126,10 +126,7 @@ def _cmd_solve(config: RunConfig, text: str) -> tuple[int, list[str]]:
         return 1, [f"NO SOLUTION WITHIN BOUND {config.max_size}"]
     if config.fmt == "records":
         return 0, [_record(verdict="solved", witness=_witness_text(solution))]
-    lines = [f"*{u.index} := {print_term(t)}"
-             for u, t in sorted(solution.bindings.items(),
-                                key=lambda kv: _unknown_sort(kv[0]))]
-    return 0, lines
+    return 0, [f"*{u.index} := {print_term(t)}" for u, t in _bindings(solution)]
 
 
 def _constraint_text(c: sreu.RigidConstraint) -> str:

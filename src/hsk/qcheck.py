@@ -12,7 +12,9 @@ Oliveras & Tinelli, JACM 2006).  One closure over the subterms of all the
 formula's atoms lives for the whole search.  Each literal is checked
 against the literals before it as it is asserted, so a conflict prunes its
 branch at once; goals that leave no choice are taken before any branch;
-backtracking undoes the closure from its trail.
+backtracking undoes the closure from its trail.  Terms are interned, so the
+closure keys its tables by the terms themselves and needs no private
+numbering of nodes (Nieuwenhuis & Oliveras, Inf. & Comp. 2007).
 """
 
 from __future__ import annotations
@@ -35,9 +37,7 @@ from .syntax import (
     Term,
     Variable,
     atoms_of,
-    canonical_key,
     is_quantifier_free,
-    subterms,
 )
 
 
@@ -56,164 +56,103 @@ class Literal:
 
 
 class CongruenceEngine:
-    """Congruence closure over a fixed universe, closed under subterms on
-    construction (Downey, Sethi & Tarjan, JACM 1980), with undo.
+    """Congruence closure over a fixed universe of ground terms, closed
+    under subterms on construction (Downey, Sethi & Tarjan, JACM 1980),
+    with undo.
 
-    Classes are joined by size and never path-compressed, so a union
-    changes one parent link.  Each union leaves one trail entry: the
-    absorbed root, the keeping root, the keeper's use-list length before
-    the union and the signature keys the union inserted.  `undo(mark)`
-    pops the trail back to a `mark()` and restores the partition, the
-    class sizes, the use-lists and the signature table exactly.
+    The terms themselves are the nodes: they are interned, so they serve as
+    dict keys without translation.  `parent`, `size` and `uses` are keyed
+    by term; `sig` maps a symbol and the roots of its arguments to an
+    application with that signature.  Classes are joined by size and never
+    path-compressed, so a union changes one parent link.  Each union leaves
+    one trail entry: the absorbed root, the keeping root, the keeper's
+    use-list length before the union and the signature keys the union
+    inserted.  `undo(mark)` pops the trail back to a `mark()` and restores
+    the partition, the class sizes, the use-lists and the signature table
+    exactly.
     """
 
     def __init__(self, universe: Iterable[Term]):
-        self.ids: dict[Term, int] = {}
-        self.terms: list[Term] = []
-        self.args: list[tuple[int, ...]] = []  # argument ids of each term
-        self.parent: list[int] = []
-        self.size: list[int] = []  # class sizes, valid at roots
-        self.uses: list[list[int]] = []  # ids of applications using this class
-        self.trail: list[tuple[int, int, int, list[tuple]]] = []
-        for t in universe:
-            self._add(t)
-        self.sig: dict[tuple, int] = {}
-        for i, arg_ids in enumerate(self.args):
-            if arg_ids:
-                self.sig[self._signature(i)] = i
+        self.parent: dict[Term, Term] = {}  # the universe, in first visit order
+        stack = list(universe)
+        while stack:
+            t = stack.pop()
+            if t in self.parent:
+                continue
+            if isinstance(t, Variable):
+                raise ContractError(f"congruence closure requires ground terms, got {t}")
+            self.parent[t] = t
+            if isinstance(t, Application):
+                stack.extend(t.args)
+        self.size: dict[Term, int] = dict.fromkeys(self.parent, 1)  # valid at roots
+        self.uses: dict[Term, list[Application]] = {t: [] for t in self.parent}
+        self.sig: dict[tuple, Application] = {}
+        self.trail: list[tuple[Term, Term, int, list[tuple]]] = []
+        for t in self.parent:
+            if isinstance(t, Application) and t.args:
+                for a in t.args:
+                    self.uses[a].append(t)
+                self.sig[(t.symbol, t.args)] = t  # every term is its own root
 
-    def _add(self, t: Term) -> int:
-        known = self.ids.get(t)
-        if known is not None:
-            return known
-        if isinstance(t, Variable):
-            raise ContractError(f"congruence closure requires ground terms, got {t}")
-        arg_ids: tuple[int, ...] = ()
-        if isinstance(t, Application):
-            arg_ids = tuple([self._add(a) for a in t.args])
-        tid = len(self.terms)
-        self.ids[t] = tid
-        self.terms.append(t)
-        self.args.append(arg_ids)
-        self.parent.append(tid)
-        self.size.append(1)
-        self.uses.append([])
-        for aid in arg_ids:
-            self.uses[aid].append(tid)
-        return tid
-
-    def find(self, i: int) -> int:
+    def find(self, t: Term) -> Term:
         parent = self.parent
-        while parent[i] != i:
-            i = parent[i]
-        return i
+        while parent[t] is not t:
+            t = parent[t]
+        return t
 
-    def _signature(self, tid: int) -> tuple:
+    def _roots(self, a: Term, b: Term) -> tuple[Term, Term]:
+        try:
+            return self.find(a), self.find(b)
+        except KeyError as missing:
+            raise DomainError(f"term outside universe: {missing.args[0]}") from None
+
+    def _signature(self, t: Application) -> tuple:
         find = self.find
-        return (self.terms[tid].symbol, tuple([find(a) for a in self.args[tid]]))
+        return (t.symbol, tuple([find(a) for a in t.args]))
 
     def mark(self) -> int:
         """A point of the trail that `undo` can return to."""
         return len(self.trail)
 
     def merge(self, a: Term, b: Term) -> None:
-        try:
-            pending = [(self.ids[a], self.ids[b])]
-        except KeyError as missing:
-            raise DomainError(f"term outside universe: {missing.args[0]}") from None
+        pending = [self._roots(a, b)]
         find, parent, size, uses, sig = self.find, self.parent, self.size, self.uses, self.sig
         while pending:
-            i, j = pending.pop()
-            ri, rj = find(i), find(j)
-            if ri == rj:
+            a, b = pending.pop()
+            ra, rb = find(a), find(b)
+            if ra is rb:
                 continue
-            if size[ri] < size[rj]:
-                ri, rj = rj, ri
-            parent[rj] = ri
-            size[ri] += size[rj]
+            if size[ra] < size[rb]:
+                ra, rb = rb, ra
+            parent[rb] = ra
+            size[ra] += size[rb]
             inserted: list[tuple] = []
-            self.trail.append((rj, ri, len(uses[ri]), inserted))
-            moved = uses[rj]  # left in place: rj is no root until undone
-            for uid in moved:
-                key = self._signature(uid)
+            self.trail.append((rb, ra, len(uses[ra]), inserted))
+            moved = uses[rb]  # left in place: rb is no root until undone
+            for u in moved:
+                key = self._signature(u)
                 other = sig.get(key)
                 if other is None:
-                    sig[key] = uid
+                    sig[key] = u
                     inserted.append(key)
-                elif find(other) != find(uid):
-                    pending.append((other, uid))
-            uses[ri].extend(moved)
+                elif find(other) is not find(u):
+                    pending.append((other, u))
+            uses[ra].extend(moved)
 
     def undo(self, mark: int) -> None:
         """Return to the state at `mark`, undoing every later union."""
         trail, parent, size, uses, sig = self.trail, self.parent, self.size, self.uses, self.sig
         while len(trail) > mark:
-            rj, ri, kept, inserted = trail.pop()
+            rb, ra, kept, inserted = trail.pop()
             for key in inserted:
                 del sig[key]
-            del uses[ri][kept:]
-            size[ri] -= size[rj]
-            parent[rj] = rj
+            del uses[ra][kept:]
+            size[ra] -= size[rb]
+            parent[rb] = rb
 
     def same(self, a: Term, b: Term) -> bool:
-        try:
-            return self.find(self.ids[a]) == self.find(self.ids[b])
-        except KeyError as missing:
-            raise DomainError(f"term outside universe: {missing.args[0]}") from None
-
-    def classes(self) -> list[list[Term]]:
-        grouped: dict[int, list[Term]] = {}
-        for i, t in enumerate(self.terms):
-            grouped.setdefault(self.find(i), []).append(t)
-        return list(grouped.values())
-
-
-def subterm_closure(terms: Iterable[Term]) -> set[Term]:
-    out: set[Term] = set()
-    for t in terms:
-        out.update(subterms(t))
-    return out
-
-
-@dataclass(frozen=True)
-class CongruencePartition:
-    universe: frozenset[Term]
-    classes: tuple[frozenset[Term], ...]
-
-    def class_of(self, t: Term) -> frozenset[Term]:
-        for cls in self.classes:
-            if t in cls:
-                return cls
-        raise DomainError(f"term outside universe: {t}")
-
-    def same_class(self, a: Term, b: Term) -> bool:
-        return self.class_of(a) is self.class_of(b)
-
-
-def congruence_close(
-    equalities: Sequence[tuple[Term, Term]], universe: Iterable[Term]
-) -> CongruencePartition:
-    """Smallest congruence over `universe` containing `equalities`.
-
-    The universe must be subterm closed and contain both sides of every
-    equality; violations raise DomainError.
-    """
-    universe_set = set(universe)
-    for t in universe_set:
-        if isinstance(t, Application):
-            for a in t.args:
-                if a not in universe_set:
-                    raise DomainError(f"universe not subterm closed at {a}")
-    closure = CongruenceEngine(universe_set)
-    for lhs, rhs in equalities:
-        closure.merge(lhs, rhs)
-    classes = sorted(
-        (sorted(cls, key=canonical_key) for cls in closure.classes()),
-        key=lambda cls: canonical_key(cls[0]),
-    )
-    return CongruencePartition(
-        frozenset(universe_set), tuple(frozenset(cls) for cls in classes)
-    )
+        ra, rb = self._roots(a, b)
+        return ra is rb
 
 
 # ---------------------------------------------------------------------------
@@ -273,15 +212,15 @@ def falsifying_literals(f: Formula) -> dict[Atom, bool] | None:
     if not is_quantifier_free(f):
         raise ContractError("input must be quantifier-free")
     closure = CongruenceEngine(t for atom in atoms_of(f) for t in _atom_terms(atom))
-    ids, find = closure.ids, closure.find
+    find = closure.find
     lits: dict[Atom, bool] = {}
     asserted: list[Atom] = []  # the keys of lits, in assertion order
-    apart: list[tuple[int, int]] = []  # ids of the negated equalities
-    held: list[tuple[bool, PredicateSymbol, tuple[int, ...]]] = []  # predicate literals
+    apart: list[tuple[Term, Term]] = []  # the sides of the negated equalities
+    held: list[tuple[bool, PredicateSymbol, tuple[Term, ...]]] = []  # predicate literals
 
     def consistent() -> bool:
         """No negated equality and no predicate literal pair conflicts."""
-        if any(find(i) == find(j) for i, j in apart):
+        if any(find(a) is find(b) for a, b in apart):
             return False
         keys = {(v, s, tuple([find(a) for a in args])) for v, s, args in held}
         return not any((not v, s, roots) in keys for v, s, roots in keys)
@@ -298,12 +237,10 @@ def falsifying_literals(f: Formula) -> dict[Atom, bool] | None:
                 before = closure.mark()
                 closure.merge(atom.lhs, atom.rhs)
                 return closure.mark() == before or consistent()
-            i, j = ids[atom.lhs], ids[atom.rhs]
-            apart.append((i, j))
-            return find(i) != find(j)
-        arg_ids = tuple([ids[a] for a in atom.args])
-        held.append((value, atom.symbol, arg_ids))
-        roots = [find(a) for a in arg_ids]
+            apart.append((atom.lhs, atom.rhs))
+            return find(atom.lhs) is not find(atom.rhs)
+        held.append((value, atom.symbol, atom.args))
+        roots = [find(a) for a in atom.args]
         return not any(v != value and s == atom.symbol and [find(a) for a in args] == roots
                        for v, s, args in held)
 

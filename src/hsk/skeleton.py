@@ -7,9 +7,10 @@ Candidate terms come from one bottom-up tree-automaton enumerator,
 accepts every term.  A conjunct that constrains a single unknown through a
 chain of ground equality hypotheses narrows its stream to the target's
 congruence class: the states are then the closure classes of the
-hypotheses' subterms, and these streams are kept in an LRU cache of
-`_CLASS_CACHE_SIZE` entries.  Every reported witness is still verified
-against the whole formula.
+hypotheses' subterms, each named by its root term in `qcheck`'s congruence
+engine, and these streams are kept in an LRU cache of `_CLASS_CACHE_SIZE`
+entries.  Every reported witness is still verified against the whole
+formula.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Hashable, Iterator, Sequence
 
 from . import qcheck
 from .syntax import (
@@ -154,8 +155,8 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 def _sized_terms(
     sig: Signature,
     max_size: int,
-    step: Callable[[FunctionSymbol, tuple[int, ...]], int | None],
-) -> list[dict[int, list[Term]]]:
+    step: Callable[[FunctionSymbol, tuple[Hashable, ...]], Hashable | None],
+) -> list[dict[Hashable, list[Term]]]:
     """sized[n][state] = the terms over sig of size n that the bottom-up tree
     automaton `step` takes to `state`, each list sorted by canonical_key.
 
@@ -168,7 +169,7 @@ def _sized_terms(
     symbols = _sorted_symbols(sig)
     if not any(f.arity == 0 for f in symbols):
         symbols = sorted(symbols + [_INJECTED_CONSTANT], key=lambda f: (f.name, f.arity))
-    sized: list[dict[int, list[Term]]] = [{} for _ in range(max_size + 1)]
+    sized: list[dict[Hashable, list[Term]]] = [{} for _ in range(max_size + 1)]
     for n in range(1, max_size + 1):
         fresh = sized[n]
         for symbol in symbols:
@@ -249,32 +250,30 @@ def _class_member_buckets(
     """buckets[n] = terms t over sig of size n with `equalities -> target = t`
     valid, i.e. the members of target's congruence class, smallest first.
 
-    The classes of the (finite) subterm universe act as automaton states:
-    an application belongs to a universe class exactly when some universe
-    application with the same symbol and argument classes does.
+    The classes of the (finite) subterm universe, named by their root
+    terms, act as automaton states: an application belongs to a universe
+    class exactly when some universe application with the same symbol and
+    argument classes does.  The engine closes the leaves under subterms
+    itself, and its `parent` table lists that universe.
     """
     leaves = [target]
     for lhs, rhs in equalities:
         leaves.extend((lhs, rhs))
-    universe = qcheck.subterm_closure(leaves)
-    closure = qcheck.CongruenceEngine(universe)
+    closure = qcheck.CongruenceEngine(leaves)
     for lhs, rhs in equalities:
         closure.merge(lhs, rhs)
+    find = closure.find
 
-    def root_of(t: Term) -> int:
-        return closure.find(closure.ids[t])
-
-    transitions: dict[tuple, int] = {}
-    for t in universe:
+    transitions: dict[tuple, Term] = {}
+    for t in closure.parent:  # the subterms of the leaves
         if isinstance(t, Application):
-            key = (t.symbol, tuple(root_of(a) for a in t.args))
-            transitions[key] = root_of(t)
+            transitions[(t.symbol, tuple([find(a) for a in t.args]))] = find(t)
 
-    def step(symbol: FunctionSymbol, states: tuple[int, ...]) -> int | None:
+    def step(symbol: FunctionSymbol, states: tuple[Term, ...]) -> Term | None:
         return transitions.get((symbol, states))
 
     sized = _sized_terms(sig, max_size, step)
-    target_root = root_of(target)
+    target_root = find(target)
     return tuple(tuple(by_state.get(target_root, ())) for by_state in sized)
 
 

@@ -342,11 +342,13 @@ def _flatten(f: Formula, connective: type) -> list[Formula]:
 
 
 def subterms(t: Term) -> Iterator[Term]:
-    """All subterms of t including t itself, outside in."""
-    yield t
-    if isinstance(t, Application):
-        for a in t.args:
-            yield from subterms(a)
+    """All subterms of t including t itself, outside in and left to right."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        yield t
+        if isinstance(t, Application):
+            stack.extend(reversed(t.args))  # the leftmost argument pops first
 
 
 def term_size(t: Term) -> int:
@@ -480,11 +482,6 @@ def is_quantifier_free(f: Formula) -> bool:
     return False
 
 
-def is_ground_formula(f: Formula) -> bool:
-    """A formula with no free variables at all (quantifiers aside)."""
-    return not free_variables(f)
-
-
 # ---------------------------------------------------------------------------
 # Signatures
 
@@ -494,30 +491,15 @@ class Signature:
     function_symbols: frozenset[FunctionSymbol]
     predicate_symbols: frozenset[PredicateSymbol]
 
-    def constants(self) -> list[FunctionSymbol]:
-        return sorted(
-            (f for f in self.function_symbols if f.arity == 0), key=lambda f: f.name
-        )
-
-
-def signature_of_term(t: Term) -> Signature:
-    fns = frozenset(u.symbol for u in subterms(t) if isinstance(u, Application))
-    return Signature(fns, frozenset())
-
 
 def signature_of(f: Formula) -> Signature:
     """Exactly the function and predicate symbols occurring in f."""
-    fns: set[FunctionSymbol] = set()
+    fns = {u.symbol for t in _term_leaves(f) for u in subterms(t) if isinstance(u, Application)}
     preds: set[PredicateSymbol] = set()
 
     def walk(g: Formula) -> None:
-        if isinstance(g, Equality):
-            for t in (g.lhs, g.rhs):
-                fns.update(signature_of_term(t).function_symbols)
-        elif isinstance(g, PredApp):
+        if isinstance(g, PredApp):
             preds.add(g.symbol)
-            for t in g.args:
-                fns.update(signature_of_term(t).function_symbols)
         elif isinstance(g, Not):
             walk(g.body)
         elif isinstance(g, (And, Or, Implies)):
@@ -525,8 +507,6 @@ def signature_of(f: Formula) -> Signature:
             walk(g.rhs)
         elif isinstance(g, (Exists, Forall)):
             walk(g.body)
-        else:
-            raise ContractError(f"not a formula: {g!r}")
 
     walk(f)
     return Signature(frozenset(fns), frozenset(preds))
@@ -580,29 +560,36 @@ class Substitution:
 
 
 def substitute_term(t: Term, sigma: Substitution) -> Term:
-    repl = sigma.get(t) if isinstance(t, (Unknown, Variable)) else None
-    if repl is not None:
-        return repl
-    if isinstance(t, Application) and t.args:
-        return Application(t.symbol, tuple(substitute_term(a, sigma) for a in t.args))
-    return t
+    """t with every mapped unknown/variable replaced; a subterm that no
+    replacement reaches is returned as it is, not rebuilt."""
+    if isinstance(t, Application):
+        if not t.args:
+            return t
+        args = tuple([substitute_term(a, sigma) for a in t.args])
+        return t if args == t.args else Application(t.symbol, args)
+    repl = sigma.get(t)
+    return t if repl is None else repl
 
 
 def substitute(f: Formula, sigma: Substitution) -> Formula:
     """Simultaneously replace every mapped unknown/variable in f.
 
     Raises CaptureError when the substitution touches a bound variable or a
-    replacement term would be captured by a quantifier of f.
+    replacement term would be captured by a quantifier of f.  A subformula
+    that no replacement reaches is returned as it is, not rebuilt.
     """
     if isinstance(f, Equality):
-        return Equality(substitute_term(f.lhs, sigma), substitute_term(f.rhs, sigma))
+        lhs, rhs = substitute_term(f.lhs, sigma), substitute_term(f.rhs, sigma)
+        return f if lhs is f.lhs and rhs is f.rhs else Equality(lhs, rhs)
     if isinstance(f, PredApp):
-        return PredApp(f.symbol, tuple(substitute_term(a, sigma) for a in f.args))
+        args = tuple([substitute_term(a, sigma) for a in f.args])
+        return f if args == f.args else PredApp(f.symbol, args)
     if isinstance(f, Not):
-        return Not(substitute(f.body, sigma))
+        body = substitute(f.body, sigma)
+        return f if body is f.body else Not(body)
     if isinstance(f, (And, Or, Implies)):
-        ctor = type(f)
-        return ctor(substitute(f.lhs, sigma), substitute(f.rhs, sigma))
+        lhs, rhs = substitute(f.lhs, sigma), substitute(f.rhs, sigma)
+        return f if lhs is f.lhs and rhs is f.rhs else type(f)(lhs, rhs)
     if isinstance(f, (Exists, Forall)):
         if f.var in sigma.domain():
             raise CaptureError(f"substitution domain contains bound variable {f.var}")
@@ -611,7 +598,8 @@ def substitute(f: Formula, sigma: Substitution) -> Formula:
                 raise CaptureError(
                     f"replacing {key} with {value} would capture bound {f.var}"
                 )
-        return type(f)(f.var, substitute(f.body, sigma))
+        body = substitute(f.body, sigma)
+        return f if body is f.body else type(f)(f.var, body)
     raise ContractError(f"not a formula: {f!r}")
 
 

@@ -1,7 +1,9 @@
 """The two term enumerators of `hsk.skeleton` as they were before they
 became one tree-automaton enumerator: `_terms_by_size` for all terms, and
 `_class_member_buckets` for the members of one congruence class.  Kept
-unchanged, apart from the `lru_cache` on `_class_member_buckets`, as the
+unchanged, apart from the `lru_cache` on `_class_member_buckets` and two
+lookups that follow the congruence engine's API (the universe is a local
+set of subterms, and the engine is keyed by the terms themselves), as the
 reference that tests compare the merged enumerator against."""
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ import itertools
 from typing import Iterator
 
 from hsk import qcheck
-from hsk.syntax import Application, FunctionSymbol, Signature, Term, canonical_key
+from hsk.syntax import Application, FunctionSymbol, Signature, Term, canonical_key, subterms
 
 _INJECTED_CONSTANT = FunctionSymbol("c#0", 0)
 
@@ -67,15 +69,15 @@ def _class_member_buckets(
     leaves = [target]
     for lhs, rhs in equalities:
         leaves.extend((lhs, rhs))
-    universe = qcheck.subterm_closure(leaves)
+    universe = {s for t in leaves for s in subterms(t)}
     closure = qcheck.CongruenceEngine(universe)
     for lhs, rhs in equalities:
         closure.merge(lhs, rhs)
 
-    def root_of(t: Term) -> int:
-        return closure.find(closure.ids[t])
+    def root_of(t: Term) -> Term:
+        return closure.find(t)
 
-    transitions: dict[tuple, int] = {}
+    transitions: dict[tuple, Term] = {}
     for t in universe:
         if isinstance(t, Application):
             key = (t.symbol, tuple(root_of(a) for a in t.args))
@@ -84,7 +86,7 @@ def _class_member_buckets(
     symbols = _sorted_symbols(sig)
     target_root = root_of(target)
     # sized[n][cls] = universe-class members of size n built over sig
-    sized: list[dict[int, list[Term]]] = [dict() for _ in range(max_size + 1)]
+    sized: list[dict[Term, list[Term]]] = [dict() for _ in range(max_size + 1)]
     for n in range(1, max_size + 1):
         fresh = sized[n]
         for symbol in symbols:

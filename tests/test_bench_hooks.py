@@ -1,0 +1,79 @@
+"""The benchmark's hooks still fit the code they reach into.
+
+`perfbench/` measures hsk from outside: `spans.Tracer.install()` wraps
+layer functions and `CongruenceEngine` methods by name, and
+`run.clear_caches()` empties hsk's process-global caches by name, skipping
+quietly whatever it cannot find.  These tests load `perfbench/run.py` as it
+is and drive both against the live hsk modules, so renaming or deleting
+one of those names fails here rather than in a traced benchmark run or in
+the cold start of each batch.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from hsk import cli, qcheck, skeleton
+from hsk.syntax import Application, FunctionSymbol, Signature
+from hsk.textform import parse_formula
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def bench():
+    """perfbench/run.py, loaded from its own directory as its script does."""
+    saved = list(sys.path)
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)  # puts perfbench/ on sys.path itself
+    finally:
+        sys.path[:] = saved
+    return module
+
+
+def _hooked():
+    """Everything `Tracer.install()` replaces."""
+    return (qcheck.is_quasitautology, qcheck.falsifying_literals, qcheck.e_satisfiable,
+            qcheck.CongruenceEngine.__init__, qcheck.CongruenceEngine.merge,
+            skeleton.iter_formula_solutions, skeleton.substitute, cli.parse_formula,
+            cli.print_formula, cli.print_term)
+
+
+def test_tracer_wraps_the_live_layers_and_restores_them(bench):
+    before = _hooked()
+    tracer = bench.Tracer()
+    tracer.install()
+    try:
+        assert all(now is not then for now, then in zip(_hooked(), before))
+        checked = cli.run(cli.RunConfig(command="check"), "hk1 = hk2 -> hk2 = hk1\n")
+        solved = cli.run(cli.RunConfig(command="solve"), "exists ?v. ?v = hk3\n")
+    finally:
+        tracer.uninstall()
+    assert all(now is then for now, then in zip(_hooked(), before))
+    assert checked == (0, "QUASITAUTOLOGY\n")
+    assert solved == (0, "*1 := hk3\n")
+    counts = tracer.counts
+    assert counts["qcheck.search"] >= 2 and counts["qcheck.engines"] >= 2
+    assert counts["qcheck.merges"] >= 1
+    assert counts["skeleton.started"] == counts["skeleton.yielded"] == 1
+    assert counts["skeleton.checks"] == counts["skeleton.checks_passed"] >= 1
+    assert counts["textform.parse"] == 2
+
+
+def test_clear_caches_empties_the_live_caches(bench):
+    assert isinstance(qcheck._VERDICTS, dict)
+    buckets = skeleton._class_member_buckets
+    assert hasattr(buckets, "cache_clear")
+    qcheck.is_quasitautology(parse_formula("hk4 = hk4"))
+    a, b = FunctionSymbol("hk5", 0), FunctionSymbol("hk6", 0)
+    buckets(((Application(a, ()), Application(b, ())),), Application(a, ()),
+            Signature(frozenset({a, b}), frozenset()), 1)
+    assert qcheck._VERDICTS and buckets.cache_info().currsize
+    bench.clear_caches()
+    assert not qcheck._VERDICTS
+    assert buckets.cache_info().currsize == 0

@@ -23,7 +23,6 @@ from hsk.qcheck import (
     ContractError,
     DomainError,
     Literal,
-    congruence_close,
     e_satisfiable,
     falsifying_literals,
     is_quasitautology,
@@ -39,6 +38,7 @@ from hsk.syntax import (
     PredApp,
     Variable,
     conj,
+    numeral,
     subterms,
 )
 from hsk.textform import parse_formula
@@ -52,45 +52,59 @@ def fa(t):
     return Application(F1, (t,))
 
 
-def closure_universe(*terms):
-    out = set()
-    for t in terms:
-        out.update(subterms(t))
-    return out
+def closed(equalities, universe):
+    engine = CongruenceEngine(universe)
+    for lhs, rhs in equalities:
+        engine.merge(lhs, rhs)
+    return engine
+
+
+def class_count(engine):
+    return len({engine.find(t) for t in engine.parent})
 
 
 # ---------------------------------------------------------------------------
-# congruence_close
+# The congruence engine
 
 
 def test_close_one_step():
-    universe = closure_universe(fa(A), fa(B))
-    part = congruence_close([(A, B)], universe)
-    assert part.same_class(A, B)
-    assert part.same_class(fa(A), fa(B))
-    assert not part.same_class(A, fa(A))
-    assert len(part.classes) == 2
+    engine = closed([(A, B)], [fa(A), fa(B)])
+    assert set(engine.parent) == {A, B, fa(A), fa(B)}  # closed under subterms
+    assert engine.same(A, B)
+    assert engine.same(fa(A), fa(B))
+    assert not engine.same(A, fa(A))
+    assert class_count(engine) == 2
 
 
 def test_close_empty_is_discrete():
-    part = congruence_close([], {A, B})
-    assert len(part.classes) == 2
-    assert not part.same_class(A, B)
+    engine = closed([], [A, B])
+    assert class_count(engine) == 2
+    assert not engine.same(A, B)
 
 
 def test_close_supports_conversion_example():
     # hypotheses of the solvable converted problem, solved by the constant c
-    universe = closure_universe(A, B, C)
-    part = congruence_close([(C, A)], universe)
-    assert part.same_class(A, C)
-    assert not part.same_class(B, C)
+    engine = closed([(C, A)], [A, B, C])
+    assert engine.same(A, C)
+    assert not engine.same(B, C)
 
 
 def test_close_rejects_terms_outside_universe():
     with pytest.raises(DomainError):
-        congruence_close([(A, fa(A))], {A})
+        closed([(A, fa(A))], [A])
     with pytest.raises(DomainError):
-        congruence_close([], {fa(A)})  # not subterm closed
+        CongruenceEngine([A]).same(fa(A), A)
+    with pytest.raises(ContractError):
+        CongruenceEngine([fa(Variable("x1"))])
+
+
+def test_engine_closes_a_deep_term_without_recursion():
+    assert len(CongruenceEngine([numeral(5000, A)]).parent) == 5001
+
+
+def test_deep_identity_is_a_quasitautology():
+    t = numeral(5000, A)
+    assert is_quasitautology(Equality(t, t))
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +356,8 @@ def test_engine_undo_restores_the_replayed_prefix():
                 for pair in active:
                     fresh.merge(*pair)
                 assert _engine_state(engine) == _engine_state(fresh)
-                assert [engine.find(i) for i in range(len(universe))] == \
-                    [fresh.find(i) for i in range(len(universe))]
+                assert [engine.find(t) for t in universe] == \
+                    [fresh.find(t) for t in universe]
 
 
 # ---------------------------------------------------------------------------

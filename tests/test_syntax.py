@@ -36,6 +36,7 @@ from hsk.syntax import (
     special_constant,
     substitute,
     substitute_term,
+    subterms,
     succ,
     term_size,
     unknowns_of,
@@ -100,6 +101,27 @@ def test_substitute_capture_checks():
     assert substitute(Exists(x, body), Substitution({y: A})) == Exists(x, Equality(x, A))
 
 
+def test_substitution_rebuilds_only_what_changes(monkeypatch):
+    deep = numeral(50, ZERO)
+    atom, f = p(deep), Equality(deep, Unknown(1))
+    sigma = Substitution({Unknown(1): A})
+    lookups = []
+    get = syntax._NODES.get
+
+    def counted(key, default=None):
+        lookups.append(key)
+        return get(key, default)
+
+    monkeypatch.setattr(syntax._NODES, "get", counted)
+    assert substitute_term(deep, sigma) is deep
+    assert substitute(atom, sigma) is atom
+    assert lookups == []
+    out = substitute(f, sigma)
+    assert len(lookups) == 1  # the equality; its left side is kept as it is
+    monkeypatch.undo()
+    assert out is Equality(deep, A)
+
+
 def test_size_counts_function_symbols():
     assert term_size(A) == 1
     assert term_size(succ(A)) == 2
@@ -159,6 +181,18 @@ def test_signature_of():
     assert signature_of(Equality(x, x)).function_symbols == frozenset()
 
 
+def test_subterms_outside_in_left_to_right():
+    f, g = FunctionSymbol("f", 1), FunctionSymbol("g", 2)
+    t = Application(g, (Application(f, (A,)), B))
+    assert list(subterms(t)) == [t, Application(f, (A,)), A, B]
+
+
+def test_subterms_of_a_deep_term_do_not_recurse():
+    subs = list(subterms(numeral(5000, ZERO)))
+    assert len(subs) == 5001 and subs[-1] is ZERO
+    assert all(inner is outer.args[0] for outer, inner in zip(subs, subs[1:]))
+
+
 def test_unknowns_of_orders_by_first_occurrence():
     f = And(p(Unknown(2)), Equality(Unknown(1), Unknown(2)))
     assert unknowns_of(f) == [Unknown(2), Unknown(1)]
@@ -169,16 +203,6 @@ def test_canonical_order_size_then_name():
     terms = [Application(f1, (A,)), B, A, succ(A)]
     terms.sort(key=canonical_key)
     assert terms == [A, B, Application(f1, (A,)), succ(A)]
-
-
-def test_closedness_predicate():
-    from hsk.syntax import Exists, is_ground_formula
-
-    x = Variable("x1")
-    assert is_ground_formula(p(A))
-    assert not is_ground_formula(p(x))
-    assert is_ground_formula(Exists(x, p(x)))  # x is bound, nothing free
-    assert is_ground_formula(p(Unknown(1)))    # unknowns are constants
 
 
 def test_solution_eligibility():
