@@ -36,9 +36,11 @@ from .syntax import (
     const,
     flatten_and,
     is_solution_eligible,
+    nodes,
     numeral,
     numeral_of,
     pair,
+    rebuild,
     special_constant,
     substitute_term,
     succ,
@@ -557,16 +559,15 @@ def make_variant(phi: PCArithFormula, i: int) -> PCArithFormula:
     if i < 1:
         raise ContractError("variant index must be >= 1")
 
-    def rename(t: Term) -> Term:
+    def renamed(t: Term) -> Term | None:
         if isinstance(t, Variable):
             return Variable(f"{t.name}@{i}")
-        if isinstance(t, Application):
-            symbol = t.symbol
-            if symbol.special is not None and symbol.special.language_index == 0:
-                symbol = special_constant(symbol.special.base, i)
-            return Application(symbol, tuple(rename(a) for a in t.args))
-        return t
+        special = t.symbol.special if isinstance(t, Application) else None
+        if special is not None and special.language_index == 0:
+            return Application(special_constant(special.base, i), ())
+        return None
 
+    rename = lambda t: rebuild(t, renamed)
     return PCArithFormula(
         tuple(_map_block_terms(b, rename) for b in phi.blocks), i
     )
@@ -661,25 +662,11 @@ def classify_failures(
 def _candidate_languages(f: Formula) -> list[int]:
     """Language indices of the special constants occurring in f."""
     indices: list[int] = []
-
-    def scan_term(t: Term) -> None:
-        if isinstance(t, Application):
-            if t.symbol.special is not None:
-                index = t.symbol.special.language_index
-                if index not in indices:
-                    indices.append(index)
-            for a in t.args:
-                scan_term(a)
-
-    def scan(g: Formula) -> None:
-        if isinstance(g, Equality):
-            scan_term(g.lhs)
-            scan_term(g.rhs)
-        elif isinstance(g, (And, Implies)):
-            scan(g.lhs)
-            scan(g.rhs)
-
-    scan(f)
+    for t in nodes(f):
+        if isinstance(t, Application) and t.symbol.special is not None:
+            index = t.symbol.special.language_index
+            if index not in indices:
+                indices.append(index)
     return indices
 
 

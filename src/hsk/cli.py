@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 from . import arith, models, qcheck, skeleton, sreu, textform
 from .models import AlphaAssignment, pairing_j, unpair
-from .syntax import ContractError, FunctionSymbol, Substitution, Term, Unknown, canonical_key
+from .syntax import (ContractError, FunctionSymbol, Substitution, Term, Unknown, canonical_key,
+                     flatten_and)
 from .textform import ParseError, parse_formula, print_formula, print_term
 
 
@@ -129,26 +130,21 @@ def _cmd_solve(config: RunConfig, text: str) -> tuple[int, list[str]]:
     return 0, [f"*{u.index} := {print_term(t)}" for u, t in _bindings(solution)]
 
 
-def _constraint_text(c: sreu.RigidConstraint) -> str:
-    conclusion = f"{print_term(c.conclusion.lhs)} = {print_term(c.conclusion.rhs)}"
-    if not c.hypotheses:
-        return conclusion
-    hyps = " & ".join(f"{print_term(h.lhs)} = {print_term(h.rhs)}" for h in c.hypotheses)
-    return f"{hyps} -> {conclusion}"
-
-
 def _cmd_sreu(config: RunConfig, text: str) -> tuple[int, list[str]]:
     formula = parse_formula(_strip_comments(text))
     problems = sreu.convert_to_sreu(formula)
     lines: list[str] = []
     any_solved = False
     for i, problem in enumerate(problems, start=1):
+        # The conjuncts of the problem's formula are its constraints' formulas;
+        # the solver below rebuilds the same formula from these live nodes.
+        conjunction = problem.formula()
+        texts = [print_formula(f) for f in flatten_and(conjunction)]
         if config.fmt == "records":
-            witness = " & ".join(f"({_constraint_text(c)})" for c in problem.constraints)
+            witness = " & ".join(f"({text})" for text in texts)
             lines.append(_record(problem_index=str(i), verdict="sreu", witness=witness))
         else:
-            for j, constraint in enumerate(problem.constraints, start=1):
-                lines.append(f"[{i}.{j}] {_constraint_text(constraint)}")
+            lines += [f"[{i}.{j}] {text}" for j, text in enumerate(texts, start=1)]
         if config.solve:
             solution = sreu.solve_sreu_bounded(problem, max_size=config.max_size)
             if solution is not None:

@@ -29,6 +29,7 @@ from .syntax import (
     SUCC,
     SpecialBase,
     Term,
+    rebuild,
     special_constant,
 )
 
@@ -82,33 +83,46 @@ class Structure:
 
 def eval_term(structure: Structure, t: Term) -> int:
     """Denotation of a ground, unknown-free term."""
-    if not isinstance(t, Application):
-        raise ContractError(f"evaluation needs a closed term, got {t}")
-    args = tuple(eval_term(structure, a) for a in t.args)
-    value = structure.fn_rule(t.symbol, args)
-    if structure.domain is not None and value not in structure.domain:
-        raise ContractError(
-            f"{structure.name}: rule for {t.symbol.name} left the domain"
-        )
-    return value
+
+    def value(u: Term, args: tuple[int, ...]) -> int:
+        if not isinstance(u, Application):
+            raise ContractError(f"evaluation needs a closed term, got {u}")
+        out = structure.fn_rule(u.symbol, args)
+        if structure.domain is not None and out not in structure.domain:
+            raise ContractError(f"{structure.name}: rule for {u.symbol.name} left the domain")
+        return out
+
+    return rebuild(t, combine=value)
 
 
 def holds(structure: Structure, f: Formula) -> bool:
-    """Classical evaluation of a ground quantifier-free formula."""
-    if isinstance(f, Equality):
-        return eval_term(structure, f.lhs) == eval_term(structure, f.rhs)
-    if isinstance(f, PredApp):
-        args = tuple(eval_term(structure, a) for a in f.args)
-        return structure.pred_rule(f.symbol, args)
-    if isinstance(f, Not):
-        return not holds(structure, f.body)
-    if isinstance(f, And):
-        return holds(structure, f.lhs) and holds(structure, f.rhs)
-    if isinstance(f, Or):
-        return holds(structure, f.lhs) or holds(structure, f.rhs)
-    if isinstance(f, Implies):
-        return not holds(structure, f.lhs) or holds(structure, f.rhs)
-    raise ContractError("holds requires a quantifier-free formula")
+    """Classical evaluation of a ground quantifier-free formula.
+
+    A connective's right side is evaluated only when its left side does
+    not decide it; connectives wait on a stack while their left side is.
+    """
+    pending: list[Formula] = []
+    while True:
+        while isinstance(f, (Not, And, Or, Implies)):
+            pending.append(f)
+            f = f.body if isinstance(f, Not) else f.lhs
+        if isinstance(f, Equality):
+            value = eval_term(structure, f.lhs) == eval_term(structure, f.rhs)
+        elif isinstance(f, PredApp):
+            value = structure.pred_rule(f.symbol, tuple(eval_term(structure, a) for a in f.args))
+        else:
+            raise ContractError("holds requires a quantifier-free formula")
+        while pending:
+            g = pending.pop()
+            if isinstance(g, Not):
+                value = not value
+            elif value == isinstance(g, Or):  # the left side decides g
+                value = not isinstance(g, And)
+            else:  # g has the truth value of its right side
+                f = g.rhs
+                break
+        else:
+            return value
 
 
 def _no_predicates(_symbol: PredicateSymbol, _args: tuple[int, ...]) -> bool:

@@ -207,7 +207,8 @@ def falsifying_literals(f: Formula) -> dict[Atom, bool] | None:
     equality whose sides are congruent, or a predicate asserted both ways
     on congruent arguments, is a conflict and closes the branch at once.
     Only then does it branch, on the first remaining goal, left side
-    first.  Closing a branch undoes its literals and its merges.
+    first; open choice points wait on an explicit stack.  Closing a branch
+    undoes its literals and its merges.
     """
     if not is_quantifier_free(f):
         raise ContractError("input must be quantifier-free")
@@ -254,16 +255,24 @@ def falsifying_literals(f: Formula) -> dict[Atom, bool] | None:
                 apart.pop()
             del lits[atom]
 
-    def search(goals: list[tuple[Formula, bool]]) -> dict[Atom, bool] | None:
+    # Open choice points, innermost last: the trail mark and literal count
+    # before the goals that led there, and the branches not yet taken.
+    choice_points = [(closure.mark(), 0, [[(f, False)]])]
+    while choice_points:
+        mark, count, branches = choice_points[-1]
+        if not branches:
+            choice_points.pop()
+            retract(mark, count)
+            continue
+        stack = branches.pop()[::-1]
         mark, count = closure.mark(), len(asserted)
-        stack = goals[::-1]
         choices: list[tuple[Formula, bool]] = []
         while stack:
             g, want = stack.pop()
             if isinstance(g, (Equality, PredApp)):
                 if not assert_literal(g, want):
                     retract(mark, count)
-                    return None
+                    break
             elif isinstance(g, Not):
                 stack.append((g.body, not want))
             elif isinstance(g, Implies):
@@ -275,18 +284,13 @@ def falsifying_literals(f: Formula) -> dict[Atom, bool] | None:
                 stack += ((g.rhs, want), (g.lhs, want))
             else:
                 choices.append((g, want))
-        if not choices:
-            return dict(lits)
-        (g, want), rest = choices[0], choices[1:]
-        left = not want if isinstance(g, Implies) else want
-        for branch in ((g.lhs, left), (g.rhs, want)):
-            found = search([branch] + rest)
-            if found is not None:
-                return found
-        retract(mark, count)
-        return None
-
-    return search([(f, False)])
+        else:  # no conflict
+            if not choices:
+                return dict(lits)
+            (g, want), rest = choices[0], choices[1:]
+            left = not want if isinstance(g, Implies) else want
+            choice_points.append((mark, count, [[(g.rhs, want)] + rest, [(g.lhs, left)] + rest]))
+    return None
 
 
 _VERDICTS: dict[Formula, bool] = {}

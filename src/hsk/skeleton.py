@@ -386,27 +386,31 @@ def iter_formula_solutions(
                 return True
         return False
 
-    def dfs(depth: int, budget: int) -> Iterator[Solution]:
-        buckets = per_unknown[depth]
-        last = depth == len(unknowns) - 1
+    def candidates(depth: int, budget: int) -> Iterator[tuple[int, Term]]:
+        """(budget left, term) for each term unknown `depth` may take so
+        that the later unknowns can use up exactly what is left."""
         low = max(min_size[depth], budget - suffix_max[depth + 1])
         high = min(max_of[depth], budget - suffix_min[depth + 1])
-        for n in range(low, high + 1):
-            if last and n != budget:
-                continue
-            for term in buckets[n]:
-                assignment[unknowns[depth]] = term
-                if not prune_fails(depth):
-                    if last:
-                        candidate = Substitution(assignment)
-                        if qcheck.is_quasitautology(substitute(formula, candidate)):
-                            yield candidate
-                    else:
-                        yield from dfs(depth + 1, budget - n)
-                del assignment[unknowns[depth]]
+        return ((budget - n, t) for n in range(low, high + 1) for t in per_unknown[depth][n])
 
     for total in range(suffix_min[0], suffix_max[0] + 1):
-        yield from dfs(0, total)
+        levels = [candidates(0, total)]  # the candidates left for each assigned unknown
+        while levels:
+            depth = len(levels) - 1
+            picked = next(levels[-1], None)
+            if picked is None:
+                levels.pop()
+                assignment.pop(unknowns[depth], None)
+                continue
+            left, assignment[unknowns[depth]] = picked
+            if prune_fails(depth):
+                continue
+            if depth + 1 < len(unknowns):
+                levels.append(candidates(depth + 1, left))
+                continue
+            candidate = Substitution(assignment)
+            if qcheck.is_quasitautology(substitute(formula, candidate)):
+                yield candidate
 
 
 def iter_solutions(

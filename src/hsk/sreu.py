@@ -11,7 +11,7 @@ elimination of predicate symbols.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from . import skeleton as _skeleton
 from .syntax import (
@@ -83,7 +83,7 @@ class SREUProblem:
     constraints: tuple[RigidConstraint, ...]
 
     def unknowns(self) -> tuple[Unknown, ...]:
-        return unknowns_of(self.formula())
+        return tuple(unknowns_of(self.formula()))
 
     def formula(self) -> Formula:
         if not self.constraints:
@@ -95,31 +95,28 @@ class SREUProblem:
 # Step 1: conjunction of clauses
 
 
-def _cnf(f: Formula, positive: bool) -> list[list[tuple[bool, Atom]]]:
-    """Clause list (as signed atom rows) equivalent to f or its negation."""
-    if isinstance(f, (Equality, PredApp)):
-        return [[(positive, f)]]
-    if isinstance(f, Not):
-        return _cnf(f.body, not positive)
-    if isinstance(f, And):
-        if positive:
-            return _cnf(f.lhs, True) + _cnf(f.rhs, True)
-        return _distribute(_cnf(f.lhs, False), _cnf(f.rhs, False))
-    if isinstance(f, Or):
-        if positive:
-            return _distribute(_cnf(f.lhs, True), _cnf(f.rhs, True))
-        return _cnf(f.lhs, False) + _cnf(f.rhs, False)
-    if isinstance(f, Implies):
-        if positive:
-            return _distribute(_cnf(f.lhs, False), _cnf(f.rhs, True))
-        return _cnf(f.lhs, True) + _cnf(f.rhs, False)
-    raise ContractError("clause conversion requires a quantifier-free formula")
-
-
-def _distribute(
-    left: list[list[tuple[bool, Atom]]], right: list[list[tuple[bool, Atom]]]
-) -> list[list[tuple[bool, Atom]]]:
-    return [l + r for l in left for r in right]
+def _cnf(f: Formula) -> list[list[tuple[bool, Atom]]]:
+    """Clause list (as signed atom rows) equivalent to f, from a worklist
+    of (subformula, sign, sides done) tasks; finished rows wait on `done`."""
+    done: list[list[list[tuple[bool, Atom]]]] = []
+    todo: list[tuple[Formula, bool, bool]] = [(f, True, False)]
+    while todo:
+        g, positive, joined = todo.pop()
+        if isinstance(g, (Equality, PredApp)):
+            done.append([[(positive, g)]])
+        elif isinstance(g, Not):
+            todo.append((g.body, not positive, False))
+        elif not isinstance(g, (And, Or, Implies)):
+            raise ContractError("clause conversion requires a quantifier-free formula")
+        elif joined:
+            right, left = done.pop(), done.pop()
+            # a true And, a false Or or a false Implies is a conjunction
+            conjunctive = positive == isinstance(g, And)
+            done.append(left + right if conjunctive else [l + r for l in left for r in right])
+        else:
+            left_sign = not positive if isinstance(g, Implies) else positive
+            todo += ((g, positive, True), (g.rhs, positive, False), (g.lhs, left_sign, False))
+    return done.pop()
 
 
 def to_clause_conjunction(f: Formula) -> list[Clause]:
@@ -130,7 +127,7 @@ def to_clause_conjunction(f: Formula) -> list[Clause]:
         raise ContractError("clause conversion requires a quantifier-free formula")
     clauses: list[Clause] = []
     fresh = 0
-    for row in _cnf(f, True):
+    for row in _cnf(f):
         antecedent = tuple(atom for sign, atom in row if not sign)
         consequent = tuple(atom for sign, atom in row if sign)
         if not consequent:
@@ -162,22 +159,19 @@ def _dedupe(formulas: list[ClauseConjunction]) -> list[ClauseConjunction]:
 def horn_split(gamma: Sequence[Sequence[Clause]]) -> list[ClauseConjunction]:
     """Replace every clause with m > 1 consequent atoms by m alternatives,
     iterated to a fixpoint; the class stays solution equivalent."""
-
-    def split(clauses: ClauseConjunction) -> list[ClauseConjunction]:
-        for i, c in enumerate(clauses):
-            if not c.is_horn():
-                if not c.consequent:
-                    raise ContractError("clause with empty consequent")
-                out: list[ClauseConjunction] = []
-                for atom in c.consequent:
-                    alternative = clauses[:i] + (Clause(c.antecedent, (atom,)),) + clauses[i + 1:]
-                    out.extend(split(alternative))
-                return out
-        return [clauses]
-
     out: list[ClauseConjunction] = []
-    for clauses in gamma:
-        out.extend(split(tuple(clauses)))
+    todo = [tuple(clauses) for clauses in reversed(gamma)]  # the next one on top
+    while todo:
+        clauses = todo.pop()
+        i = next((i for i, c in enumerate(clauses) if not c.is_horn()), None)
+        if i is None:
+            out.append(clauses)
+            continue
+        c = clauses[i]
+        if not c.consequent:
+            raise ContractError("clause with empty consequent")
+        todo += [clauses[:i] + (Clause(c.antecedent, (atom,)),) + clauses[i + 1:]
+                 for atom in reversed(c.consequent)]
     return _dedupe(out)
 
 
@@ -248,24 +242,24 @@ def eliminate_predicates(gamma: Sequence[Sequence[Clause]]) -> list[SREUProblem]
     """Rewrite Horn-clause conjunctions until only identity constraints
     remain; unsolvable branches are deleted, alternatives keep their order."""
 
-    def process(clauses: ClauseConjunction) -> Iterator[ClauseConjunction]:
-        if all(c.is_rigid() for c in clauses):
-            yield clauses
-            return
-        before = _pred_counts(clauses)
-        replacements = _eliminate_step(clauses)
-        if replacements is None:
-            return
-        for replacement in replacements:
-            assert _multiset_lt(_pred_counts(replacement), before), "measure must drop"
-            yield from process(replacement)
-
     results: list[ClauseConjunction] = []
     for clauses in gamma:
         clauses = tuple(clauses)
         if not all(c.is_horn() for c in clauses):
             raise ContractError("predicate elimination needs Horn clauses")
-        results.extend(process(clauses))
+        todo = [clauses]  # alternatives still to rewrite, the next one on top
+        while todo:
+            clauses = todo.pop()
+            if all(c.is_rigid() for c in clauses):
+                results.append(clauses)
+                continue
+            replacements = _eliminate_step(clauses)
+            if replacements is None:
+                continue
+            before = _pred_counts(clauses)
+            for replacement in replacements:
+                assert _multiset_lt(_pred_counts(replacement), before), "measure must drop"
+            todo += reversed(replacements)
     problems = []
     for clauses in _dedupe(results):
         if not clauses:

@@ -11,14 +11,25 @@ node with the same class and fields when there is one, so structurally
 equal nodes are one object.  Equality is identity and the hash is the
 object's address; neither recurses.  Nodes are immutable.  The table of
 live nodes holds them weakly, so it shrinks when they are dropped.
+
+No function here recurses on the structure of its input, so terms and
+formulas of any depth are handled.  Every walker is built on two
+iterative primitives over the distinct nodes of a term or formula:
+`nodes`, a preorder walk, and `rebuild`, a bottom-up rebuild (or fold)
+that returns untouched nodes as they are.  A shared subterm is one node,
+so both are linear in the number of distinct nodes even on DAG-shaped
+input.  Each node records at construction whether it is `ground` (free of
+variables and unknowns), so substitution skips ground subtrees.
 """
 
 from __future__ import annotations
 
+import functools
 import weakref
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Union
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 
 class ContractError(ValueError):
@@ -110,6 +121,8 @@ def _kind_of(name: str) -> VarKind:
     return VarKind.PLAIN
 
 
+_GROUND = attrgetter("ground")
+
 # Every live term and formula, keyed by its class and its fields.
 _NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
@@ -121,8 +134,11 @@ class Node:
     the same class and fields, or builds one, checks it in `__post_init__`
     and only then enters it in `_NODES`, so a node that fails its checks
     is never shared.  Subclasses are frozen dataclasses with `eq=False`
-    and `init=False`, and their fields are given positionally.
+    and `init=False`, and their fields are given positionally.  `ground`
+    is true when no variable or unknown lies at or below the node.
     """
+
+    ground = True
 
     def __new__(cls, *fields):
         key = (cls, *fields)
@@ -135,11 +151,18 @@ class Node:
             for name, value in zip(names, fields):
                 object.__setattr__(node, name, value)
             node.__post_init__()
+            if not all(map(_GROUND, _CHILDREN[cls](node))):
+                object.__setattr__(node, "ground", False)
             _NODES[key] = node
         return node
 
     def __post_init__(self) -> None:
         pass
+
+    def __str__(self) -> str:
+        from .textform import print_formula, print_term  # textform imports this module
+
+        return (print_term if isinstance(self, Term) else print_formula)(self)
 
 
 class Term(Node):
@@ -152,14 +175,12 @@ class Variable(Term):
 
     name: str
     kind: VarKind = field(init=False)
+    ground = False
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ContractError("empty variable name")
         object.__setattr__(self, "kind", _kind_of(self.name))
-
-    def __str__(self) -> str:
-        return f"?{self.name}"
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -167,9 +188,7 @@ class Unknown(Term):
     """A solution slot: a designated constant written ``*i``."""
 
     index: Union[int, str]
-
-    def __str__(self) -> str:
-        return f"*{self.index}"
+    ground = False
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -186,18 +205,9 @@ class Application(Term):
         size = 1 + sum([a.size for a in self.args if isinstance(a, Application)])
         object.__setattr__(self, "size", size)
 
-    def __str__(self) -> str:
-        if not self.args:
-            return self.symbol.name
-        return f"{self.symbol.name}({', '.join(str(a) for a in self.args)})"
-
 
 def const(symbol: FunctionSymbol) -> Term:
     return Application(symbol, ())
-
-
-def app(symbol: FunctionSymbol, *args: Term) -> Term:
-    return Application(symbol, tuple(args))
 
 
 def succ(t: Term) -> Term:
@@ -296,23 +306,18 @@ Atom = Union[Equality, PredApp]
 
 def conj(parts: Iterable[Formula]) -> Formula:
     """Left-associated conjunction; raises on an empty sequence."""
-    items = list(parts)
-    if not items:
-        raise ContractError("empty conjunction")
-    out = items[0]
-    for f in items[1:]:
-        out = And(out, f)
-    return out
+    return _join(parts, And, "conjunction")
 
 
 def disj(parts: Iterable[Formula]) -> Formula:
+    return _join(parts, Or, "disjunction")
+
+
+def _join(parts: Iterable[Formula], connective: type, name: str) -> Formula:
     items = list(parts)
     if not items:
-        raise ContractError("empty disjunction")
-    out = items[0]
-    for f in items[1:]:
-        out = Or(out, f)
-    return out
+        raise ContractError(f"empty {name}")
+    return functools.reduce(connective, items)
 
 
 def flatten_and(f: Formula) -> list[Formula]:
@@ -341,8 +346,75 @@ def _flatten(f: Formula, connective: type) -> list[Formula]:
 # Traversals and metrics
 
 
+# The direct subnodes of a node by its class, left to right; a quantifier's
+# variable comes before its body.
+_CHILDREN: dict[type, Callable[[Node], tuple[Node, ...]]] = {
+    **dict.fromkeys((Variable, Unknown), lambda n: ()),
+    **dict.fromkeys((Application, PredApp), attrgetter("args")),
+    **dict.fromkeys((Equality, And, Or, Implies), attrgetter("lhs", "rhs")),
+    Not: lambda n: (n.body,),
+    **dict.fromkeys((Exists, Forall), attrgetter("var", "body")),
+}
+
+
+def nodes(root: Node, into: type | tuple[type, ...] = Node) -> Iterator[Node]:
+    """The distinct nodes of root in preorder, left to right, each once.
+
+    A node met again is skipped with everything below it, so each node
+    comes at its first occurrence.  Only the children of nodes of the
+    classes `into` are visited.
+    """
+    seen: set[Node] = set()
+    stack = [root]
+    while stack:
+        n = stack.pop()
+        if n not in seen:
+            seen.add(n)
+            yield n
+            if isinstance(n, into):
+                stack += _CHILDREN[type(n)](n)[::-1]  # the leftmost child pops first
+
+
+def rebuild(root: Node, replace: Callable[[Node], object] = lambda n: None,
+            combine: Callable[[Node, tuple], object] | None = None) -> object:
+    """The image of root, computed bottom-up over its distinct nodes.
+
+    Nodes are met in preorder, left to right.  A node for which `replace`
+    returns something other than None has that as its image, and nothing
+    below it is visited.  Any other node has the image
+    `combine(node, images of its children)`.  Without `combine`, that is
+    the node rebuilt from the images, or the node itself when they are its
+    children.
+    """
+    image: dict[Node, object] = {}
+    stack: list = [root]  # a node to enter, or (node, its children) to leave
+    while stack:
+        n = stack.pop()
+        if type(n) is tuple:
+            n, kids = n
+            images = tuple(map(image.__getitem__, kids))
+            if combine is not None:
+                image[n] = combine(n, images)
+            elif images == kids:
+                image[n] = n
+            elif isinstance(n, (Application, PredApp)):
+                image[n] = type(n)(n.symbol, images)
+            else:
+                image[n] = type(n)(*images)
+        elif n not in image:
+            found = replace(n)
+            if found is None:
+                kids = _CHILDREN[type(n)](n)
+                stack.append((n, kids))
+                stack += kids[::-1]  # the leftmost child is entered first
+            else:
+                image[n] = found
+    return image[root]
+
+
 def subterms(t: Term) -> Iterator[Term]:
-    """All subterms of t including t itself, outside in and left to right."""
+    """All subterms of t including t itself, outside in and left to right;
+    a repeated subterm comes once per occurrence."""
     stack = [t]
     while stack:
         t = stack.pop()
@@ -361,125 +433,50 @@ def term_size(t: Term) -> int:
 
 def is_solution_eligible(t: Term) -> bool:
     """True when t contains neither variables nor unknowns."""
-    if isinstance(t, (Variable, Unknown)):
-        return False
-    if isinstance(t, Application):
-        return all(is_solution_eligible(a) for a in t.args)
-    return True
+    return t.ground
 
 
-def _term_leaves(f: Formula) -> Iterator[Term]:
-    if isinstance(f, Equality):
-        yield f.lhs
-        yield f.rhs
-    elif isinstance(f, PredApp):
-        yield from f.args
-    elif isinstance(f, Not):
-        yield from _term_leaves(f.body)
-    elif isinstance(f, (And, Or, Implies)):
-        yield from _term_leaves(f.lhs)
-        yield from _term_leaves(f.rhs)
-    elif isinstance(f, (Exists, Forall)):
-        yield from _term_leaves(f.body)
-    else:
-        raise ContractError(f"not a formula: {f!r}")
+_CONNECTIVES = (Not, And, Or, Implies)
 
 
 def atoms_of(f: Formula) -> list[Atom]:
     """Distinct atoms of a quantifier-free formula, in first occurrence order."""
     out: list[Atom] = []
-    seen: set[Atom] = set()
-
-    def walk(g: Formula) -> None:
+    for g in nodes(f, _CONNECTIVES):
         if isinstance(g, (Equality, PredApp)):
-            if g not in seen:
-                seen.add(g)
-                out.append(g)
-        elif isinstance(g, Not):
-            walk(g.body)
-        elif isinstance(g, (And, Or, Implies)):
-            walk(g.lhs)
-            walk(g.rhs)
-        else:
+            out.append(g)
+        elif not isinstance(g, _CONNECTIVES):
             raise ContractError("atoms_of requires a quantifier-free formula")
-
-    walk(f)
     return out
 
 
 def unknowns_of(x: Term | Formula) -> list[Unknown]:
     """Unknowns occurring in x, in first occurrence order."""
-    out: list[Unknown] = []
-    seen: set[Unknown] = set()
-
-    def scan(t: Term) -> None:
-        if isinstance(t, Unknown):
-            if t not in seen:
-                seen.add(t)
-                out.append(t)
-        elif isinstance(t, Application):
-            for a in t.args:
-                scan(a)
-
-    if isinstance(x, Term):
-        scan(x)
-    else:
-        for leaf in _term_leaves(x):
-            scan(leaf)
-    return out
+    return [n for n in nodes(x) if isinstance(n, Unknown)]
 
 
 def variables_of_term(t: Term) -> list[Variable]:
-    out: list[Variable] = []
-    seen: set[Variable] = set()
-
-    def scan(u: Term) -> None:
-        if isinstance(u, Variable):
-            if u not in seen:
-                seen.add(u)
-                out.append(u)
-        elif isinstance(u, Application):
-            for a in u.args:
-                scan(a)
-
-    scan(t)
-    return out
+    return [n for n in nodes(t) if isinstance(n, Variable)]
 
 
 def free_variables(f: Formula) -> list[Variable]:
     """Free variables of f in first occurrence order."""
-    out: list[Variable] = []
-    seen: set[Variable] = set()
 
-    def walk(g: Formula, bound: frozenset[Variable]) -> None:
-        if isinstance(g, (Equality, PredApp)):
-            for leaf in _term_leaves(g):
-                for v in variables_of_term(leaf):
-                    if v not in bound and v not in seen:
-                        seen.add(v)
-                        out.append(v)
-        elif isinstance(g, Not):
-            walk(g.body, bound)
-        elif isinstance(g, (And, Or, Implies)):
-            walk(g.lhs, bound)
-            walk(g.rhs, bound)
-        elif isinstance(g, (Exists, Forall)):
-            walk(g.body, bound | {g.var})
-        else:
-            raise ContractError(f"not a formula: {g!r}")
+    def replace(n: Node) -> list[Variable] | None:
+        if n.ground:
+            return []
+        return [n] if isinstance(n, Variable) else None
 
-    walk(f, frozenset())
-    return out
+    def combine(n: Node, images: tuple[list[Variable], ...]) -> list[Variable]:
+        if isinstance(n, (Exists, Forall)):
+            return [v for v in images[1] if v is not n.var]
+        return list(dict.fromkeys(v for vs in images for v in vs))
+
+    return rebuild(f, replace, combine)
 
 
 def is_quantifier_free(f: Formula) -> bool:
-    if isinstance(f, (Equality, PredApp)):
-        return True
-    if isinstance(f, Not):
-        return is_quantifier_free(f.body)
-    if isinstance(f, (And, Or, Implies)):
-        return is_quantifier_free(f.lhs) and is_quantifier_free(f.rhs)
-    return False
+    return not any(isinstance(g, (Exists, Forall)) for g in nodes(f, _CONNECTIVES))
 
 
 # ---------------------------------------------------------------------------
@@ -494,21 +491,13 @@ class Signature:
 
 def signature_of(f: Formula) -> Signature:
     """Exactly the function and predicate symbols occurring in f."""
-    fns = {u.symbol for t in _term_leaves(f) for u in subterms(t) if isinstance(u, Application)}
+    fns: set[FunctionSymbol] = set()
     preds: set[PredicateSymbol] = set()
-
-    def walk(g: Formula) -> None:
-        if isinstance(g, PredApp):
-            preds.add(g.symbol)
-        elif isinstance(g, Not):
-            walk(g.body)
-        elif isinstance(g, (And, Or, Implies)):
-            walk(g.lhs)
-            walk(g.rhs)
-        elif isinstance(g, (Exists, Forall)):
-            walk(g.body)
-
-    walk(f)
+    for n in nodes(f):
+        if isinstance(n, Application):
+            fns.add(n.symbol)
+        elif isinstance(n, PredApp):
+            preds.add(n.symbol)
     return Signature(frozenset(fns), frozenset(preds))
 
 
@@ -536,12 +525,6 @@ class Substitution:
     def domain(self) -> set[Union[Unknown, Variable]]:
         return set(self._bindings)
 
-    def get(self, key: Union[Unknown, Variable]) -> Term | None:
-        return self._bindings.get(key)
-
-    def __len__(self) -> int:
-        return len(self._bindings)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Substitution) and self._bindings == other._bindings
 
@@ -558,17 +541,29 @@ class Substitution:
             is_solution_eligible(v) for v in self._bindings.values()
         )
 
+    def _image(self, n: Node) -> Node | None:
+        """`rebuild`'s replacement for n: its image when that is known
+        without visiting its children, else None."""
+        if n.ground:
+            return n
+        if isinstance(n, (Unknown, Variable)):
+            return self._bindings.get(n, n)
+        if isinstance(n, (Exists, Forall)):
+            if n.var in self._bindings:
+                raise CaptureError(f"substitution domain contains bound variable {n.var}")
+            for key, value in self._bindings.items():
+                occurs = unknowns_of if isinstance(key, Unknown) else free_variables
+                if n.var in variables_of_term(value) and key in occurs(n.body):
+                    raise CaptureError(
+                        f"replacing {key} with {value} would capture bound {n.var}"
+                    )
+        return None
+
 
 def substitute_term(t: Term, sigma: Substitution) -> Term:
     """t with every mapped unknown/variable replaced; a subterm that no
     replacement reaches is returned as it is, not rebuilt."""
-    if isinstance(t, Application):
-        if not t.args:
-            return t
-        args = tuple([substitute_term(a, sigma) for a in t.args])
-        return t if args == t.args else Application(t.symbol, args)
-    repl = sigma.get(t)
-    return t if repl is None else repl
+    return rebuild(t, sigma._image)
 
 
 def substitute(f: Formula, sigma: Substitution) -> Formula:
@@ -578,35 +573,7 @@ def substitute(f: Formula, sigma: Substitution) -> Formula:
     replacement term would be captured by a quantifier of f.  A subformula
     that no replacement reaches is returned as it is, not rebuilt.
     """
-    if isinstance(f, Equality):
-        lhs, rhs = substitute_term(f.lhs, sigma), substitute_term(f.rhs, sigma)
-        return f if lhs is f.lhs and rhs is f.rhs else Equality(lhs, rhs)
-    if isinstance(f, PredApp):
-        args = tuple([substitute_term(a, sigma) for a in f.args])
-        return f if args == f.args else PredApp(f.symbol, args)
-    if isinstance(f, Not):
-        body = substitute(f.body, sigma)
-        return f if body is f.body else Not(body)
-    if isinstance(f, (And, Or, Implies)):
-        lhs, rhs = substitute(f.lhs, sigma), substitute(f.rhs, sigma)
-        return f if lhs is f.lhs and rhs is f.rhs else type(f)(lhs, rhs)
-    if isinstance(f, (Exists, Forall)):
-        if f.var in sigma.domain():
-            raise CaptureError(f"substitution domain contains bound variable {f.var}")
-        for key, value in sigma.bindings.items():
-            if f.var in variables_of_term(value) and _occurs(key, f.body):
-                raise CaptureError(
-                    f"replacing {key} with {value} would capture bound {f.var}"
-                )
-        body = substitute(f.body, sigma)
-        return f if body is f.body else type(f)(f.var, body)
-    raise ContractError(f"not a formula: {f!r}")
-
-
-def _occurs(key: Union[Unknown, Variable], f: Formula) -> bool:
-    if isinstance(key, Unknown):
-        return key in unknowns_of(f)
-    return key in free_variables(f)
+    return rebuild(f, sigma._image)
 
 
 # ---------------------------------------------------------------------------
@@ -617,19 +584,22 @@ _UNKNOWN_RANK, _VARIABLE_RANK, _APPLICATION_RANK = 0, 1, 2
 
 def canonical_key(t: Term) -> tuple:
     """Sort key realising the deterministic term order: by size, then by
-    symbol name, then argument-wise."""
-    if isinstance(t, Application):
-        return (
-            term_size(t),
-            _APPLICATION_RANK,
-            t.symbol.name,
-            t.symbol.arity,
-            tuple(canonical_key(a) for a in t.args),
-        )
-    if isinstance(t, Variable):
-        return (0, _VARIABLE_RANK, t.name)
-    if isinstance(t, Unknown):
-        idx = t.index
-        tag = (0, idx) if isinstance(idx, int) else (1, idx)
-        return (0, _UNKNOWN_RANK, tag)
-    raise ContractError(f"not a term: {t!r}")
+    symbol name and arity, then argument-wise.
+
+    The key is flat: (size, rank, name, arity) for each subterm in
+    preorder.  An unknown puts 0 (integer index) or 1 (named) in the name
+    slot and its index in the arity slot.  Each subterm's entries tell how
+    many arguments follow, so no key is a proper prefix of another, and
+    comparing flat keys gives the argument-wise order.
+    """
+    key: list = []
+    for u in subterms(t):
+        if isinstance(u, Application):
+            key += (u.size, _APPLICATION_RANK, u.symbol.name, u.symbol.arity)
+        elif isinstance(u, Variable):
+            key += (0, _VARIABLE_RANK, u.name, 0)
+        elif isinstance(u, Unknown):
+            key += (0, _UNKNOWN_RANK, 0 if isinstance(u.index, int) else 1, u.index)
+        else:
+            raise ContractError(f"not a term: {u!r}")
+    return tuple(key)

@@ -13,12 +13,19 @@ Grammar (``->`` is right-associative; precedence ``!`` > ``&`` > ``|`` > ``->``)
 Reserved names: ``z``, ``zh``, ``zt``, ``k``, ``kt`` (and ``z_1``, ``zh_1``, ...
 for the indexed languages) are the special constants; ``s`` is the unary
 successor and ``pair`` the binary pairing function.
+
+Nothing here recurses, so input of any nesting depth is read and printed.
+The tokenizer makes one ``re.finditer`` pass and yields ``(kind, text,
+offset)`` tuples; a line and column are computed from the offset only
+for a ``ParseError``.  Terms are parsed with a stack of open applications
+and formulas by operator precedence on explicit stacks (Pratt, "Top down
+operator precedence", POPL 1973).  The printers emit pieces from an
+explicit stack.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .syntax import (
     And,
@@ -52,50 +59,24 @@ class ParseError(ValueError):
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<WS>\s+)
-  | (?P<ARROW>->)
+    (?P<ARROW>->)
   | (?P<NAT>[0-9]+)
   | (?P<IDENT>[A-Za-z][A-Za-z0-9_\#@]*)
   | (?P<PUNCT>[()=,.&|!*?])
+  | (?P<BAD>\S)
     """,
     re.VERBOSE,
-)
+)  # whitespace matches no alternative, so finditer steps over it
 
 _SPECIAL_RE = re.compile(r"^(zh|zt|kt|z|k)(?:_([0-9]+))?$")
+_SPECIAL_ZERO_RE = re.compile(r"^(zh|zt|kt|z|k)_0$")
 _SPECIAL_BY_TOKEN = {b.value: b for b in SpecialBase}
+_QUANTIFIERS = {"exists": Exists, "forall": Forall}
+_RESERVED = {SUCC.name: SUCC, PAIR.name: PAIR}
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # ARROW | NAT | IDENT | one of the punct characters | EOF
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        chunk = m.group(0)
-        kind = m.lastgroup or ""
-        if kind == "PUNCT":
-            kind = chunk
-        if kind != "WS":
-            tokens.append(_Token(kind, chunk, line, col))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        pos = m.end()
-    tokens.append(_Token("EOF", "", line, col))
-    return tokens
+# Token = (kind, text, offset); kind is ARROW, NAT, IDENT, EOF or the
+# punctuation character itself.
+Token = tuple[str, str, int]
 
 
 def special_of_name(name: str) -> FunctionSymbol | None:
@@ -110,115 +91,141 @@ def special_of_name(name: str) -> FunctionSymbol | None:
     return special_constant(base, index)
 
 
+# Binding strength of the operators on the formula parser's stack; open
+# parentheses and quantifiers bind less than any binary connective.
+_STRENGTH = {"!": 3, "&": 2, "|": 1, "ARROW": 0}
+_BINARY = {"&": And, "|": Or, "ARROW": Implies}
+
+
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.text = text
         self.pos = 0
-        self.fn_arity: dict[str, int] = {}
-        self.pred_arity: dict[str, int] = {}
+        self.tokens: list[Token] = []  # one finditer pass
+        for m in _TOKEN_RE.finditer(text):
+            kind, chunk = m.lastgroup, m.group()
+            if kind == "BAD":
+                raise self.error(f"unexpected character {chunk!r}", (kind, chunk, m.start()))
+            self.tokens.append((chunk if kind == "PUNCT" else kind, chunk, m.start()))
+        self.tokens.append(("EOF", "", len(text)))
+        self.symbols: dict[str, FunctionSymbol | PredicateSymbol] = {}  # each name read so far
 
     # -- token plumbing
 
-    def peek(self) -> _Token:
+    def peek(self) -> Token:
         return self.tokens[self.pos]
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def expect(self, kind: str) -> Token:
+        tok = self.peek()
+        if tok[0] != kind:
+            raise self.error(f"expected {kind!r}, found {tok[1] or 'end of input'!r}")
         self.pos += 1
         return tok
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}",
-                             tok.line, tok.column)
-        return self.next()
-
-    def error(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.column)
+    def error(self, message: str, tok: Token | None = None) -> ParseError:
+        """A ParseError at the line and column of tok, by default the next
+        token; both are computed from its offset only here."""
+        offset = (tok or self.peek())[2]
+        line = self.text.count("\n", 0, offset) + 1
+        return ParseError(message, line, offset - self.text.rfind("\n", 0, offset))
 
     # -- symbol table
 
-    def _function_symbol(self, name: str, arity: int, tok: _Token) -> FunctionSymbol:
-        if re.match(r"^(zh|zt|kt|z|k)_0$", name):
-            raise ParseError("special constant index 0 is spelled without suffix",
-                             tok.line, tok.column)
-        sym = special_of_name(name)
-        if sym is not None:
-            if arity != 0:
-                raise ParseError(f"special constant {name} takes no arguments",
-                                 tok.line, tok.column)
+    def _function_symbol(self, name: str, arity: int, tok: Token) -> FunctionSymbol:
+        sym = self.symbols.get(name)
+        if type(sym) is FunctionSymbol and sym.arity == arity:
             return sym
-        if name == SUCC.name:
-            if arity != 1:
-                raise ParseError("reserved function s takes exactly 1 argument",
-                                 tok.line, tok.column)
-            return SUCC
-        if name == PAIR.name:
-            if arity != 2:
-                raise ParseError("reserved function pair takes exactly 2 arguments",
-                                 tok.line, tok.column)
-            return PAIR
-        if name in self.pred_arity:
-            raise ParseError(f"{name} already used as a predicate", tok.line, tok.column)
-        seen = self.fn_arity.setdefault(name, arity)
-        if seen != arity:
-            raise ParseError(
-                f"arity mismatch for {name}: first seen with {seen}, now {arity}",
-                tok.line, tok.column)
-        return FunctionSymbol(name, arity)
+        if _SPECIAL_ZERO_RE.match(name):
+            raise self.error("special constant index 0 is spelled without suffix", tok)
+        special = special_of_name(name)
+        if special is not None:
+            if arity != 0:
+                raise self.error(f"special constant {name} takes no arguments", tok)
+            sym = special
+        elif name in _RESERVED:
+            sym = _RESERVED[name]
+            if arity != sym.arity:
+                raise self.error(f"reserved function {name} takes exactly {sym.arity} "
+                                 f"argument{'s' if sym.arity > 1 else ''}", tok)
+        elif isinstance(sym, PredicateSymbol):
+            raise self.error(f"{name} already used as a predicate", tok)
+        elif sym is not None:
+            raise self._mismatch(name, sym.arity, arity, tok)
+        else:
+            sym = FunctionSymbol(name, arity)
+        self.symbols[name] = sym
+        return sym
 
-    def _predicate_symbol(self, name: str, arity: int, tok: _Token) -> PredicateSymbol:
-        if special_of_name(name) is not None or name in (SUCC.name, PAIR.name):
-            raise ParseError(f"{name} is a reserved function name", tok.line, tok.column)
-        if name in self.fn_arity:
-            raise ParseError(f"{name} already used as a function", tok.line, tok.column)
-        seen = self.pred_arity.setdefault(name, arity)
-        if seen != arity:
-            raise ParseError(
-                f"arity mismatch for {name}: first seen with {seen}, now {arity}",
-                tok.line, tok.column)
-        return PredicateSymbol(name, arity)
+    def _predicate_symbol(self, name: str, arity: int, tok: Token) -> PredicateSymbol:
+        sym = self.symbols.get(name)
+        if type(sym) is PredicateSymbol and sym.arity == arity:
+            return sym
+        if special_of_name(name) is not None or name in _RESERVED:
+            raise self.error(f"{name} is a reserved function name", tok)
+        if isinstance(sym, FunctionSymbol):
+            raise self.error(f"{name} already used as a function", tok)
+        if sym is not None:
+            raise self._mismatch(name, sym.arity, arity, tok)
+        sym = self.symbols[name] = PredicateSymbol(name, arity)
+        return sym
+
+    def _mismatch(self, name: str, seen: int, arity: int, tok: Token) -> ParseError:
+        return self.error(f"arity mismatch for {name}: first seen with {seen}, now {arity}", tok)
 
     # -- terms
 
     def parse_variable(self) -> Variable:
         self.expect("?")
-        tok = self.expect("IDENT")
-        return Variable(tok.text)
+        return Variable(self.expect("IDENT")[1])
 
     def parse_unknown(self) -> Unknown:
         self.expect("*")
-        tok = self.peek()
-        if tok.kind == "NAT":
-            self.next()
-            return Unknown(int(tok.text))
-        if tok.kind == "IDENT":
-            self.next()
-            return Unknown(tok.text)
-        raise self.error("expected an index or name after '*'")
+        kind, text, _ = self.peek()
+        if kind not in ("NAT", "IDENT"):
+            raise self.error("expected an index or name after '*'")
+        self.pos += 1
+        return Unknown(int(text) if kind == "NAT" else text)
 
     def parse_term(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "?":
-            return self.parse_variable()
-        if tok.kind == "*":
-            return self.parse_unknown()
-        if tok.kind == "IDENT":
-            self.next()
-            args = self._parse_optional_args()
-            symbol = self._function_symbol(tok.text, len(args), tok)
-            return Application(symbol, tuple(args))
-        raise self.error(f"expected a term, found {tok.text or 'end of input'!r}")
+        """One term; the applications whose arguments are being read wait
+        on a stack with the arguments read so far."""
+        open_apps: list[tuple[Token, list[Term]]] = []
+        tokens = self.tokens
+        while True:
+            tok = tokens[self.pos]
+            if tok[0] == "?":
+                term: Term = self.parse_variable()
+            elif tok[0] == "*":
+                term = self.parse_unknown()
+            elif tok[0] != "IDENT":
+                raise self.error(f"expected a term, found {tok[1] or 'end of input'!r}")
+            elif tokens[self.pos + 1][0] == "(":
+                self.pos += 2
+                open_apps.append((tok, []))
+                continue
+            else:
+                self.pos += 1
+                term = Application(self._function_symbol(tok[1], 0, tok), ())
+            while open_apps:
+                head, args = open_apps[-1]
+                args.append(term)
+                if tokens[self.pos][0] == ",":
+                    self.pos += 1
+                    break
+                self.expect(")")
+                open_apps.pop()
+                symbol = self._function_symbol(head[1], len(args), head)
+                term = Application(symbol, tuple(args))
+            else:
+                return term
 
     def _parse_optional_args(self) -> list[Term]:
-        if self.peek().kind != "(":
+        if self.peek()[0] != "(":
             return []
-        self.next()
+        self.pos += 1
         args = [self.parse_term()]
-        while self.peek().kind == ",":
-            self.next()
+        while self.peek()[0] == ",":
+            self.pos += 1
             args.append(self.parse_term())
         self.expect(")")
         return args
@@ -226,84 +233,87 @@ class _Parser:
     # -- formulas
 
     def parse_formula(self) -> Formula:
-        if self.peek().kind == "IDENT" and self.peek().text in ("exists", "forall"):
-            return self._parse_quantifier()
-        lhs = self.parse_or()
-        if self.peek().kind == "ARROW":
-            self.next()
-            rhs = self.parse_formula()  # right-associative
-            return Implies(lhs, rhs)
-        return lhs
-
-    def _parse_quantifier(self) -> Formula:
-        tok = self.next()
-        var = self.parse_variable()
-        self.expect(".")
-        body = self.parse_formula()
-        return Exists(var, body) if tok.text == "exists" else Forall(var, body)
-
-    def parse_or(self) -> Formula:
-        out = self.parse_and()
-        while self.peek().kind == "|":
-            self.next()
-            out = Or(out, self.parse_and())
-        return out
-
-    def parse_and(self) -> Formula:
-        out = self.parse_unary()
-        while self.peek().kind == "&":
-            self.next()
-            out = And(out, self.parse_unary())
-        return out
-
-    def parse_unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "!":
-            self.next()
-            return Not(self.parse_unary())
-        if tok.kind == "IDENT" and tok.text in ("exists", "forall"):
-            return self._parse_quantifier()
-        if tok.kind == "(":
-            self.next()
-            inner = self.parse_formula()
-            self.expect(")")
-            return inner
-        return self.parse_atom()
+        """One formula.  Finished operands wait on `out`; prefix operators
+        (`!` and quantifiers with their variable), binary connectives and
+        open parentheses wait on `ops` until an operator that binds less,
+        a closing parenthesis or the end reduces them."""
+        out: list[Formula] = []
+        ops: list = []
+        while True:
+            kind, text, _ = self.peek()
+            if kind in ("!", "("):
+                self.pos += 1
+                ops.append(kind)
+                continue
+            if kind == "IDENT" and text in _QUANTIFIERS:
+                self.pos += 1
+                var = self.parse_variable()
+                self.expect(".")
+                ops.append((_QUANTIFIERS[text], var))
+                continue
+            out.append(self.parse_atom())
+            while True:  # after an operand
+                kind = self.peek()[0]
+                if kind in _BINARY:
+                    # `->` is right-associative, `&` and `|` left-associative
+                    while ops and (_STRENGTH.get(ops[-1], -1) > _STRENGTH[kind]
+                                   or ops[-1] == kind != "ARROW"):
+                        _reduce(out, ops.pop())
+                    self.pos += 1
+                    ops.append(kind)
+                    break
+                while ops and ops[-1] != "(":
+                    _reduce(out, ops.pop())
+                if not ops:
+                    return out.pop()
+                self.expect(")")
+                ops.pop()
 
     def parse_atom(self) -> Formula:
         tok = self.peek()
-        if tok.kind in ("?", "*"):
+        if tok[0] in ("?", "*"):
             lhs = self.parse_term()
             self.expect("=")
             return Equality(lhs, self.parse_term())
-        if tok.kind != "IDENT":
-            raise self.error(f"expected an atom, found {tok.text or 'end of input'!r}")
-        self.next()
+        if tok[0] != "IDENT":
+            raise self.error(f"expected an atom, found {tok[1] or 'end of input'!r}")
+        self.pos += 1
         args = self._parse_optional_args()
-        if self.peek().kind == "=":
-            self.next()
-            symbol = self._function_symbol(tok.text, len(args), tok)
+        if self.peek()[0] == "=":
+            self.pos += 1
+            symbol = self._function_symbol(tok[1], len(args), tok)
             return Equality(Application(symbol, tuple(args)), self.parse_term())
-        return PredApp(self._predicate_symbol(tok.text, len(args), tok), tuple(args))
+        return PredApp(self._predicate_symbol(tok[1], len(args), tok), tuple(args))
+
+
+def _reduce(out: list[Formula], op) -> None:
+    """Apply the operator `op` from the parser's stack to operands on `out`."""
+    if op == "!":
+        out.append(Not(out.pop()))
+    elif isinstance(op, tuple):
+        quantifier, var = op
+        out.append(quantifier(var, out.pop()))
+    else:
+        rhs = out.pop()
+        out.append(_BINARY[op](out.pop(), rhs))
+
+
+def _parse_all(text: str, parse) -> Term | Formula:
+    parser = _Parser(text)
+    result = parse(parser)
+    tok = parser.peek()
+    if tok[0] != "EOF":
+        raise parser.error(f"trailing input {tok[1]!r}")
+    return result
 
 
 def parse_formula(text: str) -> Formula:
     """Parse one formula; reports syntax errors with line/column."""
-    parser = _Parser(text)
-    formula = parser.parse_formula()
-    tok = parser.peek()
-    if tok.kind != "EOF":
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
-    return formula
+    return _parse_all(text, _Parser.parse_formula)
 
 
 def parse_term(text: str) -> Term:
-    parser = _Parser(text)
-    term = parser.parse_term()
-    tok = parser.peek()
-    if tok.kind != "EOF":
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
-    return term
+    return _parse_all(text, _Parser.parse_term)
 
 
 # ---------------------------------------------------------------------------
@@ -311,48 +321,67 @@ def parse_term(text: str) -> Term:
 
 _LEVEL_IMPLIES, _LEVEL_OR, _LEVEL_AND, _LEVEL_NOT = 0, 1, 2, 3
 
+# connective: (its own level, infix text, the levels its sides require)
+_INFIX = {
+    And: (_LEVEL_AND, " & ", _LEVEL_AND, _LEVEL_AND + 1),
+    Or: (_LEVEL_OR, " | ", _LEVEL_OR, _LEVEL_OR + 1),
+    Implies: (_LEVEL_IMPLIES, " -> ", _LEVEL_IMPLIES + 1, _LEVEL_IMPLIES),
+}
+
+
+def _render(stack: list) -> str:
+    """Write out what the stack holds, the next piece on top: text, a
+    term, or a (formula, level its context requires) pair."""
+    parts: list[str] = []
+    while stack:
+        item = stack.pop()
+        cls = type(item)
+        if cls is str:
+            parts.append(item)
+        elif cls is Application or cls is PredApp:
+            args = item.args
+            if not args:
+                parts.append(item.symbol.name)
+                continue
+            parts.append(f"{item.symbol.name}(")
+            stack.append(")")
+            for a in args[:0:-1]:  # the later arguments, last first
+                stack += (a, ", ")
+            stack.append(args[0])
+        elif cls is tuple:
+            f, level = item
+            cls = type(f)
+            if cls is Equality or cls is PredApp:
+                stack.append(f)  # an atom is written like a term
+                continue
+            if cls in _INFIX:
+                own, infix, left, right = _INFIX[cls]
+                pieces = [(f.lhs, left), infix, (f.rhs, right)]
+            elif cls is Not:
+                own, pieces = _LEVEL_NOT, ["!", (f.body, _LEVEL_NOT)]
+            elif cls is Exists or cls is Forall:
+                word = "exists" if cls is Exists else "forall"
+                own, pieces = _LEVEL_IMPLIES, [f"{word} ?{f.var.name}. ", (f.body, _LEVEL_IMPLIES)]
+            else:
+                raise ValueError(f"not a formula: {f!r}")
+            if own < level:
+                pieces = ["(", *pieces, ")"]
+            stack += pieces[::-1]
+        elif cls is Equality:
+            stack += (item.rhs, " = ", item.lhs)
+        elif cls is Variable:
+            parts.append(f"?{item.name}")
+        elif cls is Unknown:
+            parts.append(f"*{item.index}")
+        else:
+            raise ValueError(f"not a term: {item!r}")
+    return "".join(parts)
+
 
 def print_term(t: Term) -> str:
-    if isinstance(t, Variable):
-        return f"?{t.name}"
-    if isinstance(t, Unknown):
-        return f"*{t.index}"
-    if isinstance(t, Application):
-        if not t.args:
-            return t.symbol.name
-        return f"{t.symbol.name}({', '.join(print_term(a) for a in t.args)})"
-    raise ValueError(f"not a term: {t!r}")
-
-
-def _print(f: Formula, level: int) -> str:
-    if isinstance(f, Equality):
-        return f"{print_term(f.lhs)} = {print_term(f.rhs)}"
-    if isinstance(f, PredApp):
-        if not f.args:
-            return f.symbol.name
-        return f"{f.symbol.name}({', '.join(print_term(a) for a in f.args)})"
-    if isinstance(f, Not):
-        return _wrap(f"!{_print(f.body, _LEVEL_NOT)}", _LEVEL_NOT, level)
-    if isinstance(f, And):
-        text = f"{_print(f.lhs, _LEVEL_AND)} & {_print(f.rhs, _LEVEL_AND + 1)}"
-        return _wrap(text, _LEVEL_AND, level)
-    if isinstance(f, Or):
-        text = f"{_print(f.lhs, _LEVEL_OR)} | {_print(f.rhs, _LEVEL_OR + 1)}"
-        return _wrap(text, _LEVEL_OR, level)
-    if isinstance(f, Implies):
-        text = f"{_print(f.lhs, _LEVEL_IMPLIES + 1)} -> {_print(f.rhs, _LEVEL_IMPLIES)}"
-        return _wrap(text, _LEVEL_IMPLIES, level)
-    if isinstance(f, (Exists, Forall)):
-        word = "exists" if isinstance(f, Exists) else "forall"
-        text = f"{word} ?{f.var.name}. {_print(f.body, _LEVEL_IMPLIES)}"
-        return _wrap(text, _LEVEL_IMPLIES, level)
-    raise ValueError(f"not a formula: {f!r}")
-
-
-def _wrap(text: str, own: int, required: int) -> str:
-    return f"({text})" if own < required else text
+    return _render([t])
 
 
 def print_formula(f: Formula) -> str:
     """Render f with minimal parentheses; parse(print_formula(f)) == f."""
-    return _print(f, _LEVEL_IMPLIES)
+    return _render([(f, _LEVEL_IMPLIES)])

@@ -41,7 +41,7 @@ from hsk.syntax import (
     numeral,
     subterms,
 )
-from hsk.textform import parse_formula
+from hsk.textform import parse_formula, print_formula
 
 A = Application(CONSTS[0], ())
 B = Application(CONSTS[1], ())
@@ -327,6 +327,21 @@ def test_search_agrees_with_reference_and_oracle():
 
 def _engine_state(engine):
     return (engine.parent, engine.size, engine.uses, engine.sig)
+
+
+@pytest.mark.parametrize("text,literals", [
+    ("(a = b | c = d) -> e = f", [("e = f", False), ("a = b", True)]),
+    ("(a = b | c = d) & (e = f | a = c) -> a = b",
+     [("a = b", False), ("c = d", True), ("e = f", True)]),
+    ("(a = b -> c = d) & (c = d | b = c) -> a = c",
+     [("a = c", False), ("a = b", False), ("c = d", True)]),
+])
+def test_search_takes_the_left_branch_first(text, literals):
+    """The first falsifying assignment in left-first depth-first order, its
+    literals in the order they were asserted; the second and third inputs
+    make the search back out of a left branch."""
+    found = falsifying_literals(parse_formula(text))
+    assert [(print_formula(atom), value) for atom, value in found.items()] == literals
 
 
 def test_engine_undo_restores_the_replayed_prefix():

@@ -194,6 +194,11 @@ def test_pipeline_produces_the_four_problems_in_order():
     ]
 
 
+def test_problem_unknowns_are_a_tuple_in_first_occurrence_order():
+    problem = convert_to_sreu(parse_formula("*2 = a & *1 = *2 -> b = *3"))[0]
+    assert problem.unknowns() == (Unknown(2), Unknown(1), Unknown(3))
+
+
 def test_pipeline_solvability_of_the_four_problems():
     problems = convert_to_sreu(parse_formula(SKELETON_39))
     witnesses = [solve_sreu_bounded(problem, max_size=3) for problem in problems]

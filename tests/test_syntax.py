@@ -193,6 +193,50 @@ def test_subterms_of_a_deep_term_do_not_recurse():
     assert all(inner is outer.args[0] for outer, inner in zip(subs, subs[1:]))
 
 
+def test_nodes_are_distinct_and_in_preorder():
+    f, g = FunctionSymbol("f", 1), FunctionSymbol("g", 2)
+    fa = Application(f, (A,))
+    t = Application(g, (fa, fa))
+    assert list(syntax.nodes(t)) == [t, fa, A]
+    atom = Equality(t, Unknown(1))
+    f = And(atom, Not(atom))
+    assert list(syntax.nodes(f)) == [f, atom, t, fa, A, Unknown(1), Not(atom)]
+    assert list(syntax.nodes(f, (And, Not))) == [f, atom, Not(atom)]
+
+
+def test_walks_are_linear_on_shared_subterms():
+    g = FunctionSymbol("g", 2)
+    t, u = A, Unknown(1)
+    for _ in range(200):  # 201 distinct nodes, 2^201 - 1 as a tree
+        t, u = Application(g, (t, t)), Application(g, (u, u))
+    assert len(list(syntax.nodes(t))) == 201
+    assert unknowns_of(u) == [Unknown(1)]
+    assert substitute_term(u, Substitution({Unknown(1): A})) is t
+    assert syntax.rebuild(u, combine=lambda n, kids: 1 + max(kids, default=0)) == 201
+
+
+def test_rebuild_returns_untouched_nodes_as_they_are():
+    f = And(p(A), Implies(p(Unknown(1)), p(B)))
+    assert syntax.rebuild(f) is f
+    out = syntax.rebuild(f, lambda n: B if n is Unknown(1) else None)
+    assert out == And(p(A), Implies(p(B), p(B)))
+    assert out.lhs is f.lhs and out.rhs.rhs is f.rhs.rhs
+
+
+def test_free_variables_of_a_shared_subformula():
+    x = Variable("x1")
+    shared = p(x)
+    assert syntax.free_variables(And(Exists(x, shared), shared)) == [x]
+    assert syntax.free_variables(Exists(x, And(shared, p(Variable("y"))))) == [Variable("y")]
+
+
+def test_ground_flags():
+    assert A.ground and succ(A).ground and p(A).ground and Not(p(A)).ground
+    assert not Unknown(1).ground and not Variable("x1").ground
+    assert not succ(Unknown(1)).ground and not And(p(A), p(Unknown(1))).ground
+    assert not Exists(Variable("x1"), p(A)).ground
+
+
 def test_unknowns_of_orders_by_first_occurrence():
     f = And(p(Unknown(2)), Equality(Unknown(1), Unknown(2)))
     assert unknowns_of(f) == [Unknown(2), Unknown(1)]
@@ -203,6 +247,44 @@ def test_canonical_order_size_then_name():
     terms = [Application(f1, (A,)), B, A, succ(A)]
     terms.sort(key=canonical_key)
     assert terms == [A, B, Application(f1, (A,)), succ(A)]
+
+
+def _random_key_term(rng: random.Random, depth: int):
+    """A term over a small vocabulary, so that sizes, names and arities
+    often tie and the order is decided deep in the arguments."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        pick = rng.random()
+        if pick < 0.5:
+            return Application(FunctionSymbol(rng.choice("ab"), 0), ())
+        if pick < 0.75:
+            return Variable(rng.choice(["x1", "w2", "v"]))
+        return Unknown(rng.choice([0, 1, 2, "u", "v"]))
+    symbol = rng.choice([FunctionSymbol("f", 1), FunctionSymbol("f", 2), FunctionSymbol("g", 2),
+                         FunctionSymbol("s", 1)])
+    return Application(symbol, tuple(_random_key_term(rng, depth - 1)
+                                     for _ in range(symbol.arity)))
+
+
+def test_flat_canonical_key_orders_as_the_nested_key():
+    from reference_syntax import canonical_key as nested_key
+
+    rng = random.Random(20261018)
+    for _ in range(400):
+        pool = [_random_key_term(rng, rng.randrange(5)) for _ in range(30)]
+        keys = [(t, canonical_key(t), nested_key(t)) for t in pool]
+        for a, flat_a, nest_a in keys:
+            for b, flat_b, nest_b in keys:
+                assert (flat_a < flat_b) == (nest_a < nest_b)
+                assert (flat_a == flat_b) == (nest_a == nest_b) == (a is b)
+        assert sorted(pool, key=canonical_key) == sorted(pool, key=nested_key)
+
+
+def test_canonical_key_of_a_deep_term():
+    deep = numeral(5000, ZERO)
+    key = canonical_key(deep)
+    assert len(key) == 4 * 5001 and key[:4] == (5001, 2, "s", 1)
+    assert canonical_key(succ(deep)) > key > canonical_key(numeral(4999, ZERO))
 
 
 def test_solution_eligibility():

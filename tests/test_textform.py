@@ -20,7 +20,7 @@ from hsk.syntax import (
     Variable,
     special_constant,
 )
-from hsk.textform import ParseError, parse_formula, parse_term, print_formula
+from hsk.textform import ParseError, parse_formula, parse_term, print_formula, print_term
 
 P1 = PredicateSymbol("p", 1)
 A = Application(FunctionSymbol("a", 0), ())
@@ -145,3 +145,75 @@ def test_round_trip_on_random_formulas():
     for _ in range(1000):
         f = _random_formula(rng, 6)
         assert parse_formula(print_formula(f)) == f
+
+
+# ---------------------------------------------------------------------------
+# Error positions: (parser, input, message, line, column), one row per way a
+# parse can fail, including a name met again with another arity or role.
+
+PARSE_ERRORS = [
+    ('formula', 'p(a) & $', "unexpected character '$'", 1, 8),
+    ('formula', 'p(a', "expected ')', found 'end of input'", 1, 4),
+    ('formula', 'p(a &\n', "expected ')', found '&'", 1, 5),
+    ('formula', 'p(a) &\n& p(b)', "expected an atom, found '&'", 2, 1),
+    ('formula', '?x', "expected '=', found 'end of input'", 1, 3),
+    ('formula', '* = a', "expected an index or name after '*'", 1, 3),
+    ('formula', 'a = ', "expected a term, found 'end of input'", 1, 5),
+    ('formula', 'a = (b)', "expected a term, found '('", 1, 5),
+    ('formula', 's(a, b) = c', 'reserved function s takes exactly 1 argument', 1, 1),
+    ('formula', 'pair(a) = c', 'reserved function pair takes exactly 2 arguments', 1, 1),
+    ('formula', 'z(a) = c', 'special constant z takes no arguments', 1, 1),
+    ('formula', 'z_0 = z', 'special constant index 0 is spelled without suffix', 1, 1),
+    ('formula', 'p(a) & p(a, b)', 'arity mismatch for p: first seen with 1, now 2', 1, 8),
+    ('formula', 'p(a) & p(a) = b', 'p already used as a predicate', 1, 8),
+    ('formula', 'f(a) = b & f', 'f already used as a function', 1, 12),
+    ('formula', 'z & a = b', 'z is a reserved function name', 1, 1),
+    ('formula', 'p q', "trailing input 'q'", 1, 3),
+    ('formula', '(p q)', "expected ')', found 'q'", 1, 4),
+    ('formula', 'exists x. p', "expected '?', found 'x'", 1, 8),
+    ('formula', 'exists ?x p', "expected '.', found 'p'", 1, 11),
+    ('formula', 'forall ?. p', "expected 'IDENT', found '.'", 1, 9),
+    ('formula', 'f(g(a), g(a, b)) = c', 'arity mismatch for g: first seen with 1, now 2', 1, 9),
+    ('formula', 'p(a) ->', "expected an atom, found 'end of input'", 1, 8),
+    ('formula', '!(p & q', "expected ')', found 'end of input'", 1, 8),
+    ('formula', 'a = b\n  -> c = d e', "trailing input 'e'", 2, 12),
+    ('formula', '', "expected an atom, found 'end of input'", 1, 1),
+    ('formula', 'p(a,)', "expected a term, found ')'", 1, 5),
+    ('formula', '(p q) $', "unexpected character '$'", 1, 7),
+    ('formula', 'p(a)\r\n\t& &', "expected an atom, found '&'", 2, 4),
+    ('formula', 'exists ?x. p(?x) q', "trailing input 'q'", 1, 18),
+    ('formula', 'p & (exists ?x. q | r', "expected ')', found 'end of input'", 1, 22),
+    ('formula', 'a = b = c', "trailing input '='", 1, 7),
+    ('formula', 'z = a & z(b) = c', 'special constant z takes no arguments', 1, 9),
+    ('formula', 's(a) = b & s = b', 'reserved function s takes exactly 1 argument', 1, 12),
+    ('formula', 'f = a & f(b) = c', 'arity mismatch for f: first seen with 0, now 1', 1, 9),
+    ('formula', 'p & p(a)', 'arity mismatch for p: first seen with 0, now 1', 1, 5),
+    ('formula', 'p(a) & q(p) = b', 'p already used as a predicate', 1, 10),
+    ('formula', 'f(a) = b & p(f)', 'arity mismatch for f: first seen with 1, now 0', 1, 14),
+    ('formula', 'pair(a, b) = c & pair(c) = a', 'reserved function pair takes exactly 2 arguments', 1, 18),
+    ('term', 'f(a) b', "trailing input 'b'", 1, 6),
+    ('term', 'f(a, g(b)', "expected ')', found 'end of input'", 1, 10),
+    ('term', '?', "expected 'IDENT', found 'end of input'", 1, 2),
+    ('term', '*?', "expected an index or name after '*'", 1, 2),
+    ('term', 'f(s(a, a))', 'reserved function s takes exactly 1 argument', 1, 3),
+]
+
+
+@pytest.mark.parametrize("kind,text,message,line,column", PARSE_ERRORS,
+                         ids=[f"{k}:{t!r}" for k, t, *_ in PARSE_ERRORS])
+def test_parse_error_message_and_position(kind, text, message, line, column):
+    parse = parse_formula if kind == "formula" else parse_term
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == f"line {line} col {column}: {message}"
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_deep_terms_and_formulas_round_trip():
+    deep = "f(" * 5000 + "a" + ")" * 5000
+    assert print_term(parse_term(deep)) == deep
+    for text in ("!" * 5000 + "p", "(" * 5000 + "p" + ")" * 5000,
+                 " -> ".join(["p"] * 5000), " & ".join(["p"] * 5000),
+                 "exists ?x. " * 2000 + "?x = a"):
+        f = parse_formula(text)
+        assert parse_formula(print_formula(f)) is f
