@@ -262,38 +262,40 @@ def _build_argparser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        # omitted options stay unset, so that RunConfig alone holds the defaults
+        return sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+
     def common(p: argparse.ArgumentParser, with_input: bool = True) -> None:
-        p.add_argument("--format", choices=("text", "records"), default="text")
+        p.add_argument("--format", dest="fmt", choices=("text", "records"))
         if with_input:
             p.add_argument("input", help="input file, or - for standard input")
 
-    p = sub.add_parser("check", help="decide validity of a ground formula")
+    p = command("check", "decide validity of a ground formula")
     common(p)
-    p = sub.add_parser("skeleton", help="emit the size-n skeleton")
-    p.add_argument("-n", type=int, default=1)
+    p = command("skeleton", "emit the size-n skeleton")
+    p.add_argument("-n", type=int)
     common(p)
-    p = sub.add_parser("solve", help="search the size-n skeleton within a size bound")
-    p.add_argument("-n", type=int, default=1)
-    p.add_argument("--max-size", type=int, default=6)
+    p = command("solve", "search the size-n skeleton within a size bound")
+    p.add_argument("-n", type=int)
+    p.add_argument("--max-size", type=int)
     common(p)
-    p = sub.add_parser("sreu", help="convert to rigid constraint problems")
+    p = command("sreu", "convert to rigid constraint problems")
     p.add_argument("--solve", action="store_true")
-    p.add_argument("--max-size", type=int, default=6)
+    p.add_argument("--max-size", type=int)
     common(p)
-    p = sub.add_parser("encode", help="encode a diophantine system")
+    p = command("encode", "encode a diophantine system")
     p.add_argument("--dioph", required=True, metavar="FILE",
                    help="diophantine system file, or - for standard input")
-    p.add_argument("-n", type=int, default=1)
-    p.add_argument("-m", type=int, default=None)
+    p.add_argument("-n", type=int)
+    p.add_argument("-m", type=int)
     common(p, with_input=False)
-    p = sub.add_parser("eval", help="evaluate in an explicit structure")
-    p.add_argument("--structure", choices=("two-point", "table", "m-alpha"),
-                   default="two-point")
-    p.add_argument("--alpha", action="append", default=[],
+    p = command("eval", "evaluate in an explicit structure")
+    p.add_argument("--structure", choices=("two-point", "table", "m-alpha"))
+    p.add_argument("--alpha", action="append",
                    metavar="NAME=VAL", help="special constant value, NAT or J(j,k)")
     common(p)
-    p = sub.add_parser("countermodel",
-                       help="falsify a disjunction of variant instances")
+    p = command("countermodel", "falsify a disjunction of variant instances")
     common(p)
     return parser
 
@@ -315,20 +317,11 @@ def _diagnose(message: str) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_argparser()
     try:
-        args = parser.parse_args(argv)
+        args = vars(parser.parse_args(argv))
     except SystemExit as stop:
         return 2 if stop.code not in (0, None) else 0
-    config = RunConfig(
-        command=args.command,
-        n=getattr(args, "n", 1),
-        max_size=getattr(args, "max_size", 6),
-        structure=getattr(args, "structure", "two-point"),
-        alpha=list(getattr(args, "alpha", [])),
-        fmt=args.format,
-        solve=getattr(args, "solve", False),
-        m=getattr(args, "m", None),
-    )
-    path = args.dioph if config.command == "encode" else args.input
+    path = args.pop("dioph" if args["command"] == "encode" else "input")
+    config = RunConfig(**args)
     try:
         text = _read_input(path)
     except (OSError, UnicodeDecodeError) as err:

@@ -19,6 +19,7 @@ numbering of nodes (Nieuwenhuis & Oliveras, Inf. & Comp. 2007).
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -206,16 +207,17 @@ def falsifying_literals(f: Formula) -> dict[Atom, bool] | None:
     Each asserted literal is checked against those before it: a negated
     equality whose sides are congruent, or a predicate asserted both ways
     on congruent arguments, is a conflict and closes the branch at once.
-    Only then does it branch, on the first remaining goal, left side
-    first; open choice points wait on an explicit stack.  Closing a branch
-    undoes its literals and its merges.
+    Only then does it branch, on the first waiting goal, left side
+    first; open choice points wait on an explicit stack.  The waiting goals
+    are a linked list `(goal, rest)` that both branches share, so a branch
+    copies nothing and walks only its own goal.  Closing a branch undoes
+    its literals and its merges.
     """
     if not is_quantifier_free(f):
         raise ContractError("input must be quantifier-free")
     closure = CongruenceEngine(t for atom in atoms_of(f) for t in _atom_terms(atom))
     find = closure.find
-    lits: dict[Atom, bool] = {}
-    asserted: list[Atom] = []  # the keys of lits, in assertion order
+    lits: dict[Atom, bool] = {}  # in assertion order
     apart: list[tuple[Term, Term]] = []  # the sides of the negated equalities
     held: list[tuple[bool, PredicateSymbol, tuple[Term, ...]]] = []  # predicate literals
 
@@ -232,7 +234,6 @@ def falsifying_literals(f: Formula) -> dict[Atom, bool] | None:
         if seen is not None:
             return seen == value
         lits[atom] = value
-        asserted.append(atom)
         if isinstance(atom, Equality):
             if value:
                 before = closure.mark()
@@ -247,31 +248,25 @@ def falsifying_literals(f: Formula) -> dict[Atom, bool] | None:
 
     def retract(mark: int, count: int) -> None:
         closure.undo(mark)
-        while len(asserted) > count:
-            atom = asserted.pop()
+        while len(lits) > count:
+            atom, value = lits.popitem()
             if isinstance(atom, PredApp):
                 held.pop()
-            elif not lits[atom]:
+            elif not value:
                 apart.pop()
-            del lits[atom]
 
     # Open choice points, innermost last: the trail mark and literal count
-    # before the goals that led there, and the branches not yet taken.
-    choice_points = [(closure.mark(), 0, [[(f, False)]])]
-    while choice_points:
-        mark, count, branches = choice_points[-1]
-        if not branches:
-            choice_points.pop()
-            retract(mark, count)
-            continue
-        stack = branches.pop()[::-1]
-        mark, count = closure.mark(), len(asserted)
+    # where the choice was made, the right branch's goal, and the goals
+    # waiting after it as a linked list (goal, rest) that ends in None.
+    choice_points: list[tuple[int, int, tuple, tuple | None]] = []
+    goal, waiting = (f, False), None
+    while True:
+        stack = [goal]
         choices: list[tuple[Formula, bool]] = []
         while stack:
             g, want = stack.pop()
             if isinstance(g, (Equality, PredApp)):
                 if not assert_literal(g, want):
-                    retract(mark, count)
                     break
             elif isinstance(g, Not):
                 stack.append((g.body, not want))
@@ -284,16 +279,26 @@ def falsifying_literals(f: Formula) -> dict[Atom, bool] | None:
                 stack += ((g.rhs, want), (g.lhs, want))
             else:
                 choices.append((g, want))
-        else:  # no conflict
-            if not choices:
+        else:  # no conflict: this goal's choices wait before the older ones
+            for choice in reversed(choices):
+                waiting = (choice, waiting)
+            if waiting is None:
                 return dict(lits)
-            (g, want), rest = choices[0], choices[1:]
+            (g, want), waiting = waiting
             left = not want if isinstance(g, Implies) else want
-            choice_points.append((mark, count, [[(g.rhs, want)] + rest, [(g.lhs, left)] + rest]))
-    return None
+            choice_points.append((closure.mark(), len(lits), (g.rhs, want), waiting))
+            goal = (g.lhs, left)
+            continue
+        if not choice_points:
+            return None
+        mark, count, goal, waiting = choice_points.pop()
+        retract(mark, count)
 
 
-_VERDICTS: dict[Formula, bool] = {}
+# Verdicts by formula, oldest first; beyond the limit the oldest one goes,
+# in constant time (deleting a plain dict's first key leaves dead slots
+# that every later `next(iter(...))` scans).
+_VERDICTS: OrderedDict[Formula, bool] = OrderedDict()
 _VERDICT_CACHE_LIMIT = 1 << 20
 
 
@@ -303,6 +308,6 @@ def is_quasitautology(f: Formula) -> bool:
     if verdict is None:
         verdict = falsifying_literals(f) is None
         if len(_VERDICTS) >= _VERDICT_CACHE_LIMIT:
-            _VERDICTS.clear()
+            _VERDICTS.popitem(last=False)
         _VERDICTS[f] = verdict
     return verdict

@@ -8,7 +8,8 @@ accepts every term.  A conjunct that constrains a single unknown through a
 chain of ground equality hypotheses narrows its stream to the target's
 congruence class: the states are then the closure classes of the
 hypotheses' subterms, each named by its root term in `qcheck`'s congruence
-engine, and these streams are kept in an LRU cache of `_CLASS_CACHE_SIZE`
+engine.  Every candidate stream, constrained or not, is built by
+`_class_member_buckets` and kept in its one LRU cache of `_CLASS_CACHE_SIZE`
 entries.  Every reported witness is still verified against the whole
 formula.
 """
@@ -201,8 +202,8 @@ def enumerate_terms(sig: Signature, max_size: int) -> Iterator[Term]:
     """
     if max_size < 0:
         raise ContractError("size bound must be >= 0")
-    for by_state in _sized_terms(sig, max_size, _any_term):
-        yield from by_state.get(0, ())
+    for bucket in _class_member_buckets((), None, sig, max_size):
+        yield from bucket
 
 
 # ---------------------------------------------------------------------------
@@ -236,19 +237,21 @@ def _unary_constraint(conjunct: Formula, u: Unknown) -> tuple[tuple[tuple[Term, 
 
 
 # Distinct (equalities, target, sig, max_size) keys kept by
-# _class_member_buckets; the least recently used one is dropped beyond it.
+# _class_member_buckets, for constrained and unconstrained streams alike;
+# the least recently used one is dropped beyond it.
 _CLASS_CACHE_SIZE = 128
 
 
 @lru_cache(maxsize=_CLASS_CACHE_SIZE)
 def _class_member_buckets(
     equalities: tuple[tuple[Term, Term], ...],
-    target: Term,
+    target: Term | None,
     sig: Signature,
     max_size: int,
 ) -> tuple[tuple[Term, ...], ...]:
     """buckets[n] = terms t over sig of size n with `equalities -> target = t`
-    valid, i.e. the members of target's congruence class, smallest first.
+    valid, i.e. the members of target's congruence class, smallest first;
+    a target of None asks for every term, through the one-state automaton.
 
     The classes of the (finite) subterm universe, named by their root
     terms, act as automaton states: an application belongs to a universe
@@ -256,25 +259,28 @@ def _class_member_buckets(
     argument classes does.  The engine closes the leaves under subterms
     itself, and its `parent` table lists that universe.
     """
-    leaves = [target]
-    for lhs, rhs in equalities:
-        leaves.extend((lhs, rhs))
-    closure = qcheck.CongruenceEngine(leaves)
-    for lhs, rhs in equalities:
-        closure.merge(lhs, rhs)
-    find = closure.find
+    if target is None:
+        step, accepting = _any_term, 0
+    else:
+        leaves = [target]
+        for lhs, rhs in equalities:
+            leaves.extend((lhs, rhs))
+        closure = qcheck.CongruenceEngine(leaves)
+        for lhs, rhs in equalities:
+            closure.merge(lhs, rhs)
+        find = closure.find
 
-    transitions: dict[tuple, Term] = {}
-    for t in closure.parent:  # the subterms of the leaves
-        if isinstance(t, Application):
-            transitions[(t.symbol, tuple([find(a) for a in t.args]))] = find(t)
+        transitions: dict[tuple, Term] = {}
+        for t in closure.parent:  # the subterms of the leaves
+            if isinstance(t, Application):
+                transitions[(t.symbol, tuple([find(a) for a in t.args]))] = find(t)
 
-    def step(symbol: FunctionSymbol, states: tuple[Term, ...]) -> Term | None:
-        return transitions.get((symbol, states))
+        def step(symbol: FunctionSymbol, states: tuple[Term, ...]) -> Term | None:
+            return transitions.get((symbol, states))
 
+        accepting = find(target)
     sized = _sized_terms(sig, max_size, step)
-    target_root = find(target)
-    return tuple(tuple(by_state.get(target_root, ())) for by_state in sized)
+    return tuple(tuple(by_state.get(accepting, ())) for by_state in sized)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +293,7 @@ def _candidate_buckets(
     unknowns: tuple[Unknown, ...],
     sig: Signature,
     max_size: int,
-) -> tuple[list[Sequence[Sequence[Term]]], set[int]] | None:
+) -> tuple[list[tuple[tuple[Term, ...], ...]], set[int]] | None:
     """Per-unknown size buckets, narrowed by matching unary constraints.
 
     `used_by[i]` lists the unknowns of `conjuncts[i]`.  Returns the buckets
@@ -299,8 +305,7 @@ def _candidate_buckets(
         if not used and not free_variables(c):
             if not qcheck.is_quasitautology(c):
                 return None
-    default: list[Sequence[Term]] | None = None
-    per_unknown: list[Sequence[Sequence[Term]]] = []
+    per_unknown: list[tuple[tuple[Term, ...], ...]] = []
     consumed: set[int] = set()
     for u in unknowns:
         constraint = None
@@ -310,14 +315,8 @@ def _candidate_buckets(
                 if constraint is not None:
                     consumed.add(idx)
                     break
-        if constraint is not None:
-            eqs, target = constraint
-            buckets = _class_member_buckets(eqs, target, sig, max_size)
-        else:
-            if default is None:
-                default = [b.get(0, ()) for b in _sized_terms(sig, max_size, _any_term)]
-            buckets = default
-        per_unknown.append(buckets)
+        eqs, target = constraint or ((), None)
+        per_unknown.append(_class_member_buckets(eqs, target, sig, max_size))
     return per_unknown, consumed
 
 
@@ -349,14 +348,12 @@ def iter_formula_solutions(
     per_unknown, consumed = narrowed
 
     position = {u: i for i, u in enumerate(unknowns)}
-    checks_at_depth: list[list[tuple[Formula, tuple[Unknown, ...]]]] = [
-        [] for _ in unknowns
-    ]
+    checks_at_depth: list[list[Formula]] = [[] for _ in unknowns]
     for idx, (c, used) in enumerate(zip(conjuncts, used_by)):
         if idx in consumed:
             continue
         if used and all(u in position for u in used):
-            checks_at_depth[max(position[u] for u in used)].append((c, tuple(used)))
+            checks_at_depth[max(position[u] for u in used)].append(c)
 
     min_size: list[int] = []
     max_of: list[int] = []
@@ -373,16 +370,11 @@ def iter_formula_solutions(
         suffix_max[i] = suffix_max[i + 1] + max_of[i]
 
     assignment: dict[Unknown, Term] = {}
-    check_memo: dict[tuple, bool] = {}
 
     def prune_fails(depth: int) -> bool:
-        for index, (c, used) in enumerate(checks_at_depth[depth]):
-            key = (depth, index, tuple(assignment[u] for u in used))
-            verdict = check_memo.get(key)
-            if verdict is None:
-                verdict = qcheck.is_quasitautology(substitute(c, Substitution(assignment)))
-                check_memo[key] = verdict
-            if not verdict:
+        """A conjunct whose last unknown is this one fails."""
+        for c in checks_at_depth[depth]:
+            if not qcheck.is_quasitautology(substitute(c, Substitution(assignment))):
                 return True
         return False
 

@@ -1,11 +1,11 @@
 """Rigid equality constraint problems and the clause conversion pipeline.
 
 A quantifier-free formula is turned into a finite class of problems, each a
-conjunction of constraints ``e1 & ... & em -> lhs = rhs``, such that a
-substitution for the unknowns solves the formula exactly when it solves at
-least one problem of the class.  The three steps: conversion to a
-conjunction of clauses, splitting of multi-consequent clauses, and
-elimination of predicate symbols.
+conjunction of rigid Horn clauses ``e1 & ... & em -> lhs = rhs`` (every atom
+an equality), such that a substitution for the unknowns solves the formula
+exactly when it solves at least one problem of the class.  The three steps:
+conversion to a conjunction of clauses, splitting of multi-consequent
+clauses, and elimination of predicate symbols.
 """
 
 from __future__ import annotations
@@ -68,19 +68,8 @@ ClauseConjunction = tuple[Clause, ...]
 
 
 @dataclass(frozen=True)
-class RigidConstraint:
-    hypotheses: tuple[Equality, ...]
-    conclusion: Equality
-
-    def formula(self) -> Formula:
-        if self.hypotheses:
-            return Implies(conj(self.hypotheses), self.conclusion)
-        return self.conclusion
-
-
-@dataclass(frozen=True)
 class SREUProblem:
-    constraints: tuple[RigidConstraint, ...]
+    constraints: tuple[Clause, ...]  # rigid Horn clauses
 
     def unknowns(self) -> tuple[Unknown, ...]:
         return tuple(unknowns_of(self.formula()))
@@ -260,28 +249,13 @@ def eliminate_predicates(gamma: Sequence[Sequence[Clause]]) -> list[SREUProblem]
             for replacement in replacements:
                 assert _multiset_lt(_pred_counts(replacement), before), "measure must drop"
             todo += reversed(replacements)
-    problems = []
-    for clauses in _dedupe(results):
-        if not clauses:
-            # every clause was eliminated as valid: anything solves this
-            problems.append(SREUProblem((_trivial_constraint(),)))
-            continue
-        problems.append(
-            SREUProblem(
-                tuple(
-                    RigidConstraint(
-                        tuple(c.antecedent), c.consequent[0]  # type: ignore[arg-type]
-                    )
-                    for c in clauses
-                )
-            )
-        )
-    return problems
+    # a conjunction with every clause eliminated as valid: anything solves it
+    return [SREUProblem(clauses or (_trivial_constraint(),)) for clauses in _dedupe(results)]
 
 
-def _trivial_constraint() -> RigidConstraint:
+def _trivial_constraint() -> Clause:
     c = const(FunctionSymbol("c#0", 0))
-    return RigidConstraint((), Equality(c, c))
+    return Clause((), (Equality(c, c),))
 
 
 def convert_to_sreu(f: Formula) -> list[SREUProblem]:
@@ -303,7 +277,7 @@ def solve_sreu_bounded(
     if sig is None:
         sig = signature_of(formula)
     for solution in _skeleton.iter_formula_solutions(
-        formula, problem.unknowns(), sig, max_size
+        formula, unknowns_of(formula), sig, max_size
     ):
         return solution
     return None

@@ -17,7 +17,7 @@ from helpers import (
     random_ground_term,
     valid_by_model_enumeration,
 )
-from hsk import models
+from hsk import models, qcheck
 from hsk.qcheck import (
     CongruenceEngine,
     ContractError,
@@ -401,6 +401,32 @@ def _valid_within(monkeypatch, f, bound):
     return verdict
 
 
+def _isinstance_calls(monkeypatch, f):
+    """The isinstance calls qcheck makes while searching f."""
+    calls = [0]
+
+    def counted(obj, cls):
+        calls[0] += 1
+        return isinstance(obj, cls)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(qcheck, "isinstance", counted, raising=False)
+        falsifying_literals(f)
+    return calls[0]
+
+
+def test_disjunctive_hypotheses_take_linear_work(monkeypatch):
+    # the waiting goals are shared by both branches, not copied and walked
+    # again at every node, so twice the hypotheses take about twice the work
+    def hypotheses(n):
+        hyps = " & ".join(f"(a{i} = b{i} | c{i} = d{i})" for i in range(n))
+        return parse_formula(f"{hyps} -> e = f")
+
+    small = _isinstance_calls(monkeypatch, hypotheses(200))
+    large = _isinstance_calls(monkeypatch, hypotheses(400))
+    assert large / small < 3
+
+
 def test_odd_cycles_take_quadratically_many_merges(monkeypatch):
     for n in range(5, 32, 2):
         assert _valid_within(monkeypatch, cycle_formula(n), n * n)
@@ -413,3 +439,16 @@ PIGEONHOLE_MERGES = {1: 2, 2: 10, 3: 48, 4: 260, 5: 1630, 6: 11742}
 def test_pigeonhole_merge_counts(monkeypatch):
     for h, bound in PIGEONHOLE_MERGES.items():
         assert _valid_within(monkeypatch, pigeonhole_formula(h + 1, h), bound)
+
+
+# ---------------------------------------------------------------------------
+# The verdict cache
+
+
+def test_verdict_cache_drops_the_oldest_entry(monkeypatch):
+    monkeypatch.setattr(qcheck, "_VERDICT_CACHE_LIMIT", 4)
+    monkeypatch.setattr(qcheck, "_VERDICTS", type(qcheck._VERDICTS)())
+    formulas = [parse_formula(f"a{i} = b{i}") for i in range(6)]
+    for f in formulas:
+        assert not is_quasitautology(f)
+    assert list(qcheck._VERDICTS) == formulas[2:]

@@ -394,7 +394,11 @@ def test_enumerator_matches_reference_enumerators():
         sig = _random_signature(rng, 1)
         bound = rng.randint(0, 5)
         got = [b.get(0, []) for b in skeleton._sized_terms(sig, bound, skeleton._any_term)]
-        assert got == reference_skeleton._terms_by_size(sig, bound), (sig, bound)
+        want = reference_skeleton._terms_by_size(sig, bound)
+        assert got == want, (sig, bound)
+        # the cached stream of an unconstrained unknown is the same enumeration
+        unconstrained = skeleton._class_member_buckets.__wrapped__((), None, sig, bound)
+        assert unconstrained == tuple(tuple(b) for b in want), (sig, bound)
     shared_buckets = 0
     for _ in range(1500):
         sig = _random_signature(rng, 4)

@@ -2,11 +2,10 @@ import itertools
 
 import pytest
 
-from hsk import qcheck
+from hsk import qcheck, skeleton
 from hsk.sreu import (
     Clause,
     ContractError,
-    RigidConstraint,
     SREUProblem,
     convert_to_sreu,
     eliminate_predicates,
@@ -149,26 +148,26 @@ def test_distinct_predicate_hypothesis_removed():
     clause = Clause((PredApp(q, (B,)), pa(B)), (pa(A),))
     out = eliminate_predicates([[clause]])
     # q(b) removed, then the matching p-pair resolves to one identity
-    assert out == [SREUProblem((RigidConstraint((), Equality(B, A)),))]
+    assert out == [SREUProblem((Clause((), (Equality(B, A),)),))]
 
 
 def test_identity_consequent_with_predicate_hypothesis():
     clause = Clause((pa(A), Equality(STAR, B)), (Equality(A, C),))
     out = eliminate_predicates([[clause]])
-    assert out == [SREUProblem((RigidConstraint((Equality(STAR, B),), Equality(A, C)),))]
+    assert out == [SREUProblem((Clause((Equality(STAR, B),), (Equality(A, C),)),))]
 
 
 def test_same_predicate_split_orientation():
     # hypothesis atom argument appears on the left of the produced identity
     clause = Clause((pa(B),), (pa(A),))
     out = eliminate_predicates([[clause]])
-    assert out == [SREUProblem((RigidConstraint((), Equality(B, A)),))]
+    assert out == [SREUProblem((Clause((), (Equality(B, A),)),))]
 
 
 def test_rigid_input_unchanged():
     clause = Clause((Equality(A, B),), (Equality(B, C),))
     out = eliminate_predicates([[clause]])
-    assert out == [SREUProblem((RigidConstraint((Equality(A, B),), Equality(B, C)),))]
+    assert out == [SREUProblem((Clause((Equality(A, B),), (Equality(B, C),)),))]
 
 
 def test_non_horn_input_rejected():
@@ -209,13 +208,36 @@ def test_pipeline_solvability_of_the_four_problems():
 def test_rigid_constraint_input_passes_through():
     problems = convert_to_sreu(parse_formula("a = b -> *1 = c"))
     assert problems == [
-        SREUProblem((RigidConstraint((Equality(A, B),), Equality(STAR, C)),))
+        SREUProblem((Clause((Equality(A, B),), (Equality(STAR, C),)),))
     ]
 
 
 def test_generalized_deletion_example():
     problems = convert_to_sreu(parse_formula("p(a) -> *1 = b"))
-    assert problems == [SREUProblem((RigidConstraint((), Equality(STAR, B)),))]
+    assert problems == [SREUProblem((Clause((), (Equality(STAR, B),)),))]
+
+
+def test_repeated_solves_share_the_unconstrained_buckets(monkeypatch):
+    # every unknown of these problems is unconstrained, so each solve reads
+    # one stream for one (signature, bound) key: it is built once
+    problems = convert_to_sreu(parse_formula(SKELETON_39))
+    sig = signature_of(parse_formula(SKELETON_39))
+    built = []
+    sized_terms = skeleton._sized_terms
+
+    def counted(*args):
+        built.append(args[:2])
+        return sized_terms(*args)
+
+    monkeypatch.setattr(skeleton, "_sized_terms", counted)
+    skeleton._class_member_buckets.cache_clear()
+    try:
+        for _ in range(3):
+            for problem in problems:
+                solve_sreu_bounded(problem, sig, max_size=3)
+    finally:
+        skeleton._class_member_buckets.cache_clear()
+    assert built == [(sig, 3)]
 
 
 def test_solve_trivial_constraint():
