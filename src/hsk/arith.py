@@ -1,12 +1,13 @@
 """Quantifier-free simulation of arithmetic over the pairing language.
 
 Diophantine systems (conjunctions of ``a + b = c`` and ``a * b = c`` atoms)
-are associated with conjunctions of small implication shapes over the
-special constants, one table variable per additive atom and two per
-multiplicative atom.  Renamed variants over the indexed languages, the
-n-fold variant conjunction, and the numeral-parameterised reduction to
-existential formulas are provided, together with the conjunct classifier
-feeding the countermodel construction.
+are associated with conjunctions of eight primitive implication shapes over
+the special constants, one table variable per additive atom and two per
+multiplicative atom.  Each shape is defined once, by its builder: a block's
+formula conjoins its primitives, and the recognizer feeding the
+countermodel construction matches conjuncts against the builders' formulas.
+Renamed variants over the indexed languages, the n-fold variant conjunction
+and the numeral-parameterised reduction share one existential closure.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .syntax import (
     const,
     flatten_and,
     is_solution_eligible,
-    nodes,
     numeral,
     numeral_of,
     pair,
@@ -97,8 +97,9 @@ def plus(a: Term, b: Term, c: Term, lang: int = 0) -> Formula:
     return Implies(Equality(zero_tilde(lang), a), Equality(c, b))
 
 
-def add(a: Term, b: Term, c: Term, w: Term, lang: int = 0) -> Formula:
-    return conj([num_tilde(w, lang), sim(b, w, lang), plus(a, w, c, lang)])
+def add(a: Term, b: Term, c: Term, w: Variable, lang: int = 0) -> Formula:
+    """Num~(w) & Sim(b, w) & Plus(a, w, c)"""
+    return AddBlock(a, b, c, w).formula(lang)
 
 
 def tab(t: Term, lang: int = 0) -> Formula:
@@ -141,7 +142,7 @@ def tim(x: Term, y: Term, z_arg: Term, w: Term, wt: Term, lang: int = 0) -> Form
     return Implies(hyp, Equality(wt, pair(pair(y, z_arg), w)))
 
 
-def mul(x: Term, y: Term, z_arg: Term, w: Term, wt: Term, lang: int = 0,
+def mul(x: Term, y: Term, z_arg: Term, w: Variable, wt: Variable, lang: int = 0,
         literal_sim: bool = False) -> Formula:
     """Tab(w) & Tab~(wt) & Sim~(w, wt) & Tim(x, y, z, w, wt).
 
@@ -149,9 +150,7 @@ def mul(x: Term, y: Term, z_arg: Term, w: Term, wt: Term, lang: int = 0,
     similarity, for comparison experiments; with it the multiplication
     characterisation breaks down (no table pair ever satisfies it).
     """
-    similarity = sim(w, wt, lang) if literal_sim else sim_tilde(w, wt, lang)
-    return conj([tab(w, lang), tab_tilde(wt, lang), similarity,
-                 tim(x, y, z_arg, w, wt, lang)])
+    return MulBlock(x, y, z_arg, w, wt, literal_sim).formula(lang)
 
 
 # ---------------------------------------------------------------------------
@@ -332,26 +331,17 @@ class PrimKind(Enum):
     TIM = "tim"
 
 
-_PRIM_BUILDERS: dict[PrimKind, Callable[..., Formula]] = {
-    PrimKind.NUM: num,
-    PrimKind.NUM_TILDE: num_tilde,
-    PrimKind.SIM: sim,
-    PrimKind.PLUS: plus,
-    PrimKind.TAB: tab,
-    PrimKind.TAB_TILDE: tab_tilde,
-    PrimKind.SIM_TILDE: sim_tilde,
-    PrimKind.TIM: tim,
-}
-
-_CASE_OF_KIND: dict[PrimKind, FailureCase] = {
-    PrimKind.NUM: FailureCase.NUM_OR_TAB,
-    PrimKind.TAB: FailureCase.NUM_OR_TAB,
-    PrimKind.NUM_TILDE: FailureCase.TILDE_NUM_OR_TAB,
-    PrimKind.TAB_TILDE: FailureCase.TILDE_NUM_OR_TAB,
-    PrimKind.SIM: FailureCase.SIM_OR_SIM_TILDE,
-    PrimKind.SIM_TILDE: FailureCase.SIM_OR_SIM_TILDE,
-    PrimKind.PLUS: FailureCase.PLUS_OR_TIM,
-    PrimKind.TIM: FailureCase.PLUS_OR_TIM,
+# Each kind's builder, its number of argument slots and its failure case,
+# in PrimKind order.
+_KINDS: dict[PrimKind, tuple[Callable[..., Formula], int, FailureCase]] = {
+    PrimKind.NUM: (num, 1, FailureCase.NUM_OR_TAB),
+    PrimKind.NUM_TILDE: (num_tilde, 1, FailureCase.TILDE_NUM_OR_TAB),
+    PrimKind.SIM: (sim, 2, FailureCase.SIM_OR_SIM_TILDE),
+    PrimKind.PLUS: (plus, 3, FailureCase.PLUS_OR_TIM),
+    PrimKind.TAB: (tab, 1, FailureCase.NUM_OR_TAB),
+    PrimKind.TAB_TILDE: (tab_tilde, 1, FailureCase.TILDE_NUM_OR_TAB),
+    PrimKind.SIM_TILDE: (sim_tilde, 2, FailureCase.SIM_OR_SIM_TILDE),
+    PrimKind.TIM: (tim, 5, FailureCase.PLUS_OR_TIM),
 }
 
 
@@ -364,22 +354,26 @@ class Primitive:
     lang: int
 
     def formula(self) -> Formula:
-        return _PRIM_BUILDERS[self.kind](*self.args, lang=self.lang)
+        builder, _, _ = _KINDS[self.kind]
+        return builder(*self.args, lang=self.lang)
+
+
+class _Block:
+    def formula(self, lang: int) -> Formula:
+        """The conjunction of the block's primitives."""
+        return conj(p.formula() for p in self.primitives(lang))
 
 
 @dataclass(frozen=True)
-class NumBlock:
+class NumBlock(_Block):
     term: Term
 
     def primitives(self, lang: int) -> tuple[Primitive, ...]:
         return (Primitive(PrimKind.NUM, (self.term,), lang),)
 
-    def formula(self, lang: int) -> Formula:
-        return num(self.term, lang)
-
 
 @dataclass(frozen=True)
-class AddBlock:
+class AddBlock(_Block):
     a: Term
     b: Term
     c: Term
@@ -392,12 +386,9 @@ class AddBlock:
             Primitive(PrimKind.PLUS, (self.a, self.w, self.c), lang),
         )
 
-    def formula(self, lang: int) -> Formula:
-        return add(self.a, self.b, self.c, self.w, lang)
-
 
 @dataclass(frozen=True)
-class MulBlock:
+class MulBlock(_Block):
     a: Term
     b: Term
     c: Term
@@ -413,10 +404,6 @@ class MulBlock:
             Primitive(similarity, (self.w1, self.w2), lang),
             Primitive(PrimKind.TIM, (self.a, self.b, self.c, self.w1, self.w2), lang),
         )
-
-    def formula(self, lang: int) -> Formula:
-        return mul(self.a, self.b, self.c, self.w1, self.w2, lang,
-                   literal_sim=self.literal_sim)
 
 
 Block = NumBlock | AddBlock | MulBlock
@@ -589,8 +576,23 @@ def assign_n(phi: PCArithFormula, n: int) -> AssignedFormula:
     return AssignedFormula(tuple(make_variant(phi, i) for i in range(1, n + 1)))
 
 
-def _variant_bound_vars(phi: PCArithFormula) -> list[Variable]:
-    return [*phi.numeric_vars(), *phi.table_vars()]
+def _variants(psi: DiophantineFormula, n: int) -> tuple[PCArithFormula, ...]:
+    """The associated conjunction when n = 1, else its variants 1..n."""
+    phi = associate(psi)
+    return (phi,) if n == 1 else assign_n(phi, n).variants
+
+
+def _closed(variants: tuple[PCArithFormula, ...]) -> ExistentialFormula:
+    """The conjunction of the variants, closed over each variant's numeric
+    variables and then its table variables."""
+    bound = [v for phi in variants for v in (*phi.numeric_vars(), *phi.table_vars())]
+    return ExistentialFormula(tuple(bound), conj(phi.formula() for phi in variants))
+
+
+def encoding(psi: DiophantineFormula, n: int = 1) -> ExistentialFormula:
+    """The closed associated conjunction when n = 1, else the closed
+    conjunction of its variants 1..n."""
+    return _closed(_variants(psi, n))
 
 
 def reduction_f(
@@ -600,19 +602,9 @@ def reduction_f(
     variant and close the remaining variables existentially."""
     if x not in psi.variables():
         raise ContractError(f"{x} is not free in the system")
-    if n == 1:
-        phi = instantiate_numeral(associate(psi), x, m)
-        return ExistentialFormula(tuple(_variant_bound_vars(phi)), phi.formula())
-    assigned = assign_n(associate(psi), n)
-    instantiated = []
-    bound: list[Variable] = []
-    for i, variant in enumerate(assigned.variants, start=1):
-        xi = Variable(f"{x.name}@{i}")
-        vi = instantiate_numeral(variant, xi, m)
-        instantiated.append(vi)
-        bound.extend(_variant_bound_vars(vi))
-    matrix = conj(v.formula() for v in instantiated)
-    return ExistentialFormula(tuple(bound), matrix)
+    at = psi.variables().index(x)  # every variant keeps the system's variable order
+    return _closed(tuple(instantiate_numeral(phi, phi.numeric_vars()[at], m)
+                         for phi in _variants(psi, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +634,7 @@ def classify_failures(
         raise ContractError("instance is valid; nothing to diagnose")
     for case in _CASE_ORDER:
         for p in failing:
-            if _CASE_OF_KIND[p.kind] is not case:
+            if _KINDS[p.kind][2] is not case:
                 continue
             if case is not FailureCase.PLUS_OR_TIM:
                 return Diagnosis(case)
@@ -659,76 +651,68 @@ def classify_failures(
 # Recognising instances from plain formulas
 
 
-def _candidate_languages(f: Formula) -> list[int]:
-    """Language indices of the special constants occurring in f."""
-    indices: list[int] = []
-    for t in nodes(f):
-        if isinstance(t, Application) and t.symbol.special is not None:
-            index = t.symbol.special.language_index
-            if index not in indices:
-                indices.append(index)
-    return indices
+# The argument slots of the templates; no parsed variable has such a name.
+_SLOTS = tuple(Variable(f"#{i}") for i in range(5))
+
+# Each kind's builder output in language 0 over the slots, in PrimKind
+# order: its hypotheses, flattened, followed by its conclusion.
+_TEMPLATES: tuple[tuple[Formula, ...], ...] = tuple(
+    (*flatten_and(f.lhs), f.rhs)
+    for f in (builder(*_SLOTS[:count]) for builder, count, _ in _KINDS.values())
+)
+
+
+def _match(template: tuple[Formula, ...],
+           parts: tuple[Formula, ...]) -> tuple[dict[Variable, Term], int] | None:
+    """The slot bindings and the language under which parts is template.
+
+    A slot binds whatever it meets.  Any other template node must meet a
+    node of its class with the same symbol, except that a special constant
+    meets any special constant with the same base; all of those must share
+    one language index, which is the language returned.
+    """
+    if len(template) != len(parts):
+        return None
+    bound: dict[Variable, Term] = {}
+    lang = None
+    stack = list(zip(reversed(template), reversed(parts)))  # the first hypothesis pops first
+    while stack:
+        t, g = stack.pop()
+        if type(t) is Variable:
+            bound[t] = g
+        elif type(g) is not type(t):
+            return None
+        elif type(t) is Equality:
+            stack += ((t.rhs, g.rhs), (t.lhs, g.lhs))
+        elif t.symbol.special is None:
+            if g.symbol != t.symbol:
+                return None
+            stack += zip(reversed(t.args), reversed(g.args))
+        else:
+            tag = g.symbol.special
+            if tag is None or tag.base is not t.symbol.special.base \
+                    or lang not in (None, tag.language_index):
+                return None
+            lang = tag.language_index
+    return bound, lang
 
 
 def recognize_conjunct(f: Formula) -> Primitive | None:
-    """Match one implication against the eight primitive shapes.
+    """The first primitive, in PrimKind order, whose builder gives f.
 
-    The language is determined by the hypothesis pattern's fixed constants;
+    f is matched against each builder's own formula with its argument slots
+    left open (`_TEMPLATES`); its hypotheses are compared as one flattened
+    conjunction.  The language is that of the template's fixed constants;
     argument slots may mention constants of other languages.
     """
-    for lang in _candidate_languages(f):
-        p = _recognize_in_language(f, lang)
-        if p is not None:
-            return p
-    return None
-
-
-def _recognize_in_language(f: Formula, lang: int) -> Primitive | None:
-    if not isinstance(f, Implies) or not isinstance(f.rhs, Equality):
+    if not isinstance(f, Implies):
         return None
-    hyp = flatten_and(f.lhs)
-    if not all(isinstance(h, Equality) for h in hyp):
-        return None
-    concl: Equality = f.rhs
-    z, zh, zt = zero(lang), zero_hat(lang), zero_tilde(lang)
-    kk, kt = k_plain(lang), k_tilde(lang)
-    if len(hyp) == 1:
-        h = hyp[0]
-        if h == Equality(z, succ(z)) and concl.lhs == z:
-            return Primitive(PrimKind.NUM, (concl.rhs,), lang)
-        if h == Equality(zt, succ(zt)) and concl.lhs == zt:
-            return Primitive(PrimKind.NUM_TILDE, (concl.rhs,), lang)
-        if h == Equality(z, zt):
-            return Primitive(PrimKind.SIM, (concl.lhs, concl.rhs), lang)
-        if h.lhs == zt:
-            return Primitive(PrimKind.PLUS, (h.rhs, concl.rhs, concl.lhs), lang)
-        return None
-    if len(hyp) == 2:
-        if hyp[0] == Equality(z, succ(z)) and hyp[1] == Equality(
-            kk, pair(pair(z, z), kk)
-        ) and concl.lhs == kk:
-            return Primitive(PrimKind.TAB, (concl.rhs,), lang)
-        return None
-    if len(hyp) == 3:
-        if (hyp[0] == Equality(zh, succ(zh)) and hyp[1] == Equality(zt, succ(zt))
-                and hyp[2] == Equality(kt, pair(pair(zh, zt), kt)) and concl.lhs == kt):
-            return Primitive(PrimKind.TAB_TILDE, (concl.rhs,), lang)
-        if (hyp[0] == Equality(z, zh) and hyp[1] == Equality(z, zt)
-                and hyp[2] == Equality(kk, kt)):
-            return Primitive(PrimKind.SIM_TILDE, (concl.lhs, concl.rhs), lang)
-        if (hyp[0].lhs == zh and hyp[0].rhs == succ(z) and hyp[1].lhs == zt
-                and hyp[2] == Equality(kt, pair(pair(z, z), kk))
-                and isinstance(concl.rhs, Application)
-                and concl.rhs.symbol.name == "pair"):
-            outer = concl.rhs
-            row = outer.args[0]
-            if isinstance(row, Application) and row.symbol.name == "pair":
-                x = hyp[1].rhs
-                y, z_arg = row.args
-                return Primitive(
-                    PrimKind.TIM, (x, y, z_arg, outer.args[1], concl.lhs), lang
-                )
-        return None
+    parts = (*flatten_and(f.lhs), f.rhs)
+    for (kind, (_, count, _)), template in zip(_KINDS.items(), _TEMPLATES):
+        found = _match(template, parts)
+        if found is not None:
+            bound, lang = found
+            return Primitive(kind, tuple(bound[v] for v in _SLOTS[:count]), lang)
     return None
 
 

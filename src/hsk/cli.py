@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from . import arith, models, qcheck, skeleton, sreu, textform
 from .models import AlphaAssignment, pairing_j, unpair
 from .syntax import (ContractError, FunctionSymbol, Substitution, Term, Unknown, canonical_key,
-                     flatten_and)
+                     flatten_and, flatten_or)
 from .textform import ParseError, parse_formula, print_formula, print_term
 
 
@@ -173,16 +173,7 @@ def _cmd_encode(config: RunConfig, text: str) -> tuple[int, list[str]]:
             raise _UsageError("-m needs a free variable to instantiate")
         psi = arith.reduction_f(system, variables[0], config.m, config.n)
     else:
-        phi = arith.associate(system)
-        if config.n == 1:
-            matrix = phi.formula()
-            bound = [*phi.numeric_vars(), *phi.table_vars()]
-        else:
-            assigned = arith.assign_n(phi, config.n)
-            matrix = assigned.formula()
-            bound = [v for variant in assigned.variants
-                     for v in (*variant.numeric_vars(), *variant.table_vars())]
-        psi = skeleton.ExistentialFormula(tuple(bound), matrix)
+        psi = arith.encoding(system, config.n)
     rendered = print_formula(skeleton.close_existentially(psi))
     if config.fmt == "records":
         return 0, [_record(verdict="ok", witness=rendered)]
@@ -206,8 +197,6 @@ def _cmd_eval(config: RunConfig, text: str) -> tuple[int, list[str]]:
 
 
 def _cmd_countermodel(config: RunConfig, text: str) -> tuple[int, list[str]]:
-    from .syntax import flatten_or
-
     formula = parse_formula(_strip_comments(text))
     disjuncts = flatten_or(formula)
     failures: list[tuple[int, models.Diagnosis]] = []

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 import hsk.arith as arith_module
-from hsk import qcheck, skeleton
+import reference_arith
+from hsk import qcheck, skeleton, syntax
 from hsk.arith import (
     AddBlock,
     ContractError,
@@ -12,6 +15,7 @@ from hsk.arith import (
     MulBlock,
     NumBlock,
     PCArithFormula,
+    PrimKind,
     Semitable,
     add,
     associate,
@@ -30,6 +34,7 @@ from hsk.arith import (
     parse_diophantine,
     parse_semitable,
     plus,
+    recognize_conjunct,
     recognize_instance,
     reduction_f,
     sim,
@@ -43,11 +48,24 @@ from hsk.arith import (
 )
 from hsk.models import construct_alpha, holds, m_alpha
 from hsk.syntax import (
+    And,
+    Application,
+    Equality,
+    Implies,
+    Not,
+    Or,
+    SpecialBase,
     Substitution,
     Variable,
+    conj,
+    const,
+    flatten_and,
     numeral,
+    rebuild,
+    special_constant,
     substitute,
 )
+from hsk.syntax import pair as mk_pair
 from hsk.textform import parse_formula, parse_term, print_formula
 
 X1 = Variable("x1")
@@ -443,6 +461,120 @@ def test_recognize_allows_cross_language_argument_slots():
     inst = recognize_instance(parse_formula("z_1 = s(z_1) -> z_1 = z_2"))
     assert inst.language_index == 1
     assert inst.primitives[0].kind.value == "num"
+
+
+# Each primitive builder with its number of argument slots.
+_BUILDERS = ((num, 1), (num_tilde, 1), (sim, 2), (plus, 3), (tab, 1), (tab_tilde, 1),
+             (sim_tilde, 2), (tim, 5))
+
+
+def _slot_term(rng, lang):
+    """A random argument term over the special constants of `lang` and of
+    the other languages 0-3: numerals, table rows, variables, plain terms."""
+    at = lang if rng.random() < 0.6 else rng.randrange(4)
+    base = const(special_constant(rng.choice(list(SpecialBase)), at))
+    shape = rng.randrange(6)
+    if shape == 0:
+        return numeral(rng.randrange(4), base)
+    if shape == 1:
+        return mk_pair(mk_pair(numeral(rng.randrange(3), base), zero(at)), k_plain(at))
+    if shape == 2:
+        return Variable(rng.choice(("x1", "w1", "x2@1")))
+    if shape == 3:
+        return parse_term(rng.choice(("a", "f(a)", "pair(a, b)", "s(a)")))
+    if shape == 4:
+        return mk_pair(base, numeral(rng.randrange(2), zero(at)))
+    return base
+
+
+def _moved(t, lang):
+    """t with every special constant moved to language `lang`."""
+    def replace(n):
+        special = n.symbol.special if isinstance(n, Application) else None
+        return None if special is None else const(special_constant(special.base, lang))
+    return rebuild(t, replace)
+
+
+def _mutant(f, rng, lang):
+    """f itself or one mutation of it."""
+    hyps, concl = flatten_and(f.lhs), f.rhs
+    i = rng.randrange(len(hyps))
+    h = hyps[i]
+    choice = rng.randrange(12)
+    if choice == 0 and len(hyps) > 1:  # right-associated hypotheses
+        right = hyps[-1]
+        for g in reversed(hyps[:-1]):
+            right = And(g, right)
+        return Implies(right, concl)
+    if choice == 1:  # one hypothesis with its sides swapped
+        return Implies(conj(hyps[:i] + [Equality(h.rhs, h.lhs)] + hyps[i + 1:]), concl)
+    if choice == 2:  # one side of one hypothesis replaced
+        side = _slot_term(rng, lang)
+        g = Equality(side, h.rhs) if rng.random() < 0.5 else Equality(h.lhs, side)
+        return Implies(conj(hyps[:i] + [g] + hyps[i + 1:]), concl)
+    if choice == 3:  # one side of one hypothesis moved to another language
+        other = rng.randrange(4)
+        g = Equality(_moved(h.lhs, other), h.rhs) if rng.random() < 0.5 \
+            else Equality(h.lhs, _moved(h.rhs, other))
+        return Implies(conj(hyps[:i] + [g] + hyps[i + 1:]), concl)
+    if choice == 4:  # one hypothesis that is no equation
+        g = parse_formula(rng.choice(("p(a)", "!(a = b)", "a = b | c = d")))
+        return Implies(conj(hyps[:i] + [g] + hyps[i + 1:]), concl)
+    if choice == 5:  # the conclusion's sides swapped
+        return Implies(f.lhs, Equality(concl.rhs, concl.lhs))
+    if choice == 6:  # a hypothesis dropped or repeated
+        kept = hyps[:i] + hyps[i + 1:] if len(hyps) > 1 and rng.random() < 0.5 \
+            else hyps + [h]
+        return Implies(conj(kept), concl)
+    if choice == 7:  # the conclusion moved to another language
+        return Implies(f.lhs, Equality(_moved(concl.lhs, rng.randrange(4)), concl.rhs))
+    if choice == 8:  # a bare conclusion, or no implication
+        return rng.choice((concl, And(f.lhs, concl), Or(f.lhs, concl), Not(f)))
+    return f
+
+
+def test_recognizer_matches_the_reference_recognizer():
+    rng = random.Random(20190811)
+    pool = [[_slot_term(rng, lang) for _ in range(200)] for lang in range(4)]
+    kinds = {}
+    for _ in range(20000):
+        lang = rng.randrange(4)
+        (builder, count), (other, other_count) = rng.choice(_BUILDERS), rng.choice(_BUILDERS)
+        f = builder(*rng.sample(pool[lang], count), lang=lang)
+        if rng.random() < 0.1:  # the hypotheses of one shape, the conclusion of another
+            f = Implies(f.lhs, other(*rng.sample(pool[lang], other_count), lang=lang).rhs)
+        f = _mutant(f, rng, lang)
+        got = recognize_conjunct(f)
+        assert got == reference_arith.recognize_conjunct(f), print_formula(f)
+        key = None if got is None else got.kind
+        kinds[key] = kinds.get(key, 0) + 1
+    assert len(kinds) == 9 and kinds[None] >= 2000  # every kind, and many non-matches
+
+
+def test_recognition_builds_no_node(monkeypatch):
+    phi = associate(parse_diophantine("x1 + 1 = 0\nx1 * x1 = 2"))
+    values = {
+        Variable("x1@2"): numeral(1, zero(2)),
+        Variable("w1@2"): numeral(1, zero_tilde(2)),
+        Variable("w2@2"): mp_semitable(1, 1).instantiate(zero(2), zero(2), k_plain(2)),
+        Variable("w3@2"): mp_semitable(1, 1).instantiate(zero_hat(2), zero_tilde(2),
+                                                         k_tilde(2)),
+    }
+    inst = instantiate(make_variant(phi, 2), values)
+    formula = inst.formula()
+    built = []
+    new = syntax.Node.__new__
+
+    def counted(cls, *fields):
+        built.append(cls)
+        return new(cls, *fields)
+
+    monkeypatch.setattr(syntax.Node, "__new__", staticmethod(counted))
+    recognized = recognize_instance(formula)
+    monkeypatch.undo()
+    assert recognized == inst
+    assert {p.kind for p in recognized.primitives} >= {PrimKind.PLUS, PrimKind.TIM}
+    assert built == []
 
 
 # ---------------------------------------------------------------------------

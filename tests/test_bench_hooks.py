@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from hsk import cli, qcheck, skeleton
+from hsk import arith, cli, qcheck, skeleton
 from hsk.syntax import Application, FunctionSymbol, Signature
 from hsk.textform import parse_formula
 
@@ -41,7 +41,8 @@ def _hooked():
     return (qcheck.is_quasitautology, qcheck.falsifying_literals, qcheck.e_satisfiable,
             qcheck.CongruenceEngine.__init__, qcheck.CongruenceEngine.merge,
             skeleton.iter_formula_solutions, skeleton.substitute, cli.parse_formula,
-            cli.print_formula, cli.print_term)
+            cli.print_formula, cli.print_term, arith.recognize_instance,
+            arith.classify_failures)
 
 
 def test_tracer_wraps_the_live_layers_and_restores_them(bench):
@@ -63,6 +64,27 @@ def test_tracer_wraps_the_live_layers_and_restores_them(bench):
     assert counts["skeleton.started"] == counts["skeleton.yielded"] == 1
     assert counts["skeleton.checks"] == counts["skeleton.checks_passed"] >= 1
     assert counts["textform.parse"] == 2
+
+
+def test_tracer_reaches_the_countermodel_layers(bench):
+    # classify_failures takes its oracle as a default argument, which the
+    # tracer overwrites so that the oracle's calls are traced too
+    source = (PERFBENCH.parent / "fixtures" / "variant_failures.fml").read_text()
+    expected = (PERFBENCH.parent / "fixtures" / "golden"
+                / "countermodel_variant_failures.txt").read_text()
+    default = arith.classify_failures.__defaults__
+    tracer = bench.Tracer()
+    tracer.install()
+    try:
+        result = cli.run(cli.RunConfig(command="countermodel"), source)
+    finally:
+        tracer.uninstall()
+    assert arith.classify_failures.__defaults__ == default
+    assert result == (0, expected)
+    counts = tracer.counts
+    assert counts["arith.recognize"] >= 1 and counts["arith.classify"] >= 1
+    assert any(name == "qcheck" and parent == "arith.classify"
+               for _, name, parent in tracer.records)
 
 
 def test_clear_caches_empties_the_live_caches(bench):

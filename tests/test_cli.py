@@ -208,6 +208,57 @@ def test_encode_with_larger_numeral(tmp_path):
     assert "z = s(s(z))" in out  # the substituted numeral
 
 
+# `hsk encode` without -m: the associated conjunction (n = 1), or the
+# conjunction of its variants 1..n, closed existentially.
+ENCODE_RUNS = [
+    ("x1 + 1 = 0", [], (
+        "exists ?x1. exists ?w1. (z = s(z) -> z = ?x1) & (z = s(z) -> z = s(z)) & (z = "
+        "s(z) -> z = z) & ((zt = s(zt) -> zt = ?w1) & (z = zt -> s(z) = ?w1) & (zt = ?x1 "
+        "-> z = ?w1))"
+    )),
+    ("x1 + 1 = 0", ["-n", "2"], (
+        "exists ?x1@1. exists ?w1@1. exists ?x1@2. exists ?w1@2. (z_1 = s(z_1) -> z_1 = "
+        "?x1@1) & (z_1 = s(z_1) -> z_1 = s(z_1)) & (z_1 = s(z_1) -> z_1 = z_1) & ((zt_1 = "
+        "s(zt_1) -> zt_1 = ?w1@1) & (z_1 = zt_1 -> s(z_1) = ?w1@1) & (zt_1 = ?x1@1 -> z_1 "
+        "= ?w1@1)) & ((z_2 = s(z_2) -> z_2 = ?x1@2) & (z_2 = s(z_2) -> z_2 = s(z_2)) & "
+        "(z_2 = s(z_2) -> z_2 = z_2) & ((zt_2 = s(zt_2) -> zt_2 = ?w1@2) & (z_2 = zt_2 -> "
+        "s(z_2) = ?w1@2) & (zt_2 = ?x1@2 -> z_2 = ?w1@2)))"
+    )),
+    ("x1 * x1 = 1", [], (
+        "exists ?x1. exists ?w1. exists ?w2. (z = s(z) -> z = ?x1) & (z = s(z) -> z = "
+        "?x1) & (z = s(z) -> z = s(z)) & ((z = s(z) & k = pair(pair(z, z), k) -> k = ?w1) "
+        "& (zh = s(zh) & zt = s(zt) & kt = pair(pair(zh, zt), kt) -> kt = ?w2) & (z = zh "
+        "& z = zt & k = kt -> ?w1 = ?w2) & (zh = s(z) & zt = ?x1 & kt = pair(pair(z, z), "
+        "k) -> ?w2 = pair(pair(?x1, s(z)), ?w1)))"
+    )),
+    ("x1 * x1 = 1", ["-n", "2"], (
+        "exists ?x1@1. exists ?w1@1. exists ?w2@1. exists ?x1@2. exists ?w1@2. exists "
+        "?w2@2. (z_1 = s(z_1) -> z_1 = ?x1@1) & (z_1 = s(z_1) -> z_1 = ?x1@1) & (z_1 = "
+        "s(z_1) -> z_1 = s(z_1)) & ((z_1 = s(z_1) & k_1 = pair(pair(z_1, z_1), k_1) -> "
+        "k_1 = ?w1@1) & (zh_1 = s(zh_1) & zt_1 = s(zt_1) & kt_1 = pair(pair(zh_1, zt_1), "
+        "kt_1) -> kt_1 = ?w2@1) & (z_1 = zh_1 & z_1 = zt_1 & k_1 = kt_1 -> ?w1@1 = ?w2@1) "
+        "& (zh_1 = s(z_1) & zt_1 = ?x1@1 & kt_1 = pair(pair(z_1, z_1), k_1) -> ?w2@1 = "
+        "pair(pair(?x1@1, s(z_1)), ?w1@1))) & ((z_2 = s(z_2) -> z_2 = ?x1@2) & (z_2 = "
+        "s(z_2) -> z_2 = ?x1@2) & (z_2 = s(z_2) -> z_2 = s(z_2)) & ((z_2 = s(z_2) & k_2 = "
+        "pair(pair(z_2, z_2), k_2) -> k_2 = ?w1@2) & (zh_2 = s(zh_2) & zt_2 = s(zt_2) & "
+        "kt_2 = pair(pair(zh_2, zt_2), kt_2) -> kt_2 = ?w2@2) & (z_2 = zh_2 & z_2 = zt_2 "
+        "& k_2 = kt_2 -> ?w1@2 = ?w2@2) & (zh_2 = s(z_2) & zt_2 = ?x1@2 & kt_2 = "
+        "pair(pair(z_2, z_2), k_2) -> ?w2@2 = pair(pair(?x1@2, s(z_2)), ?w1@2))))"
+    )),
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "records"])
+@pytest.mark.parametrize("system,options,expected", ENCODE_RUNS,
+                         ids=[" ".join([s, *o]) for s, o, _ in ENCODE_RUNS])
+def test_encode_without_numeral(tmp_path, system, options, expected, fmt):
+    source = tmp_path / "sys.dioph"
+    source.write_text(system + "\n")
+    status, out = run_cli(["encode", "--dioph", str(source), *options, "--format", fmt])
+    assert status == 0
+    assert out == (expected if fmt == "text" else f"verdict=ok\twitness={expected}") + "\n"
+
+
 def test_countermodel_reports_valid_disjunct(tmp_path):
     source = tmp_path / "valid.fml"
     source.write_text("(z_1 = s(z_1) -> z_1 = z_1) | (z_2 = s(z_2) -> z_2 = s(s(z_2)))\n")
