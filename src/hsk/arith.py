@@ -142,15 +142,9 @@ def tim(x: Term, y: Term, z_arg: Term, w: Term, wt: Term, lang: int = 0) -> Form
     return Implies(hyp, Equality(wt, pair(pair(y, z_arg), w)))
 
 
-def mul(x: Term, y: Term, z_arg: Term, w: Variable, wt: Variable, lang: int = 0,
-        literal_sim: bool = False) -> Formula:
-    """Tab(w) & Tab~(wt) & Sim~(w, wt) & Tim(x, y, z, w, wt).
-
-    `literal_sim` swaps the table-similarity conjunct for the plain numeral
-    similarity, for comparison experiments; with it the multiplication
-    characterisation breaks down (no table pair ever satisfies it).
-    """
-    return MulBlock(x, y, z_arg, w, wt, literal_sim).formula(lang)
+def mul(x: Term, y: Term, z_arg: Term, w: Variable, wt: Variable, lang: int = 0) -> Formula:
+    """Tab(w) & Tab~(wt) & Sim~(w, wt) & Tim(x, y, z, w, wt)"""
+    return MulBlock(x, y, z_arg, w, wt).formula(lang)
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +162,6 @@ class Semitable:
         for p, q in self.rows:
             if p < 0 or q < 0:
                 raise ContractError("semitable exponents must be naturals")
-
-    def length(self) -> int:
-        return len(self.rows)
 
     def instantiate(self, x: Term, y: Term, z_slot: Term) -> Term:
         out = z_slot
@@ -394,14 +385,12 @@ class MulBlock(_Block):
     c: Term
     w1: Variable
     w2: Variable
-    literal_sim: bool = False
 
     def primitives(self, lang: int) -> tuple[Primitive, ...]:
-        similarity = PrimKind.SIM if self.literal_sim else PrimKind.SIM_TILDE
         return (
             Primitive(PrimKind.TAB, (self.w1,), lang),
             Primitive(PrimKind.TAB_TILDE, (self.w2,), lang),
-            Primitive(similarity, (self.w1, self.w2), lang),
+            Primitive(PrimKind.SIM_TILDE, (self.w1, self.w2), lang),
             Primitive(PrimKind.TIM, (self.a, self.b, self.c, self.w1, self.w2), lang),
         )
 
@@ -490,7 +479,7 @@ def _map_block_terms(block: Block, fn: Callable[[Term], Term]) -> Block:
     if isinstance(block, AddBlock):
         return AddBlock(fn(block.a), fn(block.b), fn(block.c), _as_var(fn(block.w)))
     return MulBlock(fn(block.a), fn(block.b), fn(block.c),
-                    _as_var(fn(block.w1)), _as_var(fn(block.w2)), block.literal_sim)
+                    _as_var(fn(block.w1)), _as_var(fn(block.w2)))
 
 
 def _as_var(t: Term) -> Variable:

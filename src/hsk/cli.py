@@ -2,9 +2,10 @@
 
 Commands: check, skeleton, solve, sreu, encode, eval, countermodel.
 Input is one formula per file ('-' reads standard input); lines starting
-with '#' and blank lines are ignored.  Exit status: 0 for a positive
-result, 1 for a negative or exhausted one, 2 for usage or parse errors,
-3 for an internal error (a one-line diagnostic names the exception).
+with '#' and blank lines are ignored, and parse errors give the line and
+column in the input.  Exit status: 0 for a positive result, 1 for a
+negative or exhausted one, 2 for usage or parse errors, 3 for an internal
+error (a one-line diagnostic names the exception).
 
 Output is plain text, or line-oriented records (`--format records`) of
 tab-separated KEY=VALUE pairs with keys among verdict, witness,
@@ -42,9 +43,9 @@ class _UsageError(ValueError):
 
 
 def _strip_comments(text: str) -> str:
-    kept = [line for line in text.splitlines()
-            if line.strip() and not line.lstrip().startswith("#")]
-    return "\n".join(kept)
+    """Comment lines blanked; each line keeps its number for parse errors."""
+    return "\n".join("" if line.lstrip().startswith("#") else line
+                     for line in text.splitlines())
 
 
 def _record(**fields: str) -> str:
@@ -136,10 +137,7 @@ def _cmd_sreu(config: RunConfig, text: str) -> tuple[int, list[str]]:
     lines: list[str] = []
     any_solved = False
     for i, problem in enumerate(problems, start=1):
-        # The conjuncts of the problem's formula are its constraints' formulas;
-        # the solver below rebuilds the same formula from these live nodes.
-        conjunction = problem.formula()
-        texts = [print_formula(f) for f in flatten_and(conjunction)]
+        texts = [print_formula(f) for f in flatten_and(problem.formula)]
         if config.fmt == "records":
             witness = " & ".join(f"({text})" for text in texts)
             lines.append(_record(problem_index=str(i), verdict="sreu", witness=witness))
@@ -202,7 +200,7 @@ def _cmd_countermodel(config: RunConfig, text: str) -> tuple[int, list[str]]:
     failures: list[tuple[int, models.Diagnosis]] = []
     for i, disjunct in enumerate(disjuncts, start=1):
         instance = arith.recognize_instance(disjunct)
-        if qcheck.is_quasitautology(instance.formula()):
+        if qcheck.is_quasitautology(disjunct):
             if config.fmt == "records":
                 return 1, [_record(verdict="valid-disjunct", problem_index=str(i))]
             return 1, [f"VALID DISJUNCT {i}"]

@@ -38,7 +38,6 @@ from .syntax import (
     Term,
     Variable,
     atoms_of,
-    is_quantifier_free,
 )
 
 
@@ -200,21 +199,19 @@ def falsifying_literals(f: Formula) -> dict[Atom, bool] | None:
 
     Returns None when no structure falsifies f, i.e. when f is valid.
     The search starts from the goal "f is false" and keeps one congruence
-    closure over the subterms of f's atoms, built once; a variable in an
-    atom raises ContractError there.  At each node it first takes every
-    goal that leaves no choice (an atom, a negation, a true conjunction,
-    a false disjunction or implication), asserting atoms as it meets them.
-    Each asserted literal is checked against those before it: a negated
-    equality whose sides are congruent, or a predicate asserted both ways
-    on congruent arguments, is a conflict and closes the branch at once.
-    Only then does it branch, on the first waiting goal, left side
+    closure over the subterms of f's atoms, built once; a quantifier in f or
+    a variable in an atom raises ContractError there.  At each node it first
+    takes every goal that leaves no choice (an atom, a negation, a true
+    conjunction, a false disjunction or implication), asserting atoms as it
+    meets them.  Each asserted literal is checked against those before it: a
+    negated equality whose sides are congruent, or a predicate asserted both
+    ways on congruent arguments, is a conflict and closes the branch at
+    once.  Only then does it branch, on the first waiting goal, left side
     first; open choice points wait on an explicit stack.  The waiting goals
     are a linked list `(goal, rest)` that both branches share, so a branch
-    copies nothing and walks only its own goal.  Closing a branch undoes
-    its literals and its merges.
+    copies nothing and walks only its own goal.  Closing a branch undoes its
+    literals and its merges.
     """
-    if not is_quantifier_free(f):
-        raise ContractError("input must be quantifier-free")
     closure = CongruenceEngine(t for atom in atoms_of(f) for t in _atom_terms(atom))
     find = closure.find
     lits: dict[Atom, bool] = {}  # in assertion order

@@ -27,6 +27,7 @@ from .syntax import (
     ContractError,
     Equality,
     Exists,
+    Forall,
     Formula,
     FunctionSymbol,
     Implies,
@@ -39,8 +40,8 @@ from .syntax import (
     disj,
     flatten_and,
     free_variables,
-    is_quantifier_free,
     is_solution_eligible,
+    nodes,
     signature_of,
     substitute,
     unknowns_of,
@@ -57,14 +58,17 @@ class ExistentialFormula:
     matrix: Formula
 
     def __post_init__(self) -> None:
-        if not is_quantifier_free(self.matrix):
+        by_class: dict[type, set] = {}  # the matrix's nodes, from one walk
+        for n in nodes(self.matrix):
+            by_class.setdefault(type(n), set()).add(n)
+        if Exists in by_class or Forall in by_class:
             raise ContractError("matrix must be quantifier-free")
-        if unknowns_of(self.matrix):
+        if Unknown in by_class:
             raise ContractError("matrix must not contain unknowns")
         if len(set(self.bound_vars)) != len(self.bound_vars):
             raise ContractError("bound variables must be distinct")
-        free = set(free_variables(self.matrix))
-        if not free <= set(self.bound_vars):
+        # in a quantifier-free matrix every variable is free
+        if not by_class.get(Variable, set()) <= set(self.bound_vars):
             raise ContractError("matrix has variables outside the bound tuple")
 
 

@@ -10,7 +10,7 @@ clauses, and elimination of predicate symbols.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import skeleton as _skeleton
@@ -27,11 +27,9 @@ from .syntax import (
     PredApp,
     Signature,
     Substitution,
-    Unknown,
     conj,
     const,
     disj,
-    is_quantifier_free,
     signature_of,
     unknowns_of,
 )
@@ -46,11 +44,6 @@ class Clause:
 
     def is_horn(self) -> bool:
         return len(self.consequent) == 1
-
-    def is_rigid(self) -> bool:
-        return self.is_horn() and all(
-            isinstance(a, Equality) for a in self.antecedent + self.consequent
-        )
 
     def predicate_atom_count(self) -> int:
         return sum(
@@ -69,15 +62,15 @@ ClauseConjunction = tuple[Clause, ...]
 
 @dataclass(frozen=True)
 class SREUProblem:
+    """Rigid Horn constraints; `formula`, their conjunction, is built once."""
+
     constraints: tuple[Clause, ...]  # rigid Horn clauses
+    formula: Formula = field(init=False, compare=False, repr=False)
 
-    def unknowns(self) -> tuple[Unknown, ...]:
-        return tuple(unknowns_of(self.formula()))
-
-    def formula(self) -> Formula:
+    def __post_init__(self) -> None:
         if not self.constraints:
             raise ContractError("empty constraint conjunction")
-        return conj(c.formula() for c in self.constraints)
+        object.__setattr__(self, "formula", conj(c.formula() for c in self.constraints))
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +79,9 @@ class SREUProblem:
 
 def _cnf(f: Formula) -> list[list[tuple[bool, Atom]]]:
     """Clause list (as signed atom rows) equivalent to f, from a worklist
-    of (subformula, sign, sides done) tasks; finished rows wait on `done`."""
+    of (subformula, sign, sides done) tasks; finished rows wait on `done`.
+    Never empty: an atom gives one row, and a join of nonempty row lists
+    is nonempty.  A quantifier raises ContractError."""
     done: list[list[list[tuple[bool, Atom]]]] = []
     todo: list[tuple[Formula, bool, bool]] = [(f, True, False)]
     while todo:
@@ -111,9 +106,8 @@ def _cnf(f: Formula) -> list[list[tuple[bool, Atom]]]:
 def to_clause_conjunction(f: Formula) -> list[Clause]:
     """Equivalent conjunction of clauses; distribution keeps the left-to-right
     literal order, and a clause without positive atoms gets the consequent
-    ``c#i = d#i`` over two new distinct constants."""
-    if not is_quantifier_free(f):
-        raise ContractError("clause conversion requires a quantifier-free formula")
+    ``c#i = d#i`` over two new distinct constants.  A quantifier in f
+    raises ContractError."""
     clauses: list[Clause] = []
     fresh = 0
     for row in _cnf(f):
@@ -188,7 +182,8 @@ def _multiset_lt(smaller: tuple[int, ...], larger: tuple[int, ...]) -> bool:
 def _eliminate_step(clauses: ClauseConjunction) -> list[ClauseConjunction] | None:
     """One rewrite on the leftmost clause carrying a predicate atom.
 
-    Returns None to delete the formula (an unmatched predicate consequent
+    Returns None when no clause carries one (the Horn clauses are then
+    rigid), [] to delete the formula (an unmatched predicate consequent
     can always be falsified), otherwise the replacement alternatives.
     """
     for i, c in enumerate(clauses):
@@ -200,7 +195,7 @@ def _eliminate_step(clauses: ClauseConjunction) -> list[ClauseConjunction] | Non
                 isinstance(a, PredApp) and a.symbol == consequent.symbol
                 for a in c.antecedent
             ):
-                return None
+                return []
             j, atom = next(
                 (j, a) for j, a in enumerate(c.antecedent) if isinstance(a, PredApp)
             )
@@ -224,7 +219,7 @@ def _eliminate_step(clauses: ClauseConjunction) -> list[ClauseConjunction] | Non
         j, _ = next((j, a) for j, a in enumerate(c.antecedent) if isinstance(a, PredApp))
         rest = c.antecedent[:j] + c.antecedent[j + 1:]
         return [clauses[:i] + (Clause(rest, c.consequent),) + clauses[i + 1:]]
-    return [clauses]
+    return None
 
 
 def eliminate_predicates(gamma: Sequence[Sequence[Clause]]) -> list[SREUProblem]:
@@ -239,11 +234,9 @@ def eliminate_predicates(gamma: Sequence[Sequence[Clause]]) -> list[SREUProblem]
         todo = [clauses]  # alternatives still to rewrite, the next one on top
         while todo:
             clauses = todo.pop()
-            if all(c.is_rigid() for c in clauses):
-                results.append(clauses)
-                continue
             replacements = _eliminate_step(clauses)
-            if replacements is None:
+            if replacements is None:  # no predicate atom left: rigid
+                results.append(clauses)
                 continue
             before = _pred_counts(clauses)
             for replacement in replacements:
@@ -260,12 +253,9 @@ def _trivial_constraint() -> Clause:
 
 def convert_to_sreu(f: Formula) -> list[SREUProblem]:
     """Compose the three steps; the resulting class is solution equivalent
-    to f.  Formulas with no clauses left (f propositionally valid) yield a
-    single trivially solvable problem."""
-    clauses = to_clause_conjunction(f)
-    if not clauses:
-        return [SREUProblem((_trivial_constraint(),))]
-    return eliminate_predicates(horn_split([clauses]))
+    to f.  An alternative whose clauses were all eliminated as valid gets
+    the trivially solvable constraint ``c#0 = c#0``."""
+    return eliminate_predicates(horn_split([to_clause_conjunction(f)]))
 
 
 def solve_sreu_bounded(
@@ -273,7 +263,7 @@ def solve_sreu_bounded(
 ) -> Substitution | None:
     """First substitution solving all constraints, in the deterministic
     search order of the bounded skeleton solver."""
-    formula = problem.formula()
+    formula = problem.formula
     if sig is None:
         sig = signature_of(formula)
     for solution in _skeleton.iter_formula_solutions(

@@ -446,7 +446,7 @@ def atoms_of(f: Formula) -> list[Atom]:
         if isinstance(g, (Equality, PredApp)):
             out.append(g)
         elif not isinstance(g, _CONNECTIVES):
-            raise ContractError("atoms_of requires a quantifier-free formula")
+            raise ContractError("input must be quantifier-free")
     return out
 
 
@@ -473,10 +473,6 @@ def free_variables(f: Formula) -> list[Variable]:
         return list(dict.fromkeys(v for vs in images for v in vs))
 
     return rebuild(f, replace, combine)
-
-
-def is_quantifier_free(f: Formula) -> bool:
-    return not any(isinstance(g, (Exists, Forall)) for g in nodes(f, _CONNECTIVES))
 
 
 # ---------------------------------------------------------------------------

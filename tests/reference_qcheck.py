@@ -7,19 +7,26 @@ from __future__ import annotations
 
 from hsk.qcheck import Literal, e_satisfiable
 from hsk.syntax import (
+    _CONNECTIVES,
     And,
     Atom,
     ContractError,
     Equality,
+    Exists,
+    Forall,
     Formula,
     Implies,
     Not,
     Or,
     PredApp,
     Variable,
-    is_quantifier_free,
+    nodes,
     subterms,
 )
+
+
+def is_quantifier_free(f: Formula) -> bool:
+    return not any(isinstance(g, (Exists, Forall)) for g in nodes(f, _CONNECTIVES))
 
 
 def _check_ground_atom(atom: Atom) -> None:

@@ -516,7 +516,7 @@ def test_criterion_9_solution_equivalence():
             sigma = Substitution(dict(zip(unknowns, combo)))
             direct = is_quasitautology(substitute(f, sigma))
             via = any(
-                is_quasitautology(substitute(p.formula(), sigma)) for p in problems
+                is_quasitautology(substitute(p.formula, sigma)) for p in problems
             )
             assert direct == via, (text, sigma)
             checked += 1

@@ -113,24 +113,25 @@ def test_tim_shape():
 
 def test_mul_has_four_conjuncts_with_table_similarity():
     f = mul(X1, X1, X1, W1, Variable("w2"))
-    conjuncts = print_formula(f).split(" & (")
     assert len(print_formula(f).split("->")) == 5  # four implications
     assert "z = zh & z = zt & k = kt" in print_formula(f)
-    literal = mul(X1, X1, X1, W1, Variable("w2"), literal_sim=True)
-    assert "z = zt -> ?w1 = ?w2" in print_formula(literal)
 
 
 def test_literal_similarity_breaks_multiplication():
-    # with the plain similarity conjunct no table pair is ever accepted
-    m = p = 1
-    table = mp_semitable(m, p)
-    f = mul(numeral(m, zero()), numeral(p, zero()),
-            numeral(m * p, zero()), W1, Variable("w2"), literal_sim=True)
-    sigma = Substitution({
-        W1: table.instantiate(zero(), zero(), k_plain()),
-        Variable("w2"): table.instantiate(zero_hat(), zero_tilde(), k_tilde()),
-    })
-    assert not qcheck.is_quasitautology(substitute(f, sigma))
+    # with the plain similarity conjunct in place of Sim~ no (m, p) table
+    # pair is accepted, although each satisfies mul
+    w2 = Variable("w2")
+    for m, p in ((1, 1), (2, 1), (1, 2), (2, 2)):
+        x, y, z = numeral(m, zero()), numeral(p, zero()), numeral(m * p, zero())
+        literal = conj([tab(W1), tab_tilde(w2), sim(W1, w2), tim(x, y, z, W1, w2)])
+        assert "z = zt -> ?w1 = ?w2" in print_formula(literal)
+        table = mp_semitable(m, p)
+        sigma = Substitution({
+            W1: table.instantiate(zero(), zero(), k_plain()),
+            w2: table.instantiate(zero_hat(), zero_tilde(), k_tilde()),
+        })
+        assert qcheck.is_quasitautology(substitute(mul(x, y, z, W1, w2), sigma))
+        assert not qcheck.is_quasitautology(substitute(literal, sigma))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from hsk import arith, cli, qcheck, skeleton
+from hsk import arith, cli, qcheck, skeleton, sreu
 from hsk.syntax import Application, FunctionSymbol, Signature
 from hsk.textform import parse_formula
 
@@ -40,9 +40,9 @@ def _hooked():
     """Everything `Tracer.install()` replaces."""
     return (qcheck.is_quasitautology, qcheck.falsifying_literals, qcheck.e_satisfiable,
             qcheck.CongruenceEngine.__init__, qcheck.CongruenceEngine.merge,
-            skeleton.iter_formula_solutions, skeleton.substitute, cli.parse_formula,
-            cli.print_formula, cli.print_term, arith.recognize_instance,
-            arith.classify_failures)
+            skeleton.iter_formula_solutions, skeleton.substitute, sreu.convert_to_sreu,
+            sreu.solve_sreu_bounded, cli.parse_formula, cli.print_formula, cli.print_term,
+            arith.recognize_instance, arith.classify_failures)
 
 
 def test_tracer_wraps_the_live_layers_and_restores_them(bench):
@@ -85,6 +85,24 @@ def test_tracer_reaches_the_countermodel_layers(bench):
     assert counts["arith.recognize"] >= 1 and counts["arith.classify"] >= 1
     assert any(name == "qcheck" and parent == "arith.classify"
                for _, name, parent in tracer.records)
+
+
+def test_tracer_counts_the_sreu_problems_and_constraints(bench):
+    # clause_pipeline.fml converts to four problems of two constraints each
+    source = (PERFBENCH.parent / "fixtures" / "clause_pipeline.fml").read_text()
+    expected = (PERFBENCH.parent / "fixtures" / "golden"
+                / "sreu_solve_clause_pipeline.txt").read_text()
+    tracer = bench.Tracer()
+    tracer.install()
+    try:
+        result = cli.run(cli.RunConfig(command="sreu", solve=True, max_size=3), source)
+    finally:
+        tracer.uninstall()
+    assert result == (0, expected)
+    counts = tracer.counts
+    assert counts["sreu.problems"] == 4 and counts["sreu.constraints"] == 8
+    assert counts["sreu.convert"] == 1 and counts["sreu.solve"] == 4
+    assert counts["sreu.solved"] == 1
 
 
 def test_clear_caches_empties_the_live_caches(bench):

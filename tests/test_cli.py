@@ -112,6 +112,48 @@ def test_parse_error_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,position", [
+    ("# c\n\np(a) ->\n", "line 3 col 8: expected an atom"),
+    ("# c\n\na = b &\n  c(\n", "line 4 col 5: expected a term"),
+])
+def test_parse_error_reports_the_line_of_the_file(tmp_path, capsys, text, position):
+    # comment and blank lines before the error still count
+    source = tmp_path / "broken.fml"
+    source.write_text(text)
+    status, out = run_cli(["check", str(source)])
+    assert (status, out) == (2, "")
+    assert capsys.readouterr().err == f"error: {position}, found 'end of input'\n"
+
+
+# Input contracts that the commands check, with the one diagnostic each prints.
+CONTRACT_DIAGNOSTICS = [
+    ("check", "exists ?x. a = a", "input must be quantifier-free"),
+    ("check", "a = a | forall ?x. ?x = ?x", "input must be quantifier-free"),
+    ("check", "?x = a", "congruence closure requires ground terms, got ?x"),
+    ("sreu", "exists ?x. *1 = ?x", "clause conversion requires a quantifier-free formula"),
+    ("sreu", "a = b | forall ?x. p(?x)",
+     "clause conversion requires a quantifier-free formula"),
+    ("solve", "exists ?v. forall ?u. ?u = ?v", "matrix must be quantifier-free"),
+    ("solve", "exists ?v. ?v = *1", "matrix must not contain unknowns"),
+    ("solve", "exists ?v. ?v = ?u", "matrix has variables outside the bound tuple"),
+    ("solve", "exists ?v. exists ?v. ?v = a", "bound variables must be distinct"),
+    ("solve", "exists ?v. *2 = a & forall ?u. ?u = ?v", "matrix must be quantifier-free"),
+    ("skeleton", "exists ?v. ?v = *1 & forall ?u. ?u = ?v",
+     "matrix must be quantifier-free"),
+]
+
+
+@pytest.mark.parametrize("command,text,message", CONTRACT_DIAGNOSTICS,
+                         ids=[f"{c}:{t}" for c, t, _ in CONTRACT_DIAGNOSTICS])
+def test_contract_violations_exit_2_with_one_diagnostic(tmp_path, capsys, command, text,
+                                                         message):
+    source = tmp_path / "input.fml"
+    source.write_text(text + "\n")
+    status, out = run_cli([command, str(source)])
+    assert (status, out) == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
     def crash(config, text):
         raise RecursionError("maximum recursion depth exceeded")

@@ -17,7 +17,7 @@ from helpers import (
     random_ground_term,
     valid_by_model_enumeration,
 )
-from hsk import models, qcheck
+from hsk import models, qcheck, syntax
 from hsk.qcheck import (
     CongruenceEngine,
     ContractError,
@@ -153,6 +153,25 @@ def test_rejects_non_ground_and_quantified():
         is_quasitautology(Equality(Variable("x1"), A))
     with pytest.raises(ContractError):
         is_quasitautology(Exists(Variable("x1"), Equality(A, A)))
+
+
+def test_the_search_walks_its_input_once(monkeypatch):
+    # collecting the atoms is the one walk, and it rejects a quantifier
+    walks = []
+    nodes = syntax.nodes
+
+    def counted(*args):
+        walks.append(args[0])
+        return nodes(*args)
+
+    f = parse_formula("(a = b | c = d) -> p(e) | e = f")
+    quantified = parse_formula("a = b | forall ?x. ?x = a")
+    monkeypatch.setattr(syntax, "nodes", counted)
+    assert falsifying_literals(f) is not None
+    assert walks == [f]
+    with pytest.raises(ContractError, match="^input must be quantifier-free$"):
+        falsifying_literals(quantified)
+    assert walks == [f, quantified]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import random
 import pytest
 
 import reference_skeleton
-from hsk import arith, qcheck, skeleton
+from hsk import arith, qcheck, skeleton, syntax
 from hsk.arith import zero, zero_symbol, zero_tilde
 from hsk.skeleton import (
     ContractError,
@@ -45,6 +45,27 @@ def test_existential_validation():
         ExistentialFormula((), parse_formula("p(?v)"))
     with pytest.raises(ContractError):
         ExistentialFormula((Variable("v"),), parse_formula("p(*1)"))
+
+
+def test_existential_formula_checks_its_matrix_in_one_walk(monkeypatch):
+    walks, rebuilds = [], []
+    nodes, rebuild = syntax.nodes, syntax.rebuild
+
+    def counted_nodes(*args):
+        walks.append(args[0])
+        return nodes(*args)
+
+    def counted_rebuild(*args):
+        rebuilds.append(args[0])
+        return rebuild(*args)
+
+    matrix = parse_formula("p(a) | q(f(?x), ?y) -> ?x = ?y")
+    monkeypatch.setattr(syntax, "nodes", counted_nodes)
+    monkeypatch.setattr(skeleton, "nodes", counted_nodes, raising=False)
+    monkeypatch.setattr(syntax, "rebuild", counted_rebuild)
+    psi = ExistentialFormula((Variable("x"), Variable("y")), matrix)
+    assert psi.matrix is matrix
+    assert walks == [matrix] and rebuilds == []
 
 
 def test_make_skeleton_examples():

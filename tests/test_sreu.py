@@ -1,7 +1,9 @@
 import itertools
+import random
 
 import pytest
 
+import reference_sreu
 from hsk import qcheck, skeleton
 from hsk.sreu import (
     Clause,
@@ -15,9 +17,14 @@ from hsk.sreu import (
 )
 from hsk.skeleton import enumerate_terms
 from hsk.syntax import (
+    And,
     Application,
     Equality,
+    Formula,
     FunctionSymbol,
+    Implies,
+    Not,
+    Or,
     PredApp,
     PredicateSymbol,
     Substitution,
@@ -79,12 +86,10 @@ def test_clause_conversion_preserves_meaning():
             continue
         rebuilt = clauses[0].formula()
         for clause in clauses[1:]:
-            from hsk.syntax import And
             rebuilt = And(rebuilt, clause.formula())
         # equivalence checked only on formulas without fresh constants
         if any("#" in s.name for s in signature_of(rebuilt).function_symbols):
             continue
-        from hsk.syntax import Implies
         assert qcheck.is_quasitautology(Implies(f, rebuilt))
         assert qcheck.is_quasitautology(Implies(rebuilt, f))
 
@@ -195,7 +200,7 @@ def test_pipeline_produces_the_four_problems_in_order():
 
 def test_problem_unknowns_are_a_tuple_in_first_occurrence_order():
     problem = convert_to_sreu(parse_formula("*2 = a & *1 = *2 -> b = *3"))[0]
-    assert problem.unknowns() == (Unknown(2), Unknown(1), Unknown(3))
+    assert tuple(unknowns_of(problem.formula)) == (Unknown(2), Unknown(1), Unknown(3))
 
 
 def test_pipeline_solvability_of_the_four_problems():
@@ -255,7 +260,7 @@ def _solves_formula(f, sigma):
 
 
 def _solves_some_problem(problems, sigma):
-    return any(_solves_formula(p.formula(), sigma) for p in problems)
+    return any(_solves_formula(p.formula, sigma) for p in problems)
 
 
 @pytest.mark.parametrize("text", [
@@ -275,3 +280,50 @@ def test_solution_equivalence_exhaustive(text):
     for combo in itertools.product(pool, repeat=len(unknowns)):
         sigma = Substitution(dict(zip(unknowns, combo)))
         assert _solves_formula(f, sigma) == _solves_some_problem(problems, sigma)
+
+
+# ---------------------------------------------------------------------------
+# The pipeline against its reference
+
+
+F1 = FunctionSymbol("f", 1)
+PREDICATES = (PredicateSymbol("r", 0), P, PredicateSymbol("q2", 2))
+C0 = Application(FunctionSymbol("c#0", 0), ())
+TRIVIAL = Clause((), (Equality(C0, C0),))
+
+
+def _random_term(rng: random.Random, depth: int):
+    if depth and rng.random() < 0.25:
+        return Application(F1, (_random_term(rng, depth - 1),))
+    return rng.choice((A, B, C, STAR, Unknown(2)))
+
+
+def _random_formula(rng: random.Random, depth: int) -> Formula:
+    """A quantifier-free formula over equalities, two unknowns and the
+    predicates r, p and q2 of arity 0, 1 and 2."""
+    if depth == 0 or rng.random() < 0.3:
+        if rng.random() < 0.5:
+            return Equality(_random_term(rng, 1), _random_term(rng, 1))
+        symbol = rng.choice(PREDICATES)
+        return PredApp(symbol, tuple(_random_term(rng, 1) for _ in range(symbol.arity)))
+    connective = rng.choice((Not, And, Or, Implies, Implies))
+    if connective is Not:
+        return Not(_random_formula(rng, depth - 1))
+    return connective(_random_formula(rng, depth - 1), _random_formula(rng, depth - 1))
+
+
+def test_conversion_matches_the_reference_on_random_formulas():
+    # the problems' constraint tuples, in order, for 2 000 seeded formulas
+    rng = random.Random(20190)
+    deleted = trivial = split = 0
+    for _ in range(2000):
+        f = _random_formula(rng, 3)
+        assert to_clause_conjunction(f) == reference_sreu.to_clause_conjunction(f)
+        got = [p.constraints for p in convert_to_sreu(f)]
+        assert got == [p.constraints for p in reference_sreu.convert_to_sreu(f)], f
+        deleted += not got
+        trivial += any(c == TRIVIAL for constraints in got for c in constraints)
+        split += len(got) > 1
+    # every outcome of the elimination occurs: deletion, the trivial
+    # constraint of a nullary predicate, and several alternatives
+    assert deleted > 400 and trivial > 10 and split > 150
