@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .qcheck import is_quasitautology
 from .skeleton import ExistentialFormula, Skeleton, make_skeleton, solve_bounded, verify_solution
 from .sreu import SREUProblem, convert_to_sreu, solve_sreu_bounded
-from .syntax import Formula, Signature, Substitution, Term
+from .syntax import Formula, Signature, Term
 from .textform import parse_formula, parse_term, print_formula, print_term
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "SREUProblem",
     "Signature",
     "Skeleton",
-    "Substitution",
     "Term",
     "convert_to_sreu",
     "is_quasitautology",

@@ -29,7 +29,6 @@ from .syntax import (
     FunctionSymbol,
     Implies,
     SpecialBase,
-    Substitution,
     Term,
     VarKind,
     Variable,
@@ -42,7 +41,7 @@ from .syntax import (
     pair,
     rebuild,
     special_constant,
-    substitute_term,
+    substitute,
     succ,
 )
 
@@ -520,9 +519,8 @@ def instantiate(phi: PCArithFormula, values: Mapping[Variable, Term]) -> Variant
     for value in values.values():
         if not is_solution_eligible(value):
             raise ContractError(f"instantiation values must be closed terms: {value}")
-    sigma = Substitution(dict(values))
     ground = tuple(
-        Primitive(p.kind, tuple(substitute_term(t, sigma) for t in p.args), p.lang)
+        Primitive(p.kind, tuple(substitute(t, values) for t in p.args), p.lang)
         for p in phi.primitives()
     )
     return VariantInstance(ground, phi.language_index)

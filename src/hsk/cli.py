@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 from . import arith, models, qcheck, skeleton, sreu, textform
 from .models import AlphaAssignment, pairing_j, unpair
-from .syntax import (ContractError, FunctionSymbol, Substitution, Term, Unknown, canonical_key,
-                     flatten_and, flatten_or)
+from .syntax import (ContractError, FunctionSymbol, Term, Unknown, canonical_key, flatten_and,
+                     flatten_or)
 from .textform import ParseError, parse_formula, print_formula, print_term
 
 
@@ -43,21 +43,25 @@ class _UsageError(ValueError):
 
 
 def _strip_comments(text: str) -> str:
-    """Comment lines blanked; each line keeps its number for parse errors."""
-    return "\n".join("" if line.lstrip().startswith("#") else line
-                     for line in text.splitlines())
+    """Comment lines blanked and the blank lines after the last token
+    dropped, so that a parse error gives the line of the file and the end
+    of input is the end of the last line that holds a token."""
+    lines = ["" if line.lstrip().startswith("#") else line for line in text.splitlines()]
+    while lines and not lines[-1].strip():
+        lines.pop()
+    return "\n".join(lines)
 
 
 def _record(**fields: str) -> str:
     return "\t".join(f"{key}={value}" for key, value in fields.items())
 
 
-def _bindings(solution: Substitution) -> list[tuple[Unknown, Term]]:
+def _bindings(solution: dict[Unknown, Term]) -> list[tuple[Unknown, Term]]:
     """The solution's bindings, unknowns in canonical order."""
-    return sorted(solution.bindings.items(), key=lambda kv: canonical_key(kv[0]))
+    return sorted(solution.items(), key=lambda kv: canonical_key(kv[0]))
 
 
-def _witness_text(solution: Substitution) -> str:
+def _witness_text(solution: dict[Unknown, Term]) -> str:
     return ";".join(f"*{u.index}:={print_term(t)}" for u, t in _bindings(solution))
 
 

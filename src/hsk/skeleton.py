@@ -31,23 +31,19 @@ from .syntax import (
     Formula,
     FunctionSymbol,
     Implies,
+    PredApp,
+    PredicateSymbol,
     Signature,
-    Substitution,
     Term,
     Unknown,
     Variable,
     canonical_key,
     disj,
     flatten_and,
-    free_variables,
     is_solution_eligible,
     nodes,
-    signature_of,
     substitute,
-    unknowns_of,
 )
-
-Solution = Substitution
 
 
 @dataclass(frozen=True)
@@ -115,18 +111,16 @@ def make_skeleton(psi: ExistentialFormula, n: int) -> Skeleton:
     for _ in range(n):
         fresh = tuple(Unknown(next(counter)) for _ in range(width))
         tuples.append(fresh)
-        sigma = Substitution(dict(zip(psi.bound_vars, fresh)))
-        disjuncts.append(substitute(psi.matrix, sigma))
+        disjuncts.append(substitute(psi.matrix, dict(zip(psi.bound_vars, fresh))))
     return Skeleton(psi, n, tuple(tuples), disj(disjuncts))
 
 
-def verify_solution(sk: Skeleton, sol: Solution) -> bool:
+def verify_solution(sk: Skeleton, sol: dict[Unknown, Term]) -> bool:
     """Substitute and decide validity; the assignment must cover exactly
     the skeleton's unknowns with variable- and unknown-free terms."""
-    needed = set(sk.all_unknowns())
-    if sol.domain() != needed:
+    if set(sol) != set(sk.all_unknowns()):
         raise ContractError("assignment does not match the skeleton's unknowns")
-    if not sol.is_solution():
+    if not all(t.ground for t in sol.values()):
         raise ContractError("assignment maps to non-ground terms")
     return qcheck.is_quasitautology(substitute(sk.formula, sol))
 
@@ -303,12 +297,11 @@ def _candidate_buckets(
     `used_by[i]` lists the unknowns of `conjuncts[i]`.  Returns the buckets
     plus the indices of conjuncts consumed as stream constraints (their
     validity is guaranteed for stream members), or None when some
-    unknown-free conjunct is already invalid.
+    ground conjunct is already invalid.
     """
-    for c, used in zip(conjuncts, used_by):
-        if not used and not free_variables(c):
-            if not qcheck.is_quasitautology(c):
-                return None
+    for c in conjuncts:
+        if c.ground and not qcheck.is_quasitautology(c):
+            return None
     per_unknown: list[tuple[tuple[Term, ...], ...]] = []
     consumed: set[int] = set()
     for u in unknowns:
@@ -326,26 +319,46 @@ def _candidate_buckets(
 
 def iter_formula_solutions(
     formula: Formula,
-    unknowns: Sequence[Unknown],
+    unknowns: Sequence[Unknown] | None = None,
     sig: Signature | None = None,
     max_size: int = 6,
-) -> Iterator[Solution]:
-    """Solutions for the given unknown tuple in canonical order.
+) -> Iterator[dict[Unknown, Term]]:
+    """Solutions for the given unknown tuple in canonical order, each a
+    dict from the unknowns to ground terms.
 
     Order: smallest total size first, then lexicographically by the
-    canonical term order along the tuple.
+    canonical term order along the tuple.  The formula must be
+    quantifier-free.  One walk of each conjunct gives its unknowns and its
+    symbols; without `unknowns` the search takes the formula's, in first
+    occurrence order, and without `sig` the symbols of the formula.
     """
     if max_size < 0:
         raise ContractError("size bound must be >= 0")
+    conjuncts = flatten_and(formula)
+    used_by: list[list[Unknown]] = []  # the unknowns of each conjunct
+    functions: set[FunctionSymbol] = set()
+    predicates: set[PredicateSymbol] = set()
+    for c in conjuncts:
+        used = []
+        for n in nodes(c):
+            if isinstance(n, Unknown):
+                used.append(n)
+            elif isinstance(n, Application):
+                functions.add(n.symbol)
+            elif isinstance(n, PredApp):
+                predicates.add(n.symbol)
+            elif isinstance(n, (Exists, Forall)):
+                raise ContractError("input must be quantifier-free")
+        used_by.append(used)
+    if unknowns is None:
+        unknowns = dict.fromkeys(u for used in used_by for u in used)
     unknowns = tuple(unknowns)
     if sig is None:
-        sig = signature_of(formula)
+        sig = Signature(frozenset(functions), frozenset(predicates))
     if not unknowns:
         if qcheck.is_quasitautology(formula):
-            yield Substitution({})
+            yield {}
         return
-    conjuncts = flatten_and(formula)
-    used_by = [unknowns_of(c) for c in conjuncts]
     narrowed = _candidate_buckets(conjuncts, used_by, unknowns, sig, max_size)
     if narrowed is None:
         return
@@ -378,7 +391,7 @@ def iter_formula_solutions(
     def prune_fails(depth: int) -> bool:
         """A conjunct whose last unknown is this one fails."""
         for c in checks_at_depth[depth]:
-            if not qcheck.is_quasitautology(substitute(c, Substitution(assignment))):
+            if not qcheck.is_quasitautology(substitute(c, assignment)):
                 return True
         return False
 
@@ -404,22 +417,19 @@ def iter_formula_solutions(
             if depth + 1 < len(unknowns):
                 levels.append(candidates(depth + 1, left))
                 continue
-            candidate = Substitution(assignment)
-            if qcheck.is_quasitautology(substitute(formula, candidate)):
-                yield candidate
+            if qcheck.is_quasitautology(substitute(formula, assignment)):
+                yield dict(assignment)
 
 
 def iter_solutions(
     sk: Skeleton, sig: Signature | None = None, max_size: int = 6
-) -> Iterator[Solution]:
-    if sig is None:
-        sig = signature_of(sk.formula)
+) -> Iterator[dict[Unknown, Term]]:
     yield from iter_formula_solutions(sk.formula, sk.all_unknowns(), sig, max_size)
 
 
 def solve_bounded(
     sk: Skeleton, sig: Signature | None = None, max_size: int = 6
-) -> Solution | None:
+) -> dict[Unknown, Term] | None:
     """First solution in canonical order with every term of size <= max_size,
     or None when the bounded space is exhausted (which does not imply the
     skeleton is unsolvable)."""

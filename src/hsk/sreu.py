@@ -26,12 +26,11 @@ from .syntax import (
     Or,
     PredApp,
     Signature,
-    Substitution,
+    Term,
+    Unknown,
     conj,
     const,
     disj,
-    signature_of,
-    unknowns_of,
 )
 
 
@@ -162,86 +161,62 @@ def horn_split(gamma: Sequence[Sequence[Clause]]) -> list[ClauseConjunction]:
 # Step 3: elimination of predicate symbols
 
 
-def _pred_counts(clauses: ClauseConjunction) -> tuple[int, ...]:
-    return tuple(sorted(c.predicate_atom_count() for c in clauses))
-
-
-def _multiset_lt(smaller: tuple[int, ...], larger: tuple[int, ...]) -> bool:
-    """Dershowitz-Manna ordering on multisets of naturals."""
-    if smaller == larger:
-        return False
-    removed = list(larger)
-    added = list(smaller)
-    for x in list(added):
-        if x in removed:
-            removed.remove(x)
-            added.remove(x)
-    return all(any(x < y for y in removed) for x in added)
-
-
-def _eliminate_step(clauses: ClauseConjunction) -> list[ClauseConjunction] | None:
-    """One rewrite on the leftmost clause carrying a predicate atom.
-
-    Returns None when no clause carries one (the Horn clauses are then
-    rigid), [] to delete the formula (an unmatched predicate consequent
-    can always be falsified), otherwise the replacement alternatives.
-    """
-    for i, c in enumerate(clauses):
-        if c.predicate_atom_count() == 0:
-            continue
-        consequent = c.consequent[0]
-        if isinstance(consequent, PredApp):
-            if not any(
-                isinstance(a, PredApp) and a.symbol == consequent.symbol
-                for a in c.antecedent
-            ):
-                return []
-            j, atom = next(
-                (j, a) for j, a in enumerate(c.antecedent) if isinstance(a, PredApp)
-            )
-            rest = c.antecedent[:j] + c.antecedent[j + 1:]
-            if atom.symbol != consequent.symbol:
-                replacement = (Clause(rest, c.consequent),)
-                return [clauses[:i] + replacement + clauses[i + 1:]]
-            # same predicate: either the arguments agree pairwise, or the
-            # clause holds without this hypothesis
-            equalities = tuple(
-                Clause(rest, (Equality(b, a),))
-                for b, a in zip(atom.args, consequent.args)
-            )
-            dropped = (Clause(rest, c.consequent),)
-            return [
-                clauses[:i] + equalities + clauses[i + 1:],
-                clauses[:i] + dropped + clauses[i + 1:],
-            ]
-        # identity consequent with predicate hypotheses: such hypotheses
-        # never constrain equational validity, drop the leftmost one
-        j, _ = next((j, a) for j, a in enumerate(c.antecedent) if isinstance(a, PredApp))
-        rest = c.antecedent[:j] + c.antecedent[j + 1:]
-        return [clauses[:i] + (Clause(rest, c.consequent),) + clauses[i + 1:]]
-    return None
+def _eliminate_step(c: Clause) -> list[tuple[Clause, ...]]:
+    """The alternatives, each a tuple of clauses, that replace the Horn
+    clause c, which carries a predicate atom; [] deletes the whole
+    conjunction (an unmatched predicate consequent can always be
+    falsified).  Every new clause has fewer predicate atoms than c."""
+    consequent = c.consequent[0]
+    is_pred = isinstance(consequent, PredApp)
+    if is_pred and not any(
+        isinstance(a, PredApp) and a.symbol == consequent.symbol for a in c.antecedent
+    ):
+        return []
+    j, atom = next((j, a) for j, a in enumerate(c.antecedent) if isinstance(a, PredApp))
+    rest = c.antecedent[:j] + c.antecedent[j + 1:]
+    if is_pred and atom.symbol == consequent.symbol:
+        # same predicate: either the arguments agree pairwise, or the
+        # clause holds without this hypothesis
+        equalities = tuple(
+            Clause(rest, (Equality(b, a),)) for b, a in zip(atom.args, consequent.args)
+        )
+        return [equalities, (Clause(rest, c.consequent),)]
+    # drop the leftmost predicate hypothesis: it names another predicate
+    # than the consequent's, or the consequent is an identity, which such
+    # hypotheses never constrain
+    return [(Clause(rest, c.consequent),)]
 
 
 def eliminate_predicates(gamma: Sequence[Sequence[Clause]]) -> list[SREUProblem]:
     """Rewrite Horn-clause conjunctions until only identity constraints
-    remain; unsolvable branches are deleted, alternatives keep their order."""
+    remain; unsolvable branches are deleted, alternatives keep their order.
 
+    Each rewrite replaces the leftmost clause carrying a predicate atom,
+    and the clauses before it carry none, so the next scan starts there.
+    """
     results: list[ClauseConjunction] = []
     for clauses in gamma:
         clauses = tuple(clauses)
         if not all(c.is_horn() for c in clauses):
             raise ContractError("predicate elimination needs Horn clauses")
-        todo = [clauses]  # alternatives still to rewrite, the next one on top
+        todo = [(clauses, 0)]  # (alternative still to rewrite, where to scan), next on top
         while todo:
-            clauses = todo.pop()
-            replacements = _eliminate_step(clauses)
-            if replacements is None:  # no predicate atom left: rigid
+            clauses, start = todo.pop()
+            i = next((i for i in range(start, len(clauses))
+                      if clauses[i].predicate_atom_count()), None)
+            if i is None:  # no predicate atom left: rigid
                 results.append(clauses)
                 continue
-            before = _pred_counts(clauses)
-            for replacement in replacements:
-                assert _multiset_lt(_pred_counts(replacement), before), "measure must drop"
-            todo += reversed(replacements)
+            count = clauses[i].predicate_atom_count()
+            alternatives = _eliminate_step(clauses[i])
+            # each new clause carries fewer predicate atoms than the one it
+            # replaces, so the multiset of counts drops (Dershowitz-Manna)
+            # and the rewriting ends
+            for alternative in alternatives:
+                assert all(d.predicate_atom_count() < count for d in alternative), \
+                    "measure must drop"
+            todo += [(clauses[:i] + alternative + clauses[i + 1:], i)
+                     for alternative in reversed(alternatives)]
     # a conjunction with every clause eliminated as valid: anything solves it
     return [SREUProblem(clauses or (_trivial_constraint(),)) for clauses in _dedupe(results)]
 
@@ -260,14 +235,10 @@ def convert_to_sreu(f: Formula) -> list[SREUProblem]:
 
 def solve_sreu_bounded(
     problem: SREUProblem, sig: Signature | None = None, max_size: int = 6
-) -> Substitution | None:
-    """First substitution solving all constraints, in the deterministic
-    search order of the bounded skeleton solver."""
-    formula = problem.formula
-    if sig is None:
-        sig = signature_of(formula)
-    for solution in _skeleton.iter_formula_solutions(
-        formula, unknowns_of(formula), sig, max_size
-    ):
+) -> dict[Unknown, Term] | None:
+    """First assignment of the problem's unknowns, in first occurrence
+    order, that solves all constraints, in the deterministic search order
+    of the bounded skeleton solver."""
+    for solution in _skeleton.iter_formula_solutions(problem.formula, None, sig, max_size):
         return solution
     return None

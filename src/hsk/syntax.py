@@ -36,10 +36,6 @@ class ContractError(ValueError):
     """An operation was called outside its stated contract."""
 
 
-class CaptureError(ContractError):
-    """A substitution would capture or clash with a bound variable."""
-
-
 # ---------------------------------------------------------------------------
 # Symbols
 
@@ -455,26 +451,6 @@ def unknowns_of(x: Term | Formula) -> list[Unknown]:
     return [n for n in nodes(x) if isinstance(n, Unknown)]
 
 
-def variables_of_term(t: Term) -> list[Variable]:
-    return [n for n in nodes(t) if isinstance(n, Variable)]
-
-
-def free_variables(f: Formula) -> list[Variable]:
-    """Free variables of f in first occurrence order."""
-
-    def replace(n: Node) -> list[Variable] | None:
-        if n.ground:
-            return []
-        return [n] if isinstance(n, Variable) else None
-
-    def combine(n: Node, images: tuple[list[Variable], ...]) -> list[Variable]:
-        if isinstance(n, (Exists, Forall)):
-            return [v for v in images[1] if v is not n.var]
-        return list(dict.fromkeys(v for vs in images for v in vs))
-
-    return rebuild(f, replace, combine)
-
-
 # ---------------------------------------------------------------------------
 # Signatures
 
@@ -501,75 +477,21 @@ def signature_of(f: Formula) -> Signature:
 # Substitution
 
 
-class Substitution:
-    """A simultaneous finite map from unknowns/variables to terms.
+def substitute(x: Node, bindings: Mapping[Term, Term]) -> Node:
+    """x with every unknown or variable that `bindings` maps replaced by
+    its image, all at once: {*1 -> *2, *2 -> a} sends ``*1 = *2`` to
+    ``*2 = a``.  x must be quantifier-free; a quantifier raises
+    ContractError.  A subtree that no replacement reaches, every ground
+    one among them, is returned as it is, not rebuilt."""
 
-    Application never rewrites inside already substituted results, so e.g.
-    {*1 -> *2, *2 -> a} sends ``*1 = *2`` to ``*2 = a``.
-    """
-
-    def __init__(self, bindings: Mapping[Union[Unknown, Variable], Term]):
-        for key in bindings:
-            if not isinstance(key, (Unknown, Variable)):
-                raise ContractError(f"substitution key must be unknown/variable: {key!r}")
-        self._bindings = dict(bindings)
-
-    @property
-    def bindings(self) -> dict[Union[Unknown, Variable], Term]:
-        return dict(self._bindings)
-
-    def domain(self) -> set[Union[Unknown, Variable]]:
-        return set(self._bindings)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Substitution) and self._bindings == other._bindings
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._bindings.items()))
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k} -> {v}" for k, v in self._bindings.items())
-        return f"Substitution({{{inner}}})"
-
-    def is_solution(self) -> bool:
-        """All keys unknowns, all replacement terms solution eligible."""
-        return all(isinstance(k, Unknown) for k in self._bindings) and all(
-            is_solution_eligible(v) for v in self._bindings.values()
-        )
-
-    def _image(self, n: Node) -> Node | None:
-        """`rebuild`'s replacement for n: its image when that is known
-        without visiting its children, else None."""
+    def replace(n: Node) -> Node | None:
         if n.ground:
             return n
-        if isinstance(n, (Unknown, Variable)):
-            return self._bindings.get(n, n)
         if isinstance(n, (Exists, Forall)):
-            if n.var in self._bindings:
-                raise CaptureError(f"substitution domain contains bound variable {n.var}")
-            for key, value in self._bindings.items():
-                occurs = unknowns_of if isinstance(key, Unknown) else free_variables
-                if n.var in variables_of_term(value) and key in occurs(n.body):
-                    raise CaptureError(
-                        f"replacing {key} with {value} would capture bound {n.var}"
-                    )
-        return None
+            raise ContractError("substitution needs quantifier-free input")
+        return bindings.get(n)
 
-
-def substitute_term(t: Term, sigma: Substitution) -> Term:
-    """t with every mapped unknown/variable replaced; a subterm that no
-    replacement reaches is returned as it is, not rebuilt."""
-    return rebuild(t, sigma._image)
-
-
-def substitute(f: Formula, sigma: Substitution) -> Formula:
-    """Simultaneously replace every mapped unknown/variable in f.
-
-    Raises CaptureError when the substitution touches a bound variable or a
-    replacement term would be captured by a quantifier of f.  A subformula
-    that no replacement reaches is returned as it is, not rebuilt.
-    """
-    return rebuild(f, sigma._image)
+    return rebuild(x, replace)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Predicate elimination and clause conversion as they were when a rigid
-clause was found by a scan of its own before each rewrite, and the
+clause was found by a scan of its own before each rewrite, each rewrite
+returned whole conjunctions checked by a multiset measure, and the
 conversion checked for quantifiers in a walk of its own.  Kept unchanged,
-but for a local `is_rigid` in place of the deleted `Clause.is_rigid`, as
-the reference that tests compare the conversion pipeline against."""
+but for a local `is_rigid` in place of the deleted `Clause.is_rigid` and
+the measure's helpers moved here from `hsk.sreu`, as the reference that
+tests compare the conversion pipeline against."""
 
 from __future__ import annotations
 
@@ -14,8 +16,6 @@ from hsk.sreu import (
     SREUProblem,
     _cnf,
     _dedupe,
-    _multiset_lt,
-    _pred_counts,
     _trivial_constraint,
     horn_split,
 )
@@ -34,6 +34,23 @@ def is_rigid(c: Clause) -> bool:
     return c.is_horn() and all(
         isinstance(a, Equality) for a in c.antecedent + c.consequent
     )
+
+
+def _pred_counts(clauses: ClauseConjunction) -> tuple[int, ...]:
+    return tuple(sorted(c.predicate_atom_count() for c in clauses))
+
+
+def _multiset_lt(smaller: tuple[int, ...], larger: tuple[int, ...]) -> bool:
+    """Dershowitz-Manna ordering on multisets of naturals."""
+    if smaller == larger:
+        return False
+    removed = list(larger)
+    added = list(smaller)
+    for x in list(added):
+        if x in removed:
+            removed.remove(x)
+            added.remove(x)
+    return all(any(x < y for y in removed) for x in added)
 
 
 def to_clause_conjunction(f: Formula) -> list[Clause]:

@@ -55,7 +55,6 @@ from hsk.syntax import (
     Or,
     PredApp,
     Signature,
-    Substitution,
     Unknown,
     Variable,
     conj,
@@ -91,7 +90,7 @@ def test_criterion_1_pipeline_exactness():
         ["*1 = a -> b = c", "*1 = b -> b = c"],
     ]
     witnesses = [sreu.solve_sreu_bounded(p, max_size=3) for p in problems]
-    assert witnesses[1] == Substitution({Unknown(1): parse_term("c")})
+    assert witnesses[1] == {Unknown(1): parse_term("c")}
     assert witnesses[0] is None and witnesses[2] is None and witnesses[3] is None
     elapsed = time.monotonic() - t0
     assert elapsed < 1.0
@@ -106,7 +105,7 @@ def test_criterion_2_skeleton_sizes():
     t0 = time.monotonic()
     psi = existential_of(parse_formula("exists ?v. p(a) | p(b) -> p(?v)"))
     sol = solve_bounded(make_skeleton(psi, 2), max_size=1)
-    assert sol == Substitution({Unknown(1): parse_term("a"), Unknown(2): parse_term("b")})
+    assert sol == {Unknown(1): parse_term("a"), Unknown(2): parse_term("b")}
     assert solve_bounded(make_skeleton(psi, 1), max_size=3) is None
     elapsed = time.monotonic() - t0
     assert elapsed < 1.0
@@ -230,7 +229,7 @@ def test_criterion_5_simulation_lemmas():
                                    Variable("w1"))
                 found = _solve_matrix(matrix, [Variable("w1")], m + p + 3)
                 if q == m + p:
-                    assert found == [Substitution({Unknown(1): numeral(p, zt0)})]
+                    assert found == [{Unknown(1): numeral(p, zt0)}]
                 else:
                     assert found == []
 
@@ -296,8 +295,8 @@ def test_criterion_5_simulation_lemmas():
                                    Variable("w1"), Variable("w2"))
                 found = _solve_matrix(matrix, [Variable("w1"), Variable("w2")], bound)
                 if q == m * p:
-                    assert found == [Substitution({Unknown(1): witness_w,
-                                                   Unknown(2): witness_wt})]
+                    assert found == [{Unknown(1): witness_w,
+                                      Unknown(2): witness_wt}]
                 else:
                     assert found == []
 
@@ -513,7 +512,7 @@ def test_criterion_9_solution_equivalence():
         unknowns = unknowns_of(f)
         pool = list(skeleton.enumerate_terms(signature_of(f), 3))
         for combo in itertools.product(pool, repeat=len(unknowns)):
-            sigma = Substitution(dict(zip(unknowns, combo)))
+            sigma = dict(zip(unknowns, combo))
             direct = is_quasitautology(substitute(f, sigma))
             via = any(
                 is_quasitautology(substitute(p.formula, sigma)) for p in problems

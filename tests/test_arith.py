@@ -55,7 +55,6 @@ from hsk.syntax import (
     Not,
     Or,
     SpecialBase,
-    Substitution,
     Variable,
     conj,
     const,
@@ -126,10 +125,10 @@ def test_literal_similarity_breaks_multiplication():
         literal = conj([tab(W1), tab_tilde(w2), sim(W1, w2), tim(x, y, z, W1, w2)])
         assert "z = zt -> ?w1 = ?w2" in print_formula(literal)
         table = mp_semitable(m, p)
-        sigma = Substitution({
+        sigma = {
             W1: table.instantiate(zero(), zero(), k_plain()),
             w2: table.instantiate(zero_hat(), zero_tilde(), k_tilde()),
-        })
+        }
         assert qcheck.is_quasitautology(substitute(mul(x, y, z, W1, w2), sigma))
         assert not qcheck.is_quasitautology(substitute(literal, sigma))
 
@@ -617,4 +616,4 @@ def test_solution_transfers_to_variant_skeletons(system, solution):
     for tup in sk.unknown_tuples:
         for u, t in zip(tup, ordered_terms):
             assignment[u] = t
-    assert skeleton.verify_solution(sk, Substitution(assignment))
+    assert skeleton.verify_solution(sk, assignment)

@@ -64,6 +64,11 @@ def test_tracer_wraps_the_live_layers_and_restores_them(bench):
     assert counts["skeleton.started"] == counts["skeleton.yielded"] == 1
     assert counts["skeleton.checks"] == counts["skeleton.checks_passed"] >= 1
     assert counts["textform.parse"] == 2
+    # the search substitutes through the name the tracer wraps, so the traced
+    # syntax.substitute_s cannot read 0 on working code
+    assert counts["syntax.substitute"] >= 1
+    assert any(name == "syntax.substitute" and parent == "skeleton"
+               for _, name, parent in tracer.records)
 
 
 def test_tracer_reaches_the_countermodel_layers(bench):

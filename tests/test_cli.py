@@ -115,9 +115,12 @@ def test_parse_error_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("text,position", [
     ("# c\n\np(a) ->\n", "line 3 col 8: expected an atom"),
     ("# c\n\na = b &\n  c(\n", "line 4 col 5: expected a term"),
+    ("p(a) ->\n\n  \n", "line 1 col 8: expected an atom"),
+    ("p(a) ->\n\n# trailing\n", "line 1 col 8: expected an atom"),
 ])
 def test_parse_error_reports_the_line_of_the_file(tmp_path, capsys, text, position):
-    # comment and blank lines before the error still count
+    # comment and blank lines before the error still count, and the end of
+    # input is the end of the last line that holds a token
     source = tmp_path / "broken.fml"
     source.write_text(text)
     status, out = run_cli(["check", str(source)])

@@ -220,9 +220,9 @@ def test_theorem_on_constants_property():
         pool = [hole, term(3), term(3)]
         body = random_ground_formula(rng, pool, 3, [PredApp(P1, (p,)) for p in pool])
         a = term(3)
-        from hsk.syntax import Substitution, substitute
-        phi_k = substitute(body, Substitution({hole: fresh}))
-        phi_a = substitute(body, Substitution({hole: a}))
+        from hsk.syntax import substitute
+        phi_k = substitute(body, {hole: fresh})
+        phi_a = substitute(body, {hole: a})
         lhs = Implies(Equality(fresh, a), phi_k)
         assert is_quasitautology(lhs) == is_quasitautology(phi_a)
 

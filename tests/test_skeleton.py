@@ -1,10 +1,11 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 import reference_skeleton
-from hsk import arith, qcheck, skeleton, syntax
+from hsk import arith, qcheck, skeleton, sreu, syntax
 from hsk.arith import zero, zero_symbol, zero_tilde
 from hsk.skeleton import (
     ContractError,
@@ -22,7 +23,6 @@ from hsk.syntax import (
     Application,
     FunctionSymbol,
     Signature,
-    Substitution,
     Unknown,
     Variable,
     canonical_key,
@@ -88,20 +88,20 @@ def test_make_skeleton_deterministic():
 def test_verify_solution_examples():
     psi = existential_of(parse_formula(GUARDED_CHOICE))
     sk2 = make_skeleton(psi, 2)
-    assert verify_solution(sk2, Substitution({Unknown(1): A, Unknown(2): B}))
+    assert verify_solution(sk2, {Unknown(1): A, Unknown(2): B})
     sk1 = make_skeleton(psi, 1)
-    assert not verify_solution(sk1, Substitution({Unknown(1): A}))
+    assert not verify_solution(sk1, {Unknown(1): A})
     taut = make_skeleton(existential_of(parse_formula("exists ?v. p(?v) -> p(?v)")), 1)
-    assert verify_solution(taut, Substitution({Unknown(1): parse_term("g(a, b)")}))
+    assert verify_solution(taut, {Unknown(1): parse_term("g(a, b)")})
 
 
 def test_verify_solution_contract():
     psi = existential_of(parse_formula(GUARDED_CHOICE))
     sk2 = make_skeleton(psi, 2)
     with pytest.raises(ContractError):
-        verify_solution(sk2, Substitution({Unknown(1): A}))
+        verify_solution(sk2, {Unknown(1): A})
     with pytest.raises(ContractError):
-        verify_solution(sk2, Substitution({Unknown(1): A, Unknown(2): Unknown(1)}))
+        verify_solution(sk2, {Unknown(1): A, Unknown(2): Unknown(1)})
 
 
 def test_verify_invariant_under_unknown_renaming():
@@ -110,11 +110,11 @@ def test_verify_invariant_under_unknown_renaming():
     renamed = Skeleton(
         sk.source, sk.n,
         ((Unknown(7),), (Unknown(9),)),
-        substitute(sk.formula, Substitution({Unknown(1): Unknown(7),
-                                             Unknown(2): Unknown(9)})),
+        substitute(sk.formula, {Unknown(1): Unknown(7),
+                                Unknown(2): Unknown(9)}),
     )
-    assert verify_solution(sk, Substitution({Unknown(1): A, Unknown(2): B})) == \
-        verify_solution(renamed, Substitution({Unknown(7): A, Unknown(9): B}))
+    assert verify_solution(sk, {Unknown(1): A, Unknown(2): B}) == \
+        verify_solution(renamed, {Unknown(7): A, Unknown(9): B})
 
 
 def test_size_monotonicity_by_padding():
@@ -123,9 +123,9 @@ def test_size_monotonicity_by_padding():
     sol2 = solve_bounded(sk2, max_size=1)
     assert sol2 is not None
     sk3 = make_skeleton(psi, 3)
-    padded = dict(sol2.bindings)
+    padded = dict(sol2)
     padded[Unknown(3)] = padded[Unknown(1)]
-    assert verify_solution(sk3, Substitution(padded))
+    assert verify_solution(sk3, padded)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +189,7 @@ def test_enumerate_injects_constant_when_missing():
 def test_solve_guarded_choice():
     psi = existential_of(parse_formula(GUARDED_CHOICE))
     sol = solve_bounded(make_skeleton(psi, 2), max_size=1)
-    assert sol == Substitution({Unknown(1): A, Unknown(2): B})
+    assert sol == {Unknown(1): A, Unknown(2): B}
     assert solve_bounded(make_skeleton(psi, 1), max_size=3) is None
 
 
@@ -200,31 +200,62 @@ def test_solve_add_unique_witness():
         psi = ExistentialFormula((Variable("w1"),), matrix)
         sols = list(iter_solutions(make_skeleton(psi, 1), max_size=m + p + 3))
         expected = numeral(p, zero_tilde())
-        assert sols == [Substitution({Unknown(1): expected})]
+        assert sols == [{Unknown(1): expected}]
 
 
 def test_solve_returns_first_in_canonical_order():
     psi = existential_of(parse_formula("exists ?v. ?v = a | ?v = f(a)"))
     sol = solve_bounded(make_skeleton(psi, 1), max_size=3)
-    assert sol == Substitution({Unknown(1): A})
+    assert sol == {Unknown(1): A}
 
 
-def test_unknowns_scanned_once_per_conjunct(monkeypatch):
+def test_search_walks_each_conjunct_once(monkeypatch):
     sk = make_skeleton(existential_of(parse_formula(
         "exists ?v. exists ?u. (a = b -> ?v = a) & (p(?v) -> p(?u)) & (?u = f(?v) | ?u = ?v)"
         " & (p(a) -> p(a))")), 1)
-    scanned = []
+    [problem] = sreu.convert_to_sreu(parse_formula(
+        "(a = b -> *1 = a) & (*2 = f(*1)) & (c = c) & (*1 = a -> *2 = *3)"))
+    walked, deciding = [], []
+    nodes, atoms_of = syntax.nodes, qcheck.atoms_of
 
-    def counting(x):
-        scanned.append(x)
-        return unknowns_of(x)
+    def counted(root, *args):
+        if not deciding:  # the falsifier's walks of what it decides are its own
+            walked.append(root)
+        return nodes(root, *args)
 
-    monkeypatch.setattr(skeleton, "unknowns_of", counting)
-    solutions = list(iter_formula_solutions(sk.formula, sk.all_unknowns(), max_size=2))
-    conjuncts = flatten_and(sk.formula)
-    assert len(conjuncts) == 4
-    assert len(scanned) <= len(conjuncts)
-    assert solutions and solutions == list(iter_solutions(sk, max_size=2))
+    def decided(f):
+        deciding.append(f)
+        try:
+            return atoms_of(f)
+        finally:
+            deciding.pop()
+
+    monkeypatch.setattr(syntax, "nodes", counted)
+    monkeypatch.setattr(skeleton, "nodes", counted)
+    monkeypatch.setattr(qcheck, "atoms_of", decided)
+    for formula, search in ((sk.formula, lambda: list(iter_solutions(sk, max_size=2))),
+                            (problem.formula, lambda: sreu.solve_sreu_bounded(problem))):
+        walked.clear()
+        assert search()
+        conjuncts = flatten_and(formula)
+        assert len(conjuncts) == 4
+        assert Counter(walked) == Counter(conjuncts)  # each once, the whole formula never
+
+
+def test_search_defaults_to_the_formulas_unknowns_and_signature():
+    for text in ("(a = b -> *1 = a) & (p(*1) -> p(*2)) & (*2 = f(*1) | *2 = *1)",
+                 "*2 = g(*1, *3) & (f(a) = *1 | q(*3))", "p(a) -> p(a)", "*1 = *1"):
+        f = parse_formula(text)
+        expected = list(iter_formula_solutions(f, unknowns_of(f), signature_of(f), 2))
+        assert list(iter_formula_solutions(f, max_size=2)) == expected
+
+
+@pytest.mark.parametrize("text", ["exists ?x. *1 = ?x", "*1 = a & forall ?x. ?x = *1",
+                                  "a = a & (exists ?x. a = ?x)"])
+def test_search_rejects_quantified_input(text):
+    for unknowns in (None, (), (Unknown(1),)):
+        with pytest.raises(ContractError, match="quantifier-free"):
+            list(iter_formula_solutions(parse_formula(text), unknowns))
 
 
 def test_solver_deterministic():
@@ -240,7 +271,7 @@ def _naive_solutions(formula, unknowns, sig, max_size):
     pool = list(enumerate_terms(sig, max_size))
     out = []
     for combo in itertools.product(pool, repeat=len(unknowns)):
-        sigma = Substitution(dict(zip(unknowns, combo)))
+        sigma = dict(zip(unknowns, combo))
         if qcheck.is_quasitautology(substitute(formula, sigma)):
             out.append((combo, sigma))
     out.sort(key=lambda pair: (sum(term_size(t) for t in pair[0]),
@@ -467,5 +498,5 @@ def test_completeness_within_bound():
                                FunctionSymbol("pair", 2), zero_tilde().symbol}),
                     frozenset())
     found = list(iter_solutions(sk, sig, 4))
-    expected = [Substitution({Unknown(1): numeral(m, zero())}) for m in range(4)]
+    expected = [{Unknown(1): numeral(m, zero())} for m in range(4)]
     assert found == expected

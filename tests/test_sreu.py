@@ -27,7 +27,6 @@ from hsk.syntax import (
     Or,
     PredApp,
     PredicateSymbol,
-    Substitution,
     Unknown,
     signature_of,
     substitute,
@@ -206,7 +205,7 @@ def test_problem_unknowns_are_a_tuple_in_first_occurrence_order():
 def test_pipeline_solvability_of_the_four_problems():
     problems = convert_to_sreu(parse_formula(SKELETON_39))
     witnesses = [solve_sreu_bounded(problem, max_size=3) for problem in problems]
-    assert witnesses[1] == Substitution({STAR: C})
+    assert witnesses[1] == {STAR: C}
     assert witnesses[0] is None and witnesses[2] is None and witnesses[3] is None
 
 
@@ -248,7 +247,7 @@ def test_repeated_solves_share_the_unconstrained_buckets(monkeypatch):
 def test_solve_trivial_constraint():
     problems = convert_to_sreu(parse_formula("*1 = a"))
     sol = solve_sreu_bounded(problems[0], max_size=2)
-    assert sol == Substitution({STAR: A})
+    assert sol == {STAR: A}
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +277,7 @@ def test_solution_equivalence_exhaustive(text):
     unknowns = unknowns_of(f)
     pool = list(enumerate_terms(sig, 3))
     for combo in itertools.product(pool, repeat=len(unknowns)):
-        sigma = Substitution(dict(zip(unknowns, combo)))
+        sigma = dict(zip(unknowns, combo))
         assert _solves_formula(f, sigma) == _solves_some_problem(problems, sigma)
 
 

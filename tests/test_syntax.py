@@ -8,7 +8,6 @@ from hsk import syntax
 from hsk.syntax import (
     And,
     Application,
-    CaptureError,
     ContractError,
     Equality,
     Exists,
@@ -20,7 +19,6 @@ from hsk.syntax import (
     PredApp,
     PredicateSymbol,
     SpecialBase,
-    Substitution,
     Unknown,
     Variable,
     VarKind,
@@ -35,7 +33,6 @@ from hsk.syntax import (
     signature_of,
     special_constant,
     substitute,
-    substitute_term,
     subterms,
     succ,
     term_size,
@@ -72,39 +69,38 @@ def test_variable_kinds_follow_name():
 
 def test_substitute_single_slot():
     f = p(Unknown(1))
-    sigma = Substitution({Unknown(1): Application(FunctionSymbol("c", 0), ())})
+    sigma = {Unknown(1): Application(FunctionSymbol("c", 0), ())}
     assert substitute(f, sigma) == p(Application(FunctionSymbol("c", 0), ()))
 
 
 def test_substitute_matrix_instance():
     f = Implies(Or(p(A), p(B)), p(Unknown(1)))
-    assert substitute(f, Substitution({Unknown(1): A})) == Implies(Or(p(A), p(B)), p(A))
+    assert substitute(f, {Unknown(1): A}) == Implies(Or(p(A), p(B)), p(A))
 
 
 def test_substitution_is_simultaneous():
     f = Equality(Unknown(1), Unknown(2))
-    sigma = Substitution({Unknown(1): Unknown(2), Unknown(2): A})
+    sigma = {Unknown(1): Unknown(2), Unknown(2): A}
     once = substitute(f, sigma)
     assert once == Equality(Unknown(2), A)
     # applying again rewrites further: substitution is not idempotent
     assert substitute(once, sigma) == Equality(A, A)
 
 
-def test_substitute_capture_checks():
+def test_substitute_rejects_quantified_input():
     x, y = Variable("x1"), Variable("y")
-    body = Equality(x, y)
-    with pytest.raises(CaptureError):
-        substitute(Exists(x, body), Substitution({x: A}))
-    with pytest.raises(CaptureError):
-        substitute(Exists(x, body), Substitution({y: x}))
-    # clean renaming of the free variable is fine
-    assert substitute(Exists(x, body), Substitution({y: A})) == Exists(x, Equality(x, A))
+    for quantified in (Exists(x, Equality(x, y)), Forall(x, p(Unknown(1)))):
+        for bindings in ({x: A}, {y: A}, {y: x}, {Unknown(1): A}, {}):
+            with pytest.raises(ContractError, match="quantifier-free"):
+                substitute(quantified, bindings)
+            with pytest.raises(ContractError, match="quantifier-free"):
+                substitute(And(p(Unknown(1)), quantified), bindings)
 
 
 def test_substitution_rebuilds_only_what_changes(monkeypatch):
     deep = numeral(50, ZERO)
     atom, f = p(deep), Equality(deep, Unknown(1))
-    sigma = Substitution({Unknown(1): A})
+    sigma = {Unknown(1): A}
     lookups = []
     get = syntax._NODES.get
 
@@ -113,7 +109,7 @@ def test_substitution_rebuilds_only_what_changes(monkeypatch):
         return get(key, default)
 
     monkeypatch.setattr(syntax._NODES, "get", counted)
-    assert substitute_term(deep, sigma) is deep
+    assert substitute(deep, sigma) is deep
     assert substitute(atom, sigma) is atom
     assert lookups == []
     out = substitute(f, sigma)
@@ -140,7 +136,7 @@ def test_size_additive_under_substitution():
         replacement = random_ground_term(rng, 4)
         g2 = FunctionSymbol("g", 2)
         t = Application(g2, (Unknown(1), Application(F := FunctionSymbol("f", 1), (Unknown(1),))))
-        out = substitute_term(t, Substitution({Unknown(1): replacement}))
+        out = substitute(t, {Unknown(1): replacement})
         assert term_size(out) == term_size(t) + 2 * term_size(replacement)
 
 
@@ -211,7 +207,7 @@ def test_walks_are_linear_on_shared_subterms():
         t, u = Application(g, (t, t)), Application(g, (u, u))
     assert len(list(syntax.nodes(t))) == 201
     assert unknowns_of(u) == [Unknown(1)]
-    assert substitute_term(u, Substitution({Unknown(1): A})) is t
+    assert substitute(u, {Unknown(1): A}) is t
     assert syntax.rebuild(u, combine=lambda n, kids: 1 + max(kids, default=0)) == 201
 
 
@@ -221,13 +217,6 @@ def test_rebuild_returns_untouched_nodes_as_they_are():
     out = syntax.rebuild(f, lambda n: B if n is Unknown(1) else None)
     assert out == And(p(A), Implies(p(B), p(B)))
     assert out.lhs is f.lhs and out.rhs.rhs is f.rhs.rhs
-
-
-def test_free_variables_of_a_shared_subformula():
-    x = Variable("x1")
-    shared = p(x)
-    assert syntax.free_variables(And(Exists(x, shared), shared)) == [x]
-    assert syntax.free_variables(Exists(x, And(shared, p(Variable("y"))))) == [Variable("y")]
 
 
 def test_ground_flags():
