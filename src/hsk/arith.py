@@ -3,17 +3,19 @@
 Diophantine systems (conjunctions of ``a + b = c`` and ``a * b = c`` atoms)
 are associated with conjunctions of eight primitive implication shapes over
 the special constants, one table variable per additive atom and two per
-multiplicative atom.  Each shape is defined once, by its builder: a block's
-formula conjoins its primitives, and the recognizer feeding the
-countermodel construction matches conjuncts against the builders' formulas.
-Renamed variants over the indexed languages, the n-fold variant conjunction
-and the numeral-parameterised reduction share one existential closure.
+multiplicative atom.  Each shape is defined once, by its builder: a block is a
+tuple of primitives and its formula conjoins theirs, and the recognizer
+feeding the countermodel construction matches conjuncts against the
+builders' formulas.  One container, `PCArithFormula`, holds an associated
+conjunction, its renamed variants over the indexed languages, their ground
+instances and recognised instances alike; the n-fold variant conjunction and
+the numeral-parameterised reduction share one existential closure.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Mapping
 
@@ -35,7 +37,6 @@ from .syntax import (
     conj,
     const,
     flatten_and,
-    is_solution_eligible,
     numeral,
     numeral_of,
     pair,
@@ -98,7 +99,7 @@ def plus(a: Term, b: Term, c: Term, lang: int = 0) -> Formula:
 
 def add(a: Term, b: Term, c: Term, w: Variable, lang: int = 0) -> Formula:
     """Num~(w) & Sim(b, w) & Plus(a, w, c)"""
-    return AddBlock(a, b, c, w).formula(lang)
+    return _conjoin(add_block(a, b, c, w, lang))
 
 
 def tab(t: Term, lang: int = 0) -> Formula:
@@ -143,7 +144,7 @@ def tim(x: Term, y: Term, z_arg: Term, w: Term, wt: Term, lang: int = 0) -> Form
 
 def mul(x: Term, y: Term, z_arg: Term, w: Variable, wt: Variable, lang: int = 0) -> Formula:
     """Tab(w) & Tab~(wt) & Sim~(w, wt) & Tim(x, y, z, w, wt)"""
-    return MulBlock(x, y, z_arg, w, wt).formula(lang)
+    return _conjoin(mul_block(x, y, z_arg, w, wt, lang))
 
 
 # ---------------------------------------------------------------------------
@@ -348,119 +349,99 @@ class Primitive:
         return builder(*self.args, lang=self.lang)
 
 
-class _Block:
-    def formula(self, lang: int) -> Formula:
-        """The conjunction of the block's primitives."""
-        return conj(p.formula() for p in self.primitives(lang))
+def _conjoin(block: tuple[Primitive, ...]) -> Formula:
+    return conj(p.formula() for p in block)
 
 
-@dataclass(frozen=True)
-class NumBlock(_Block):
-    term: Term
-
-    def primitives(self, lang: int) -> tuple[Primitive, ...]:
-        return (Primitive(PrimKind.NUM, (self.term,), lang),)
+def num_block(t: Term, lang: int = 0) -> tuple[Primitive, ...]:
+    return (Primitive(PrimKind.NUM, (t,), lang),)
 
 
-@dataclass(frozen=True)
-class AddBlock(_Block):
-    a: Term
-    b: Term
-    c: Term
-    w: Variable
-
-    def primitives(self, lang: int) -> tuple[Primitive, ...]:
-        return (
-            Primitive(PrimKind.NUM_TILDE, (self.w,), lang),
-            Primitive(PrimKind.SIM, (self.b, self.w), lang),
-            Primitive(PrimKind.PLUS, (self.a, self.w, self.c), lang),
-        )
+def add_block(a: Term, b: Term, c: Term, w: Term, lang: int = 0) -> tuple[Primitive, ...]:
+    return (
+        Primitive(PrimKind.NUM_TILDE, (w,), lang),
+        Primitive(PrimKind.SIM, (b, w), lang),
+        Primitive(PrimKind.PLUS, (a, w, c), lang),
+    )
 
 
-@dataclass(frozen=True)
-class MulBlock(_Block):
-    a: Term
-    b: Term
-    c: Term
-    w1: Variable
-    w2: Variable
-
-    def primitives(self, lang: int) -> tuple[Primitive, ...]:
-        return (
-            Primitive(PrimKind.TAB, (self.w1,), lang),
-            Primitive(PrimKind.TAB_TILDE, (self.w2,), lang),
-            Primitive(PrimKind.SIM_TILDE, (self.w1, self.w2), lang),
-            Primitive(PrimKind.TIM, (self.a, self.b, self.c, self.w1, self.w2), lang),
-        )
-
-
-Block = NumBlock | AddBlock | MulBlock
+def mul_block(x: Term, y: Term, z_arg: Term, w: Term, wt: Term,
+              lang: int = 0) -> tuple[Primitive, ...]:
+    return (
+        Primitive(PrimKind.TAB, (w,), lang),
+        Primitive(PrimKind.TAB_TILDE, (wt,), lang),
+        Primitive(PrimKind.SIM_TILDE, (w, wt), lang),
+        Primitive(PrimKind.TIM, (x, y, z_arg, w, wt), lang),
+    )
 
 
 @dataclass(frozen=True)
 class PCArithFormula:
-    """A conjunction of Num/Add/Mul blocks over one language."""
+    """A conjunction of blocks of primitives over one language: an
+    associated conjunction, a variant of one, or an instance of either.
 
-    blocks: tuple[Block, ...]
-    language_index: int = 0
+    One walk over the primitives' arguments gives the language and the
+    variables in first occurrence order, and checks that every numeric
+    variable has a Num conjunct and that no table variable is shared by
+    two blocks.
+    """
+
+    blocks: tuple[tuple[Primitive, ...], ...]
+    language_index: int = field(init=False, compare=False)
+    _variables: tuple[Variable, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.blocks:
+        if not self.blocks or not all(self.blocks):
             raise ContractError("empty block conjunction")
-        covered = {
-            b.term for b in self.blocks
-            if isinstance(b, NumBlock) and isinstance(b.term, Variable)
-        }
-        for v in self.numeric_vars():
-            if v not in covered:
+        langs: set[int] = set()
+        block_of: dict[Variable, int] = {}  # each variable's first block
+        covered: set[Term] = set()
+        for i, block in enumerate(self.blocks):
+            for p in block:
+                langs.add(p.lang)
+                if p.kind is PrimKind.NUM:
+                    covered.add(p.args[0])
+                for t in p.args:
+                    if isinstance(t, Variable) and block_of.setdefault(t, i) != i \
+                            and t.kind is VarKind.TABLE:
+                        raise ContractError("table variables must be disjoint across blocks")
+        if len(langs) != 1:
+            raise ContractError("instance mixes conjuncts of several languages")
+        for v in block_of:
+            if v.kind is VarKind.NUMERIC and v not in covered:
                 raise ContractError(f"numeric variable {v} lacks its Num conjunct")
-        tables = self.table_vars()
-        if len(set(tables)) != len(tables):
-            raise ContractError("table variables must be disjoint across blocks")
+        object.__setattr__(self, "language_index", langs.pop())
+        object.__setattr__(self, "_variables", tuple(block_of))
 
     def numeric_vars(self) -> tuple[Variable, ...]:
-        out: list[Variable] = []
-        for block in self.blocks:
-            terms = (block.term,) if isinstance(block, NumBlock) else (block.a, block.b, block.c)
-            for t in terms:
-                if isinstance(t, Variable) and t not in out:
-                    out.append(t)
-        return tuple(out)
+        return tuple(v for v in self._variables if v.kind is VarKind.NUMERIC)
 
     def table_vars(self) -> tuple[Variable, ...]:
-        out: list[Variable] = []
-        for block in self.blocks:
-            if isinstance(block, AddBlock):
-                out.append(block.w)
-            elif isinstance(block, MulBlock):
-                out.extend((block.w1, block.w2))
-        return tuple(out)
+        return tuple(v for v in self._variables if v.kind is VarKind.TABLE)
 
     def primitives(self) -> tuple[Primitive, ...]:
-        return tuple(
-            p for block in self.blocks for p in block.primitives(self.language_index)
-        )
+        return tuple(p for block in self.blocks for p in block)
 
     def formula(self) -> Formula:
-        return conj(block.formula(self.language_index) for block in self.blocks)
+        return conj(map(_conjoin, self.blocks))
 
 
 def associate(psi: DiophantineFormula, lang: int = 0) -> PCArithFormula:
     """The associated conjunction: three Num conjuncts per atom plus an Add
     or Mul block with fresh table variables, left to right."""
-    blocks: list[Block] = []
+    blocks: list[tuple[Primitive, ...]] = []
     counter = 0
     for atom in psi.atoms:
         a, b, c = (_retarget_language(t, lang) for t in atom.terms())
-        blocks.extend([NumBlock(a), NumBlock(b), NumBlock(c)])
+        blocks += (num_block(a, lang), num_block(b, lang), num_block(c, lang))
         if atom.kind is DiophKind.ADD:
             counter += 1
-            blocks.append(AddBlock(a, b, c, Variable(f"w{counter}")))
+            blocks.append(add_block(a, b, c, Variable(f"w{counter}"), lang))
         else:
             w1, w2 = Variable(f"w{counter + 1}"), Variable(f"w{counter + 2}")
             counter += 2
-            blocks.append(MulBlock(a, b, c, w1, w2))
-    return PCArithFormula(tuple(blocks), lang)
+            blocks.append(mul_block(a, b, c, w1, w2, lang))
+    return PCArithFormula(tuple(blocks))
 
 
 def _retarget_language(t: Term, lang: int) -> Term:
@@ -472,19 +453,12 @@ def _retarget_language(t: Term, lang: int) -> Term:
     return numeral(m, zero(lang))
 
 
-def _map_block_terms(block: Block, fn: Callable[[Term], Term]) -> Block:
-    if isinstance(block, NumBlock):
-        return NumBlock(fn(block.term))
-    if isinstance(block, AddBlock):
-        return AddBlock(fn(block.a), fn(block.b), fn(block.c), _as_var(fn(block.w)))
-    return MulBlock(fn(block.a), fn(block.b), fn(block.c),
-                    _as_var(fn(block.w1)), _as_var(fn(block.w2)))
-
-
-def _as_var(t: Term) -> Variable:
-    if not isinstance(t, Variable):
-        raise ContractError(f"table slot must stay a variable, got {t}")
-    return t
+def _mapped(phi: PCArithFormula, fn: Callable[[Term], Term], lang: int) -> PCArithFormula:
+    """phi with fn applied to every primitive argument, over language lang."""
+    return PCArithFormula(tuple(
+        tuple(Primitive(p.kind, tuple(map(fn, p.args)), lang) for p in block)
+        for block in phi.blocks
+    ))
 
 
 def instantiate_numeral(phi: PCArithFormula, x: Variable, m: int) -> PCArithFormula:
@@ -494,36 +468,18 @@ def instantiate_numeral(phi: PCArithFormula, x: Variable, m: int) -> PCArithForm
     if x not in phi.numeric_vars():
         raise ContractError(f"{x} does not occur in the formula")
     value = numeral(m, zero(phi.language_index))
-    fn = lambda t: value if t == x else t
-    return PCArithFormula(
-        tuple(_map_block_terms(b, fn) for b in phi.blocks), phi.language_index
-    )
+    return _mapped(phi, lambda t: value if t == x else t, phi.language_index)
 
 
-@dataclass(frozen=True)
-class VariantInstance:
-    """A ground instance of a variant: its conjuncts with their roles."""
-
-    primitives: tuple[Primitive, ...]
-    language_index: int
-
-    def formula(self) -> Formula:
-        return conj(p.formula() for p in self.primitives)
-
-
-def instantiate(phi: PCArithFormula, values: Mapping[Variable, Term]) -> VariantInstance:
+def instantiate(phi: PCArithFormula, values: Mapping[Variable, Term]) -> PCArithFormula:
     """Close the formula by substituting ground terms for all variables."""
     missing = [v for v in (*phi.numeric_vars(), *phi.table_vars()) if v not in values]
     if missing:
         raise ContractError(f"instantiation must cover all variables, missing {missing}")
     for value in values.values():
-        if not is_solution_eligible(value):
+        if not value.ground:
             raise ContractError(f"instantiation values must be closed terms: {value}")
-    ground = tuple(
-        Primitive(p.kind, tuple(substitute(t, values) for t in p.args), p.lang)
-        for p in phi.primitives()
-    )
-    return VariantInstance(ground, phi.language_index)
+    return _mapped(phi, lambda t: substitute(t, values), phi.language_index)
 
 
 def make_variant(phi: PCArithFormula, i: int) -> PCArithFormula:
@@ -541,32 +497,20 @@ def make_variant(phi: PCArithFormula, i: int) -> PCArithFormula:
             return Application(special_constant(special.base, i), ())
         return None
 
-    rename = lambda t: rebuild(t, renamed)
-    return PCArithFormula(
-        tuple(_map_block_terms(b, rename) for b in phi.blocks), i
-    )
+    return _mapped(phi, lambda t: rebuild(t, renamed), i)
 
 
-@dataclass(frozen=True)
-class AssignedFormula:
-    """The conjunction of variants 1..n of one formula."""
-
-    variants: tuple[PCArithFormula, ...]
-
-    def formula(self) -> Formula:
-        return conj(v.formula() for v in self.variants)
-
-
-def assign_n(phi: PCArithFormula, n: int) -> AssignedFormula:
+def assign_n(phi: PCArithFormula, n: int) -> tuple[PCArithFormula, ...]:
+    """Variants 1..n of the formula."""
     if n < 1:
         raise ContractError("variant count must be >= 1")
-    return AssignedFormula(tuple(make_variant(phi, i) for i in range(1, n + 1)))
+    return tuple(make_variant(phi, i) for i in range(1, n + 1))
 
 
 def _variants(psi: DiophantineFormula, n: int) -> tuple[PCArithFormula, ...]:
     """The associated conjunction when n = 1, else its variants 1..n."""
     phi = associate(psi)
-    return (phi,) if n == 1 else assign_n(phi, n).variants
+    return (phi,) if n == 1 else assign_n(phi, n)
 
 
 def _closed(variants: tuple[PCArithFormula, ...]) -> ExistentialFormula:
@@ -598,28 +542,20 @@ def reduction_f(
 # Failure classification
 
 
-_CASE_ORDER = (
-    FailureCase.NUM_OR_TAB,
-    FailureCase.TILDE_NUM_OR_TAB,
-    FailureCase.SIM_OR_SIM_TILDE,
-    FailureCase.PLUS_OR_TIM,
-)
-
-
 def classify_failures(
-    instance: VariantInstance,
+    instance: PCArithFormula,
     oracle: Callable[[Formula], bool] = qcheck.is_quasitautology,
 ) -> Diagnosis:
     """First applicable failure case of a non-valid ground variant instance.
 
-    Conjunct classes are tried in the fixed case order; the additive or
+    Conjunct classes are tried in FailureCase order; the additive or
     multiplicative case reports the numeral exponent of the failing
     conjunct's first argument.
     """
-    failing = [p for p in instance.primitives if not oracle(p.formula())]
+    failing = [p for p in instance.primitives() if not oracle(p.formula())]
     if not failing:
         raise ContractError("instance is valid; nothing to diagnose")
-    for case in _CASE_ORDER:
+    for case in FailureCase:
         for p in failing:
             if _KINDS[p.kind][2] is not case:
                 continue
@@ -703,8 +639,8 @@ def recognize_conjunct(f: Formula) -> Primitive | None:
     return None
 
 
-def recognize_instance(f: Formula) -> VariantInstance:
-    """Split a conjunction into recognised primitive conjuncts.
+def recognize_instance(f: Formula) -> PCArithFormula:
+    """A conjunction as one block of recognised primitive conjuncts.
 
     All conjuncts must match a primitive shape over one common language.
     """
@@ -714,7 +650,4 @@ def recognize_instance(f: Formula) -> VariantInstance:
         if p is None:
             raise ContractError(f"conjunct does not match a primitive shape: {g}")
         primitives.append(p)
-    langs = {p.lang for p in primitives}
-    if len(langs) != 1:
-        raise ContractError("instance mixes conjuncts of several languages")
-    return VariantInstance(tuple(primitives), langs.pop())
+    return PCArithFormula((tuple(primitives),))

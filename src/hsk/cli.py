@@ -5,7 +5,8 @@ Input is one formula per file ('-' reads standard input); lines starting
 with '#' and blank lines are ignored, and parse errors give the line and
 column in the input.  Exit status: 0 for a positive result, 1 for a
 negative or exhausted one, 2 for usage or parse errors, 3 for an internal
-error (a one-line diagnostic names the exception).
+error, running out of memory included (a one-line diagnostic names the
+exception).
 
 Output is plain text, or line-oriented records (`--format records`) of
 tab-separated KEY=VALUE pairs with keys among verdict, witness,
@@ -318,6 +319,7 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, UnicodeDecodeError) as err:
         _diagnose(str(err))
         return 2
+    crash = None
     try:
         status, output = run(config, text)
     except ParseError as err:
@@ -327,7 +329,10 @@ def main(argv: list[str] | None = None) -> int:
         _diagnose(str(err))
         return 2
     except Exception as err:  # a crash must not read as a verdict
-        _diagnose(f"internal error: {type(err).__name__}: {err}")
+        crash = f"internal error: {type(err).__name__}: {err}"
+    if crash is not None:
+        # reported only once the traceback, and the memory its frames hold, is gone
+        _diagnose(crash)
         return 3
     print(output, end="")
     return status

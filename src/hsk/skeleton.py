@@ -40,7 +40,6 @@ from .syntax import (
     canonical_key,
     disj,
     flatten_and,
-    is_solution_eligible,
     nodes,
     substitute,
 )
@@ -217,7 +216,7 @@ def _peel_implication(f: Formula) -> tuple[list[Formula], Formula]:
 
 
 def _unary_constraint(conjunct: Formula, u: Unknown) -> tuple[tuple[tuple[Term, Term], ...], Term] | None:
-    """Match `hyps -> s = u` (or `u = s`) with solution-eligible hyps and s."""
+    """Match `hyps -> s = u` (or `u = s`) with ground hyps and s."""
     hypotheses, conclusion = _peel_implication(conjunct)
     if not isinstance(conclusion, Equality):
         return None
@@ -225,11 +224,11 @@ def _unary_constraint(conjunct: Formula, u: Unknown) -> tuple[tuple[tuple[Term, 
     for h in hypotheses:
         if not isinstance(h, Equality):
             return None
-        if not (is_solution_eligible(h.lhs) and is_solution_eligible(h.rhs)):
+        if not (h.lhs.ground and h.rhs.ground):
             return None
         parts.append((h.lhs, h.rhs))
     for target, slot in ((conclusion.lhs, conclusion.rhs), (conclusion.rhs, conclusion.lhs)):
-        if slot == u and is_solution_eligible(target):
+        if slot == u and target.ground:
             return (tuple(parts), target)
     return None
 

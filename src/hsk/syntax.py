@@ -427,11 +427,6 @@ def term_size(t: Term) -> int:
     return t.size if isinstance(t, Application) else 0
 
 
-def is_solution_eligible(t: Term) -> bool:
-    """True when t contains neither variables nor unknowns."""
-    return t.ground
-
-
 _CONNECTIVES = (Not, And, Or, Implies)
 
 
@@ -446,11 +441,6 @@ def atoms_of(f: Formula) -> list[Atom]:
     return out
 
 
-def unknowns_of(x: Term | Formula) -> list[Unknown]:
-    """Unknowns occurring in x, in first occurrence order."""
-    return [n for n in nodes(x) if isinstance(n, Unknown)]
-
-
 # ---------------------------------------------------------------------------
 # Signatures
 
@@ -459,18 +449,6 @@ def unknowns_of(x: Term | Formula) -> list[Unknown]:
 class Signature:
     function_symbols: frozenset[FunctionSymbol]
     predicate_symbols: frozenset[PredicateSymbol]
-
-
-def signature_of(f: Formula) -> Signature:
-    """Exactly the function and predicate symbols occurring in f."""
-    fns: set[FunctionSymbol] = set()
-    preds: set[PredicateSymbol] = set()
-    for n in nodes(f):
-        if isinstance(n, Application):
-            fns.add(n.symbol)
-        elif isinstance(n, PredApp):
-            preds.add(n.symbol)
-    return Signature(frozenset(fns), frozenset(preds))
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,12 @@ from hsk.syntax import (
     Or,
     PredApp,
     PredicateSymbol,
+    Signature,
     Term,
+    Unknown,
     conj,
     disj,
+    nodes,
     subterms,
 )
 
@@ -29,6 +32,23 @@ G2 = FunctionSymbol("g", 2)
 H3 = FunctionSymbol("h", 3)
 P1 = PredicateSymbol("p", 1)
 Q2 = PredicateSymbol("q", 2)
+
+
+def unknowns_of(x: Term | Formula) -> list[Unknown]:
+    """Unknowns occurring in x, in first occurrence order."""
+    return [n for n in nodes(x) if isinstance(n, Unknown)]
+
+
+def signature_of(f: Formula) -> Signature:
+    """Exactly the function and predicate symbols occurring in f."""
+    fns: set[FunctionSymbol] = set()
+    preds: set[PredicateSymbol] = set()
+    for n in nodes(f):
+        if isinstance(n, Application):
+            fns.add(n.symbol)
+        elif isinstance(n, PredApp):
+            preds.add(n.symbol)
+    return Signature(frozenset(fns), frozenset(preds))
 
 
 def random_ground_term(rng: random.Random, max_size: int) -> Term:

@@ -18,6 +18,8 @@ from helpers import (
     P1,
     random_ground_formula,
     random_ground_term,
+    signature_of,
+    unknowns_of,
     valid_by_model_enumeration,
 )
 from hsk import arith, models, skeleton, sreu
@@ -59,10 +61,8 @@ from hsk.syntax import (
     Variable,
     conj,
     numeral,
-    signature_of,
     substitute,
     term_size,
-    unknowns_of,
 )
 from hsk.textform import parse_formula, parse_term, print_formula
 

@@ -4,20 +4,19 @@ import pytest
 
 import hsk.arith as arith_module
 import reference_arith
+from helpers import signature_of
 from hsk import qcheck, skeleton, syntax
 from hsk.arith import (
-    AddBlock,
     ContractError,
     Diagnosis,
     DiophAtom,
     DiophKind,
     FailureCase,
-    MulBlock,
-    NumBlock,
     PCArithFormula,
     PrimKind,
     Semitable,
     add,
+    add_block,
     associate,
     assign_n,
     classify_failures,
@@ -29,7 +28,9 @@ from hsk.arith import (
     make_variant,
     mp_semitable,
     mul,
+    mul_block,
     num,
+    num_block,
     num_tilde,
     parse_diophantine,
     parse_semitable,
@@ -222,10 +223,10 @@ def test_eval_diophantine():
 def test_associate_add_atom():
     phi = associate(parse_diophantine("x1 + 1 = 0"))
     assert phi.blocks == (
-        NumBlock(X1),
-        NumBlock(numeral(1, zero())),
-        NumBlock(numeral(0, zero())),
-        AddBlock(X1, numeral(1, zero()), numeral(0, zero()), W1),
+        num_block(X1),
+        num_block(numeral(1, zero())),
+        num_block(numeral(0, zero())),
+        add_block(X1, numeral(1, zero()), numeral(0, zero()), W1),
     )
     assert phi.numeric_vars() == (X1,)
     assert phi.table_vars() == (W1,)
@@ -233,7 +234,8 @@ def test_associate_add_atom():
 
 def test_associate_mul_atom():
     phi = associate(parse_diophantine("x1 * x2 = 2"))
-    assert isinstance(phi.blocks[3], MulBlock)
+    assert phi.blocks[3] == mul_block(X1, Variable("x2"), numeral(2, zero()),
+                                      W1, Variable("w2"))
     assert phi.table_vars() == (W1, Variable("w2"))
 
 
@@ -244,16 +246,16 @@ def test_associate_keeps_table_variables_disjoint():
 
 def test_num_coverage_invariant_enforced():
     with pytest.raises(ContractError):
-        PCArithFormula((AddBlock(X1, zero(), zero(), W1),))
+        PCArithFormula((add_block(X1, zero(), zero(), W1),))
 
 
 def test_instantiate_numeral():
     phi = associate(parse_diophantine("x1 + 1 = 0"))
     inst = instantiate_numeral(phi, X1, 0)
-    assert inst.blocks[0] == NumBlock(numeral(0, zero()))
+    assert inst.blocks[0] == num_block(numeral(0, zero()))
     assert inst.numeric_vars() == ()
     inst1 = instantiate_numeral(phi, X1, 1)
-    assert inst1.blocks[0] == NumBlock(numeral(1, zero()))
+    assert inst1.blocks[0] == num_block(numeral(1, zero()))
     with pytest.raises(ContractError):
         instantiate_numeral(phi, Variable("x9"), 1)
     with pytest.raises(ContractError):
@@ -268,7 +270,7 @@ def test_make_variant_renames_constants_and_variables():
     phi = associate(parse_diophantine("x1 + 1 = 0"))
     v2 = make_variant(phi, 2)
     assert v2.language_index == 2
-    assert print_formula(v2.blocks[0].formula(2)) == "z_2 = s(z_2) -> z_2 = ?x1@2"
+    assert print_formula(v2.blocks[0][0].formula()) == "z_2 = s(z_2) -> z_2 = ?x1@2"
     assert v2.numeric_vars() == (Variable("x1@2"),)
     with pytest.raises(ContractError):
         make_variant(v2, 3)
@@ -291,15 +293,12 @@ def test_variant_renaming_is_invertible():
             return Application(symbol, tuple(unrename(a) for a in term.args))
         return term
 
-    restored = tuple(
-        arith_module._map_block_terms(b, unrename) for b in variant.blocks
-    )
-    assert restored == phi.blocks
+    restored = arith_module._mapped(variant, unrename, 0)
+    assert restored.blocks == phi.blocks
 
 
 def test_variant_shares_no_special_constants():
     phi = associate(parse_diophantine("x1 + 1 = 0"))
-    from hsk.syntax import signature_of
     sig1 = signature_of(make_variant(phi, 1).formula())
     sig2 = signature_of(make_variant(phi, 2).formula())
     specials1 = {s for s in sig1.function_symbols if s.special}
@@ -319,13 +318,22 @@ def test_variant_solvability_transfers():
     assert qcheck.is_quasitautology(inst3.formula())
 
 
+def test_instance_formula_is_the_substituted_formula():
+    # an instance keeps the blocks of the formula it instantiates
+    phi = make_variant(associate(parse_diophantine("x1 + 1 = x2\nx2 * x1 = 2")), 2)
+    values = {v: numeral(1, zero(2)) for v in phi.numeric_vars()}
+    values.update({v: k_tilde(2) for v in phi.table_vars()})
+    inst = instantiate(phi, values)
+    assert len(inst.blocks) == len(phi.blocks)
+    assert inst.formula() == substitute(phi.formula(), values)
+
+
 def test_assign_n():
     phi = associate(parse_diophantine("x1 + 1 = 0"))
     assigned = assign_n(phi, 2)
-    assert len(assigned.variants) == 2
-    assert assigned.variants[0].language_index == 1
-    one = assign_n(phi, 1)
-    assert one.formula() == make_variant(phi, 1).formula()
+    assert len(assigned) == 2
+    assert assigned[0].language_index == 1
+    assert assign_n(phi, 1) == (make_variant(phi, 1),)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +378,6 @@ def test_reduction_f_two_variants():
     psi = parse_diophantine("x1 + 1 = 0")
     f = reduction_f(psi, X1, 0, 2)
     assert f.bound_vars == (Variable("w1@1"), Variable("w1@2"))
-    from hsk.syntax import signature_of
     specials = {s.name for s in signature_of(f.matrix).function_symbols if s.special}
     assert specials == {"z_1", "zt_1", "z_2", "zt_2"}
 
@@ -447,7 +454,9 @@ def test_recognize_round_trip():
     inst = instantiate(v1, values)
     recognized = recognize_instance(inst.formula())
     assert recognized.language_index == 1
-    assert recognized.primitives == inst.primitives
+    assert recognized.primitives() == inst.primitives()
+    # one block: the flat conjunction of the instance's primitives
+    assert recognized.formula() == conj(p.formula() for p in inst.primitives())
 
 
 def test_recognize_rejects_foreign_conjuncts():
@@ -460,7 +469,7 @@ def test_recognize_rejects_foreign_conjuncts():
 def test_recognize_allows_cross_language_argument_slots():
     inst = recognize_instance(parse_formula("z_1 = s(z_1) -> z_1 = z_2"))
     assert inst.language_index == 1
-    assert inst.primitives[0].kind.value == "num"
+    assert inst.primitives()[0].kind.value == "num"
 
 
 # Each primitive builder with its number of argument slots.
@@ -572,8 +581,8 @@ def test_recognition_builds_no_node(monkeypatch):
     monkeypatch.setattr(syntax.Node, "__new__", staticmethod(counted))
     recognized = recognize_instance(formula)
     monkeypatch.undo()
-    assert recognized == inst
-    assert {p.kind for p in recognized.primitives} >= {PrimKind.PLUS, PrimKind.TIM}
+    assert recognized.primitives() == inst.primitives()
+    assert {p.kind for p in recognized.primitives()} >= {PrimKind.PLUS, PrimKind.TIM}
     assert built == []
 
 
@@ -592,9 +601,9 @@ def test_solution_transfers_to_variant_skeletons(system, solution):
 
     n = 2
     assigned = assign_n(phi, n)
-    bound = [v for variant in assigned.variants
+    bound = [v for variant in assigned
              for v in (*variant.numeric_vars(), *variant.table_vars())]
-    psi = skeleton.ExistentialFormula(tuple(bound), assigned.formula())
+    psi = skeleton.ExistentialFormula(tuple(bound), conj(v.formula() for v in assigned))
     sk = skeleton.make_skeleton(psi, n)
 
     def variant_term(term_text, lang):
@@ -607,7 +616,7 @@ def test_solution_transfers_to_variant_skeletons(system, solution):
 
     # fill one disjunct with the renamed solutions, reusing it for the rest
     per_variable = {}
-    for i, variant in enumerate(assigned.variants, start=1):
+    for i, variant in enumerate(assigned, start=1):
         for v in (*variant.numeric_vars(), *variant.table_vars()):
             base = v.name.split("@")[0]
             per_variable[v] = variant_term(solution[base], i)

@@ -171,6 +171,26 @@ def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
     assert err == "error: internal error: RecursionError: maximum recursion depth exceeded\n"
 
 
+def test_memory_exhaustion_exits_3():
+    # the conversion of this fixture outgrows a 150 MB address space; the
+    # diagnostic must still be printed and the status must not read as a verdict
+    def cap_memory():
+        import resource
+        limit = 150 * 2 ** 20
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "hsk", "sreu",
+                           str(FIXTURES / "variant_failures.fml")],
+                          env=env, capture_output=True, timeout=120, preexec_fn=cap_memory)
+    assert done.returncode == 3, done.stderr
+    assert done.stdout == b""
+    # a finalizer that runs out of memory too may print a warning first
+    assert done.stderr.splitlines()[-1] == b"error: internal error: MemoryError: "
+
+
 def test_undecodable_input_exits_2(tmp_path, capsys):
     source = tmp_path / "latin1.fml"
     source.write_bytes(b"\xff = a\n")
@@ -310,3 +330,12 @@ def test_countermodel_reports_valid_disjunct(tmp_path):
     status, out = run_cli(["countermodel", str(source)])
     assert status == 1
     assert out == "VALID DISJUNCT 1\n"
+
+
+def test_countermodel_rejects_a_disjunct_of_several_languages(tmp_path, capsys):
+    source = tmp_path / "mixed.fml"
+    source.write_text("(z_1 = s(z_1) -> z_1 = s(z_1)) & (z_2 = s(z_2) -> z_2 = f(z_2))"
+                      " | (z_3 = s(z_3) -> z_3 = f(z_3))\n")
+    status, out = run_cli(["countermodel", str(source)])
+    assert (status, out) == (2, "")
+    assert capsys.readouterr().err == "error: instance mixes conjuncts of several languages\n"

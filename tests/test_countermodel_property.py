@@ -51,7 +51,7 @@ JUNK = FunctionSymbol("f", 1)
 def _solution_values(phi, numeric_solution, lang):
     """The known witness: mirrored numerals for additive slots, the matching
     course-of-values table pair for multiplicative slots."""
-    from hsk.arith import AddBlock, MulBlock, mp_semitable
+    from hsk.arith import PrimKind, mp_semitable
     from hsk.syntax import numeral_of
 
     def exponent(term):
@@ -64,15 +64,16 @@ def _solution_values(phi, numeric_solution, lang):
     values = {}
     for v in phi.numeric_vars():
         values[v] = numeral(numeric_solution[v.name.split("@")[0]], zero(lang))
-    for block in phi.blocks:
-        if isinstance(block, AddBlock):
-            values[block.w] = numeral(exponent(block.b), zero_tilde(lang))
-        elif isinstance(block, MulBlock):
-            table = mp_semitable(exponent(block.a), exponent(block.b))
-            values[block.w1] = table.instantiate(zero(lang), zero(lang),
-                                                 k_plain(lang))
-            values[block.w2] = table.instantiate(zero_hat(lang), zero_tilde(lang),
-                                                 k_tilde(lang))
+    for p in phi.primitives():
+        if p.kind is PrimKind.SIM:  # Sim(b, w) of an additive block
+            b, w = p.args
+            values[w] = numeral(exponent(b), zero_tilde(lang))
+        elif p.kind is PrimKind.TIM:  # Tim(a, b, c, w1, w2) of a multiplicative block
+            a, b, _, w1, w2 = p.args
+            table = mp_semitable(exponent(a), exponent(b))
+            values[w1] = table.instantiate(zero(lang), zero(lang), k_plain(lang))
+            values[w2] = table.instantiate(zero_hat(lang), zero_tilde(lang),
+                                           k_tilde(lang))
     return values
 
 

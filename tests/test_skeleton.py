@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 import reference_skeleton
+from helpers import signature_of, unknowns_of
 from hsk import arith, qcheck, skeleton, sreu, syntax
 from hsk.arith import zero, zero_symbol, zero_tilde
 from hsk.skeleton import (
@@ -28,10 +29,8 @@ from hsk.syntax import (
     canonical_key,
     flatten_and,
     numeral,
-    signature_of,
     substitute,
     term_size,
-    unknowns_of,
 )
 from hsk.textform import parse_formula, parse_term
 
@@ -330,7 +329,6 @@ def test_solver_agrees_with_naive_search_on_random_formulas():
         return ctor(rformula(depth - 1, unknowns), rformula(depth - 1, unknowns))
 
     from hsk.skeleton import iter_formula_solutions
-    from hsk.syntax import unknowns_of
 
     trials = 0
     for _ in range(150):

@@ -4,6 +4,7 @@ import random
 import pytest
 
 import reference_sreu
+from helpers import signature_of, unknowns_of
 from hsk import qcheck, skeleton
 from hsk.sreu import (
     Clause,
@@ -28,9 +29,7 @@ from hsk.syntax import (
     PredApp,
     PredicateSymbol,
     Unknown,
-    signature_of,
     substitute,
-    unknowns_of,
 )
 from hsk.textform import parse_formula, print_formula
 

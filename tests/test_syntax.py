@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from helpers import signature_of, unknowns_of
 from hsk import syntax
 from hsk.syntax import (
     And,
@@ -27,16 +28,13 @@ from hsk.syntax import (
     disj,
     flatten_and,
     flatten_or,
-    is_solution_eligible,
     numeral,
     numeral_of,
-    signature_of,
     special_constant,
     substitute,
     subterms,
     succ,
     term_size,
-    unknowns_of,
 )
 
 A = Application(FunctionSymbol("a", 0), ())
@@ -277,9 +275,9 @@ def test_canonical_key_of_a_deep_term():
 
 
 def test_solution_eligibility():
-    assert is_solution_eligible(succ(A))
-    assert not is_solution_eligible(Unknown(1))
-    assert not is_solution_eligible(Application(FunctionSymbol("f", 1), (Variable("x1"),)))
+    assert succ(A).ground
+    assert not Unknown(1).ground
+    assert not Application(FunctionSymbol("f", 1), (Variable("x1"),)).ground
 
 
 # ---------------------------------------------------------------------------
