@@ -136,18 +136,15 @@ def _sorted_symbols(sig: Signature) -> list[FunctionSymbol]:
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All ways to write total as an ordered sum of `parts` positive ints."""
-    if parts == 0:
-        if total == 0:
+    """All ways to write total as an ordered sum of `parts` positive ints,
+    in lexicographic order: the gaps between 0, the cut points and total."""
+    if parts == 0 or total < parts:
+        if total == parts:
             yield ()
         return
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for head in range(1, total - parts + 2):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
+    for cuts in itertools.combinations(range(1, total), parts - 1):
+        bounds = (0, *cuts, total)
+        yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
 
 
 def _sized_terms(

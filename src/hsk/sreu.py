@@ -3,15 +3,16 @@
 A quantifier-free formula is turned into a finite class of problems, each a
 conjunction of rigid Horn clauses ``e1 & ... & em -> lhs = rhs`` (every atom
 an equality), such that a substitution for the unknowns solves the formula
-exactly when it solves at least one problem of the class.  The three steps:
-conversion to a conjunction of clauses, splitting of multi-consequent
-clauses, and elimination of predicate symbols.
+exactly when it solves at least one problem of the class: the product over
+the formula's clauses of the rigid alternatives of each Horn clause that a
+consequent atom makes, counted before any problem is built.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from itertools import product
 
 from . import skeleton as _skeleton
 from .syntax import (
@@ -33,6 +34,9 @@ from .syntax import (
     disj,
 )
 
+# the most problems, before deduplication, that one conversion may build
+_MAX_ALTERNATIVES = 1 << 16
+
 
 @dataclass(frozen=True)
 class Clause:
@@ -40,9 +44,6 @@ class Clause:
 
     antecedent: tuple[Atom, ...]
     consequent: tuple[Atom, ...]
-
-    def is_horn(self) -> bool:
-        return len(self.consequent) == 1
 
     def predicate_atom_count(self) -> int:
         return sum(
@@ -54,9 +55,6 @@ class Clause:
         if self.antecedent:
             return Implies(conj(self.antecedent), body)
         return body
-
-
-ClauseConjunction = tuple[Clause, ...]
 
 
 @dataclass(frozen=True)
@@ -125,47 +123,14 @@ def to_clause_conjunction(f: Formula) -> list[Clause]:
 
 
 # ---------------------------------------------------------------------------
-# Step 2: splitting to Horn clauses
-
-
-def _dedupe(formulas: list[ClauseConjunction]) -> list[ClauseConjunction]:
-    seen: set[ClauseConjunction] = set()
-    out: list[ClauseConjunction] = []
-    for f in formulas:
-        if f not in seen:
-            seen.add(f)
-            out.append(f)
-    return out
-
-
-def horn_split(gamma: Sequence[Sequence[Clause]]) -> list[ClauseConjunction]:
-    """Replace every clause with m > 1 consequent atoms by m alternatives,
-    iterated to a fixpoint; the class stays solution equivalent."""
-    out: list[ClauseConjunction] = []
-    todo = [tuple(clauses) for clauses in reversed(gamma)]  # the next one on top
-    while todo:
-        clauses = todo.pop()
-        i = next((i for i, c in enumerate(clauses) if not c.is_horn()), None)
-        if i is None:
-            out.append(clauses)
-            continue
-        c = clauses[i]
-        if not c.consequent:
-            raise ContractError("clause with empty consequent")
-        todo += [clauses[:i] + (Clause(c.antecedent, (atom,)),) + clauses[i + 1:]
-                 for atom in reversed(c.consequent)]
-    return _dedupe(out)
-
-
-# ---------------------------------------------------------------------------
-# Step 3: elimination of predicate symbols
+# Step 2: per-clause elimination of predicate symbols
 
 
 def _eliminate_step(c: Clause) -> list[tuple[Clause, ...]]:
     """The alternatives, each a tuple of clauses, that replace the Horn
-    clause c, which carries a predicate atom; [] deletes the whole
-    conjunction (an unmatched predicate consequent can always be
-    falsified).  Every new clause has fewer predicate atoms than c."""
+    clause c, which carries a predicate atom; [] deletes the branch (an
+    unmatched predicate consequent can always be falsified).  Every new
+    clause has fewer predicate atoms than c."""
     consequent = c.consequent[0]
     is_pred = isinstance(consequent, PredApp)
     if is_pred and not any(
@@ -187,38 +152,35 @@ def _eliminate_step(c: Clause) -> list[tuple[Clause, ...]]:
     return [(Clause(rest, c.consequent),)]
 
 
-def eliminate_predicates(gamma: Sequence[Sequence[Clause]]) -> list[SREUProblem]:
-    """Rewrite Horn-clause conjunctions until only identity constraints
-    remain; unsolvable branches are deleted, alternatives keep their order.
+def rigid_alternatives(c: Clause) -> list[tuple[Clause, ...]]:
+    """The tuples of rigid Horn clauses that can replace the Horn clause c,
+    in rewriting order; [] when every branch is deleted.
 
     Each rewrite replaces the leftmost clause carrying a predicate atom,
     and the clauses before it carry none, so the next scan starts there.
     """
-    results: list[ClauseConjunction] = []
-    for clauses in gamma:
-        clauses = tuple(clauses)
-        if not all(c.is_horn() for c in clauses):
-            raise ContractError("predicate elimination needs Horn clauses")
-        todo = [(clauses, 0)]  # (alternative still to rewrite, where to scan), next on top
-        while todo:
-            clauses, start = todo.pop()
-            i = next((i for i in range(start, len(clauses))
-                      if clauses[i].predicate_atom_count()), None)
-            if i is None:  # no predicate atom left: rigid
-                results.append(clauses)
-                continue
-            count = clauses[i].predicate_atom_count()
-            alternatives = _eliminate_step(clauses[i])
-            # each new clause carries fewer predicate atoms than the one it
-            # replaces, so the multiset of counts drops (Dershowitz-Manna)
-            # and the rewriting ends
-            for alternative in alternatives:
-                assert all(d.predicate_atom_count() < count for d in alternative), \
-                    "measure must drop"
-            todo += [(clauses[:i] + alternative + clauses[i + 1:], i)
-                     for alternative in reversed(alternatives)]
-    # a conjunction with every clause eliminated as valid: anything solves it
-    return [SREUProblem(clauses or (_trivial_constraint(),)) for clauses in _dedupe(results)]
+    if len(c.consequent) != 1:
+        raise ContractError("predicate elimination needs Horn clauses")
+    results: list[tuple[Clause, ...]] = []
+    todo = [((c,), 0)]  # (alternative still to rewrite, where to scan), next on top
+    while todo:
+        clauses, start = todo.pop()
+        i = next((i for i in range(start, len(clauses))
+                  if clauses[i].predicate_atom_count()), None)
+        if i is None:  # no predicate atom left: rigid
+            results.append(clauses)
+            continue
+        count = clauses[i].predicate_atom_count()
+        alternatives = _eliminate_step(clauses[i])
+        # each new clause carries fewer predicate atoms than the one it
+        # replaces, so the multiset of counts drops (Dershowitz-Manna)
+        # and the rewriting ends
+        for alternative in alternatives:
+            assert all(d.predicate_atom_count() < count for d in alternative), \
+                "measure must drop"
+        todo += [(clauses[:i] + alternative + clauses[i + 1:], i)
+                 for alternative in reversed(alternatives)]
+    return results
 
 
 def _trivial_constraint() -> Clause:
@@ -227,10 +189,23 @@ def _trivial_constraint() -> Clause:
 
 
 def convert_to_sreu(f: Formula) -> list[SREUProblem]:
-    """Compose the three steps; the resulting class is solution equivalent
-    to f.  An alternative whose clauses were all eliminated as valid gets
-    the trivially solvable constraint ``c#0 = c#0``."""
-    return eliminate_predicates(horn_split([to_clause_conjunction(f)]))
+    """The class of problems solution equivalent to f: one per choice of a
+    consequent atom for each clause and of a rigid alternative for each
+    Horn clause so chosen, first occurrence first, an empty one getting the
+    trivially solvable ``c#0 = c#0``.  Over `_MAX_ALTERNATIVES`
+    alternatives, counted before any is built, raises ContractError."""
+    choices = [[rigid_alternatives(Clause(c.antecedent, (a,))) for a in c.consequent]
+               for c in to_clause_conjunction(f)]
+    total = math.prod(sum(map(len, per)) for per in choices)
+    if total > _MAX_ALTERNATIVES:
+        # Python prints at most 4 300 decimal digits of an int
+        shown = total if total.bit_length() <= 1000 else f"at least 2**{total.bit_length() - 1}"
+        raise ContractError(f"clause conversion gives {shown} alternatives, "
+                            f"over the limit {_MAX_ALTERNATIVES}")
+    # the Horn choices vary slowest; a dict keeps the first occurrence
+    found = dict.fromkeys(sum(parts, ()) for horn in product(*choices)
+                          for parts in product(*horn))
+    return [SREUProblem(clauses or (_trivial_constraint(),)) for clauses in found]
 
 
 def solve_sreu_bounded(

@@ -1,24 +1,18 @@
 """Predicate elimination and clause conversion as they were when a rigid
 clause was found by a scan of its own before each rewrite, each rewrite
-returned whole conjunctions checked by a multiset measure, and the
-conversion checked for quantifiers in a walk of its own.  Kept unchanged,
-but for a local `is_rigid` in place of the deleted `Clause.is_rigid` and
-the measure's helpers moved here from `hsk.sreu`, as the reference that
-tests compare the conversion pipeline against."""
+returned whole conjunctions checked by a multiset measure, the conversion
+checked for quantifiers in a walk of its own, and every Horn conjunction
+was split out whole before any was rewritten.  Kept unchanged, but for
+local `is_horn` and `is_rigid` in place of the deleted `Clause` methods,
+and the measure's helpers, `horn_split`, `_dedupe` and `ClauseConjunction`
+moved here from `hsk.sreu`, as the reference that tests compare the
+conversion pipeline against."""
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from hsk.sreu import (
-    Clause,
-    ClauseConjunction,
-    SREUProblem,
-    _cnf,
-    _dedupe,
-    _trivial_constraint,
-    horn_split,
-)
+from hsk.sreu import Clause, SREUProblem, _cnf, _trivial_constraint
 from hsk.syntax import (
     ContractError,
     Equality,
@@ -30,10 +24,46 @@ from hsk.syntax import (
 from reference_qcheck import is_quantifier_free
 
 
+ClauseConjunction = tuple[Clause, ...]
+
+
+def is_horn(c: Clause) -> bool:
+    return len(c.consequent) == 1
+
+
 def is_rigid(c: Clause) -> bool:
-    return c.is_horn() and all(
+    return is_horn(c) and all(
         isinstance(a, Equality) for a in c.antecedent + c.consequent
     )
+
+
+def _dedupe(formulas: list[ClauseConjunction]) -> list[ClauseConjunction]:
+    seen: set[ClauseConjunction] = set()
+    out: list[ClauseConjunction] = []
+    for f in formulas:
+        if f not in seen:
+            seen.add(f)
+            out.append(f)
+    return out
+
+
+def horn_split(gamma: Sequence[Sequence[Clause]]) -> list[ClauseConjunction]:
+    """Replace every clause with m > 1 consequent atoms by m alternatives,
+    iterated to a fixpoint; the class stays solution equivalent."""
+    out: list[ClauseConjunction] = []
+    todo = [tuple(clauses) for clauses in reversed(gamma)]  # the next one on top
+    while todo:
+        clauses = todo.pop()
+        i = next((i for i, c in enumerate(clauses) if not is_horn(c)), None)
+        if i is None:
+            out.append(clauses)
+            continue
+        c = clauses[i]
+        if not c.consequent:
+            raise ContractError("clause with empty consequent")
+        todo += [clauses[:i] + (Clause(c.antecedent, (atom,)),) + clauses[i + 1:]
+                 for atom in reversed(c.consequent)]
+    return _dedupe(out)
 
 
 def _pred_counts(clauses: ClauseConjunction) -> tuple[int, ...]:
@@ -125,7 +155,7 @@ def eliminate_predicates(gamma: Sequence[Sequence[Clause]]) -> list[SREUProblem]
     results: list[ClauseConjunction] = []
     for clauses in gamma:
         clauses = tuple(clauses)
-        if not all(c.is_horn() for c in clauses):
+        if not all(is_horn(c) for c in clauses):
             raise ContractError("predicate elimination needs Horn clauses")
         todo = [clauses]  # alternatives still to rewrite, the next one on top
         while todo:

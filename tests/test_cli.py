@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 
 import pytest
@@ -35,6 +36,18 @@ GOLDEN_RUNS = [
     (["countermodel", "--format", "records", "variant_failures.fml"], 0,
      "countermodel_variant_failures.rec"),
 ]
+
+
+def run_hsk(args: list[str], hash_seed: str | None = None,
+            **kwargs) -> subprocess.CompletedProcess:
+    """`python -m hsk args` in a child process that imports this checkout."""
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = hash_seed
+    return subprocess.run([sys.executable, "-m", "hsk", *args],
+                          env=env, capture_output=True, **kwargs)
 
 
 def run_cli(args: list[str]) -> tuple[int, str]:
@@ -70,13 +83,9 @@ def test_byte_identical_across_hash_seeds(golden):
     the output must not depend on the order of any set or dict of nodes."""
     args = next(a for a, _, g in GOLDEN_RUNS if g == golden)
     args = [str(FIXTURES / a) if (FIXTURES / a).is_file() else a for a in args]
-    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     outputs = []
     for seed in ("0", "1"):
-        env = dict(os.environ, PYTHONHASHSEED=seed,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-m", "hsk", *args], env=env,
-                              capture_output=True, timeout=120)
+        done = run_hsk(args, hash_seed=seed, timeout=120)
         assert done.returncode == 0, done.stderr
         outputs.append(done.stdout)
     assert outputs[0] == outputs[1] == (FIXTURES / "golden" / golden).read_bytes()
@@ -171,24 +180,33 @@ def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
     assert err == "error: internal error: RecursionError: maximum recursion depth exceeded\n"
 
 
-def test_memory_exhaustion_exits_3():
-    # the conversion of this fixture outgrows a 150 MB address space; the
+def test_memory_exhaustion_exits_3(tmp_path):
+    # the term buckets up to size 10 outgrow a 150 MB address space; the
     # diagnostic must still be printed and the status must not read as a verdict
     def cap_memory():
         import resource
         limit = 150 * 2 ** 20
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-m", "hsk", "sreu",
-                           str(FIXTURES / "variant_failures.fml")],
-                          env=env, capture_output=True, timeout=120, preexec_fn=cap_memory)
+    source = tmp_path / "wide.fml"
+    source.write_text("exists ?x. p(pair(z, s(zh))) & q(zt, k, kt) -> p(?x) | !p(?x)\n")
+    done = run_hsk(["solve", "--max-size", "10", str(source)],
+                   timeout=120, preexec_fn=cap_memory)
     assert done.returncode == 3, done.stderr
     assert done.stdout == b""
     # a finalizer that runs out of memory too may print a warning first
     assert done.stderr.splitlines()[-1] == b"error: internal error: MemoryError: "
+
+
+def test_conversion_over_the_limit_exits_2_at_once():
+    # 36 clauses of two consequent atoms: counted, not built
+    started = time.perf_counter()
+    done = run_hsk(["sreu", str(FIXTURES / "variant_failures.fml")], timeout=60)
+    elapsed = time.perf_counter() - started
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr == (b"error: clause conversion gives 68719476736 alternatives, "
+                           b"over the limit 65536\n")
+    assert elapsed < 1.0
 
 
 def test_undecodable_input_exits_2(tmp_path, capsys):

@@ -3,8 +3,7 @@
 Terms and formulas may be nested to any depth, so a walker that recursed
 on their structure would fail with RecursionError on deep input.  This
 test builds each module's call graph by name from its syntax tree and
-fails on any cycle, apart from the allowlisted functions, whose recursion
-depth has a small bound that does not grow with the input's nesting.
+fails on any cycle.
 
 Edges: a plain call `f(...)` goes to the nested function `f` of an
 enclosing function, else to the module-level function `f`; a call
@@ -19,13 +18,6 @@ import pathlib
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "hsk"
-
-# (module, function) -> why its recursion depth is bounded
-ALLOWED = {
-    ("skeleton", "_compositions"):
-        "one level per argument of a symbol, so at most the size bound deep",
-}
-
 
 def call_graph(source: str) -> dict[str, set[str]]:
     """Qualified function name -> qualified names of the functions it calls."""
@@ -132,5 +124,4 @@ def fine(t):
 @pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")))
 def test_no_function_reaches_itself(module):
     graph = call_graph((SRC / f"{module}.py").read_text(encoding="utf-8"))
-    allowed = {name for mod, name in ALLOWED if mod == module}
-    assert self_reaching(graph) == allowed
+    assert self_reaching(graph) == set()

@@ -5,14 +5,13 @@ import pytest
 
 import reference_sreu
 from helpers import signature_of, unknowns_of
-from hsk import qcheck, skeleton
+from hsk import qcheck, skeleton, sreu
 from hsk.sreu import (
     Clause,
     ContractError,
     SREUProblem,
     convert_to_sreu,
-    eliminate_predicates,
-    horn_split,
+    rigid_alternatives,
     solve_sreu_bounded,
     to_clause_conjunction,
 )
@@ -93,89 +92,88 @@ def test_clause_conversion_preserves_meaning():
 
 
 # ---------------------------------------------------------------------------
-# Step (ii)
+# Splitting: one Horn clause per consequent atom, shown on equalities alone
 
 
 def test_horn_split_two_consequents():
-    clause = Clause((pa(A),), (Equality(A, B), Equality(A, C)))
-    out = horn_split([[clause]])
+    out = convert_to_sreu(parse_formula("c = a -> a = b | a = c"))
     assert out == [
-        (Clause((pa(A),), (Equality(A, B),)),),
-        (Clause((pa(A),), (Equality(A, C),)),),
+        SREUProblem((Clause((Equality(C, A),), (Equality(A, B),)),)),
+        SREUProblem((Clause((Equality(C, A),), (Equality(A, C),)),)),
     ]
 
 
 def test_horn_split_keeps_consequent_order():
-    clause = Clause((), (Equality(A, B), Equality(B, C), Equality(A, C)))
-    out = horn_split([[clause]])
+    out = convert_to_sreu(parse_formula("a = b | b = c | a = c"))
     assert out == [
-        (Clause((), (Equality(A, B),)),),
-        (Clause((), (Equality(B, C),)),),
-        (Clause((), (Equality(A, C),)),),
+        SREUProblem((Clause((), (Equality(A, B),)),)),
+        SREUProblem((Clause((), (Equality(B, C),)),)),
+        SREUProblem((Clause((), (Equality(A, C),)),)),
     ]
 
 
 def test_horn_split_fixpoint_on_horn_input():
-    clause = Clause((pa(A),), (pa(B),))
-    assert horn_split([[clause]]) == [(clause,)]
+    clause = Clause((Equality(A, B),), (Equality(B, C),))
+    assert convert_to_sreu(clause.formula()) == [SREUProblem((clause,))]
 
 
 def test_horn_split_not_needed_for_worked_example():
-    clauses = to_clause_conjunction(parse_formula(SKELETON_39))
-    out = horn_split([clauses])
-    assert out == [tuple(clauses)]
+    # the worked example's shape, two Horn clauses from one disjunctive
+    # hypothesis, with equalities in place of the predicate atoms
+    f = parse_formula("a = c & (*1 = a | *1 = b) -> b = c")
+    clauses = to_clause_conjunction(f)
+    assert len(clauses) == 2
+    assert convert_to_sreu(f) == [SREUProblem(tuple(clauses))]
 
 
 def test_horn_split_deduplicates():
-    clause = Clause((), (Equality(A, B), Equality(A, B)))
-    assert horn_split([[clause]]) == [(Clause((), (Equality(A, B),)),)]
+    out = convert_to_sreu(parse_formula("a = b | a = b"))
+    assert out == [SREUProblem((Clause((), (Equality(A, B),)),))]
 
 
 # ---------------------------------------------------------------------------
-# Step (iii)
+# Elimination of predicate symbols from one Horn clause
 
 
 def test_unmatched_consequent_deletes_formula():
-    out = eliminate_predicates([[Clause((), (pa(A),))]])
-    assert out == []
+    assert rigid_alternatives(Clause((), (pa(A),))) == []
 
 
 def test_unmatched_consequent_deletes_even_with_other_predicates():
     q = PredicateSymbol("q", 1)
     clause = Clause((PredApp(q, (B,)), Equality(A, B)), (pa(A),))
-    assert eliminate_predicates([[clause]]) == []
+    assert rigid_alternatives(clause) == []
 
 
 def test_distinct_predicate_hypothesis_removed():
     q = PredicateSymbol("q", 1)
     clause = Clause((PredApp(q, (B,)), pa(B)), (pa(A),))
-    out = eliminate_predicates([[clause]])
+    out = rigid_alternatives(clause)
     # q(b) removed, then the matching p-pair resolves to one identity
-    assert out == [SREUProblem((Clause((), (Equality(B, A),)),))]
+    assert out == [(Clause((), (Equality(B, A),)),)]
 
 
 def test_identity_consequent_with_predicate_hypothesis():
     clause = Clause((pa(A), Equality(STAR, B)), (Equality(A, C),))
-    out = eliminate_predicates([[clause]])
-    assert out == [SREUProblem((Clause((Equality(STAR, B),), (Equality(A, C),)),))]
+    out = rigid_alternatives(clause)
+    assert out == [(Clause((Equality(STAR, B),), (Equality(A, C),)),)]
 
 
 def test_same_predicate_split_orientation():
     # hypothesis atom argument appears on the left of the produced identity
     clause = Clause((pa(B),), (pa(A),))
-    out = eliminate_predicates([[clause]])
-    assert out == [SREUProblem((Clause((), (Equality(B, A),)),))]
+    out = rigid_alternatives(clause)
+    assert out == [(Clause((), (Equality(B, A),)),)]
 
 
 def test_rigid_input_unchanged():
     clause = Clause((Equality(A, B),), (Equality(B, C),))
-    out = eliminate_predicates([[clause]])
-    assert out == [SREUProblem((Clause((Equality(A, B),), (Equality(B, C),)),))]
+    assert rigid_alternatives(clause) == [(clause,)]
 
 
 def test_non_horn_input_rejected():
-    with pytest.raises(ContractError):
-        eliminate_predicates([[Clause((), (pa(A), pa(B)))]])
+    with pytest.raises(ContractError, match="predicate elimination needs Horn clauses"):
+        rigid_alternatives(Clause((), (pa(A), pa(B))))
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +192,33 @@ def test_pipeline_produces_the_four_problems_in_order():
         "*1 = a -> b = c & *1 = b -> a = c",
         "*1 = a -> b = c & *1 = b -> b = c",
     ]
+
+
+def test_horn_choices_vary_slowest():
+    # the first clause has two rigid alternatives, the second two consequent
+    # atoms; a flat product over each clause's options would interleave them
+    problems = convert_to_sreu(parse_formula("(p(u) & p(v) -> p(y)) & (a = b | a = c)"))
+    texts = [
+        " & ".join(print_formula(c.formula()) for c in problem.constraints)
+        for problem in problems
+    ]
+    assert texts == ["u = y & a = b", "v = y & a = b", "u = y & a = c", "v = y & a = c"]
+
+
+@pytest.mark.parametrize("text, count", [
+    # 17 clauses of two consequent atoms each
+    (" & ".join(f"(a = b{i} | a = c{i})" for i in range(17)), "131072"),
+    # 32 * 32 such clauses: a count too long to print in decimal
+    (" | ".join("(" + " & ".join(f"{x}{i} = a" for i in range(32)) + ")" for x in "bc"),
+     r"at least 2\*\*1024"),
+], ids=["2**17", "2**1024"])
+def test_conversion_over_the_limit_builds_nothing(monkeypatch, text, count):
+    f = parse_formula(text)
+    monkeypatch.setattr(sreu, "SREUProblem", None)  # any problem built would fail
+    with pytest.raises(ContractError,
+                       match=rf"^clause conversion gives {count} alternatives, "
+                             r"over the limit 65536$"):
+        convert_to_sreu(f)
 
 
 def test_problem_unknowns_are_a_tuple_in_first_occurrence_order():
