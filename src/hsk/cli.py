@@ -105,7 +105,7 @@ def _parse_alpha_bindings(pairs: list[str]) -> AlphaAssignment:
 
 
 def _cmd_check(config: RunConfig, text: str) -> tuple[int, list[str]]:
-    formula = parse_formula(_strip_comments(text))
+    formula = parse_formula(text)
     verdict = qcheck.is_quasitautology(formula)
     if config.fmt == "records":
         return (0 if verdict else 1,
@@ -115,7 +115,7 @@ def _cmd_check(config: RunConfig, text: str) -> tuple[int, list[str]]:
 
 
 def _cmd_skeleton(config: RunConfig, text: str) -> tuple[int, list[str]]:
-    psi = skeleton.existential_of(parse_formula(_strip_comments(text)))
+    psi = skeleton.existential_of(parse_formula(text))
     sk = skeleton.make_skeleton(psi, config.n)
     rendered = print_formula(sk.formula)
     if config.fmt == "records":
@@ -124,7 +124,7 @@ def _cmd_skeleton(config: RunConfig, text: str) -> tuple[int, list[str]]:
 
 
 def _cmd_solve(config: RunConfig, text: str) -> tuple[int, list[str]]:
-    psi = skeleton.existential_of(parse_formula(_strip_comments(text)))
+    psi = skeleton.existential_of(parse_formula(text))
     sk = skeleton.make_skeleton(psi, config.n)
     solution = skeleton.solve_bounded(sk, max_size=config.max_size)
     if solution is None:
@@ -137,7 +137,7 @@ def _cmd_solve(config: RunConfig, text: str) -> tuple[int, list[str]]:
 
 
 def _cmd_sreu(config: RunConfig, text: str) -> tuple[int, list[str]]:
-    formula = parse_formula(_strip_comments(text))
+    formula = parse_formula(text)
     problems = sreu.convert_to_sreu(formula)
     lines: list[str] = []
     any_solved = False
@@ -184,7 +184,7 @@ def _cmd_encode(config: RunConfig, text: str) -> tuple[int, list[str]]:
 
 
 def _cmd_eval(config: RunConfig, text: str) -> tuple[int, list[str]]:
-    formula = parse_formula(_strip_comments(text))
+    formula = parse_formula(text)
     if config.structure == "two-point":
         structure = models.two_point_structure()
     elif config.structure == "table":
@@ -200,7 +200,7 @@ def _cmd_eval(config: RunConfig, text: str) -> tuple[int, list[str]]:
 
 
 def _cmd_countermodel(config: RunConfig, text: str) -> tuple[int, list[str]]:
-    formula = parse_formula(_strip_comments(text))
+    formula = parse_formula(text)
     disjuncts = flatten_or(formula)
     failures: list[tuple[int, models.Diagnosis]] = []
     for i, disjunct in enumerate(disjuncts, start=1):
@@ -236,12 +236,13 @@ _COMMANDS = {
 
 
 def run(config: RunConfig, text: str) -> tuple[int, str]:
-    """Dispatch one command on the given input text; returns exit status and
-    the full output (one line per result, trailing newline when nonempty)."""
+    """Dispatch one command on the given input text, its comment lines
+    blanked; returns exit status and the full output (one line per result,
+    trailing newline when nonempty)."""
     handler = _COMMANDS.get(config.command)
     if handler is None:
         raise _UsageError(f"unknown command {config.command!r}")
-    status, lines = handler(config, text)
+    status, lines = handler(config, _strip_comments(text))
     return status, "".join(f"{line}\n" for line in lines)
 
 

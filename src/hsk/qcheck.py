@@ -8,13 +8,15 @@ axioms (reflexivity, symmetry, transitivity, function and predicate
 congruence).
 
 The search is DPLL(T) with congruence closure as the theory (Nieuwenhuis,
-Oliveras & Tinelli, JACM 2006).  One closure over the subterms of all the
-formula's atoms lives for the whole search.  Each literal is checked
-against the literals before it as it is asserted, so a conflict prunes its
-branch at once; goals that leave no choice are taken before any branch;
-backtracking undoes the closure from its trail.  Terms are interned, so the
-closure keys its tables by the terms themselves and needs no private
-numbering of nodes (Nieuwenhuis & Oliveras, Inf. & Comp. 2007).
+Oliveras & Tinelli, JACM 2006).  One closure over the formula's atoms and
+their subterms lives for the whole search.  A predicate atom is a node of
+it, true exactly when joined to a truth constant (Nieuwenhuis & Oliveras,
+Inf. & Comp. 2007), so every literal equates two nodes and the one
+conflict is a false literal whose two nodes are joined.  Each literal is
+checked as it is asserted, so a conflict prunes its branch at once; goals
+that leave no choice are taken before any branch; backtracking undoes the
+closure from its trail.  Nodes are interned, so the closure keys its
+tables by the nodes themselves.
 """
 
 from __future__ import annotations
@@ -30,11 +32,12 @@ from .syntax import (
     ContractError,
     Equality,
     Formula,
+    FunctionSymbol,
     Implies,
+    Node,
     Not,
     Or,
     PredApp,
-    PredicateSymbol,
     Term,
     Variable,
     atoms_of,
@@ -56,24 +59,24 @@ class Literal:
 
 
 class CongruenceEngine:
-    """Congruence closure over a fixed universe of ground terms, closed
-    under subterms on construction (Downey, Sethi & Tarjan, JACM 1980),
-    with undo.
+    """Congruence closure over a fixed universe of ground terms and
+    predicate atoms, closed under arguments on construction (Downey, Sethi
+    & Tarjan, JACM 1980), with undo.
 
-    The terms themselves are the nodes: they are interned, so they serve as
-    dict keys without translation.  `parent`, `size` and `uses` are keyed
-    by term; `sig` maps a symbol and the roots of its arguments to an
-    application with that signature.  Classes are joined by size and never
-    path-compressed, so a union changes one parent link.  Each union leaves
-    one trail entry: the absorbed root, the keeping root, the keeper's
-    use-list length before the union and the signature keys the union
-    inserted.  `undo(mark)` pops the trail back to a `mark()` and restores
-    the partition, the class sizes, the use-lists and the signature table
-    exactly.
+    The nodes are the terms and atoms themselves: they are interned, so
+    they serve as dict keys without translation.  `parent`, `size` and
+    `uses` are keyed by node; `sig` maps a function or predicate symbol and
+    the roots of its arguments to a node with that signature.  Classes are
+    joined by size and never path-compressed, so a union changes one parent
+    link.  Each union leaves one trail entry: the absorbed root, the keeping
+    root, the keeper's use-list length before the union and the signature
+    keys the union inserted.  `undo(mark)` pops the trail back to a `mark()`
+    and restores the partition, the class sizes, the use-lists and the
+    signature table exactly.
     """
 
-    def __init__(self, universe: Iterable[Term]):
-        self.parent: dict[Term, Term] = {}  # the universe, in first visit order
+    def __init__(self, universe: Iterable[Node]):
+        self.parent: dict[Node, Node] = {}  # the universe, in first visit order
         stack = list(universe)
         while stack:
             t = stack.pop()
@@ -82,31 +85,31 @@ class CongruenceEngine:
             if isinstance(t, Variable):
                 raise ContractError(f"congruence closure requires ground terms, got {t}")
             self.parent[t] = t
-            if isinstance(t, Application):
+            if isinstance(t, (Application, PredApp)):
                 stack.extend(t.args)
-        self.size: dict[Term, int] = dict.fromkeys(self.parent, 1)  # valid at roots
-        self.uses: dict[Term, list[Application]] = {t: [] for t in self.parent}
-        self.sig: dict[tuple, Application] = {}
-        self.trail: list[tuple[Term, Term, int, list[tuple]]] = []
+        self.size: dict[Node, int] = dict.fromkeys(self.parent, 1)  # valid at roots
+        self.uses: dict[Node, list[Node]] = {t: [] for t in self.parent}
+        self.sig: dict[tuple, Node] = {}
+        self.trail: list[tuple[Node, Node, int, list[tuple]]] = []
         for t in self.parent:
-            if isinstance(t, Application) and t.args:
+            if isinstance(t, (Application, PredApp)) and t.args:
                 for a in t.args:
                     self.uses[a].append(t)
-                self.sig[(t.symbol, t.args)] = t  # every term is its own root
+                self.sig[(t.symbol, t.args)] = t  # every node is its own root
 
-    def find(self, t: Term) -> Term:
+    def find(self, t: Node) -> Node:
         parent = self.parent
         while parent[t] is not t:
             t = parent[t]
         return t
 
-    def _roots(self, a: Term, b: Term) -> tuple[Term, Term]:
+    def _roots(self, a: Node, b: Node) -> tuple[Node, Node]:
         try:
             return self.find(a), self.find(b)
         except KeyError as missing:
             raise DomainError(f"term outside universe: {missing.args[0]}") from None
 
-    def _signature(self, t: Application) -> tuple:
+    def _signature(self, t: Application | PredApp) -> tuple:
         find = self.find
         return (t.symbol, tuple([find(a) for a in t.args]))
 
@@ -114,7 +117,7 @@ class CongruenceEngine:
         """A point of the trail that `undo` can return to."""
         return len(self.trail)
 
-    def merge(self, a: Term, b: Term) -> None:
+    def merge(self, a: Node, b: Node) -> None:
         pending = [self._roots(a, b)]
         find, parent, size, uses, sig = self.find, self.parent, self.size, self.uses, self.sig
         while pending:
@@ -150,7 +153,7 @@ class CongruenceEngine:
             size[ra] -= size[rb]
             parent[rb] = rb
 
-    def same(self, a: Term, b: Term) -> bool:
+    def same(self, a: Node, b: Node) -> bool:
         ra, rb = self._roots(a, b)
         return ra is rb
 
@@ -194,36 +197,39 @@ def e_satisfiable(literals: Sequence[Literal]) -> bool:
 # The decision procedure
 
 
+# The truth constant: a predicate atom is true exactly when it is joined to
+# it.  No parsed name starts with '#', so no formula mentions it.
+_TRUE = Application(FunctionSymbol("#true", 0), ())
+
+
+def _sides(atom: Atom) -> tuple[Node, Node]:
+    """The two nodes that the atom says are equal."""
+    return (atom.lhs, atom.rhs) if isinstance(atom, Equality) else (atom, _TRUE)
+
+
 def falsifying_literals(f: Formula) -> dict[Atom, bool] | None:
     """A satisfiable truth assignment (partial, as literals) making f false.
 
     Returns None when no structure falsifies f, i.e. when f is valid.
     The search starts from the goal "f is false" and keeps one congruence
-    closure over the subterms of f's atoms, built once; a quantifier in f or
-    a variable in an atom raises ContractError there.  At each node it first
+    closure over the sides of f's atoms, built once; a quantifier in f or a
+    variable in an atom raises ContractError there.  At each node it first
     takes every goal that leaves no choice (an atom, a negation, a true
     conjunction, a false disjunction or implication), asserting atoms as it
-    meets them.  Each asserted literal is checked against those before it: a
-    negated equality whose sides are congruent, or a predicate asserted both
-    ways on congruent arguments, is a conflict and closes the branch at
-    once.  Only then does it branch, on the first waiting goal, left side
+    meets them.  A true literal joins its sides and a false one keeps them
+    apart.  A false literal whose sides are joined is the one conflict and
+    closes the branch at once: a false literal is checked as it is
+    asserted, and all of them after each merge that joins two classes.
+    Only then does the search branch, on the first waiting goal, left side
     first; open choice points wait on an explicit stack.  The waiting goals
     are a linked list `(goal, rest)` that both branches share, so a branch
     copies nothing and walks only its own goal.  Closing a branch undoes its
     literals and its merges.
     """
-    closure = CongruenceEngine(t for atom in atoms_of(f) for t in _atom_terms(atom))
+    closure = CongruenceEngine(side for atom in atoms_of(f) for side in _sides(atom))
     find = closure.find
     lits: dict[Atom, bool] = {}  # in assertion order
-    apart: list[tuple[Term, Term]] = []  # the sides of the negated equalities
-    held: list[tuple[bool, PredicateSymbol, tuple[Term, ...]]] = []  # predicate literals
-
-    def consistent() -> bool:
-        """No negated equality and no predicate literal pair conflicts."""
-        if any(find(a) is find(b) for a, b in apart):
-            return False
-        keys = {(v, s, tuple([find(a) for a in args])) for v, s, args in held}
-        return not any((not v, s, roots) in keys for v, s, roots in keys)
+    apart: list[tuple[Node, Node]] = []  # the sides of the false literals
 
     def assert_literal(atom: Atom, value: bool) -> bool:
         """Record atom = value; False when it conflicts with the literals."""
@@ -231,25 +237,18 @@ def falsifying_literals(f: Formula) -> dict[Atom, bool] | None:
         if seen is not None:
             return seen == value
         lits[atom] = value
-        if isinstance(atom, Equality):
-            if value:
-                before = closure.mark()
-                closure.merge(atom.lhs, atom.rhs)
-                return closure.mark() == before or consistent()
-            apart.append((atom.lhs, atom.rhs))
-            return find(atom.lhs) is not find(atom.rhs)
-        held.append((value, atom.symbol, atom.args))
-        roots = [find(a) for a in atom.args]
-        return not any(v != value and s == atom.symbol and [find(a) for a in args] == roots
-                       for v, s, args in held)
+        a, b = _sides(atom)
+        if value:
+            before = closure.mark()
+            closure.merge(a, b)
+            return closure.mark() == before or not any(find(x) is find(y) for x, y in apart)
+        apart.append((a, b))
+        return find(a) is not find(b)
 
     def retract(mark: int, count: int) -> None:
         closure.undo(mark)
         while len(lits) > count:
-            atom, value = lits.popitem()
-            if isinstance(atom, PredApp):
-                held.pop()
-            elif not value:
+            if not lits.popitem()[1]:
                 apart.pop()
 
     # Open choice points, innermost last: the trail mark and literal count

@@ -34,7 +34,8 @@ from .syntax import (
     disj,
 )
 
-# the most problems, before deduplication, that one conversion may build
+# the most clauses, and problems before deduplication, that one conversion
+# may build
 _MAX_ALTERNATIVES = 1 << 16
 
 
@@ -78,7 +79,8 @@ def _cnf(f: Formula) -> list[list[tuple[bool, Atom]]]:
     """Clause list (as signed atom rows) equivalent to f, from a worklist
     of (subformula, sign, sides done) tasks; finished rows wait on `done`.
     Never empty: an atom gives one row, and a join of nonempty row lists
-    is nonempty.  A quantifier raises ContractError."""
+    is nonempty.  A quantifier raises ContractError, and so does a join of
+    more than `_MAX_ALTERNATIVES` rows, counted before it is built."""
     done: list[list[list[tuple[bool, Atom]]]] = []
     todo: list[tuple[Formula, bool, bool]] = [(f, True, False)]
     while todo:
@@ -93,6 +95,11 @@ def _cnf(f: Formula) -> list[list[tuple[bool, Atom]]]:
             right, left = done.pop(), done.pop()
             # a true And, a false Or or a false Implies is a conjunction
             conjunctive = positive == isinstance(g, And)
+            # counted before joining: later joins never shrink the count
+            n = len(left) + len(right) if conjunctive else len(left) * len(right)
+            if n > _MAX_ALTERNATIVES:
+                raise ContractError(f"clause conversion gives at least {n} clauses, "
+                                    f"over the limit {_MAX_ALTERNATIVES}")
             done.append(left + right if conjunctive else [l + r for l in left for r in right])
         else:
             left_sign = not positive if isinstance(g, Implies) else positive

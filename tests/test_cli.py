@@ -137,6 +137,14 @@ def test_parse_error_reports_the_line_of_the_file(tmp_path, capsys, text, positi
     assert capsys.readouterr().err == f"error: {position}, found 'end of input'\n"
 
 
+def test_diophantine_error_reports_the_line_of_the_file(tmp_path, capsys):
+    source = tmp_path / "sys.dioph"
+    source.write_text("# a comment\nx1 - 1 = 0\n")
+    status, out = run_cli(["encode", "--dioph", str(source)])
+    assert (status, out) == (2, "")
+    assert capsys.readouterr().err == "error: line 2: expected 'a + b = c' or 'a * b = c'\n"
+
+
 # Input contracts that the commands check, with the one diagnostic each prints.
 CONTRACT_DIAGNOSTICS = [
     ("check", "exists ?x. a = a", "input must be quantifier-free"),
@@ -205,6 +213,21 @@ def test_conversion_over_the_limit_exits_2_at_once():
     elapsed = time.perf_counter() - started
     assert (done.returncode, done.stdout) == (2, b"")
     assert done.stderr == (b"error: clause conversion gives 68719476736 alternatives, "
+                           b"over the limit 65536\n")
+    assert elapsed < 1.0
+
+
+def test_clause_form_over_the_limit_exits_2_at_once(tmp_path):
+    # a disjunction of 7 conjunctions of 6 equalities: 6**7 clauses, counted
+    # one distribution step before they would be built
+    source = tmp_path / "wide.fml"
+    source.write_text(" | ".join("(" + " & ".join(f"a{i}{j} = b{i}{j}" for j in range(6)) + ")"
+                                 for i in range(7)) + "\n")
+    started = time.perf_counter()
+    done = run_hsk(["sreu", str(source)], timeout=60)
+    elapsed = time.perf_counter() - started
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr == (b"error: clause conversion gives at least 279936 clauses, "
                            b"over the limit 65536\n")
     assert elapsed < 1.0
 

@@ -36,6 +36,7 @@ from hsk.syntax import (
     Not,
     Or,
     PredApp,
+    PredicateSymbol,
     Variable,
     conj,
     numeral,
@@ -46,6 +47,7 @@ from hsk.textform import parse_formula, print_formula
 A = Application(CONSTS[0], ())
 B = Application(CONSTS[1], ())
 C = Application(CONSTS[2], ())
+R = PredApp(PredicateSymbol("r", 0), ())
 
 
 def fa(t):
@@ -96,6 +98,25 @@ def test_close_rejects_terms_outside_universe():
         CongruenceEngine([A]).same(fa(A), A)
     with pytest.raises(ContractError):
         CongruenceEngine([fa(Variable("x1"))])
+
+
+def test_predicate_atoms_are_closed_under_their_arguments():
+    engine = closed([(A, B)], [PredApp(P1, (A,)), PredApp(P1, (B,)), PredApp(Q2, (A, B))])
+    assert engine.same(PredApp(P1, (A,)), PredApp(P1, (B,)))
+    assert not engine.same(PredApp(P1, (A,)), PredApp(Q2, (A, B)))
+    assert not engine.same(PredApp(P1, (A,)), A)
+
+
+def test_predicate_and_function_symbols_of_one_name_stay_apart():
+    p = Application(syntax.FunctionSymbol("p", 1), (A,))
+    engine = closed([], [p, PredApp(P1, (A,))])
+    assert not engine.same(p, PredApp(P1, (A,)))
+
+
+def test_a_nullary_predicate_atom_is_its_own_class():
+    engine = closed([(A, B)], [R, A, B, fa(A)])
+    assert set(engine.parent) == {R, A, B, fa(A)}
+    assert {t for t in engine.parent if engine.same(t, R)} == {R}
 
 
 def test_engine_closes_a_deep_term_without_recursion():
@@ -172,6 +193,26 @@ def test_the_search_walks_its_input_once(monkeypatch):
     with pytest.raises(ContractError, match="^input must be quantifier-free$"):
         falsifying_literals(quantified)
     assert walks == [f, quantified]
+
+
+VERDICTS = [
+    ("p(a) & a = b -> p(b)", True),
+    ("p(a) & !p(b) -> !(a = b)", True),
+    ("q(a, b) & a = c -> q(c, b)", True),
+    ("p(a) -> p(b)", False),
+    ("p(f(a)) & f(a) = f(b) -> p(f(b)) | p(a)", True),
+    ("r | !r", True),
+    ("(r & !r) -> a = b", True),
+    ("!(r -> r)", False),
+    ("r -> p(a)", False),
+]
+
+
+@pytest.mark.parametrize("text,valid", VERDICTS, ids=[t for t, _ in VERDICTS])
+def test_verdicts_with_predicate_atoms(text, valid):
+    f = parse_formula(text)
+    assert is_quasitautology(f) is valid
+    assert valid_by_model_enumeration(f) is valid
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +365,11 @@ def _differential_cases():
     for h in range(1, 5):
         yield pigeonhole_formula(h + 1, h)
         yield pigeonhole_formula(h, h)
+    for _ in range(40):
+        # a nullary predicate atom, which has no arguments to be congruent on
+        pool = sorted({random_ground_term(rng, 3) for _ in range(rng.randint(2, 3))}, key=repr)
+        atoms = [R, PredApp(P1, (rng.choice(pool),))]
+        yield random_ground_formula(rng, pool, rng.randint(2, 5), atoms)
 
 
 def test_search_agrees_with_reference_and_oracle():

@@ -221,6 +221,22 @@ def test_conversion_over_the_limit_builds_nothing(monkeypatch, text, count):
         convert_to_sreu(f)
 
 
+@pytest.mark.parametrize("text, count", [
+    # six conjunctions give 6**6 clauses, and a seventh disjunct 6**7
+    (" | ".join("(" + " & ".join(f"a{i}{j} = b{i}{j}" for j in range(6)) + ")"
+                for i in range(7)), "279936"),
+    # two conjoined copies of 6**6 clauses
+    (" & ".join("(" + " | ".join("(" + " & ".join(f"a{k}{i}{j} = b" for j in range(6)) + ")"
+                                 for i in range(6)) + ")" for k in range(2)), "93312"),
+], ids=["disjunction", "conjunction"])
+def test_clause_form_over_the_limit_is_refused(text, count):
+    f = parse_formula(text)
+    with pytest.raises(ContractError,
+                       match=rf"^clause conversion gives at least {count} clauses, "
+                             r"over the limit 65536$"):
+        to_clause_conjunction(f)
+
+
 def test_problem_unknowns_are_a_tuple_in_first_occurrence_order():
     problem = convert_to_sreu(parse_formula("*2 = a & *1 = *2 -> b = *3"))[0]
     assert tuple(unknowns_of(problem.formula)) == (Unknown(2), Unknown(1), Unknown(3))
