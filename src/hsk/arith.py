@@ -338,13 +338,17 @@ _KINDS: dict[PrimKind, tuple[Callable[..., Formula], int, FailureCase]] = {
 
 @dataclass(frozen=True)
 class Primitive:
-    """One implication-shaped conjunct together with its role and arguments."""
+    """One implication-shaped conjunct together with its role and arguments;
+    a recognised one keeps the conjunct it was matched from as `node`."""
 
     kind: PrimKind
     args: tuple[Term, ...]
     lang: int
+    node: Formula | None = field(default=None, compare=False, repr=False)
 
     def formula(self) -> Formula:
+        if self.node is not None:
+            return self.node
         builder, _, _ = _KINDS[self.kind]
         return builder(*self.args, lang=self.lang)
 
@@ -635,7 +639,7 @@ def recognize_conjunct(f: Formula) -> Primitive | None:
         found = _match(template, parts)
         if found is not None:
             bound, lang = found
-            return Primitive(kind, tuple(bound[v] for v in _SLOTS[:count]), lang)
+            return Primitive(kind, tuple(bound[v] for v in _SLOTS[:count]), lang, f)
     return None
 
 

@@ -10,8 +10,23 @@ congruence class: the states are then the closure classes of the
 hypotheses' subterms, each named by its root term in `qcheck`'s congruence
 engine.  Every candidate stream, constrained or not, is built by
 `_class_member_buckets` and kept in its one LRU cache of `_CLASS_CACHE_SIZE`
-entries.  Every reported witness is still verified against the whole
-formula.
+entries.
+
+Each conjunct is matched once against `E -> l = r`, with E a set of ground
+equations (`_equation`).  Past the stream constraints, such a conjunct
+whose one side is the unknown u that the search assigns last, and whose
+other side is ground once the earlier unknowns are, *filters* u's stream
+instead of being checked for every candidate.  The closure of E and its
+transition table (`_congruence_table`, shared with `_class_member_buckets`)
+give every ground term a class key, computed bottom-up like an automaton
+state (`_class_keys`), and `E -> l = r` is valid exactly when l and r have
+one key (Downey, Sethi & Tarjan, JACM 1980).  The search indexes each size
+bucket of u's stream by its candidates' key tuples when it first reads that
+bucket, and then reads only the candidates whose keys are those of the
+filters' other sides: a hash join that drops a candidate only where a
+check would have rejected it, so the stream keeps its order.  Keys and indexes
+live as long as one search.  Every reported witness is still verified
+against the whole formula.
 """
 
 from __future__ import annotations
@@ -41,6 +56,7 @@ from .syntax import (
     disj,
     flatten_and,
     nodes,
+    rebuild,
     substitute,
 )
 
@@ -201,33 +217,83 @@ def enumerate_terms(sig: Signature, max_size: int) -> Iterator[Term]:
 
 
 # ---------------------------------------------------------------------------
-# Candidate streams from single-unknown equality constraints
+# Candidate streams from ground equational conjuncts
 
 
-def _peel_implication(f: Formula) -> tuple[list[Formula], Formula]:
-    hypotheses: list[Formula] = []
-    while isinstance(f, Implies):
-        hypotheses.extend(flatten_and(f.lhs))
-        f = f.rhs
-    return hypotheses, f
+# Ground equations as (lhs, rhs) pairs, and a conjunct
+# `s1 = t1 & ... & sk = tk -> l = r` with ground hypotheses as those pairs
+# and its conclusion.
+Equalities = tuple[tuple[Term, Term], ...]
+Equation = tuple[Equalities, Equality]
 
 
-def _unary_constraint(conjunct: Formula, u: Unknown) -> tuple[tuple[tuple[Term, Term], ...], Term] | None:
-    """Match `hyps -> s = u` (or `u = s`) with ground hyps and s."""
-    hypotheses, conclusion = _peel_implication(conjunct)
-    if not isinstance(conclusion, Equality):
-        return None
+def _equation(conjunct: Formula) -> Equation | None:
+    """Match `hyps -> l = r` (or a bare `l = r`) with ground equality hyps."""
     parts: list[tuple[Term, Term]] = []
-    for h in hypotheses:
-        if not isinstance(h, Equality):
-            return None
-        if not (h.lhs.ground and h.rhs.ground):
-            return None
-        parts.append((h.lhs, h.rhs))
-    for target, slot in ((conclusion.lhs, conclusion.rhs), (conclusion.rhs, conclusion.lhs)):
-        if slot == u and target.ground:
-            return (tuple(parts), target)
+    while isinstance(conjunct, Implies):
+        for h in flatten_and(conjunct.lhs):
+            if not (isinstance(h, Equality) and h.ground):
+                return None
+            parts.append((h.lhs, h.rhs))
+        conjunct = conjunct.rhs
+    if not isinstance(conjunct, Equality):
+        return None
+    return tuple(parts), conjunct
+
+
+def _opposite(equation: Equation, u: Unknown) -> Term | None:
+    """The side of the equation's conclusion opposite a bare u."""
+    conclusion = equation[1]
+    for side, other in ((conclusion.lhs, conclusion.rhs), (conclusion.rhs, conclusion.lhs)):
+        if side is u and other is not u:
+            return other
     return None
+
+
+def _congruence_table(
+    equalities: Equalities, leaves: Sequence[Term] = ()
+) -> tuple[Callable[[Term], Term], dict[tuple, Term]]:
+    """The closure of the equalities over the leaves and their sides, closed
+    under subterms: its `find`, and the transition table mapping each
+    universe application's (symbol, argument roots) to its root."""
+    closure = qcheck.CongruenceEngine([*leaves, *(side for pair in equalities for side in pair)])
+    for lhs, rhs in equalities:
+        closure.merge(lhs, rhs)
+    find = closure.find
+    transitions: dict[tuple, Term] = {}
+    for t in closure.parent:  # the subterms of the leaves
+        if isinstance(t, Application):
+            transitions[(t.symbol, tuple([find(a) for a in t.args]))] = find(t)
+    return find, transitions
+
+
+def _class_keys(equalities: Equalities) -> Callable[[Term], Hashable]:
+    """The class key of a ground term in the equalities' congruence closure.
+
+    Bottom-up, an application's key is the transition of its symbol and its
+    arguments' keys, or that pair itself where the closure's universe has
+    no such application: so a term outside the universe meets a universe
+    class exactly when it is congruent to a member, and two terms have one
+    key exactly when the equalities imply that they are equal.  Keys are
+    remembered per term for the life of the returned function.
+    """
+    _, transitions = _congruence_table(equalities)
+    keys: dict[Term, Hashable] = {}
+
+    def combine(t: Application, arg_keys: tuple) -> Hashable:
+        state = (t.symbol, arg_keys)
+        key = keys[t] = transitions.get(state, state)
+        return key
+
+    def key(t: Term) -> Hashable:
+        known = keys.get(t)
+        if known is None:  # most candidates are built from keyed arguments
+            arg_keys = tuple([keys.get(a) for a in t.args])
+            known = (combine(t, arg_keys) if None not in arg_keys
+                     else rebuild(t, keys.get, combine))
+        return known
+
+    return key
 
 
 # Distinct (equalities, target, sig, max_size) keys kept by
@@ -238,7 +304,7 @@ _CLASS_CACHE_SIZE = 128
 
 @lru_cache(maxsize=_CLASS_CACHE_SIZE)
 def _class_member_buckets(
-    equalities: tuple[tuple[Term, Term], ...],
+    equalities: Equalities,
     target: Term | None,
     sig: Signature,
     max_size: int,
@@ -250,24 +316,12 @@ def _class_member_buckets(
     The classes of the (finite) subterm universe, named by their root
     terms, act as automaton states: an application belongs to a universe
     class exactly when some universe application with the same symbol and
-    argument classes does.  The engine closes the leaves under subterms
-    itself, and its `parent` table lists that universe.
+    argument classes does.
     """
     if target is None:
         step, accepting = _any_term, 0
     else:
-        leaves = [target]
-        for lhs, rhs in equalities:
-            leaves.extend((lhs, rhs))
-        closure = qcheck.CongruenceEngine(leaves)
-        for lhs, rhs in equalities:
-            closure.merge(lhs, rhs)
-        find = closure.find
-
-        transitions: dict[tuple, Term] = {}
-        for t in closure.parent:  # the subterms of the leaves
-            if isinstance(t, Application):
-                transitions[(t.symbol, tuple([find(a) for a in t.args]))] = find(t)
+        find, transitions = _congruence_table(equalities, (target,))
 
         def step(symbol: FunctionSymbol, states: tuple[Term, ...]) -> Term | None:
             return transitions.get((symbol, states))
@@ -287,30 +341,36 @@ def _candidate_buckets(
     unknowns: tuple[Unknown, ...],
     sig: Signature,
     max_size: int,
-) -> tuple[list[tuple[tuple[Term, ...], ...]], set[int]] | None:
+) -> tuple[list[tuple[tuple[Term, ...], ...]], set[int], list[Equation | None]] | None:
     """Per-unknown size buckets, narrowed by matching unary constraints.
 
-    `used_by[i]` lists the unknowns of `conjuncts[i]`.  Returns the buckets
-    plus the indices of conjuncts consumed as stream constraints (their
-    validity is guaranteed for stream members), or None when some
-    ground conjunct is already invalid.
+    `used_by[i]` lists the unknowns of `conjuncts[i]`.  One pass matches
+    each conjunct against `_equation` and takes each unknown's first unary
+    constraint, an equation `hyps -> s = u` (or `u = s`) with a ground s
+    whose one unknown is u.  Returns the buckets, the indices of conjuncts
+    consumed as stream constraints (their validity is guaranteed for
+    stream members) and each conjunct's equation, or None when some ground
+    conjunct is already invalid.
     """
-    for c in conjuncts:
-        if c.ground and not qcheck.is_quasitautology(c):
-            return None
-    per_unknown: list[tuple[tuple[Term, ...], ...]] = []
+    equations: list[Equation | None] = []
+    constraints: dict[Unknown, tuple[Equalities, Term]] = {}
     consumed: set[int] = set()
-    for u in unknowns:
-        constraint = None
-        for idx, c in enumerate(conjuncts):
-            if idx not in consumed and used_by[idx] == [u]:
-                constraint = _unary_constraint(c, u)
-                if constraint is not None:
-                    consumed.add(idx)
-                    break
-        eqs, target = constraint or ((), None)
-        per_unknown.append(_class_member_buckets(eqs, target, sig, max_size))
-    return per_unknown, consumed
+    for idx, (c, used) in enumerate(zip(conjuncts, used_by)):
+        if c.ground:
+            if not qcheck.is_quasitautology(c):
+                return None
+            equations.append(None)
+            continue
+        equation = _equation(c)
+        equations.append(equation)
+        if equation is not None and len(used) == 1 and used[0] not in constraints:
+            target = _opposite(equation, used[0])
+            if target is not None and target.ground:
+                constraints[used[0]] = (equation[0], target)
+                consumed.add(idx)
+    per_unknown = [_class_member_buckets(*constraints.get(u, ((), None)), sig, max_size)
+                   for u in unknowns]
+    return per_unknown, consumed, equations
 
 
 def iter_formula_solutions(
@@ -358,15 +418,26 @@ def iter_formula_solutions(
     narrowed = _candidate_buckets(conjuncts, used_by, unknowns, sig, max_size)
     if narrowed is None:
         return
-    per_unknown, consumed = narrowed
+    per_unknown, consumed, equations = narrowed
 
+    # A conjunct waits for the depth of its last unknown.  There it filters
+    # that unknown's stream when it is an equation with the unknown alone
+    # on one side, and is checked otherwise.  A filter is its hypotheses,
+    # the other side of its conclusion, and the conjunct itself.
     position = {u: i for i, u in enumerate(unknowns)}
     checks_at_depth: list[list[Formula]] = [[] for _ in unknowns]
+    filters_at_depth: list[list[tuple[Equalities, Term, Formula]]] = [[] for _ in unknowns]
     for idx, (c, used) in enumerate(zip(conjuncts, used_by)):
         if idx in consumed:
             continue
         if used and all(u in position for u in used):
-            checks_at_depth[max(position[u] for u in used)].append(c)
+            depth = max(position[u] for u in used)
+            equation = equations[idx]
+            side = equation and _opposite(equation, unknowns[depth])
+            if side is None:
+                checks_at_depth[depth].append(c)
+            else:
+                filters_at_depth[depth].append((equation[0], side, c))
 
     min_size: list[int] = []
     max_of: list[int] = []
@@ -391,11 +462,54 @@ def iter_formula_solutions(
                 return True
         return False
 
+    class_keys: dict[Equalities, Callable[[Term], Hashable]] = {}
+    indexes: dict[tuple[int, int], dict[tuple, list[Term]]] = {}  # by (depth, size)
+
+    def keys_of(equalities: Equalities) -> Callable[[Term], Hashable]:
+        keys = class_keys.get(equalities)
+        if keys is None:
+            keys = class_keys[equalities] = _class_keys(equalities)
+        return keys
+
+    def wanted(depth: int) -> tuple:
+        """The keys of the filters' other sides under the assignment.  A
+        side that is not ground even then holds this depth's unknown too,
+        so its conjunct goes back to the checks."""
+        keys = []
+        for f in filters_at_depth[depth][:]:
+            equalities, side, conjunct = f
+            if type(side) is Unknown:
+                side = assignment[side]
+            elif not side.ground:
+                side = substitute(side, assignment)
+            if side.ground:
+                keys.append(keys_of(equalities)(side))
+            else:
+                filters_at_depth[depth].remove(f)
+                checks_at_depth[depth].append(conjunct)
+        return tuple(keys)
+
+    def indexed(depth: int, n: int) -> dict[tuple, list[Term]]:
+        """The size-n bucket of unknown `depth`, by its filters' keys."""
+        index = indexes.get((depth, n))
+        if index is None:
+            keyers = [keys_of(equalities) for equalities, _, _ in filters_at_depth[depth]]
+            index = indexes[(depth, n)] = {}
+            for t in per_unknown[depth][n]:
+                index.setdefault(tuple([key(t) for key in keyers]), []).append(t)
+        return index
+
     def candidates(depth: int, budget: int) -> Iterator[tuple[int, Term]]:
         """(budget left, term) for each term unknown `depth` may take so
-        that the later unknowns can use up exactly what is left."""
+        that the later unknowns can use up exactly what is left and the
+        filters at this depth hold."""
         low = max(min_size[depth], budget - suffix_max[depth + 1])
         high = min(max_of[depth], budget - suffix_min[depth + 1])
+        if filters_at_depth[depth]:
+            keys = wanted(depth)
+            if filters_at_depth[depth]:  # unless each went back to the checks
+                return ((budget - n, t) for n in range(low, high + 1)
+                        for t in indexed(depth, n).get(keys, ()))
         return ((budget - n, t) for n in range(low, high + 1) for t in per_unknown[depth][n])
 
     for total in range(suffix_min[0], suffix_max[0] + 1):

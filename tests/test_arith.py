@@ -459,6 +459,24 @@ def test_recognize_round_trip():
     assert recognized.formula() == conj(p.formula() for p in inst.primitives())
 
 
+def test_classify_failures_asks_about_the_recognised_conjuncts():
+    # the oracle sees the parsed conjuncts themselves, not the builders'
+    # rebuilds: here the tab~ hypotheses nest unlike tab_tilde's own
+    f = parse_formula("(zh = s(zh) & (zt = s(zt) & kt = pair(pair(zh, zt), kt)) -> kt = k)"
+                      " & (z = s(z) -> z = zt)")
+    asked = []
+
+    def oracle(g):
+        asked.append(g)
+        return qcheck.is_quasitautology(g)
+
+    inst = recognize_instance(f)
+    assert classify_failures(inst, oracle) == Diagnosis(FailureCase.NUM_OR_TAB)
+    conjuncts = flatten_and(f)
+    assert len(asked) == 2 and all(g is c for g, c in zip(asked, conjuncts))
+    assert asked[0] is not tab_tilde(k_plain())
+
+
 def test_recognize_rejects_foreign_conjuncts():
     with pytest.raises(ContractError):
         recognize_instance(parse_formula("p(a) -> p(a)"))

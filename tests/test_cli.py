@@ -380,3 +380,23 @@ def test_countermodel_rejects_a_disjunct_of_several_languages(tmp_path, capsys):
     status, out = run_cli(["countermodel", str(source)])
     assert (status, out) == (2, "")
     assert capsys.readouterr().err == "error: instance mixes conjuncts of several languages\n"
+
+
+def test_solve_finds_the_mul_2_3_semitables_within_the_problem_limit(tmp_path):
+    # mul(2,3,6): both witnesses have size 22, and the benchmark stops a
+    # problem after 30 s
+    from hsk import arith
+    from hsk.skeleton import ExistentialFormula, close_existentially
+    from hsk.syntax import Variable, numeral
+    from hsk.textform import print_formula, print_term
+
+    z, w1, w2 = arith.zero(), Variable("w1"), Variable("w2")
+    matrix = arith.mul(numeral(2, z), numeral(3, z), numeral(6, z), w1, w2)
+    path = tmp_path / "mul_2_3_6.fml"
+    path.write_text(print_formula(close_existentially(ExistentialFormula((w1, w2), matrix))))
+    table = arith.mp_semitable(2, 3)
+    plain = table.instantiate(z, z, arith.k_plain())
+    tilde = table.instantiate(arith.zero_hat(), arith.zero_tilde(), arith.k_tilde())
+    result = run_hsk(["solve", "-n", "1", "--max-size", "22", str(path)], timeout=30)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.decode() == f"*1 := {print_term(plain)}\n*2 := {print_term(tilde)}\n"

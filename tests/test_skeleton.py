@@ -22,11 +22,15 @@ from hsk.skeleton import (
 )
 from hsk.syntax import (
     Application,
+    Equality,
     FunctionSymbol,
+    Implies,
+    Not,
     Signature,
     Unknown,
     Variable,
     canonical_key,
+    conj,
     flatten_and,
     numeral,
     substitute,
@@ -344,6 +348,113 @@ def test_solver_agrees_with_naive_search_on_random_formulas():
         assert fast == slow, (f, bound)
         trials += 1
     assert trials > 80
+
+
+_EQ_CONSTS = [Application(FunctionSymbol(n, 0), ()) for n in ("a", "b")]
+_EQ_F = FunctionSymbol("f", 1)
+_EQ_G = FunctionSymbol("g", 2)
+
+
+def _random_ground_equations(rng):
+    """Ground equations over a, b, f and g whose congruences reach terms
+    outside their own subterms: f(a) = a also equates f(f(a)) with a."""
+    a, b = _EQ_CONSTS
+    fa, fb = Application(_EQ_F, (a,)), Application(_EQ_F, (b,))
+    pool = [(fa, a), (a, b), (fb, a), (Application(_EQ_G, (a, b)), b),
+            (Application(_EQ_G, (a, a)), fa), (Application(_EQ_F, (fb,)), b)]
+    return [Equality(*rng.choice(pool)) for _ in range(rng.randint(0, 3))]
+
+
+def _random_equational_formula(rng, u1, u2):
+    """A conjunction of `ground equations -> s = t` conjuncts: *2 alone on
+    one side and *1 inside the other, sometimes a stream constraint or a
+    plain check beside them."""
+    a, b = _EQ_CONSTS
+
+    def around(t):
+        roll = rng.random()
+        if roll < 0.3:
+            return t
+        if roll < 0.6:
+            return Application(_EQ_F, (t,))
+        return Application(_EQ_G, (t, rng.choice(_EQ_CONSTS)) if rng.random() < 0.5
+                           else (rng.choice(_EQ_CONSTS), t))
+
+    def implied(conclusion):
+        hyps = _random_ground_equations(rng)
+        return Implies(conj(hyps), conclusion) if hyps else conclusion
+
+    conjuncts = []
+    for _ in range(rng.randint(1, 2)):
+        s = around(u1)
+        conjuncts.append(implied(Equality(s, u2) if rng.random() < 0.5 else Equality(u2, s)))
+    if rng.random() < 0.4:  # a stream constraint on *1
+        conjuncts.append(implied(Equality(rng.choice([a, b, Application(_EQ_F, (a,))]), u1)))
+    if rng.random() < 0.3:  # a conjunct the filters leave to the checks
+        conjuncts.append(Not(Equality(u1, u2)) if rng.random() < 0.5
+                         else implied(Equality(u2, Application(_EQ_F, (u2,)))))
+    rng.shuffle(conjuncts)
+    return conj(conjuncts)
+
+
+def test_equational_filters_agree_with_naive_search(monkeypatch):
+    # conjuncts `E -> s(*1) = *2` with ground E filter *2's stream by class
+    # keys; every solution and its order must be those of the naive search,
+    # which decides each pair through qcheck
+    rng = random.Random(2718)
+    u1, u2 = Unknown(1), Unknown(2)
+    sig = Signature(frozenset({*(c.symbol for c in _EQ_CONSTS), _EQ_F, _EQ_G}), frozenset())
+    filtered = []  # one entry per search that built class keys
+    class_keys = skeleton._class_keys
+
+    def counted(equalities):
+        filtered.append(equalities)
+        return class_keys(equalities)
+
+    monkeypatch.setattr(skeleton, "_class_keys", counted)
+    fired = solved = 0
+    for _ in range(120):
+        f = _random_equational_formula(rng, u1, u2)
+        bound = rng.randint(1, 3)
+        filtered.clear()
+        fast = list(iter_formula_solutions(f, [u1, u2], sig, bound))
+        assert fast == _naive_solutions(f, [u1, u2], sig, bound), (str(f), bound)
+        fired += bool(filtered)
+        solved += bool(fast)
+    assert fired > 100 and solved > 40
+
+
+def test_class_keys_decide_ground_implications():
+    # two ground terms have one class key exactly when the equations imply
+    # that they are equal; terms outside the equations' universe meet its
+    # classes through their arguments, and a fresh symbol never does
+    rng = random.Random(1618)
+    a, b = _EQ_CONSTS
+    fresh = Application(FunctionSymbol("d", 0), ())
+    h = FunctionSymbol("h", 1)
+    outside_agree = fresh_seen = 0
+    for _ in range(300):
+        eqs = _random_ground_equations(rng)
+        universe = set()
+        for e in eqs:
+            for side in (e.lhs, e.rhs):
+                universe.update(syntax.nodes(side))
+        pool = sorted(universe | {a, b, fresh}, key=canonical_key)
+        for _ in range(2):  # grow the pool past the universe
+            t = rng.choice(pool)
+            pool += [Application(_EQ_F, (t,)), Application(h, (t,)),
+                     Application(_EQ_G, (t, rng.choice(pool)))]
+        keys = skeleton._class_keys(tuple((e.lhs, e.rhs) for e in eqs))
+        for _ in range(12):
+            s, t = rng.choice(pool), rng.choice(pool)
+            claim = Implies(conj(eqs), Equality(s, t)) if eqs else Equality(s, t)
+            agree = keys(s) == keys(t)
+            assert agree == qcheck.is_quasitautology(claim), str(claim)
+            if agree and s is not t and not {s, t} <= universe:
+                outside_agree += 1
+            if fresh in (s, t) or h in (s.symbol, t.symbol):
+                fresh_seen += 1
+    assert outside_agree > 50 and fresh_seen > 1000
 
 
 def test_class_streams_match_brute_force_filter():
