@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from . import qcheck
 from .models import Diagnosis, FailureCase
@@ -338,17 +338,13 @@ _KINDS: dict[PrimKind, tuple[Callable[..., Formula], int, FailureCase]] = {
 
 @dataclass(frozen=True)
 class Primitive:
-    """One implication-shaped conjunct together with its role and arguments;
-    a recognised one keeps the conjunct it was matched from as `node`."""
+    """One implication-shaped conjunct together with its role and arguments."""
 
     kind: PrimKind
     args: tuple[Term, ...]
     lang: int
-    node: Formula | None = field(default=None, compare=False, repr=False)
 
     def formula(self) -> Formula:
-        if self.node is not None:
-            return self.node
         builder, _, _ = _KINDS[self.kind]
         return builder(*self.args, lang=self.lang)
 
@@ -549,14 +545,21 @@ def reduction_f(
 def classify_failures(
     instance: PCArithFormula,
     oracle: Callable[[Formula], bool] = qcheck.is_quasitautology,
+    *,
+    conjuncts: Sequence[Formula] | None = None,
 ) -> Diagnosis:
     """First applicable failure case of a non-valid ground variant instance.
 
-    Conjunct classes are tried in FailureCase order; the additive or
-    multiplicative case reports the numeral exponent of the failing
-    conjunct's first argument.
+    The oracle is asked about `conjuncts`, the instance's conjuncts as they
+    were parsed, one per primitive in `primitives()` order; without them,
+    about each primitive's builder formula.  Conjunct classes are tried in
+    FailureCase order; the additive or multiplicative case reports the
+    numeral exponent of the failing conjunct's first argument.
     """
-    failing = [p for p in instance.primitives() if not oracle(p.formula())]
+    primitives = instance.primitives()
+    if conjuncts is None:
+        conjuncts = [p.formula() for p in primitives]
+    failing = [p for p, f in zip(primitives, conjuncts, strict=True) if not oracle(f)]
     if not failing:
         raise ContractError("instance is valid; nothing to diagnose")
     for case in FailureCase:
@@ -639,7 +642,7 @@ def recognize_conjunct(f: Formula) -> Primitive | None:
         found = _match(template, parts)
         if found is not None:
             bound, lang = found
-            return Primitive(kind, tuple(bound[v] for v in _SLOTS[:count]), lang, f)
+            return Primitive(kind, tuple(bound[v] for v in _SLOTS[:count]), lang)
     return None
 
 

@@ -210,7 +210,7 @@ def _cmd_countermodel(config: RunConfig, text: str) -> tuple[int, list[str]]:
                 return 1, [_record(verdict="valid-disjunct", problem_index=str(i))]
             return 1, [f"VALID DISJUNCT {i}"]
         failures.append((instance.language_index,
-                         arith.classify_failures(instance)))
+                         arith.classify_failures(instance, conjuncts=flatten_and(disjunct))))
     alpha = models.construct_alpha(failures)
     structure = models.m_alpha(alpha)
     for disjunct in disjuncts:

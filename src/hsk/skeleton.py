@@ -285,15 +285,7 @@ def _class_keys(equalities: Equalities) -> Callable[[Term], Hashable]:
         key = keys[t] = transitions.get(state, state)
         return key
 
-    def key(t: Term) -> Hashable:
-        known = keys.get(t)
-        if known is None:  # most candidates are built from keyed arguments
-            arg_keys = tuple([keys.get(a) for a in t.args])
-            known = (combine(t, arg_keys) if None not in arg_keys
-                     else rebuild(t, keys.get, combine))
-        return known
-
-    return key
+    return lambda t: rebuild(t, keys.get, combine)
 
 
 # Distinct (equalities, target, sig, max_size) keys kept by

@@ -459,8 +459,8 @@ def test_recognize_round_trip():
     assert recognized.formula() == conj(p.formula() for p in inst.primitives())
 
 
-def test_classify_failures_asks_about_the_recognised_conjuncts():
-    # the oracle sees the parsed conjuncts themselves, not the builders'
+def test_classify_failures_asks_about_the_parsed_conjuncts():
+    # given the parsed conjuncts, the oracle sees them, not the builders'
     # rebuilds: here the tab~ hypotheses nest unlike tab_tilde's own
     f = parse_formula("(zh = s(zh) & (zt = s(zt) & kt = pair(pair(zh, zt), kt)) -> kt = k)"
                       " & (z = s(z) -> z = zt)")
@@ -471,10 +471,14 @@ def test_classify_failures_asks_about_the_recognised_conjuncts():
         return qcheck.is_quasitautology(g)
 
     inst = recognize_instance(f)
-    assert classify_failures(inst, oracle) == Diagnosis(FailureCase.NUM_OR_TAB)
     conjuncts = flatten_and(f)
+    assert classify_failures(inst, oracle, conjuncts=conjuncts) \
+        == Diagnosis(FailureCase.NUM_OR_TAB)
     assert len(asked) == 2 and all(g is c for g, c in zip(asked, conjuncts))
     assert asked[0] is not tab_tilde(k_plain())
+    # the recognised instance itself is the builders' conjunction
+    assert inst.formula() == conj(p.formula() for p in inst.primitives())
+    assert inst.primitives()[0].formula() is tab_tilde(k_plain())
 
 
 def test_recognize_rejects_foreign_conjuncts():
