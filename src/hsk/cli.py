@@ -133,7 +133,7 @@ def _cmd_solve(config: RunConfig, text: str) -> tuple[int, list[str]]:
         return 1, [f"NO SOLUTION WITHIN BOUND {config.max_size}"]
     if config.fmt == "records":
         return 0, [_record(verdict="solved", witness=_witness_text(solution))]
-    return 0, [f"*{u.index} := {print_term(t)}" for u, t in _bindings(solution)]
+    return 0, [f"*{u.index} := {print_term(t)}" for u, t in _bindings(solution)] or ["SOLVED"]
 
 
 def _cmd_sreu(config: RunConfig, text: str) -> tuple[int, list[str]]:
@@ -162,7 +162,8 @@ def _cmd_sreu(config: RunConfig, text: str) -> tuple[int, list[str]]:
                 if solution is None:
                     lines.append(f"[{i}] NO SOLUTION WITHIN BOUND {config.max_size}")
                 else:
-                    lines.append(f"[{i}] SOLVED {_witness_text(solution)}")
+                    witness = _witness_text(solution)
+                    lines.append(f"[{i}] SOLVED {witness}" if witness else f"[{i}] SOLVED")
     if config.solve:
         return (0 if any_solved else 1), lines
     return (0 if problems else 1), lines

@@ -2,38 +2,43 @@
 
 The solver enumerates candidate tuples in a fixed canonical order (total
 size first, then component-wise term order) so results are reproducible.
-Candidate terms come from one bottom-up tree-automaton enumerator,
-`_sized_terms`.  An unconstrained unknown gets the one-state automaton, which
-accepts every term.  A conjunct that constrains a single unknown through a
-chain of ground equality hypotheses narrows its stream to the target's
-congruence class: the states are then the closure classes of the
-hypotheses' subterms, each named by its root term in `qcheck`'s congruence
-engine.  Every candidate stream, constrained or not, is built by
-`_class_member_buckets` and kept in its one LRU cache of `_CLASS_CACHE_SIZE`
-entries.
 
-Each conjunct is matched once against `E -> l = r`, with E a set of ground
-equations (`_equation`).  Past the stream constraints, such a conjunct
-whose one side is the unknown u that the search assigns last, and whose
-other side is ground once the earlier unknowns are, *filters* u's stream
-instead of being checked for every candidate.  The closure of E and its
-transition table (`_congruence_table`, shared with `_class_member_buckets`)
+One pass over the conjuncts plans the search.  A conjunct without unknowns
+is decided at once.  Any other waits for the depth of its last unknown u,
+the one the search assigns last, and is matched once against
+`E -> u = side` with E a set of ground equations (`_equation`).  It then
+takes the first of three roles that fits:
+- the *stream constraint* of u: u's first such conjunct with a ground side;
+- a *filter* of u's stream: any other such conjunct;
+- a *check*, decided for every candidate of u: every other conjunct.
+
+Candidate terms come from one bottom-up tree-automaton enumerator,
+`_sized_terms`.  An unconstrained unknown gets the one-state automaton,
+which accepts every term.  A stream constraint narrows u's stream to the
+congruence class of its side: the states are then the closure classes of
+E's subterms, each named by its root term in `qcheck`'s congruence engine.
+Every stream is built by `_class_member_buckets` and kept in its one LRU
+cache of `_CLASS_CACHE_SIZE` entries.
+
+The closure of a filter's E and its transition table (`_congruence_table`)
 give every ground term a class key, computed bottom-up like an automaton
 state (`_class_keys`), and `E -> l = r` is valid exactly when l and r have
 one key (Downey, Sethi & Tarjan, JACM 1980).  The search indexes each size
 bucket of u's stream by its candidates' key tuples when it first reads that
 bucket, and then reads only the candidates whose keys are those of the
-filters' other sides: a hash join that drops a candidate only where a
-check would have rejected it, so the stream keeps its order.  Keys and indexes
-live as long as one search.  Every reported witness is still verified
-against the whole formula.
+filters' sides under the earlier unknowns: a hash join that drops a
+candidate only where a check would have rejected it, so the stream keeps
+its order.  A filter whose side still holds u itself goes back to the
+checks the first time the search reaches u.  Keys and indexes are built
+when first read and live as long as one search.  Every reported witness is
+still verified against the whole formula.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Callable, Hashable, Iterator, Sequence
 
 from . import qcheck
@@ -220,15 +225,14 @@ def enumerate_terms(sig: Signature, max_size: int) -> Iterator[Term]:
 # Candidate streams from ground equational conjuncts
 
 
-# Ground equations as (lhs, rhs) pairs, and a conjunct
-# `s1 = t1 & ... & sk = tk -> l = r` with ground hypotheses as those pairs
-# and its conclusion.
+# Ground equations as (lhs, rhs) pairs.
 Equalities = tuple[tuple[Term, Term], ...]
-Equation = tuple[Equalities, Equality]
 
 
-def _equation(conjunct: Formula) -> Equation | None:
-    """Match `hyps -> l = r` (or a bare `l = r`) with ground equality hyps."""
+def _equation(conjunct: Formula, u: Unknown) -> tuple[Equalities, Term] | None:
+    """Match `hyps -> u = side` (or `side = u`, or a bare conclusion) with
+    ground equality hyps and a side other than u: the hyps as pairs, and the
+    side."""
     parts: list[tuple[Term, Term]] = []
     while isinstance(conjunct, Implies):
         for h in flatten_and(conjunct.lhs):
@@ -236,17 +240,10 @@ def _equation(conjunct: Formula) -> Equation | None:
                 return None
             parts.append((h.lhs, h.rhs))
         conjunct = conjunct.rhs
-    if not isinstance(conjunct, Equality):
-        return None
-    return tuple(parts), conjunct
-
-
-def _opposite(equation: Equation, u: Unknown) -> Term | None:
-    """The side of the equation's conclusion opposite a bare u."""
-    conclusion = equation[1]
-    for side, other in ((conclusion.lhs, conclusion.rhs), (conclusion.rhs, conclusion.lhs)):
-        if side is u and other is not u:
-            return other
+    if isinstance(conjunct, Equality):
+        for bare, side in ((conjunct.lhs, conjunct.rhs), (conjunct.rhs, conjunct.lhs)):
+            if bare is u and side is not u:
+                return tuple(parts), side
     return None
 
 
@@ -327,44 +324,6 @@ def _class_member_buckets(
 # Bounded search
 
 
-def _candidate_buckets(
-    conjuncts: list[Formula],
-    used_by: list[list[Unknown]],
-    unknowns: tuple[Unknown, ...],
-    sig: Signature,
-    max_size: int,
-) -> tuple[list[tuple[tuple[Term, ...], ...]], set[int], list[Equation | None]] | None:
-    """Per-unknown size buckets, narrowed by matching unary constraints.
-
-    `used_by[i]` lists the unknowns of `conjuncts[i]`.  One pass matches
-    each conjunct against `_equation` and takes each unknown's first unary
-    constraint, an equation `hyps -> s = u` (or `u = s`) with a ground s
-    whose one unknown is u.  Returns the buckets, the indices of conjuncts
-    consumed as stream constraints (their validity is guaranteed for
-    stream members) and each conjunct's equation, or None when some ground
-    conjunct is already invalid.
-    """
-    equations: list[Equation | None] = []
-    constraints: dict[Unknown, tuple[Equalities, Term]] = {}
-    consumed: set[int] = set()
-    for idx, (c, used) in enumerate(zip(conjuncts, used_by)):
-        if c.ground:
-            if not qcheck.is_quasitautology(c):
-                return None
-            equations.append(None)
-            continue
-        equation = _equation(c)
-        equations.append(equation)
-        if equation is not None and len(used) == 1 and used[0] not in constraints:
-            target = _opposite(equation, used[0])
-            if target is not None and target.ground:
-                constraints[used[0]] = (equation[0], target)
-                consumed.add(idx)
-    per_unknown = [_class_member_buckets(*constraints.get(u, ((), None)), sig, max_size)
-                   for u in unknowns]
-    return per_unknown, consumed, equations
-
-
 def iter_formula_solutions(
     formula: Formula,
     unknowns: Sequence[Unknown] | None = None,
@@ -378,7 +337,8 @@ def iter_formula_solutions(
     canonical term order along the tuple.  The formula must be
     quantifier-free.  One walk of each conjunct gives its unknowns and its
     symbols; without `unknowns` the search takes the formula's, in first
-    occurrence order, and without `sig` the symbols of the formula.
+    occurrence order, and without `sig` the symbols of the formula.  Given
+    `unknowns` must include every unknown of the formula.
     """
     if max_size < 0:
         raise ContractError("size bound must be >= 0")
@@ -400,6 +360,8 @@ def iter_formula_solutions(
         used_by.append(used)
     if unknowns is None:
         unknowns = dict.fromkeys(u for used in used_by for u in used)
+    elif not {u for used in used_by for u in used} <= set(unknowns):
+        raise ContractError("the unknowns must include every unknown of the formula")
     unknowns = tuple(unknowns)
     if sig is None:
         sig = Signature(frozenset(functions), frozenset(predicates))
@@ -407,29 +369,32 @@ def iter_formula_solutions(
         if qcheck.is_quasitautology(formula):
             yield {}
         return
-    narrowed = _candidate_buckets(conjuncts, used_by, unknowns, sig, max_size)
-    if narrowed is None:
-        return
-    per_unknown, consumed, equations = narrowed
 
-    # A conjunct waits for the depth of its last unknown.  There it filters
-    # that unknown's stream when it is an equation with the unknown alone
-    # on one side, and is checked otherwise.  A filter is its hypotheses,
-    # the other side of its conclusion, and the conjunct itself.
+    # The plan: a conjunct without unknowns is decided at once.  Any other
+    # waits for the depth of its last unknown u and takes one role there:
+    # u's first `E -> u = t` with ground t constrains u's stream, any other
+    # `E -> u = side` filters it (its hypotheses, its side, the conjunct),
+    # and the rest are checked for every candidate.
     position = {u: i for i, u in enumerate(unknowns)}
+    constraints: dict[Unknown, tuple[Equalities, Term]] = {}
     checks_at_depth: list[list[Formula]] = [[] for _ in unknowns]
     filters_at_depth: list[list[tuple[Equalities, Term, Formula]]] = [[] for _ in unknowns]
-    for idx, (c, used) in enumerate(zip(conjuncts, used_by)):
-        if idx in consumed:
+    for c, used in zip(conjuncts, used_by):
+        if not used:
+            if not qcheck.is_quasitautology(c):
+                return
             continue
-        if used and all(u in position for u in used):
-            depth = max(position[u] for u in used)
-            equation = equations[idx]
-            side = equation and _opposite(equation, unknowns[depth])
-            if side is None:
-                checks_at_depth[depth].append(c)
-            else:
-                filters_at_depth[depth].append((equation[0], side, c))
+        depth = max(position[u] for u in used)
+        u = unknowns[depth]
+        equation = _equation(c, u)
+        if equation is None:
+            checks_at_depth[depth].append(c)
+        elif equation[1].ground and u not in constraints:
+            constraints[u] = equation
+        else:
+            filters_at_depth[depth].append((*equation, c))
+    per_unknown = [_class_member_buckets(*constraints.get(u, ((), None)), sig, max_size)
+                   for u in unknowns]
 
     min_size: list[int] = []
     max_of: list[int] = []
@@ -454,42 +419,37 @@ def iter_formula_solutions(
                 return True
         return False
 
-    class_keys: dict[Equalities, Callable[[Term], Hashable]] = {}
-    indexes: dict[tuple[int, int], dict[tuple, list[Term]]] = {}  # by (depth, size)
+    # Only a search with filters keys terms; its keys and indexes live as
+    # long as it does.
+    if any(filters_at_depth):
+        keys_of = cache(_class_keys)
 
-    def keys_of(equalities: Equalities) -> Callable[[Term], Hashable]:
-        keys = class_keys.get(equalities)
-        if keys is None:
-            keys = class_keys[equalities] = _class_keys(equalities)
-        return keys
+        def wanted(depth: int) -> tuple:
+            """The keys of the filters' other sides under the assignment.  A
+            side that is not ground even then holds this depth's unknown too,
+            so its conjunct goes back to the checks."""
+            keys = []
+            for f in filters_at_depth[depth][:]:
+                equalities, side, conjunct = f
+                if type(side) is Unknown:
+                    side = assignment[side]
+                elif not side.ground:
+                    side = substitute(side, assignment)
+                if side.ground:
+                    keys.append(keys_of(equalities)(side))
+                else:
+                    filters_at_depth[depth].remove(f)
+                    checks_at_depth[depth].append(conjunct)
+            return tuple(keys)
 
-    def wanted(depth: int) -> tuple:
-        """The keys of the filters' other sides under the assignment.  A
-        side that is not ground even then holds this depth's unknown too,
-        so its conjunct goes back to the checks."""
-        keys = []
-        for f in filters_at_depth[depth][:]:
-            equalities, side, conjunct = f
-            if type(side) is Unknown:
-                side = assignment[side]
-            elif not side.ground:
-                side = substitute(side, assignment)
-            if side.ground:
-                keys.append(keys_of(equalities)(side))
-            else:
-                filters_at_depth[depth].remove(f)
-                checks_at_depth[depth].append(conjunct)
-        return tuple(keys)
-
-    def indexed(depth: int, n: int) -> dict[tuple, list[Term]]:
-        """The size-n bucket of unknown `depth`, by its filters' keys."""
-        index = indexes.get((depth, n))
-        if index is None:
+        @cache
+        def indexed(depth: int, n: int) -> dict[tuple, list[Term]]:
+            """The size-n bucket of unknown `depth`, by its filters' keys."""
             keyers = [keys_of(equalities) for equalities, _, _ in filters_at_depth[depth]]
-            index = indexes[(depth, n)] = {}
+            index: dict[tuple, list[Term]] = {}
             for t in per_unknown[depth][n]:
                 index.setdefault(tuple([key(t) for key in keyers]), []).append(t)
-        return index
+            return index
 
     def candidates(depth: int, budget: int) -> Iterator[tuple[int, Term]]:
         """(budget left, term) for each term unknown `depth` may take so

@@ -305,6 +305,17 @@ def test_zero_size_bound_is_an_exhausted_search():
     assert (status, out) == (1, "NO SOLUTION WITHIN BOUND 0\n")
 
 
+@pytest.mark.parametrize("args,text,expected", [
+    (["solve"], "a = a\n", "SOLVED\n"),
+    (["solve", "--format", "records"], "a = a\n", "verdict=solved\twitness=\n"),
+    (["sreu", "--solve"], "p | !p\n", "[1.1] c#0 = c#0\n[1] SOLVED\n"),
+], ids=["solve", "solve-records", "sreu-solve"])
+def test_a_solution_without_bindings_says_solved(tmp_path, args, text, expected):
+    source = tmp_path / "closed.fml"
+    source.write_text(text)
+    assert run_cli([*args, str(source)]) == (0, expected)
+
+
 def test_encode_with_larger_numeral(tmp_path):
     source = tmp_path / "sys.dioph"
     source.write_text("x1 + 1 = 2\n")

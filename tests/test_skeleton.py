@@ -105,6 +105,9 @@ def test_verify_solution_contract():
         verify_solution(sk2, {Unknown(1): A})
     with pytest.raises(ContractError):
         verify_solution(sk2, {Unknown(1): A, Unknown(2): Unknown(1)})
+    for unknowns in (sk2.unknown_tuples[0], ()):  # a search's tuple must cover them too
+        with pytest.raises(ContractError, match="every unknown"):
+            list(iter_formula_solutions(sk2.formula, unknowns))
 
 
 def test_verify_invariant_under_unknown_renaming():
@@ -367,8 +370,9 @@ def _random_ground_equations(rng):
 
 def _random_equational_formula(rng, u1, u2):
     """A conjunction of `ground equations -> s = t` conjuncts: *2 alone on
-    one side and *1 inside the other, sometimes a stream constraint or a
-    plain check beside them."""
+    one side and *1 inside the other, sometimes unary constraints on *1 or
+    *2 (the first on each is its stream constraint, any other a filter with
+    a ground side) or a plain check beside them."""
     a, b = _EQ_CONSTS
 
     def around(t):
@@ -384,12 +388,22 @@ def _random_equational_formula(rng, u1, u2):
         hyps = _random_ground_equations(rng)
         return Implies(conj(hyps), conclusion) if hyps else conclusion
 
+    def unary(u, target):
+        return implied(Equality(target, u) if rng.random() < 0.5 else Equality(u, target))
+
     conjuncts = []
     for _ in range(rng.randint(1, 2)):
         s = around(u1)
         conjuncts.append(implied(Equality(s, u2) if rng.random() < 0.5 else Equality(u2, s)))
+    targets = [a, b, Application(_EQ_F, (a,))]
     if rng.random() < 0.4:  # a stream constraint on *1
-        conjuncts.append(implied(Equality(rng.choice([a, b, Application(_EQ_F, (a,))]), u1)))
+        target = rng.choice(targets)
+        conjuncts.append(implied(Equality(target, u1)))
+        if rng.random() < 0.5:  # a filter with a ground side
+            conjuncts.append(unary(u1, target))
+    if rng.random() < 0.2:  # the stream constraint of *2, and a filter
+        target = rng.choice(targets)
+        conjuncts += [unary(u2, target), unary(u2, target)]
     if rng.random() < 0.3:  # a conjunct the filters leave to the checks
         conjuncts.append(Not(Equality(u1, u2)) if rng.random() < 0.5
                          else implied(Equality(u2, Application(_EQ_F, (u2,)))))
@@ -404,24 +418,43 @@ def test_equational_filters_agree_with_naive_search(monkeypatch):
     rng = random.Random(2718)
     u1, u2 = Unknown(1), Unknown(2)
     sig = Signature(frozenset({*(c.symbol for c in _EQ_CONSTS), _EQ_F, _EQ_G}), frozenset())
-    filtered = []  # one entry per search that built class keys
-    class_keys = skeleton._class_keys
+    matched = []  # the ground sides the plan matched, (unknown, (E, side))
+    keyed = set()  # the (E, term) pairs the search keyed
+    equation, class_keys = skeleton._equation, skeleton._class_keys
+
+    def matching(conjunct, u):
+        found = equation(conjunct, u)
+        if found is not None and found[1].ground:
+            matched.append((u, found))
+        return found
 
     def counted(equalities):
-        filtered.append(equalities)
-        return class_keys(equalities)
+        keys = class_keys(equalities)
 
+        def key(t):
+            keyed.add((equalities, t))
+            return keys(t)
+
+        return key
+
+    monkeypatch.setattr(skeleton, "_equation", matching)
     monkeypatch.setattr(skeleton, "_class_keys", counted)
-    fired = solved = 0
+    fired = fired_ground = solved = 0
     for _ in range(120):
         f = _random_equational_formula(rng, u1, u2)
         bound = rng.randint(1, 3)
-        filtered.clear()
+        matched.clear()
+        keyed.clear()
         fast = list(iter_formula_solutions(f, [u1, u2], sig, bound))
         assert fast == _naive_solutions(f, [u1, u2], sig, bound), (str(f), bound)
-        fired += bool(filtered)
+        # past each unknown's first ground side, its stream constraint, a
+        # ground side is a filter's, keyed when the search reaches it
+        ground_filters = [m for i, (u, m) in enumerate(matched)
+                          if any(v is u for v, _ in matched[:i])]
+        fired += bool(keyed)
+        fired_ground += any(m in keyed for m in ground_filters)
         solved += bool(fast)
-    assert fired > 100 and solved > 40
+    assert fired > 100 and fired_ground > 30 and solved > 40
 
 
 def test_class_keys_decide_ground_implications():
