@@ -7,9 +7,11 @@ One pass over the conjuncts plans the search.  A conjunct without unknowns
 is decided at once.  Any other waits for the depth of its last unknown u,
 the one the search assigns last, and is matched once against
 `E -> u = side` with E a set of ground equations (`_equation`).  It then
-takes the first of three roles that fits:
+takes the first of four roles that fits:
 - the *stream constraint* of u: u's first such conjunct with a ground side;
 - a *filter* of u's stream: any other such conjunct;
+- a *hypothesis filter*: `E & u = a1 & ... & u = ak -> l = r` with E, the
+  ai, l and r ground, u only a bare side of hypotheses (`_hypotheses`);
 - a *check*, decided for every candidate of u: every other conjunct.
 
 Candidate terms come from one bottom-up tree-automaton enumerator,
@@ -30,8 +32,22 @@ filters' sides under the earlier unknowns: a hash join that drops a
 candidate only where a check would have rejected it, so the stream keeps
 its order.  A filter whose side still holds u itself goes back to the
 checks the first time the search reaches u.  Keys and indexes are built
-when first read and live as long as one search.  Every reported witness is
-still verified against the whole formula.
+when first read and live as long as one search.
+
+A hypothesis filter says what `E' & u = a1 -> l = r` says, with E' = E +
+{a1 = ai}, and its verdict at u := t depends only on t's class key in the
+closure of E' over a1, l and r: a term of a class C makes it valid exactly
+when merging C with a1 joins l and r, a term outside every class exactly
+when E' alone implies l = r.  So its accepted keys are a finite set,
+computed once by one merge and undo per class (`_hypothesis_filter`).  A
+conjunct that E' decides is dropped, one that no key passes ends the
+search at plan time, and the plan drops from u's stream each candidate
+whose key misses an accepted set, keeping the order of the rest.  A
+nested occurrence of u is not decided by the key, so it leaves its
+conjunct a check.  The accepted sets and their key functions live in one
+LRU cache of `_HYPOTHESIS_CACHE_SIZE` entries, so the problems of one
+`sreu` conversion share them.  Every reported witness is still verified
+against the whole formula.
 """
 
 from __future__ import annotations
@@ -208,25 +224,14 @@ def _any_term(symbol: FunctionSymbol, arg_states: tuple[int, ...]) -> int:
     return 0
 
 
-def enumerate_terms(sig: Signature, max_size: int) -> Iterator[Term]:
-    """All variable- and unknown-free terms over sig with size <= max_size,
-    in canonical order, without duplicates.
-
-    A signature without constants gets one fresh constant injected so the
-    stream is never vacuously empty.
-    """
-    if max_size < 0:
-        raise ContractError("size bound must be >= 0")
-    for bucket in _class_member_buckets((), None, sig, max_size):
-        yield from bucket
-
-
 # ---------------------------------------------------------------------------
 # Candidate streams from ground equational conjuncts
 
 
 # Ground equations as (lhs, rhs) pairs.
 Equalities = tuple[tuple[Term, Term], ...]
+# A hypothesis filter: the class keys of its closure, and the accepted ones.
+Accepts = tuple[Callable[[Term], Hashable], frozenset]
 
 
 def _equation(conjunct: Formula, u: Unknown) -> tuple[Equalities, Term] | None:
@@ -247,12 +252,38 @@ def _equation(conjunct: Formula, u: Unknown) -> tuple[Equalities, Term] | None:
     return None
 
 
+def _hypotheses(
+    conjunct: Formula, u: Unknown
+) -> tuple[Equalities, tuple[Term, ...], Term, Term] | None:
+    """Match `hyps -> l = r` with ground l and r, where every hyp is a
+    ground equation or `u = a` (or `a = u`) with ground a, and at least one
+    is: the ground hyps as pairs, the anchors a in order, l and r."""
+    parts: list[tuple[Term, Term]] = []
+    anchors: list[Term] = []
+    while isinstance(conjunct, Implies):
+        for h in flatten_and(conjunct.lhs):
+            if not isinstance(h, Equality):
+                return None
+            if h.ground:
+                parts.append((h.lhs, h.rhs))
+            elif h.lhs is u and h.rhs.ground:
+                anchors.append(h.rhs)
+            elif h.rhs is u and h.lhs.ground:
+                anchors.append(h.lhs)
+            else:
+                return None
+        conjunct = conjunct.rhs
+    if anchors and isinstance(conjunct, Equality) and conjunct.ground:
+        return tuple(parts), tuple(anchors), conjunct.lhs, conjunct.rhs
+    return None
+
+
 def _congruence_table(
     equalities: Equalities, leaves: Sequence[Term] = ()
-) -> tuple[Callable[[Term], Term], dict[tuple, Term]]:
+) -> tuple[qcheck.CongruenceEngine, dict[tuple, Term]]:
     """The closure of the equalities over the leaves and their sides, closed
-    under subterms: its `find`, and the transition table mapping each
-    universe application's (symbol, argument roots) to its root."""
+    under subterms, and its transition table mapping each universe
+    application's (symbol, argument roots) to its root."""
     closure = qcheck.CongruenceEngine([*leaves, *(side for pair in equalities for side in pair)])
     for lhs, rhs in equalities:
         closure.merge(lhs, rhs)
@@ -261,11 +292,14 @@ def _congruence_table(
     for t in closure.parent:  # the subterms of the leaves
         if isinstance(t, Application):
             transitions[(t.symbol, tuple([find(a) for a in t.args]))] = find(t)
-    return find, transitions
+    return closure, transitions
 
 
-def _class_keys(equalities: Equalities) -> Callable[[Term], Hashable]:
-    """The class key of a ground term in the equalities' congruence closure.
+def _class_keys(
+    equalities: Equalities, leaves: Sequence[Term] = ()
+) -> Callable[[Term], Hashable]:
+    """The class key of a ground term in the congruence closure of the
+    equalities over the leaves.
 
     Bottom-up, an application's key is the transition of its symbol and its
     arguments' keys, or that pair itself where the closure's universe has
@@ -274,7 +308,7 @@ def _class_keys(equalities: Equalities) -> Callable[[Term], Hashable]:
     key exactly when the equalities imply that they are equal.  Keys are
     remembered per term for the life of the returned function.
     """
-    _, transitions = _congruence_table(equalities)
+    _, transitions = _congruence_table(equalities, leaves)
     keys: dict[Term, Hashable] = {}
 
     def combine(t: Application, arg_keys: tuple) -> Hashable:
@@ -310,14 +344,50 @@ def _class_member_buckets(
     if target is None:
         step, accepting = _any_term, 0
     else:
-        find, transitions = _congruence_table(equalities, (target,))
+        closure, transitions = _congruence_table(equalities, (target,))
 
         def step(symbol: FunctionSymbol, states: tuple[Term, ...]) -> Term | None:
             return transitions.get((symbol, states))
 
-        accepting = find(target)
+        accepting = closure.find(target)
     sized = _sized_terms(sig, max_size, step)
     return tuple(tuple(by_state.get(accepting, ())) for by_state in sized)
+
+
+# Distinct (equalities, anchors, l, r) keys kept by _hypothesis_filter: one
+# conversion's problems share at most a few dozen conjuncts, and no two
+# conversions share names.
+_HYPOTHESIS_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=_HYPOTHESIS_CACHE_SIZE)
+def _hypothesis_filter(
+    equalities: Equalities, anchors: tuple[Term, ...], l: Term, r: Term
+) -> Accepts | None:
+    """Decide `E & u = a1 & ... & u = ak -> l = r` for every ground u at once:
+    the class keys and the set of those that make it valid, or None when
+    it holds whatever u is.
+
+    It says what `E' & u = a1 -> l = r` says, with E' = E + {a1 = ai}.  A
+    term in a class C of E''s closure over a1, l and r makes it valid
+    exactly when merging C with a1 joins l and r; a term of no such class
+    joins nothing by that merge, so it is valid only when E' alone implies
+    l = r.
+    """
+    a1 = anchors[0]
+    equalities += tuple((a1, a) for a in anchors[1:])
+    closure, _ = _congruence_table(equalities, (a1, l, r))
+    if closure.same(l, r):
+        return None
+    keys = _class_keys(equalities, (a1, l, r))
+    accepted = set()
+    for root in {closure.find(t) for t in closure.parent}:
+        mark = closure.mark()
+        closure.merge(root, a1)
+        if closure.same(l, r):
+            accepted.add(keys(root))
+        closure.undo(mark)
+    return keys, frozenset(accepted)
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +432,8 @@ def iter_formula_solutions(
         unknowns = dict.fromkeys(u for used in used_by for u in used)
     elif not {u for used in used_by for u in used} <= set(unknowns):
         raise ContractError("the unknowns must include every unknown of the formula")
+    elif len(set(unknowns)) != len(unknowns):
+        raise ContractError("the unknowns must be distinct")
     unknowns = tuple(unknowns)
     if sig is None:
         sig = Signature(frozenset(functions), frozenset(predicates))
@@ -374,11 +446,13 @@ def iter_formula_solutions(
     # waits for the depth of its last unknown u and takes one role there:
     # u's first `E -> u = t` with ground t constrains u's stream, any other
     # `E -> u = side` filters it (its hypotheses, its side, the conjunct),
-    # and the rest are checked for every candidate.
+    # one with u only as bare hypothesis sides filters it by an accepted key
+    # set, and the rest are checked for every candidate.
     position = {u: i for i, u in enumerate(unknowns)}
     constraints: dict[Unknown, tuple[Equalities, Term]] = {}
     checks_at_depth: list[list[Formula]] = [[] for _ in unknowns]
     filters_at_depth: list[list[tuple[Equalities, Term, Formula]]] = [[] for _ in unknowns]
+    accepts_at_depth: list[list[Accepts]] = [[] for _ in unknowns]
     for c, used in zip(conjuncts, used_by):
         if not used:
             if not qcheck.is_quasitautology(c):
@@ -388,13 +462,27 @@ def iter_formula_solutions(
         u = unknowns[depth]
         equation = _equation(c, u)
         if equation is None:
-            checks_at_depth[depth].append(c)
+            hypotheses = _hypotheses(c, u)
+            if hypotheses is None:
+                checks_at_depth[depth].append(c)
+                continue
+            accepts = _hypothesis_filter(*hypotheses)
+            if accepts is None:  # it holds whatever u is
+                continue
+            if not accepts[1]:  # it fails whatever u is
+                return
+            accepts_at_depth[depth].append(accepts)
         elif equation[1].ground and u not in constraints:
             constraints[u] = equation
         else:
             filters_at_depth[depth].append((*equation, c))
     per_unknown = [_class_member_buckets(*constraints.get(u, ((), None)), sig, max_size)
                    for u in unknowns]
+    for depth, accepts in enumerate(accepts_at_depth):
+        if accepts:  # the stream, less each candidate whose key misses a set
+            per_unknown[depth] = tuple(
+                tuple([t for t in bucket if all(key(t) in accepted for key, accepted in accepts)])
+                for bucket in per_unknown[depth])
 
     min_size: list[int] = []
     max_of: list[int] = []

@@ -6,9 +6,11 @@ import itertools
 import random
 from typing import Iterator
 
+from hsk.skeleton import _class_member_buckets
 from hsk.syntax import (
     And,
     Application,
+    ContractError,
     Equality,
     Formula,
     FunctionSymbol,
@@ -49,6 +51,20 @@ def signature_of(f: Formula) -> Signature:
         elif isinstance(n, PredApp):
             preds.add(n.symbol)
     return Signature(frozenset(fns), frozenset(preds))
+
+
+def enumerate_terms(sig: Signature, max_size: int) -> Iterator[Term]:
+    """All variable- and unknown-free terms over sig with size <= max_size,
+    in canonical order, without duplicates: the search's stream of an
+    unconstrained unknown.
+
+    A signature without constants gets one fresh constant injected so the
+    stream is never vacuously empty.
+    """
+    if max_size < 0:
+        raise ContractError("size bound must be >= 0")
+    for bucket in _class_member_buckets((), None, sig, max_size):
+        yield from bucket
 
 
 def random_ground_term(rng: random.Random, max_size: int) -> Term:

@@ -16,13 +16,14 @@ from helpers import (
     G2,
     H3,
     P1,
+    enumerate_terms,
     random_ground_formula,
     random_ground_term,
     signature_of,
     unknowns_of,
     valid_by_model_enumeration,
 )
-from hsk import arith, models, skeleton, sreu
+from hsk import arith, models, sreu
 from hsk.arith import (
     Semitable,
     associate,
@@ -204,7 +205,7 @@ def test_criterion_5_simulation_lemmas():
     )
     numerals = {numeral(m, z0) for m in range(4)}
     tilde_numerals = {numeral(m, zt0) for m in range(4)}
-    for t in skeleton.enumerate_terms(lemma_sig, 4):
+    for t in enumerate_terms(lemma_sig, 4):
         assert is_quasitautology(arith.num(t)) == (t in numerals)
         assert is_quasitautology(arith.num_tilde(t)) == (t in tilde_numerals)
 
@@ -510,7 +511,7 @@ def test_criterion_9_solution_equivalence():
         f = parse_formula(text)
         problems = sreu.convert_to_sreu(f)
         unknowns = unknowns_of(f)
-        pool = list(skeleton.enumerate_terms(signature_of(f), 3))
+        pool = list(enumerate_terms(signature_of(f), 3))
         for combo in itertools.product(pool, repeat=len(unknowns)):
             sigma = dict(zip(unknowns, combo))
             direct = is_quasitautology(substitute(f, sigma))

@@ -5,14 +5,13 @@ from collections import Counter
 import pytest
 
 import reference_skeleton
-from helpers import signature_of, unknowns_of
+from helpers import enumerate_terms, signature_of, unknowns_of
 from hsk import arith, qcheck, skeleton, sreu, syntax
 from hsk.arith import zero, zero_symbol, zero_tilde
 from hsk.skeleton import (
     ContractError,
     ExistentialFormula,
     Skeleton,
-    enumerate_terms,
     existential_of,
     iter_formula_solutions,
     iter_solutions,
@@ -108,6 +107,10 @@ def test_verify_solution_contract():
     for unknowns in (sk2.unknown_tuples[0], ()):  # a search's tuple must cover them too
         with pytest.raises(ContractError, match="every unknown"):
             list(iter_formula_solutions(sk2.formula, unknowns))
+    # a repeated unknown would yield each solution once per repeat
+    with pytest.raises(ContractError, match="distinct"):
+        list(iter_formula_solutions(parse_formula("*1 = a | *1 = b"),
+                                    (Unknown(1), Unknown(1)), max_size=1))
 
 
 def test_verify_invariant_under_unknown_renaming():
@@ -488,6 +491,137 @@ def test_class_keys_decide_ground_implications():
             if fresh in (s, t) or h in (s.symbol, t.symbol):
                 fresh_seen += 1
     assert outside_agree > 50 and fresh_seen > 1000
+
+
+_HYP_CONSTS = [Application(FunctionSymbol(n, 0), ()) for n in ("a", "b", "c")]
+_HYP_F = FunctionSymbol("f", 1)
+_HYP_H = FunctionSymbol("h", 2)
+_HYP_SIG = Signature(frozenset({*(c.symbol for c in _HYP_CONSTS), _HYP_F, _HYP_H}), frozenset())
+
+
+def _small_ground(rng, size):
+    """A ground term over a, b, c, f and h of at most `size` symbols."""
+    if size <= 1 or rng.random() < 0.4:
+        return rng.choice(_HYP_CONSTS)
+    if size == 2 or rng.random() < 0.5:
+        return Application(_HYP_F, (_small_ground(rng, size - 1),))
+    return Application(_HYP_H, (rng.choice(_HYP_CONSTS), _small_ground(rng, size - 2)))
+
+
+def _random_hypothesis_conjunct(rng, u, nested):
+    """`E & u = a1 & ... & u = ak -> l = r` with 1 to 3 bare hypotheses on
+    u in either orientation, ground E, l and r drawn mostly from the
+    conjunct's own terms, sometimes curried; a nested occurrence of u
+    (`f(u) = t` or `h(u, c) = t`) joins the hypotheses when asked."""
+    anchors = [_small_ground(rng, 3) for _ in range(rng.randint(1, 3))]
+    hyps = [Equality(u, a) if rng.random() < 0.5 else Equality(a, u) for a in anchors]
+    pool = list(anchors)
+    for _ in range(rng.randint(0, 2)):
+        lhs, rhs = _small_ground(rng, 3), _small_ground(rng, 3)
+        hyps.append(Equality(lhs, rhs))
+        pool += [lhs, rhs]
+    if nested:
+        inside = (Application(_HYP_F, (u,)) if rng.random() < 0.5
+                  else Application(_HYP_H, (u, rng.choice(_HYP_CONSTS))))
+        hyps.append(Equality(inside, _small_ground(rng, 2)))
+    rng.shuffle(hyps)
+
+    def side():
+        t = rng.choice(pool) if rng.random() < 0.7 else _small_ground(rng, 3)
+        return Application(_HYP_F, (t,)) if rng.random() < 0.25 else t
+
+    conclusion = Equality(side(), side())
+    cut = rng.randint(1, len(hyps))
+    if cut < len(hyps) and rng.random() < 0.3:
+        return Implies(conj(hyps[:cut]), Implies(conj(hyps[cut:]), conclusion))
+    return Implies(conj(hyps), conclusion)
+
+
+def _hypothesis_list(conjunct):
+    """The hypotheses of a possibly curried implication."""
+    hyps = []
+    while isinstance(conjunct, Implies):
+        hyps += flatten_and(conjunct.lhs)
+        conjunct = conjunct.rhs
+    return hyps
+
+
+def _random_hypothesis_formula(rng, u1, u2):
+    """Hypothesis-shaped conjuncts on *1, some with nested occurrences, and
+    sometimes a stream constraint on *1 or a second unknown *2 with its own
+    conjuncts and an equational filter `f(*1) = *2`.  Returns the formula,
+    its unknowns and its nested conjuncts."""
+    nested = set()
+    unknowns = [u1] if rng.random() < 0.7 else [u1, u2]
+    conjuncts = []
+    for u in unknowns:
+        for _ in range(rng.randint(1, 3)):
+            inside = rng.random() < 0.2
+            c = _random_hypothesis_conjunct(rng, u, inside)
+            if inside:
+                nested.add(c)
+            conjuncts.append(c)
+    if rng.random() < 0.2:
+        conjuncts.append(Equality(u1, _small_ground(rng, 2)))
+    if len(unknowns) == 2 and rng.random() < 0.5:
+        conjuncts.append(Equality(Application(_HYP_F, (u1,)), u2))
+    rng.shuffle(conjuncts)
+    return conj(conjuncts), unknowns, nested
+
+
+def test_hypothesis_filters_agree_with_naive_search(monkeypatch):
+    # a conjunct whose unknown is only a bare hypothesis side is decided by
+    # the unknown's class key in E' = E + {a1 = ai}; every solution and its
+    # order must be those of the naive search, which decides each candidate
+    # through qcheck
+    rng = random.Random(1729)
+    u1, u2 = Unknown(1), Unknown(2)
+    matched = []  # the conjuncts the plan gave the new role
+    outcomes = []  # what the accepted-set computation said about each
+    hypotheses, hypothesis_filter = skeleton._hypotheses, skeleton._hypothesis_filter
+
+    def matching(conjunct, u):
+        found = hypotheses(conjunct, u)
+        if found is not None:
+            matched.append((conjunct, found))
+        return found
+
+    def deciding(*parts):
+        accepts = hypothesis_filter(*parts)
+        outcomes.append("holds" if accepts is None else "filters" if accepts[1] else "fails")
+        return accepts
+
+    monkeypatch.setattr(skeleton, "_hypotheses", matching)
+    monkeypatch.setattr(skeleton, "_hypothesis_filter", deciding)
+    # the two conjuncts that show both restrictions of the lemma: without
+    # E' the first would reject f(h(a, a)), which lies outside E's universe
+    # and holds; the second has *1 nested, holds at g(b) and g(h(a)) and
+    # fails at a fresh constant, so it must stay a check
+    a_b = parse_formula("*1 = a & *1 = b -> a = f(h(b, a))")
+    nested_h = parse_formula("*1 = a & h(*1) = b -> g(b) = a")
+    cases = [(a_b, [u1], set(), signature_of(a_b), 4),
+             (nested_h, [u1], {nested_h}, signature_of(nested_h), 3)]
+    cases += [(*_random_hypothesis_formula(rng, u1, u2), _HYP_SIG, rng.randint(1, 3))
+              for _ in range(200)]
+    fired = several = flipped = nested_seen = multi = solved = 0
+    kinds = Counter()
+    for f, unknowns, nested, sig, bound in cases:
+        matched.clear()
+        outcomes.clear()
+        fast = list(iter_formula_solutions(f, unknowns, sig, bound))
+        assert fast == _naive_solutions(f, unknowns, sig, bound), (str(f), bound)
+        assert not any(c in nested for c, _ in matched), str(f)
+        fired += bool(matched)
+        several += any(len(anchors) >= 2 for _, (_, anchors, _, _) in matched)
+        flipped += any(h.rhs in (u1, u2) for c, _ in matched for h in _hypothesis_list(c))
+        nested_seen += bool(nested)
+        multi += len(unknowns) == 2 and bool(matched)
+        kinds.update(set(outcomes))
+        solved += "filters" in outcomes and bool(fast)
+    assert skeleton._hypotheses(a_b, u1) is not None and skeleton._hypotheses(nested_h, u1) is None
+    assert fired > 170 and several > 120 and flipped > 120 and nested_seen > 60 and multi > 40
+    assert kinds["holds"] > 60 and kinds["filters"] > 100 and kinds["fails"] > 40
+    assert solved > 25
 
 
 def test_class_streams_match_brute_force_filter():

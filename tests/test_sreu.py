@@ -4,7 +4,7 @@ import random
 import pytest
 
 import reference_sreu
-from helpers import signature_of, unknowns_of
+from helpers import enumerate_terms, signature_of, unknowns_of
 from hsk import qcheck, skeleton, sreu
 from hsk.sreu import (
     Clause,
@@ -15,7 +15,6 @@ from hsk.sreu import (
     solve_sreu_bounded,
     to_clause_conjunction,
 )
-from hsk.skeleton import enumerate_terms
 from hsk.syntax import (
     And,
     Application,
