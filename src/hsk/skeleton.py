@@ -3,51 +3,46 @@
 The solver enumerates candidate tuples in a fixed canonical order (total
 size first, then component-wise term order) so results are reproducible.
 
-One pass over the conjuncts plans the search.  A conjunct without unknowns
-is decided at once.  Any other waits for the depth of its last unknown u,
-the one the search assigns last, and is matched once against
-`E -> u = side` with E a set of ground equations (`_equation`).  It then
-takes the first of four roles that fits:
-- the *stream constraint* of u: u's first such conjunct with a ground side;
-- a *filter* of u's stream: any other such conjunct;
-- a *hypothesis filter*: `E & u = a1 & ... & u = ak -> l = r` with E, the
-  ai, l and r ground, u only a bare side of hypotheses (`_hypotheses`);
-- a *check*, decided for every candidate of u: every other conjunct.
+One pass over the conjuncts plans the search, and gives each conjunct one
+of four roles.  A conjunct without unknowns is *decided at once*.  Any
+other waits for the depth of its last unknown u, the one the search
+assigns last, and is matched once against `E & u = a1 & ... & u = ak ->
+l = r` (`_horn`), with E a set of ground equations, the anchors ai ground
+and k >= 0.  It is then
+- a *class restriction* of u where l and r are each ground or u itself;
+- a *join filter* of u where k = 0 and u faces a side with other unknowns;
+- a *check*, decided for every candidate of u, otherwise.
 
-Candidate terms come from one bottom-up tree-automaton enumerator,
-`_sized_terms`.  An unconstrained unknown gets the one-state automaton,
-which accepts every term.  A stream constraint narrows u's stream to the
-congruence class of its side: the states are then the closure classes of
-E's subterms, each named by its root term in `qcheck`'s congruence engine.
-Every stream is built by `_class_member_buckets` and kept in its one LRU
-cache of `_CLASS_CACHE_SIZE` entries.
+A class restriction holds at u := t exactly when t's class in a finite
+congruence closure is one of a finite set of roots.  Put a fresh constant,
+the hole, for u, and take the closure of E' = E + {hole = ai} over the
+hole, l and r.  A term of a class C makes the conjunct valid exactly when
+merging C with the hole joins l and r; a term of no class joins nothing by
+that merge, so it does exactly when E' alone implies l = r, and then every
+term does and the restriction is dropped.  The classes, named by their
+root terms, are the states of a bottom-up tree automaton (Downey, Sethi &
+Tarjan, JACM 1980), and `_sized_terms` is the one enumerator of the terms
+each state accepts; an unconstrained stream is that of the one-state
+automaton.  `_class_member_buckets` keeps the members of a restriction's
+accepted roots, in canonical order, in its one LRU cache of
+`_CLASS_CACHE_SIZE` entries, so the problems of one `sreu` conversion
+share them.  u's stream is the bucket-wise intersection of its
+restrictions' streams, and a restriction whose stream is empty ends the
+search at plan time.
 
-The closure of a filter's E and its transition table (`_congruence_table`)
-give every ground term a class key, computed bottom-up like an automaton
-state (`_class_keys`), and `E -> l = r` is valid exactly when l and r have
-one key (Downey, Sethi & Tarjan, JACM 1980).  The search indexes each size
-bucket of u's stream by its candidates' key tuples when it first reads that
-bucket, and then reads only the candidates whose keys are those of the
-filters' sides under the earlier unknowns: a hash join that drops a
+A join filter `E -> u = side` holds earlier unknowns in its side, so it is
+decided only during the search.  The closure of E and its transition table
+(`_congruence_table`) give every ground term a class key, computed
+bottom-up like an automaton state (`_class_keys`), and the conjunct is
+valid exactly when u and the side have one key.  The search indexes each
+size bucket of u's stream by its candidates' key tuples when it first
+reads that bucket, and then reads only the candidates whose keys are those
+of the filters' sides under the earlier unknowns: a hash join that drops a
 candidate only where a check would have rejected it, so the stream keeps
 its order.  A filter whose side still holds u itself goes back to the
 checks the first time the search reaches u.  Keys and indexes are built
-when first read and live as long as one search.
-
-A hypothesis filter says what `E' & u = a1 -> l = r` says, with E' = E +
-{a1 = ai}, and its verdict at u := t depends only on t's class key in the
-closure of E' over a1, l and r: a term of a class C makes it valid exactly
-when merging C with a1 joins l and r, a term outside every class exactly
-when E' alone implies l = r.  So its accepted keys are a finite set,
-computed once by one merge and undo per class (`_hypothesis_filter`).  A
-conjunct that E' decides is dropped, one that no key passes ends the
-search at plan time, and the plan drops from u's stream each candidate
-whose key misses an accepted set, keeping the order of the rest.  A
-nested occurrence of u is not decided by the key, so it leaves its
-conjunct a check.  The accepted sets and their key functions live in one
-LRU cache of `_HYPOTHESIS_CACHE_SIZE` entries, so the problems of one
-`sreu` conversion share them.  Every reported witness is still verified
-against the whole formula.
+when first read and live as long as one search.  Every reported witness is
+still verified against the whole formula.
 """
 
 from __future__ import annotations
@@ -230,34 +225,21 @@ def _any_term(symbol: FunctionSymbol, arg_states: tuple[int, ...]) -> int:
 
 # Ground equations as (lhs, rhs) pairs.
 Equalities = tuple[tuple[Term, Term], ...]
-# A hypothesis filter: the class keys of its closure, and the accepted ones.
-Accepts = tuple[Callable[[Term], Hashable], frozenset]
+# `E & u = a1 & ... & u = ak -> l = r`: E as pairs, the anchors ai, l and r.
+Horn = tuple[Equalities, tuple[Term, ...], Term, Term]
+# stream[n] = an unknown's candidate terms of size n, in canonical order.
+Stream = tuple[tuple[Term, ...], ...]
+
+# The fresh constant that stands for u in a conclusion; the tokenizer
+# cannot produce its name.
+_HOLE = Application(FunctionSymbol("u#0", 0), ())
 
 
-def _equation(conjunct: Formula, u: Unknown) -> tuple[Equalities, Term] | None:
-    """Match `hyps -> u = side` (or `side = u`, or a bare conclusion) with
-    ground equality hyps and a side other than u: the hyps as pairs, and the
-    side."""
-    parts: list[tuple[Term, Term]] = []
-    while isinstance(conjunct, Implies):
-        for h in flatten_and(conjunct.lhs):
-            if not (isinstance(h, Equality) and h.ground):
-                return None
-            parts.append((h.lhs, h.rhs))
-        conjunct = conjunct.rhs
-    if isinstance(conjunct, Equality):
-        for bare, side in ((conjunct.lhs, conjunct.rhs), (conjunct.rhs, conjunct.lhs)):
-            if bare is u and side is not u:
-                return tuple(parts), side
-    return None
-
-
-def _hypotheses(
-    conjunct: Formula, u: Unknown
-) -> tuple[Equalities, tuple[Term, ...], Term, Term] | None:
-    """Match `hyps -> l = r` with ground l and r, where every hyp is a
-    ground equation or `u = a` (or `a = u`) with ground a, and at least one
-    is: the ground hyps as pairs, the anchors a in order, l and r."""
+def _horn(conjunct: Formula, u: Unknown) -> Horn | None:
+    """Match `hyps -> l = r`, curried or not, where every hyp is a ground
+    equation or `u = a` (or `a = u`) with ground a: the ground hyps as
+    pairs, the anchors a in order, and the conclusion's sides, where a bare
+    u becomes `_HOLE` and comes first."""
     parts: list[tuple[Term, Term]] = []
     anchors: list[Term] = []
     while isinstance(conjunct, Implies):
@@ -273,9 +255,12 @@ def _hypotheses(
             else:
                 return None
         conjunct = conjunct.rhs
-    if anchors and isinstance(conjunct, Equality) and conjunct.ground:
-        return tuple(parts), tuple(anchors), conjunct.lhs, conjunct.rhs
-    return None
+    if not isinstance(conjunct, Equality):
+        return None
+    l, r = conjunct.lhs, conjunct.rhs
+    if r is u:
+        l, r = r, l
+    return tuple(parts), tuple(anchors), _HOLE if l is u else l, _HOLE if r is u else r
 
 
 def _congruence_table(
@@ -295,11 +280,9 @@ def _congruence_table(
     return closure, transitions
 
 
-def _class_keys(
-    equalities: Equalities, leaves: Sequence[Term] = ()
-) -> Callable[[Term], Hashable]:
+def _class_keys(equalities: Equalities) -> Callable[[Term], Hashable]:
     """The class key of a ground term in the congruence closure of the
-    equalities over the leaves.
+    equalities.
 
     Bottom-up, an application's key is the transition of its symbol and its
     arguments' keys, or that pair itself where the closure's universe has
@@ -308,7 +291,7 @@ def _class_keys(
     key exactly when the equalities imply that they are equal.  Keys are
     remembered per term for the life of the returned function.
     """
-    _, transitions = _congruence_table(equalities, leaves)
+    _, transitions = _congruence_table(equalities)
     keys: dict[Term, Hashable] = {}
 
     def combine(t: Application, arg_keys: tuple) -> Hashable:
@@ -319,75 +302,70 @@ def _class_keys(
     return lambda t: rebuild(t, keys.get, combine)
 
 
-# Distinct (equalities, target, sig, max_size) keys kept by
-# _class_member_buckets, for constrained and unconstrained streams alike;
-# the least recently used one is dropped beyond it.
+# Distinct (restriction, sig, max_size) keys kept by _class_member_buckets,
+# for restricted and unconstrained streams alike; the least recently used
+# one is dropped beyond it.
 _CLASS_CACHE_SIZE = 128
 
 
 @lru_cache(maxsize=_CLASS_CACHE_SIZE)
 def _class_member_buckets(
-    equalities: Equalities,
-    target: Term | None,
-    sig: Signature,
-    max_size: int,
-) -> tuple[tuple[Term, ...], ...]:
-    """buckets[n] = terms t over sig of size n with `equalities -> target = t`
-    valid, i.e. the members of target's congruence class, smallest first;
-    a target of None asks for every term, through the one-state automaton.
+    restriction: Horn | None, sig: Signature, max_size: int
+) -> Stream | None:
+    """buckets[n] = the terms t over sig of size n that make the class
+    restriction `E & hole = a1 & ... & hole = ak -> l = r` valid at hole :=
+    t, in canonical order; a restriction of None asks for every term,
+    through the one-state automaton.  Where every term makes it valid, the
+    result is None, so that no search builds the stream of every term for
+    a conjunct that holds whatever u is.
 
-    The classes of the (finite) subterm universe, named by their root
-    terms, act as automaton states: an application belongs to a universe
-    class exactly when some universe application with the same symbol and
-    argument classes does.
+    The classes of the closure of E' = E + {hole = ai} over the hole, l
+    and r, named by their root terms, act as automaton states: an
+    application belongs to a class exactly when some universe application
+    with the same symbol and argument classes does.  The accepted roots are
+    those whose merge with the hole joins l and r, and their members are
+    merged into canonical order.  A term of no class joins nothing by that
+    merge, so every term is accepted where E' alone implies l = r.
     """
-    if target is None:
-        step, accepting = _any_term, 0
-    else:
-        closure, transitions = _congruence_table(equalities, (target,))
-
-        def step(symbol: FunctionSymbol, states: tuple[Term, ...]) -> Term | None:
-            return transitions.get((symbol, states))
-
-        accepting = closure.find(target)
-    sized = _sized_terms(sig, max_size, step)
-    return tuple(tuple(by_state.get(accepting, ())) for by_state in sized)
-
-
-# Distinct (equalities, anchors, l, r) keys kept by _hypothesis_filter: one
-# conversion's problems share at most a few dozen conjuncts, and no two
-# conversions share names.
-_HYPOTHESIS_CACHE_SIZE = 256
-
-
-@lru_cache(maxsize=_HYPOTHESIS_CACHE_SIZE)
-def _hypothesis_filter(
-    equalities: Equalities, anchors: tuple[Term, ...], l: Term, r: Term
-) -> Accepts | None:
-    """Decide `E & u = a1 & ... & u = ak -> l = r` for every ground u at once:
-    the class keys and the set of those that make it valid, or None when
-    it holds whatever u is.
-
-    It says what `E' & u = a1 -> l = r` says, with E' = E + {a1 = ai}.  A
-    term in a class C of E''s closure over a1, l and r makes it valid
-    exactly when merging C with a1 joins l and r; a term of no such class
-    joins nothing by that merge, so it is valid only when E' alone implies
-    l = r.
-    """
-    a1 = anchors[0]
-    equalities += tuple((a1, a) for a in anchors[1:])
-    closure, _ = _congruence_table(equalities, (a1, l, r))
+    if restriction is None:
+        return tuple(tuple(by_state.get(0, ())) for by_state in
+                     _sized_terms(sig, max_size, _any_term))
+    equalities, anchors, l, r = restriction
+    closure, transitions = _congruence_table(
+        equalities + tuple((_HOLE, a) for a in anchors), (_HOLE, l, r))
     if closure.same(l, r):
         return None
-    keys = _class_keys(equalities, (a1, l, r))
-    accepted = set()
+    accepting = []
     for root in {closure.find(t) for t in closure.parent}:
         mark = closure.mark()
-        closure.merge(root, a1)
+        closure.merge(root, _HOLE)
         if closure.same(l, r):
-            accepted.add(keys(root))
+            accepting.append(root)
         closure.undo(mark)
-    return keys, frozenset(accepted)
+    if not accepting:
+        return ((),) * (max_size + 1)
+
+    def step(symbol: FunctionSymbol, states: tuple[Term, ...]) -> Term | None:
+        return transitions.get((symbol, states))
+
+    stream = []
+    for by_state in _sized_terms(sig, max_size, step):
+        found = [by_state[q] for q in accepting if q in by_state]
+        stream.append(tuple(found[0]) if len(found) == 1
+                      else tuple(sorted(itertools.chain(*found), key=canonical_key)))
+    return tuple(stream)
+
+
+def _intersection(streams: list[Stream]) -> Stream:
+    """The terms of every stream, bucket by bucket, in canonical order."""
+    if len(streams) == 1:
+        return streams[0]
+    out = []
+    for buckets in zip(*streams):
+        base = min(buckets, key=len)
+        others = [set(b) for b in buckets if b is not base]
+        out.append(tuple([t for t in base if all(t in other for other in others)]))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -443,46 +421,40 @@ def iter_formula_solutions(
         return
 
     # The plan: a conjunct without unknowns is decided at once.  Any other
-    # waits for the depth of its last unknown u and takes one role there:
-    # u's first `E -> u = t` with ground t constrains u's stream, any other
-    # `E -> u = side` filters it (its hypotheses, its side, the conjunct),
-    # one with u only as bare hypothesis sides filters it by an accepted key
-    # set, and the rest are checked for every candidate.
+    # waits for the depth of its last unknown u and is matched there against
+    # `E & u = a1 & ... -> l = r`: where l and r are ground or u it
+    # restricts u's class, where no ai and u faces a side with other
+    # unknowns it joins u with that side, and otherwise it is checked for
+    # every candidate.
     position = {u: i for i, u in enumerate(unknowns)}
-    constraints: dict[Unknown, tuple[Equalities, Term]] = {}
+    # per unknown, the streams of its class restrictions
+    restricted: list[list[Stream]] = [[] for _ in unknowns]
     checks_at_depth: list[list[Formula]] = [[] for _ in unknowns]
     filters_at_depth: list[list[tuple[Equalities, Term, Formula]]] = [[] for _ in unknowns]
-    accepts_at_depth: list[list[Accepts]] = [[] for _ in unknowns]
     for c, used in zip(conjuncts, used_by):
         if not used:
             if not qcheck.is_quasitautology(c):
                 return
             continue
         depth = max(position[u] for u in used)
-        u = unknowns[depth]
-        equation = _equation(c, u)
-        if equation is None:
-            hypotheses = _hypotheses(c, u)
-            if hypotheses is None:
-                checks_at_depth[depth].append(c)
+        horn = _horn(c, unknowns[depth])
+        if horn is None:
+            checks_at_depth[depth].append(c)
+            continue
+        equalities, anchors, l, r = horn
+        if l.ground and r.ground:  # a class restriction
+            stream = _class_member_buckets(horn, sig, max_size)
+            if stream is None:  # it holds whatever u is
                 continue
-            accepts = _hypothesis_filter(*hypotheses)
-            if accepts is None:  # it holds whatever u is
-                continue
-            if not accepts[1]:  # it fails whatever u is
+            if not any(stream):  # it fails whatever u is
                 return
-            accepts_at_depth[depth].append(accepts)
-        elif equation[1].ground and u not in constraints:
-            constraints[u] = equation
+            restricted[depth].append(stream)
+        elif l is _HOLE and not anchors:  # a join filter
+            filters_at_depth[depth].append((equalities, r, c))
         else:
-            filters_at_depth[depth].append((*equation, c))
-    per_unknown = [_class_member_buckets(*constraints.get(u, ((), None)), sig, max_size)
-                   for u in unknowns]
-    for depth, accepts in enumerate(accepts_at_depth):
-        if accepts:  # the stream, less each candidate whose key misses a set
-            per_unknown[depth] = tuple(
-                tuple([t for t in bucket if all(key(t) in accepted for key, accepted in accepts)])
-                for bucket in per_unknown[depth])
+            checks_at_depth[depth].append(c)
+    per_unknown = [_intersection(streams) if streams
+                   else _class_member_buckets(None, sig, max_size) for streams in restricted]
 
     min_size: list[int] = []
     max_of: list[int] = []
@@ -507,13 +479,13 @@ def iter_formula_solutions(
                 return True
         return False
 
-    # Only a search with filters keys terms; its keys and indexes live as
-    # long as it does.
+    # Only a search with join filters keys terms; its keys and indexes live
+    # as long as it does.
     if any(filters_at_depth):
         keys_of = cache(_class_keys)
 
         def wanted(depth: int) -> tuple:
-            """The keys of the filters' other sides under the assignment.  A
+            """The keys of the join filters' sides under the assignment.  A
             side that is not ground even then holds this depth's unknown too,
             so its conjunct goes back to the checks."""
             keys = []
@@ -521,7 +493,7 @@ def iter_formula_solutions(
                 equalities, side, conjunct = f
                 if type(side) is Unknown:
                     side = assignment[side]
-                elif not side.ground:
+                else:
                     side = substitute(side, assignment)
                 if side.ground:
                     keys.append(keys_of(equalities)(side))
@@ -542,7 +514,7 @@ def iter_formula_solutions(
     def candidates(depth: int, budget: int) -> Iterator[tuple[int, Term]]:
         """(budget left, term) for each term unknown `depth` may take so
         that the later unknowns can use up exactly what is left and the
-        filters at this depth hold."""
+        join filters at this depth hold."""
         low = max(min_size[depth], budget - suffix_max[depth + 1])
         high = min(max_of[depth], budget - suffix_min[depth + 1])
         if filters_at_depth[depth]:

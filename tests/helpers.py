@@ -63,7 +63,7 @@ def enumerate_terms(sig: Signature, max_size: int) -> Iterator[Term]:
     """
     if max_size < 0:
         raise ContractError("size bound must be >= 0")
-    for bucket in _class_member_buckets((), None, sig, max_size):
+    for bucket in _class_member_buckets(None, sig, max_size):
         yield from bucket
 
 

@@ -9,12 +9,15 @@ one of those names fails here rather than in a traced benchmark run or in
 the cold start of each batch.
 """
 
+import importlib
 import importlib.util
+import pkgutil
 import sys
 from pathlib import Path
 
 import pytest
 
+import hsk
 from hsk import arith, cli, qcheck, skeleton, sreu
 from hsk.syntax import Application, FunctionSymbol, Signature
 from hsk.textform import parse_formula
@@ -115,10 +118,16 @@ def test_clear_caches_empties_the_live_caches(bench):
     buckets = skeleton._class_member_buckets
     assert hasattr(buckets, "cache_clear")
     qcheck.is_quasitautology(parse_formula("hk4 = hk4"))
-    a, b = FunctionSymbol("hk5", 0), FunctionSymbol("hk6", 0)
-    buckets(((Application(a, ()), Application(b, ())),), Application(a, ()),
-            Signature(frozenset({a, b}), frozenset()), 1)
+    a, b = Application(FunctionSymbol("hk5", 0), ()), Application(FunctionSymbol("hk6", 0), ())
+    buckets((((a, b),), (), skeleton._HOLE, a),
+            Signature(frozenset({a.symbol, b.symbol}), frozenset()), 1)
     assert qcheck._VERDICTS and buckets.cache_info().currsize
     bench.clear_caches()
     assert not qcheck._VERDICTS
+    # every module-level lru_cache of hsk is one that clear_caches empties
+    lru_caches = [f"{info.name}.{name}" for info in pkgutil.iter_modules(hsk.__path__)
+                  if info.name != "__main__"  # importing it runs the command line
+                  for name, value in vars(importlib.import_module(f"hsk.{info.name}")).items()
+                  if hasattr(value, "cache_info") and value.cache_info().currsize]
+    assert lru_caches == []
     assert buckets.cache_info().currsize == 0

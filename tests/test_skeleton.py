@@ -373,9 +373,9 @@ def _random_ground_equations(rng):
 
 def _random_equational_formula(rng, u1, u2):
     """A conjunction of `ground equations -> s = t` conjuncts: *2 alone on
-    one side and *1 inside the other, sometimes unary constraints on *1 or
-    *2 (the first on each is its stream constraint, any other a filter with
-    a ground side) or a plain check beside them."""
+    one side and *1 inside the other (join filters of *2), sometimes unary
+    constraints on *1 or *2 (class restrictions, one or two per unknown) or
+    a plain check beside them."""
     a, b = _EQ_CONSTS
 
     def around(t):
@@ -399,12 +399,12 @@ def _random_equational_formula(rng, u1, u2):
         s = around(u1)
         conjuncts.append(implied(Equality(s, u2) if rng.random() < 0.5 else Equality(u2, s)))
     targets = [a, b, Application(_EQ_F, (a,))]
-    if rng.random() < 0.4:  # a stream constraint on *1
+    if rng.random() < 0.4:  # a class restriction of *1
         target = rng.choice(targets)
         conjuncts.append(implied(Equality(target, u1)))
-        if rng.random() < 0.5:  # a filter with a ground side
+        if rng.random() < 0.5:  # a second ground side
             conjuncts.append(unary(u1, target))
-    if rng.random() < 0.2:  # the stream constraint of *2, and a filter
+    if rng.random() < 0.2:  # two class restrictions of *2
         target = rng.choice(targets)
         conjuncts += [unary(u2, target), unary(u2, target)]
     if rng.random() < 0.3:  # a conjunct the filters leave to the checks
@@ -415,21 +415,28 @@ def _random_equational_formula(rng, u1, u2):
 
 
 def test_equational_filters_agree_with_naive_search(monkeypatch):
-    # conjuncts `E -> s(*1) = *2` with ground E filter *2's stream by class
-    # keys; every solution and its order must be those of the naive search,
-    # which decides each pair through qcheck
+    # conjuncts `E -> s(*1) = *2` with ground E join *2's stream with *1 by
+    # class keys, and `E -> *1 = t` with ground t restrict *1's stream to a
+    # class; every solution and its order must be those of the naive
+    # search, which decides each pair through qcheck
     rng = random.Random(2718)
     u1, u2 = Unknown(1), Unknown(2)
     sig = Signature(frozenset({*(c.symbol for c in _EQ_CONSTS), _EQ_F, _EQ_G}), frozenset())
-    matched = []  # the ground sides the plan matched, (unknown, (E, side))
-    keyed = set()  # the (E, term) pairs the search keyed
-    equation, class_keys = skeleton._equation, skeleton._class_keys
+    matched = []  # the ground sides the plan matched, (unknown, restriction)
+    streamed = []  # the restrictions whose streams the plan read
+    keyed = set()  # the (E, term) pairs the search keyed for a join
+    horn, buckets, class_keys = skeleton._horn, skeleton._class_member_buckets, skeleton._class_keys
 
     def matching(conjunct, u):
-        found = equation(conjunct, u)
-        if found is not None and found[1].ground:
+        found = horn(conjunct, u)
+        if found is not None and found[2] is skeleton._HOLE and found[3].ground:
             matched.append((u, found))
         return found
+
+    def streaming(restriction, sig, max_size):
+        if restriction is not None:
+            streamed.append(restriction)
+        return buckets(restriction, sig, max_size)
 
     def counted(equalities):
         keys = class_keys(equalities)
@@ -440,22 +447,27 @@ def test_equational_filters_agree_with_naive_search(monkeypatch):
 
         return key
 
-    monkeypatch.setattr(skeleton, "_equation", matching)
+    monkeypatch.setattr(skeleton, "_horn", matching)
+    monkeypatch.setattr(skeleton, "_class_member_buckets", streaming)
     monkeypatch.setattr(skeleton, "_class_keys", counted)
     fired = fired_ground = solved = 0
     for _ in range(120):
         f = _random_equational_formula(rng, u1, u2)
         bound = rng.randint(1, 3)
         matched.clear()
+        streamed.clear()
         keyed.clear()
         fast = list(iter_formula_solutions(f, [u1, u2], sig, bound))
         assert fast == _naive_solutions(f, [u1, u2], sig, bound), (str(f), bound)
-        # past each unknown's first ground side, its stream constraint, a
-        # ground side is a filter's, keyed when the search reaches it
-        ground_filters = [m for i, (u, m) in enumerate(matched)
-                          if any(v is u for v, _ in matched[:i])]
+        # every ground side the plan reaches is a class restriction, its
+        # stream read at plan time; a second ground side on one unknown
+        # narrows its stream by the intersection of the two
+        read = {id(r) for r in streamed}
+        assert all(id(m) in read for _, m in matched)
+        second_ground = [m for i, (u, m) in enumerate(matched)
+                         if any(v is u for v, _ in matched[:i])]
         fired += bool(keyed)
-        fired_ground += any(m in keyed for m in ground_filters)
+        fired_ground += bool(second_ground)
         solved += bool(fast)
     assert fired > 100 and fired_ground > 30 and solved > 40
 
@@ -546,11 +558,22 @@ def _hypothesis_list(conjunct):
     return hyps
 
 
-def _random_hypothesis_formula(rng, u1, u2):
+def _random_ground_side(rng, u, target):
+    """`E -> u = side` with 0 to 2 ground equations E over a, b, c, f and h,
+    in either orientation, whose side is mostly the target."""
+    side = target if rng.random() < 0.6 else _small_ground(rng, 2)
+    conclusion = Equality(u, side) if rng.random() < 0.5 else Equality(side, u)
+    hyps = [Equality(_small_ground(rng, 2), _small_ground(rng, 2))
+            for _ in range(rng.randint(0, 2))]
+    return Implies(conj(hyps), conclusion) if hyps else conclusion
+
+
+def _random_hypothesis_formula(rng, u1, u2, sides=False):
     """Hypothesis-shaped conjuncts on *1, some with nested occurrences, and
-    sometimes a stream constraint on *1 or a second unknown *2 with its own
-    conjuncts and an equational filter `f(*1) = *2`.  Returns the formula,
-    its unknowns and its nested conjuncts."""
+    sometimes a ground side on *1 or a second unknown *2 with its own
+    conjuncts and a join filter `f(*1) = *2`; with `sides`, also two more
+    ground sides on *1, mostly of one target.  Returns the formula, its
+    unknowns and its nested conjuncts."""
     nested = set()
     unknowns = [u1] if rng.random() < 0.7 else [u1, u2]
     conjuncts = []
@@ -563,36 +586,70 @@ def _random_hypothesis_formula(rng, u1, u2):
             conjuncts.append(c)
     if rng.random() < 0.2:
         conjuncts.append(Equality(u1, _small_ground(rng, 2)))
+    if sides:  # *1's stream is the intersection of three or more
+        target = _small_ground(rng, 2)
+        conjuncts += [_random_ground_side(rng, u1, target) for _ in range(2)]
     if len(unknowns) == 2 and rng.random() < 0.5:
         conjuncts.append(Equality(Application(_HYP_F, (u1,)), u2))
     rng.shuffle(conjuncts)
     return conj(conjuncts), unknowns, nested
 
 
+def _accepted_roots(restriction, stream):
+    """The classes of E' = E + {a1 = ai} that the terms of a hypothesis-
+    shaped restriction's stream fall in."""
+    equalities, anchors, _, _ = restriction
+    keys = skeleton._class_keys(equalities + tuple((anchors[0], a) for a in anchors[1:]))
+    return {keys(t) for bucket in stream for t in bucket}
+
+
+def _class_outcome(conjunct, u, restriction):
+    """What a hypothesis-shaped restriction says about the classes of its
+    closure, decided through qcheck: `filters` where some term of its
+    universe makes the conjunct valid, since every class has one, and
+    `fails` where none does."""
+    equalities, anchors, l, r = restriction
+    universe = {n for t in (*anchors, l, r, *(side for pair in equalities for side in pair))
+                for n in syntax.subterms(t)}
+    passes = any(qcheck.is_quasitautology(substitute(conjunct, {u: t})) for t in universe)
+    return "filters" if passes else "fails"
+
+
 def test_hypothesis_filters_agree_with_naive_search(monkeypatch):
-    # a conjunct whose unknown is only a bare hypothesis side is decided by
-    # the unknown's class key in E' = E + {a1 = ai}; every solution and its
-    # order must be those of the naive search, which decides each candidate
-    # through qcheck
+    # a conjunct whose unknown is only a bare hypothesis side restricts the
+    # unknown's class in E' = E + {a1 = ai}; beside other restrictions, the
+    # unknown's stream is the intersection of theirs.  Every solution and
+    # its order must be those of the naive search, which decides each
+    # candidate through qcheck
     rng = random.Random(1729)
     u1, u2 = Unknown(1), Unknown(2)
-    matched = []  # the conjuncts the plan gave the new role
-    outcomes = []  # what the accepted-set computation said about each
-    hypotheses, hypothesis_filter = skeleton._hypotheses, skeleton._hypothesis_filter
+    matched = []  # the hypothesis-shaped conjuncts the plan made restrictions, (conjunct, horn)
+    source = {}  # the conjunct and unknown of each restriction, by identity
+    outcomes = []  # what each hypothesis-shaped restriction the plan read says
+    streams = {}  # the restrictions the plan read and their streams, by unknown
+    horn, buckets = skeleton._horn, skeleton._class_member_buckets
 
     def matching(conjunct, u):
-        found = hypotheses(conjunct, u)
-        if found is not None:
-            matched.append((conjunct, found))
+        found = horn(conjunct, u)
+        if found is not None and found[2].ground and found[3].ground:
+            source[id(found)] = conjunct, u
+            if found[1]:
+                matched.append((conjunct, found))
         return found
 
-    def deciding(*parts):
-        accepts = hypothesis_filter(*parts)
-        outcomes.append("holds" if accepts is None else "filters" if accepts[1] else "fails")
-        return accepts
+    def streaming(restriction, sig, max_size):
+        stream = buckets(restriction, sig, max_size)
+        if restriction is not None:
+            conjunct, u = source[id(restriction)]
+            streams.setdefault(u, []).append((restriction, stream))
+            if restriction[1]:
+                outcome = "holds" if stream is None else _class_outcome(conjunct, u, restriction)
+                assert outcome != "fails" or not any(stream), str(conjunct)
+                outcomes.append(outcome)
+        return stream
 
-    monkeypatch.setattr(skeleton, "_hypotheses", matching)
-    monkeypatch.setattr(skeleton, "_hypothesis_filter", deciding)
+    monkeypatch.setattr(skeleton, "_horn", matching)
+    monkeypatch.setattr(skeleton, "_class_member_buckets", streaming)
     # the two conjuncts that show both restrictions of the lemma: without
     # E' the first would reject f(h(a, a)), which lies outside E's universe
     # and holds; the second has *1 nested, holds at g(b) and g(h(a)) and
@@ -603,14 +660,32 @@ def test_hypothesis_filters_agree_with_naive_search(monkeypatch):
              (nested_h, [u1], {nested_h}, signature_of(nested_h), 3)]
     cases += [(*_random_hypothesis_formula(rng, u1, u2), _HYP_SIG, rng.randint(1, 3))
               for _ in range(200)]
+    # beside the floors below, which count the cases above
+    with_sides = [(*_random_hypothesis_formula(rng, u1, u2, sides=True), _HYP_SIG,
+                   rng.randint(2, 3)) for _ in range(100)]
     fired = several = flipped = nested_seen = multi = solved = 0
+    intersected = several_roots = 0
     kinds = Counter()
-    for f, unknowns, nested, sig, bound in cases:
+    for case, (f, unknowns, nested, sig, bound) in enumerate(cases + with_sides):
         matched.clear()
+        source.clear()
         outcomes.clear()
+        streams.clear()
         fast = list(iter_formula_solutions(f, unknowns, sig, bound))
         assert fast == _naive_solutions(f, unknowns, sig, bound), (str(f), bound)
+        # a nested occurrence never becomes a restriction
         assert not any(c in nested for c, _ in matched), str(f)
+        if case >= len(cases):
+            # three or more streams narrow one unknown together, among them
+            # a ground side's and a hypothesis conjunct's
+            for read in streams.values():
+                narrowing = [(r, b) for r, b in read if b is not None and any(b)]
+                if (len(narrowing) >= 3 and any(r[1] for r, _ in narrowing)
+                        and any(not r[1] for r, _ in narrowing)):
+                    intersected += 1
+                    several_roots += any(r[1] and len(_accepted_roots(r, b)) >= 2
+                                         for r, b in narrowing)
+            continue
         fired += bool(matched)
         several += any(len(anchors) >= 2 for _, (_, anchors, _, _) in matched)
         flipped += any(h.rhs in (u1, u2) for c, _ in matched for h in _hypothesis_list(c))
@@ -618,51 +693,74 @@ def test_hypothesis_filters_agree_with_naive_search(monkeypatch):
         multi += len(unknowns) == 2 and bool(matched)
         kinds.update(set(outcomes))
         solved += "filters" in outcomes and bool(fast)
-    assert skeleton._hypotheses(a_b, u1) is not None and skeleton._hypotheses(nested_h, u1) is None
+    a_b_horn, nested_horn = skeleton._horn(a_b, u1), skeleton._horn(nested_h, u1)
+    assert a_b_horn[1] and a_b_horn[2].ground and a_b_horn[3].ground and nested_horn is None
     assert fired > 170 and several > 120 and flipped > 120 and nested_seen > 60 and multi > 40
     assert kinds["holds"] > 60 and kinds["filters"] > 100 and kinds["fails"] > 40
     assert solved > 25
+    assert intersected > 30 and several_roots > 10
 
 
 def test_class_streams_match_brute_force_filter():
     # the narrowed candidate stream must equal filtering every term through
-    # the constraint's validity check, in the same order
-    from hsk.skeleton import _class_member_buckets
-    from hsk.syntax import Implies, Equality, conj
-
+    # the restriction's validity check, in the same order
     s1 = FunctionSymbol("s", 1)
     pair2 = FunctionSymbol("pair", 2)
     z = Application(zero_symbol(), ())
     zt = Application(zero_tilde().symbol, ())
     k = Application(FunctionSymbol("k", 0), ())
+    u = Unknown(1)
+    numerals = Signature(frozenset({zero_symbol(), s1, pair2, FunctionSymbol("k", 0)}),
+                         frozenset())
     cases = [
         # numerals: z = s(z) |- z = t
-        (((z, Application(s1, (z,))),), z,
-         Signature(frozenset({zero_symbol(), s1, pair2,
-                              FunctionSymbol("k", 0)}), frozenset()), 4),
+        (Implies(Equality(z, Application(s1, (z,))), Equality(z, u)), numerals, 4),
         # tables: z = s(z), k = pair(pair(z,z),k) |- k = t
-        (((z, Application(s1, (z,))),
-          (k, Application(pair2, (Application(pair2, (z, z)), k)))), k,
-         Signature(frozenset({zero_symbol(), s1, pair2,
-                              FunctionSymbol("k", 0)}), frozenset()), 7),
+        (Implies(conj([Equality(z, Application(s1, (z,))),
+                       Equality(k, Application(pair2, (Application(pair2, (z, z)), k)))]),
+                 Equality(u, k)), numerals, 7),
         # two merged constants
-        (((z, zt),), Application(s1, (z,)),
-         Signature(frozenset({zero_symbol(), zero_tilde().symbol, s1}),
-                   frozenset()), 4),
+        (Implies(Equality(z, zt), Equality(Application(s1, (z,)), u)),
+         Signature(frozenset({zero_symbol(), zero_tilde().symbol, s1}), frozenset()), 4),
         # no equations at all: the class is the target alone
-        ((), Application(s1, (z,)),
+        (Equality(Application(s1, (z,)), u),
          Signature(frozenset({zero_symbol(), s1}), frozenset()), 4),
     ]
-    for eqs, target, sig, bound in cases:
-        buckets = _class_member_buckets(tuple(eqs), target, sig, bound)
+    hypothesis_shaped = [
+        # t = a joins f(a) with d exactly where t is b or c, two classes of
+        # which c's is infinite
+        ("*1 = a & f(b) = d & f(c) = d & c = f(f(c)) -> f(a) = d", 5),
+        # E' = E + {a = b} alone implies the conclusion: every term
+        ("*1 = a & *1 = b -> f(a) = f(b)", 3),
+        # only t = b joins a with b
+        ("*1 = a -> a = b", 3),
+        # no class joins f(a) with b: no term
+        ("*1 = a -> f(a) = b", 3),
+        # curried, the anchor on the right: t = b is f(b) where t is a or
+        # in f(b)'s class, two roots
+        ("f(a) = b -> b = *1 -> f(b) = f(f(f(a)))", 5),
+        # the one accepted class, {a, f(b)}, comes from E
+        ("a = f(b) & *1 = g(a, b) -> g(f(b), b) = a", 4),
+    ]
+    cases += [(parse_formula(text), signature_of(parse_formula(text)), bound)
+              for text, bound in hypothesis_shaped]
+    seen = Counter()
+    for conjunct, sig, bound in cases:
+        restriction = skeleton._horn(conjunct, u)
+        buckets = skeleton._class_member_buckets(restriction, sig, bound)
+        slow = [t for t in enumerate_terms(sig, bound)
+                if qcheck.is_quasitautology(substitute(conjunct, {u: t}))]
+        if buckets is None:  # every term passes
+            seen["every"] += 1
+            assert slow == list(enumerate_terms(sig, bound)), str(conjunct)
+            continue
         fast = [t for bucket in buckets for t in bucket]
-        hyp = [Equality(l, r) for l, r in eqs]
-        slow = []
-        for t in enumerate_terms(sig, bound):
-            f = Equality(target, t) if not hyp else Implies(conj(hyp), Equality(target, t))
-            if qcheck.is_quasitautology(f):
-                slow.append(t)
-        assert fast == slow, (eqs, target)
+        assert fast == slow, str(conjunct)
+        assert len(buckets) == bound + 1
+        assert all(term_size(t) == n for n, bucket in enumerate(buckets) for t in bucket)
+        seen["empty" if not fast else "several" if restriction[1] and
+             len(_accepted_roots(restriction, buckets)) >= 2 else "one"] += 1
+    assert seen == {"one": 6, "several": 2, "every": 1, "empty": 1}
 
 
 _ENUM_POOL = [FunctionSymbol(n, 0) for n in ("a", "b", "c", "d")] + \
@@ -725,14 +823,15 @@ def test_enumerator_matches_reference_enumerators():
         want = reference_skeleton._terms_by_size(sig, bound)
         assert got == want, (sig, bound)
         # the cached stream of an unconstrained unknown is the same enumeration
-        unconstrained = skeleton._class_member_buckets.__wrapped__((), None, sig, bound)
+        unconstrained = skeleton._class_member_buckets.__wrapped__(None, sig, bound)
         assert unconstrained == tuple(tuple(b) for b in want), (sig, bound)
     shared_buckets = 0
     for _ in range(1500):
         sig = _random_signature(rng, 4)
         bound = rng.randint(0, 5)
         eqs, target = _random_class_query(rng)
-        got = skeleton._class_member_buckets.__wrapped__(eqs, target, sig, bound)
+        restriction = (eqs, (), skeleton._HOLE, target)  # `eqs -> u = target`
+        got = skeleton._class_member_buckets.__wrapped__(restriction, sig, bound)
         want = reference_skeleton._class_member_buckets(eqs, target, sig, bound)
         assert got == want, (eqs, target, sig, bound)
         shared_buckets += sum(len(b) > 1 for b in got)
@@ -747,7 +846,8 @@ def test_class_member_cache_is_bounded():
     try:
         for i in range(bound + 20):
             c = FunctionSymbol(f"c{i}", 0)
-            cached((), Application(c, ()), Signature(frozenset({c}), frozenset()), 1)
+            cached(((), (), skeleton._HOLE, Application(c, ())),
+                   Signature(frozenset({c}), frozenset()), 1)
             assert cached.cache_info().currsize <= bound
         assert cached.cache_info().currsize == bound
     finally:

@@ -38,6 +38,7 @@ P = PredicateSymbol("p", 1)
 STAR = Unknown(1)
 
 SKELETON_39 = "p(a) & p(b) & (*1 = a | *1 = b) -> p(c)"
+APART_39 = "p(a) & p(b) & (f(*1) = a | f(*1) = b) -> p(c)"
 
 
 def pa(t):
@@ -261,10 +262,13 @@ def test_generalized_deletion_example():
 
 
 def test_repeated_solves_share_the_unconstrained_buckets(monkeypatch):
-    # every unknown of these problems is unconstrained, so each solve reads
-    # one stream for one (signature, bound) key: it is built once
-    problems = convert_to_sreu(parse_formula(SKELETON_39))
-    sig = signature_of(parse_formula(SKELETON_39))
+    # the unknown of the `apart` problems occurs only nested, so it is
+    # unconstrained and each solve reads one stream for one (signature,
+    # bound) key: it is built once.  The problems of SKELETON_39 restrict
+    # theirs by four distinct hypothesis conjuncts: `*1 = a -> a = c` and
+    # `*1 = b -> b = c` pass c, and each of their streams is built once too;
+    # no term passes the other two, such as `*1 = b -> a = c`, so they
+    # enumerate nothing
     built = []
     sized_terms = skeleton._sized_terms
 
@@ -273,14 +277,18 @@ def test_repeated_solves_share_the_unconstrained_buckets(monkeypatch):
         return sized_terms(*args)
 
     monkeypatch.setattr(skeleton, "_sized_terms", counted)
-    skeleton._class_member_buckets.cache_clear()
-    try:
-        for _ in range(3):
-            for problem in problems:
-                solve_sreu_bounded(problem, sig, max_size=3)
-    finally:
+    for text, streams in ((APART_39, 1), (SKELETON_39, 2)):
+        problems = convert_to_sreu(parse_formula(text))
+        sig = signature_of(parse_formula(text))
+        built.clear()
         skeleton._class_member_buckets.cache_clear()
-    assert built == [(sig, 3)]
+        try:
+            for _ in range(3):
+                for problem in problems:
+                    solve_sreu_bounded(problem, sig, max_size=3)
+        finally:
+            skeleton._class_member_buckets.cache_clear()
+        assert built == [(sig, 3)] * streams, text
 
 
 def test_solve_trivial_constraint():
