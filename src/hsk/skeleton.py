@@ -4,13 +4,13 @@ The solver enumerates candidate tuples in a fixed canonical order (total
 size first, then component-wise term order) so results are reproducible.
 
 One pass over the conjuncts plans the search, and gives each conjunct one
-of four roles.  A conjunct without unknowns is *decided at once*.  Any
-other waits for the depth of its last unknown u, the one the search
-assigns last, and is matched once against `E & u = a1 & ... & u = ak ->
-l = r` (`_horn`), with E a set of ground equations, the anchors ai ground
-and k >= 0.  It is then
+of four roles, which it keeps for the whole search.  A conjunct without
+unknowns is *decided at once*.  Any other waits for the depth of its last
+unknown u, the one the search assigns last, and is matched once against
+`E & u = a1 & ... & u = ak -> l = r` (`_horn`), with E a set of ground
+equations, the anchors ai ground and k >= 0.  It is then
 - a *class restriction* of u where l and r are each ground or u itself;
-- a *join filter* of u where k = 0 and u faces a side with other unknowns;
+- a *join filter* of u where k = 0 and u faces a side of earlier unknowns;
 - a *check*, decided for every candidate of u, otherwise.
 
 A class restriction holds at u := t exactly when t's class in a finite
@@ -34,15 +34,15 @@ A join filter `E -> u = side` holds earlier unknowns in its side, so it is
 decided only during the search.  The closure of E and its transition table
 (`_congruence_table`) give every ground term a class key, computed
 bottom-up like an automaton state (`_class_keys`), and the conjunct is
-valid exactly when u and the side have one key.  The search indexes each
-size bucket of u's stream by its candidates' key tuples when it first
-reads that bucket, and then reads only the candidates whose keys are those
-of the filters' sides under the earlier unknowns: a hash join that drops a
+valid exactly when u and the side have one key.  The side is keyed from the
+keys of the terms assigned to its unknowns, without building its instance.
+The search indexes each size bucket of u's stream by its candidates' key
+tuples when it first reads that bucket, and then reads only the candidates
+whose keys are those of the filters' sides: a hash join that drops a
 candidate only where a check would have rejected it, so the stream keeps
-its order.  A filter whose side still holds u itself goes back to the
-checks the first time the search reaches u.  Keys and indexes are built
-when first read and live as long as one search.  Every reported witness is
-still verified against the whole formula.
+its order.  Keys and indexes are built when first read and live as long as
+one search.  Every reported witness is still verified against the whole
+formula.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from typing import Callable, Hashable, Iterator, Sequence
+from typing import Callable, Hashable, Iterator, Mapping, Sequence
 
 from . import qcheck
 from .syntax import (
@@ -74,6 +74,7 @@ from .syntax import (
     nodes,
     rebuild,
     substitute,
+    subterms,
 )
 
 
@@ -210,7 +211,8 @@ def _sized_terms(
                         Application(symbol, args) for args in itertools.product(*pools)
                     )
         for terms in fresh.values():
-            terms.sort(key=canonical_key)
+            if len(terms) > 1:
+                terms.sort(key=canonical_key)
     return sized
 
 
@@ -230,9 +232,9 @@ Horn = tuple[Equalities, tuple[Term, ...], Term, Term]
 # stream[n] = an unknown's candidate terms of size n, in canonical order.
 Stream = tuple[tuple[Term, ...], ...]
 
-# The fresh constant that stands for u in a conclusion; the tokenizer
-# cannot produce its name.
-_HOLE = Application(FunctionSymbol("u#0", 0), ())
+# The fresh constant that stands for u in a conclusion; its name is no
+# token, so no parsed term holds it.
+_HOLE = Application(FunctionSymbol("#hole", 0), ())
 
 
 def _horn(conjunct: Formula, u: Unknown) -> Horn | None:
@@ -280,26 +282,32 @@ def _congruence_table(
     return closure, transitions
 
 
-def _class_keys(equalities: Equalities) -> Callable[[Term], Hashable]:
-    """The class key of a ground term in the congruence closure of the
-    equalities.
+def _class_keys(equalities: Equalities) -> Callable[[Term, Mapping[Unknown, Term]], Hashable]:
+    """The class key of a term in the congruence closure of the equalities,
+    where an unknown leaf has the key of the term the assignment gives it.
 
     Bottom-up, an application's key is the transition of its symbol and its
-    arguments' keys, or that pair itself where the closure's universe has
-    no such application: so a term outside the universe meets a universe
-    class exactly when it is congruent to a member, and two terms have one
-    key exactly when the equalities imply that they are equal.  Keys are
-    remembered per term for the life of the returned function.
+    arguments' keys; where the closure's universe has no such application,
+    that pair gets a new number the first time it is met, so keys stay flat:
+    a term outside the universe meets a universe class exactly when it is
+    congruent to a member, and two terms have one key exactly when the
+    equalities imply that they are equal.  Keys of ground terms are
+    remembered for the life of the returned function.
     """
     _, transitions = _congruence_table(equalities)
     keys: dict[Term, Hashable] = {}
 
     def combine(t: Application, arg_keys: tuple) -> Hashable:
-        state = (t.symbol, arg_keys)
-        key = keys[t] = transitions.get(state, state)
+        key = transitions.setdefault((t.symbol, arg_keys), len(transitions))
+        if t.ground:
+            keys[t] = key
         return key
 
-    return lambda t: rebuild(t, keys.get, combine)
+    def key(t: Term, assignment: Mapping[Unknown, Term] = {}) -> Hashable:
+        return rebuild(t, lambda n: rebuild(assignment[n], keys.get, combine)
+                       if type(n) is Unknown else keys.get(n), combine)
+
+    return key
 
 
 # Distinct (restriction, sig, max_size) keys kept by _class_member_buckets,
@@ -423,21 +431,22 @@ def iter_formula_solutions(
     # The plan: a conjunct without unknowns is decided at once.  Any other
     # waits for the depth of its last unknown u and is matched there against
     # `E & u = a1 & ... -> l = r`: where l and r are ground or u it
-    # restricts u's class, where no ai and u faces a side with other
+    # restricts u's class, where no ai and u faces a side of earlier
     # unknowns it joins u with that side, and otherwise it is checked for
     # every candidate.
     position = {u: i for i, u in enumerate(unknowns)}
     # per unknown, the streams of its class restrictions
     restricted: list[list[Stream]] = [[] for _ in unknowns]
     checks_at_depth: list[list[Formula]] = [[] for _ in unknowns]
-    filters_at_depth: list[list[tuple[Equalities, Term, Formula]]] = [[] for _ in unknowns]
+    filters_at_depth: list[list[tuple[Equalities, Term]]] = [[] for _ in unknowns]
     for c, used in zip(conjuncts, used_by):
         if not used:
             if not qcheck.is_quasitautology(c):
                 return
             continue
         depth = max(position[u] for u in used)
-        horn = _horn(c, unknowns[depth])
+        u = unknowns[depth]
+        horn = _horn(c, u)
         if horn is None:
             checks_at_depth[depth].append(c)
             continue
@@ -449,8 +458,9 @@ def iter_formula_solutions(
             if not any(stream):  # it fails whatever u is
                 return
             restricted[depth].append(stream)
-        elif l is _HOLE and not anchors:  # a join filter
-            filters_at_depth[depth].append((equalities, r, c))
+        elif l is _HOLE and not anchors and not any(  # a join filter
+                s is u or type(s) is Variable for s in subterms(r)):
+            filters_at_depth[depth].append((equalities, r))
         else:
             checks_at_depth[depth].append(c)
     per_unknown = [_intersection(streams) if streams
@@ -484,28 +494,10 @@ def iter_formula_solutions(
     if any(filters_at_depth):
         keys_of = cache(_class_keys)
 
-        def wanted(depth: int) -> tuple:
-            """The keys of the join filters' sides under the assignment.  A
-            side that is not ground even then holds this depth's unknown too,
-            so its conjunct goes back to the checks."""
-            keys = []
-            for f in filters_at_depth[depth][:]:
-                equalities, side, conjunct = f
-                if type(side) is Unknown:
-                    side = assignment[side]
-                else:
-                    side = substitute(side, assignment)
-                if side.ground:
-                    keys.append(keys_of(equalities)(side))
-                else:
-                    filters_at_depth[depth].remove(f)
-                    checks_at_depth[depth].append(conjunct)
-            return tuple(keys)
-
         @cache
         def indexed(depth: int, n: int) -> dict[tuple, list[Term]]:
             """The size-n bucket of unknown `depth`, by its filters' keys."""
-            keyers = [keys_of(equalities) for equalities, _, _ in filters_at_depth[depth]]
+            keyers = [keys_of(equalities) for equalities, _ in filters_at_depth[depth]]
             index: dict[tuple, list[Term]] = {}
             for t in per_unknown[depth][n]:
                 index.setdefault(tuple([key(t) for key in keyers]), []).append(t)
@@ -518,10 +510,10 @@ def iter_formula_solutions(
         low = max(min_size[depth], budget - suffix_max[depth + 1])
         high = min(max_of[depth], budget - suffix_min[depth + 1])
         if filters_at_depth[depth]:
-            keys = wanted(depth)
-            if filters_at_depth[depth]:  # unless each went back to the checks
-                return ((budget - n, t) for n in range(low, high + 1)
-                        for t in indexed(depth, n).get(keys, ()))
+            keys = tuple([keys_of(equalities)(side, assignment)
+                          for equalities, side in filters_at_depth[depth]])
+            return ((budget - n, t) for n in range(low, high + 1)
+                    for t in indexed(depth, n).get(keys, ()))
         return ((budget - n, t) for n in range(low, high + 1) for t in per_unknown[depth][n])
 
     for total in range(suffix_min[0], suffix_max[0] + 1):

@@ -17,6 +17,7 @@ from itertools import product
 from . import skeleton as _skeleton
 from .syntax import (
     And,
+    Application,
     Atom,
     ContractError,
     Equality,
@@ -32,6 +33,7 @@ from .syntax import (
     conj,
     const,
     disj,
+    nodes,
 )
 
 # the most clauses, and problems before deduplication, that one conversion
@@ -110,15 +112,19 @@ def _cnf(f: Formula) -> list[list[tuple[bool, Atom]]]:
 def to_clause_conjunction(f: Formula) -> list[Clause]:
     """Equivalent conjunction of clauses; distribution keeps the left-to-right
     literal order, and a clause without positive atoms gets the consequent
-    ``c#i = d#i`` over two new distinct constants.  A quantifier in f
-    raises ContractError."""
+    ``c#i = d#i`` over two new distinct constants, the least i above the
+    last one whose names f does not use.  A quantifier in f raises
+    ContractError."""
     clauses: list[Clause] = []
+    used = {n.symbol.name for n in nodes(f) if isinstance(n, (Application, PredApp))}
     fresh = 0
     for row in _cnf(f):
         antecedent = tuple(atom for sign, atom in row if not sign)
         consequent = tuple(atom for sign, atom in row if sign)
         if not consequent:
             fresh += 1
+            while f"c#{fresh}" in used or f"d#{fresh}" in used:
+                fresh += 1
             consequent = (
                 Equality(
                     const(FunctionSymbol(f"c#{fresh}", 0)),

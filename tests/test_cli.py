@@ -316,6 +316,18 @@ def test_a_solution_without_bindings_says_solved(tmp_path, args, text, expected)
     assert run_cli([*args, str(source)]) == (0, expected)
 
 
+@pytest.mark.parametrize("text,conversion", [
+    ("c#1 = d#1 -> !(a = a)\n", "[1.1] c#1 = d#1 & a = a -> c#2 = d#2\n"),
+    ("c#1 = d#1 -> !(*1 = a)\n", "[1.1] c#1 = d#1 & *1 = a -> c#2 = d#2\n"),
+], ids=["ground", "unknown"])
+def test_fresh_constants_avoid_the_input_names(tmp_path, text, conversion):
+    # `hsk check` says the first is not valid, so no problem may be solved
+    source = tmp_path / "named.fml"
+    source.write_text(text)
+    assert run_cli(["sreu", "--solve", str(source)]) == (
+        1, conversion + "[1] NO SOLUTION WITHIN BOUND 6\n")
+
+
 def test_encode_with_larger_numeral(tmp_path):
     source = tmp_path / "sys.dioph"
     source.write_text("x1 + 1 = 2\n")

@@ -35,7 +35,7 @@ from hsk.syntax import (
     substitute,
     term_size,
 )
-from hsk.textform import parse_formula, parse_term
+from hsk.textform import ParseError, parse_formula, parse_term
 
 A = Application(FunctionSymbol("a", 0), ())
 B = Application(FunctionSymbol("b", 0), ())
@@ -371,11 +371,13 @@ def _random_ground_equations(rng):
     return [Equality(*rng.choice(pool)) for _ in range(rng.randint(0, 3))]
 
 
-def _random_equational_formula(rng, u1, u2):
+def _random_equational_formula(rng, u1, u2, self_side=False):
     """A conjunction of `ground equations -> s = t` conjuncts: *2 alone on
     one side and *1 inside the other (join filters of *2), sometimes unary
     constraints on *1 or *2 (class restrictions, one or two per unknown) or
-    a plain check beside them."""
+    a plain check beside them; with `self_side`, also one or two conjuncts
+    whose other side holds *2 nested beside *1, such as
+    `*2 = g(*1, f(*2))`, which are checks."""
     a, b = _EQ_CONSTS
 
     def around(t):
@@ -410,6 +412,15 @@ def _random_equational_formula(rng, u1, u2):
     if rng.random() < 0.3:  # a conjunct the filters leave to the checks
         conjuncts.append(Not(Equality(u1, u2)) if rng.random() < 0.5
                          else implied(Equality(u2, Application(_EQ_F, (u2,)))))
+    for _ in range(rng.randint(1, 2) if self_side else 0):
+        inner = around(u2)
+        side = Application(_EQ_G, (u1, inner) if rng.random() < 0.5 else (inner, u1))
+        hyps = _random_ground_equations(rng)
+        if rng.random() < 0.5:  # a hypothesis that one instance meets
+            c1, c2 = rng.choice(_EQ_CONSTS), rng.choice(_EQ_CONSTS)
+            hyps.append(Equality(substitute(side, {u1: c1, u2: c2}), c2))
+        conclusion = Equality(u2, side) if rng.random() < 0.5 else Equality(side, u2)
+        conjuncts.append(Implies(conj(hyps), conclusion) if hyps else conclusion)
     rng.shuffle(conjuncts)
     return conj(conjuncts)
 
@@ -425,7 +436,9 @@ def test_equational_filters_agree_with_naive_search(monkeypatch):
     matched = []  # the ground sides the plan matched, (unknown, restriction)
     streamed = []  # the restrictions whose streams the plan read
     keyed = set()  # the (E, term) pairs the search keyed for a join
+    checked = set()  # the conjuncts the search substituted to check them
     horn, buckets, class_keys = skeleton._horn, skeleton._class_member_buckets, skeleton._class_keys
+    substitute_ = skeleton.substitute
 
     def matching(conjunct, u):
         found = horn(conjunct, u)
@@ -441,15 +454,20 @@ def test_equational_filters_agree_with_naive_search(monkeypatch):
     def counted(equalities):
         keys = class_keys(equalities)
 
-        def key(t):
+        def key(t, assignment={}):
             keyed.add((equalities, t))
-            return keys(t)
+            return keys(t, assignment)
 
         return key
+
+    def substituting(f, sigma):
+        checked.add(f)
+        return substitute_(f, sigma)
 
     monkeypatch.setattr(skeleton, "_horn", matching)
     monkeypatch.setattr(skeleton, "_class_member_buckets", streaming)
     monkeypatch.setattr(skeleton, "_class_keys", counted)
+    monkeypatch.setattr(skeleton, "substitute", substituting)
     fired = fired_ground = solved = 0
     for _ in range(120):
         f = _random_equational_formula(rng, u1, u2)
@@ -470,6 +488,35 @@ def test_equational_filters_agree_with_naive_search(monkeypatch):
         fired_ground += bool(second_ground)
         solved += bool(fast)
     assert fired > 100 and fired_ground > 30 and solved > 40
+    # a side that holds *2 itself beside *1 makes its conjunct a check from
+    # the plan on: the search never keys it, and checks it where the other
+    # checks let *2 reach it
+    self_checked = self_solved = 0
+    for _ in range(100):
+        f = _random_equational_formula(rng, u1, u2, self_side=True)
+        bound = rng.randint(1, 3)
+        keyed.clear()
+        checked.clear()
+        fast = list(iter_formula_solutions(f, [u1, u2], sig, bound))
+        assert fast == _naive_solutions(f, [u1, u2], sig, bound), (str(f), bound)
+        own = [c for c in flatten_and(f) if (found := horn(c, u2)) and
+               found[2] is skeleton._HOLE and {u1, u2} <= set(syntax.nodes(found[3]))]
+        assert own and not any(u2 in syntax.nodes(t) for _, t in keyed), str(f)
+        self_checked += any(c in checked for c in own)
+        self_solved += bool(fast)
+    assert self_checked > 30 and self_solved > 6
+
+
+def test_a_free_variable_in_a_join_side_is_checked():
+    # a side with a free variable has no class key, so its conjunct is a
+    # check, and the check refuses the variable
+    with pytest.raises(ContractError, match="ground terms, got [?]x"):
+        list(iter_formula_solutions(parse_formula("*1 = a & *2 = f(*1, ?x)")))
+
+
+def test_the_hole_is_no_parsed_term():
+    with pytest.raises(ParseError):
+        parse_term(skeleton._HOLE.symbol.name)
 
 
 def test_class_keys_decide_ground_implications():
@@ -503,6 +550,32 @@ def test_class_keys_decide_ground_implications():
             if fresh in (s, t) or h in (s.symbol, t.symbol):
                 fresh_seen += 1
     assert outside_agree > 50 and fresh_seen > 1000
+
+
+def test_class_keys_read_unknown_leaves_through_the_assignment():
+    # a term with unknowns has the key of its instance, which is not built
+    rng = random.Random(1414)
+    u1, u2 = Unknown(1), Unknown(2)
+
+    def rterm(depth, leaves):
+        if depth == 0 or rng.random() < 0.3:
+            return rng.choice(leaves)
+        if rng.random() < 0.5:
+            return Application(_EQ_F, (rterm(depth - 1, leaves),))
+        return Application(_EQ_G, (rterm(depth - 1, leaves), rterm(depth - 1, leaves)))
+
+    patterns = 0
+    for _ in range(300):
+        keys = skeleton._class_keys(tuple((e.lhs, e.rhs) for e in _random_ground_equations(rng)))
+        pattern = rterm(3, [*_EQ_CONSTS, u1, u2])
+        sigma = {u1: rterm(2, _EQ_CONSTS), u2: rterm(2, _EQ_CONSTS)}
+        instance = substitute(pattern, sigma)
+        if rng.random() < 0.5:  # either may meet the remembered keys first
+            assert keys(pattern, sigma) == keys(instance), str(pattern)
+        else:
+            assert keys(instance) == keys(pattern, sigma), str(pattern)
+        patterns += not pattern.ground
+    assert patterns > 150
 
 
 _HYP_CONSTS = [Application(FunctionSymbol(n, 0), ()) for n in ("a", "b", "c")]

@@ -316,6 +316,9 @@ def _solves_some_problem(problems, sigma):
     "!(*1 = a) | f(*1) = f(a)",
     "q2(*1, *2) & p(a) -> q2(a, b)",
     "*1 = a -> p(f(a)) | p(f(*1))",
+    # the fresh constants of a clause without positive atoms avoid these names
+    "c#1 = d#1 -> !(*1 = a)",
+    "(c#1 = *1 -> !p(d#2)) & (!(*1 = c#3) | d#1 = *1)",
 ])
 def test_solution_equivalence_exhaustive(text):
     f = parse_formula(text)
