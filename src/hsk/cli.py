@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 from . import arith, models, qcheck, skeleton, sreu, textform
 from .models import AlphaAssignment, pairing_j, unpair
-from .syntax import (ContractError, FunctionSymbol, Term, Unknown, canonical_key, flatten_and,
-                     flatten_or)
+from .syntax import (ContractError, Formula, FunctionSymbol, Term, Unknown, canonical_key,
+                     flatten_and, flatten_or)
 from .textform import ParseError, parse_formula, print_formula, print_term
 
 
@@ -141,15 +141,23 @@ def _cmd_sreu(config: RunConfig, text: str) -> tuple[int, list[str]]:
     problems = sreu.convert_to_sreu(formula)
     lines: list[str] = []
     any_solved = False
+    # the problems share few distinct constraints: each is printed once,
+    # and the searches share one memo of conjunct walks and check verdicts
+    rendered: dict[Formula, str] = {}
+    memo = skeleton.SearchMemo()
     for i, problem in enumerate(problems, start=1):
-        texts = [print_formula(f) for f in flatten_and(problem.formula)]
+        constraints = flatten_and(problem.formula)
+        for f in constraints:
+            if f not in rendered:
+                rendered[f] = print_formula(f)
+        texts = [rendered[f] for f in constraints]
         if config.fmt == "records":
             witness = " & ".join(f"({text})" for text in texts)
             lines.append(_record(problem_index=str(i), verdict="sreu", witness=witness))
         else:
             lines += [f"[{i}.{j}] {text}" for j, text in enumerate(texts, start=1)]
         if config.solve:
-            solution = sreu.solve_sreu_bounded(problem, max_size=config.max_size)
+            solution = sreu.solve_sreu_bounded(problem, max_size=config.max_size, memo=memo)
             if solution is not None:
                 any_solved = True
             if config.fmt == "records":

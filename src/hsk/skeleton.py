@@ -43,6 +43,17 @@ candidate only where a check would have rejected it, so the stream keeps
 its order.  Keys and indexes are built when first read and live as long as
 one search.  Every reported witness is still verified against the whole
 formula.
+
+A `SearchMemo` holds what does not depend on the plan: the walk of each
+conjunct (its unknowns in first occurrence order and its symbols) and the
+verdict of each check, under the conjunct and the terms assigned to its own
+unknowns.  A search makes a fresh memo unless it is given one; a command
+that solves many formulas built from few conjuncts, as `hsk sreu --solve`
+does with the k^k problems of one conversion, passes one memo to every
+search, so each distinct conjunct is walked once and each distinct check
+decided once.  The memo lives as long as the command.  Roles, streams and
+keys are still planned per search, since they depend on the unknowns'
+order, the signature and the bound.
 """
 
 from __future__ import annotations
@@ -186,7 +197,10 @@ def _sized_terms(
     step: Callable[[FunctionSymbol, tuple[Hashable, ...]], Hashable | None],
 ) -> list[dict[Hashable, list[Term]]]:
     """sized[n][state] = the terms over sig of size n that the bottom-up tree
-    automaton `step` takes to `state`, each list sorted by canonical_key.
+    automaton `step` takes to `state`, in the order they are built: by
+    symbol, composition of sizes, argument states and argument terms.
+    That order is not canonical in general, so a caller sorts the lists it
+    reads, and no other list is sorted.
 
     `step(symbol, arg_states)` is the transition: the state of an
     application from the states of its arguments, or None to reject it.  It
@@ -210,10 +224,12 @@ def _sized_terms(
                     fresh.setdefault(state, []).extend(
                         Application(symbol, args) for args in itertools.product(*pools)
                     )
-        for terms in fresh.values():
-            if len(terms) > 1:
-                terms.sort(key=canonical_key)
     return sized
+
+
+def _canonical(terms: Sequence[Term]) -> tuple[Term, ...]:
+    """The terms in canonical order."""
+    return tuple(sorted(terms, key=canonical_key)) if len(terms) > 1 else tuple(terms)
 
 
 def _any_term(symbol: FunctionSymbol, arg_states: tuple[int, ...]) -> int:
@@ -304,8 +320,13 @@ def _class_keys(equalities: Equalities) -> Callable[[Term, Mapping[Unknown, Term
         return key
 
     def key(t: Term, assignment: Mapping[Unknown, Term] = {}) -> Hashable:
-        return rebuild(t, lambda n: rebuild(assignment[n], keys.get, combine)
-                       if type(n) is Unknown else keys.get(n), combine)
+        def leaf(n: Term) -> Hashable | None:
+            if type(n) is not Unknown:
+                return keys.get(n)
+            known = keys.get(assignment[n])  # a key may be 0
+            return rebuild(assignment[n], keys.get, combine) if known is None else known
+
+        return rebuild(t, leaf, combine)
 
     return key
 
@@ -336,7 +357,7 @@ def _class_member_buckets(
     merge, so every term is accepted where E' alone implies l = r.
     """
     if restriction is None:
-        return tuple(tuple(by_state.get(0, ())) for by_state in
+        return tuple(_canonical(by_state.get(0, ())) for by_state in
                      _sized_terms(sig, max_size, _any_term))
     equalities, anchors, l, r = restriction
     closure, transitions = _congruence_table(
@@ -356,12 +377,8 @@ def _class_member_buckets(
     def step(symbol: FunctionSymbol, states: tuple[Term, ...]) -> Term | None:
         return transitions.get((symbol, states))
 
-    stream = []
-    for by_state in _sized_terms(sig, max_size, step):
-        found = [by_state[q] for q in accepting if q in by_state]
-        stream.append(tuple(found[0]) if len(found) == 1
-                      else tuple(sorted(itertools.chain(*found), key=canonical_key)))
-    return tuple(stream)
+    return tuple(_canonical([t for q in accepting for t in by_state.get(q, ())])
+                 for by_state in _sized_terms(sig, max_size, step))
 
 
 def _intersection(streams: list[Stream]) -> Stream:
@@ -380,40 +397,78 @@ def _intersection(streams: list[Stream]) -> Stream:
 # Bounded search
 
 
+# A conjunct's unknowns in first occurrence order, and its function and
+# predicate symbols.
+Walk = tuple[tuple[Unknown, ...], frozenset[FunctionSymbol], frozenset[PredicateSymbol]]
+
+
+class SearchMemo:
+    """The per-conjunct work that bounded searches share: each conjunct's
+    walk, and each check's verdict under the conjunct and the terms of its
+    own unknowns, on which alone that verdict depends.  The searches of one
+    command share one memo, which lives as long as the command."""
+
+    def __init__(self) -> None:
+        self.walks: dict[Formula, Walk] = {}
+        self.verdicts: dict[tuple[Formula, tuple[Term, ...]], bool] = {}
+
+    def walk(self, conjunct: Formula) -> Walk:
+        """The conjunct's unknowns and symbols; a quantifier raises
+        ContractError."""
+        walk = self.walks.get(conjunct)
+        if walk is None:
+            unknowns: list[Unknown] = []
+            functions: set[FunctionSymbol] = set()
+            predicates: set[PredicateSymbol] = set()
+            for n in nodes(conjunct):
+                if isinstance(n, Unknown):
+                    unknowns.append(n)
+                elif isinstance(n, Application):
+                    functions.add(n.symbol)
+                elif isinstance(n, PredApp):
+                    predicates.add(n.symbol)
+                elif isinstance(n, (Exists, Forall)):
+                    raise ContractError("input must be quantifier-free")
+            walk = self.walks[conjunct] = (
+                tuple(unknowns), frozenset(functions), frozenset(predicates))
+        return walk
+
+    def holds(self, conjunct: Formula, unknowns: tuple[Unknown, ...],
+              assignment: Mapping[Unknown, Term]) -> bool:
+        """Whether the conjunct, whose unknowns are these, is valid under
+        the assignment."""
+        key = (conjunct, tuple([assignment[u] for u in unknowns]))
+        verdict = self.verdicts.get(key)
+        if verdict is None:
+            verdict = self.verdicts[key] = qcheck.is_quasitautology(
+                substitute(conjunct, assignment) if unknowns else conjunct)
+        return verdict
+
+
 def iter_formula_solutions(
     formula: Formula,
     unknowns: Sequence[Unknown] | None = None,
     sig: Signature | None = None,
     max_size: int = 6,
+    memo: SearchMemo | None = None,
 ) -> Iterator[dict[Unknown, Term]]:
     """Solutions for the given unknown tuple in canonical order, each a
     dict from the unknowns to ground terms.
 
     Order: smallest total size first, then lexicographically by the
     canonical term order along the tuple.  The formula must be
-    quantifier-free.  One walk of each conjunct gives its unknowns and its
+    quantifier-free.  The walk of each conjunct gives its unknowns and its
     symbols; without `unknowns` the search takes the formula's, in first
     occurrence order, and without `sig` the symbols of the formula.  Given
-    `unknowns` must include every unknown of the formula.
+    `unknowns` must include every unknown of the formula.  Walks and check
+    verdicts come from `memo`, a fresh one if none is given.
     """
     if max_size < 0:
         raise ContractError("size bound must be >= 0")
+    memo = SearchMemo() if memo is None else memo
     conjuncts = flatten_and(formula)
-    used_by: list[list[Unknown]] = []  # the unknowns of each conjunct
-    functions: set[FunctionSymbol] = set()
-    predicates: set[PredicateSymbol] = set()
-    for c in conjuncts:
-        used = []
-        for n in nodes(c):
-            if isinstance(n, Unknown):
-                used.append(n)
-            elif isinstance(n, Application):
-                functions.add(n.symbol)
-            elif isinstance(n, PredApp):
-                predicates.add(n.symbol)
-            elif isinstance(n, (Exists, Forall)):
-                raise ContractError("input must be quantifier-free")
-        used_by.append(used)
+    walks = [memo.walk(c) for c in conjuncts]
+    used_by = [used for used, _, _ in walks]  # the unknowns of each conjunct
     if unknowns is None:
         unknowns = dict.fromkeys(u for used in used_by for u in used)
     elif not {u for used in used_by for u in used} <= set(unknowns):
@@ -422,7 +477,8 @@ def iter_formula_solutions(
         raise ContractError("the unknowns must be distinct")
     unknowns = tuple(unknowns)
     if sig is None:
-        sig = Signature(frozenset(functions), frozenset(predicates))
+        sig = Signature(frozenset().union(*[functions for _, functions, _ in walks]),
+                        frozenset().union(*[predicates for _, _, predicates in walks]))
     if not unknowns:
         if qcheck.is_quasitautology(formula):
             yield {}
@@ -437,18 +493,19 @@ def iter_formula_solutions(
     position = {u: i for i, u in enumerate(unknowns)}
     # per unknown, the streams of its class restrictions
     restricted: list[list[Stream]] = [[] for _ in unknowns]
-    checks_at_depth: list[list[Formula]] = [[] for _ in unknowns]
+    # per depth, each check with its unknowns
+    checks_at_depth: list[list[tuple[Formula, tuple[Unknown, ...]]]] = [[] for _ in unknowns]
     filters_at_depth: list[list[tuple[Equalities, Term]]] = [[] for _ in unknowns]
     for c, used in zip(conjuncts, used_by):
         if not used:
-            if not qcheck.is_quasitautology(c):
+            if not memo.holds(c, used, {}):
                 return
             continue
         depth = max(position[u] for u in used)
         u = unknowns[depth]
         horn = _horn(c, u)
         if horn is None:
-            checks_at_depth[depth].append(c)
+            checks_at_depth[depth].append((c, used))
             continue
         equalities, anchors, l, r = horn
         if l.ground and r.ground:  # a class restriction
@@ -462,7 +519,7 @@ def iter_formula_solutions(
                 s is u or type(s) is Variable for s in subterms(r)):
             filters_at_depth[depth].append((equalities, r))
         else:
-            checks_at_depth[depth].append(c)
+            checks_at_depth[depth].append((c, used))
     per_unknown = [_intersection(streams) if streams
                    else _class_member_buckets(None, sig, max_size) for streams in restricted]
 
@@ -484,8 +541,8 @@ def iter_formula_solutions(
 
     def prune_fails(depth: int) -> bool:
         """A conjunct whose last unknown is this one fails."""
-        for c in checks_at_depth[depth]:
-            if not qcheck.is_quasitautology(substitute(c, assignment)):
+        for c, used in checks_at_depth[depth]:
+            if not memo.holds(c, used, assignment):
                 return True
         return False
 

@@ -62,15 +62,18 @@ class Clause:
 
 @dataclass(frozen=True)
 class SREUProblem:
-    """Rigid Horn constraints; `formula`, their conjunction, is built once."""
+    """Rigid Horn constraints and `formula`, their conjunction, built once
+    on construction where it is not given.  The conversion gives it, from
+    the formula of each distinct clause, built once for all its problems."""
 
     constraints: tuple[Clause, ...]  # rigid Horn clauses
-    formula: Formula = field(init=False, compare=False, repr=False)
+    formula: Formula = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.constraints:
             raise ContractError("empty constraint conjunction")
-        object.__setattr__(self, "formula", conj(c.formula() for c in self.constraints))
+        if self.formula is None:
+            object.__setattr__(self, "formula", conj(c.formula() for c in self.constraints))
 
 
 # ---------------------------------------------------------------------------
@@ -218,15 +221,27 @@ def convert_to_sreu(f: Formula) -> list[SREUProblem]:
     # the Horn choices vary slowest; a dict keeps the first occurrence
     found = dict.fromkeys(sum(parts, ()) for horn in product(*choices)
                           for parts in product(*horn))
-    return [SREUProblem(clauses or (_trivial_constraint(),)) for clauses in found]
+    formulas: dict[Clause, Formula] = {}  # each distinct clause's, built once
+    problems = []
+    for clauses in found:
+        clauses = clauses or (_trivial_constraint(),)
+        for c in clauses:
+            if c not in formulas:
+                formulas[c] = c.formula()
+        problems.append(SREUProblem(clauses, conj([formulas[c] for c in clauses])))
+    return problems
 
 
 def solve_sreu_bounded(
-    problem: SREUProblem, sig: Signature | None = None, max_size: int = 6
+    problem: SREUProblem, sig: Signature | None = None, max_size: int = 6,
+    memo: _skeleton.SearchMemo | None = None,
 ) -> dict[Unknown, Term] | None:
     """First assignment of the problem's unknowns, in first occurrence
     order, that solves all constraints, in the deterministic search order
-    of the bounded skeleton solver."""
-    for solution in _skeleton.iter_formula_solutions(problem.formula, None, sig, max_size):
+    of the bounded skeleton solver.  The problems of one conversion share
+    their conjuncts, so a caller solving several of them passes one memo
+    (`skeleton.SearchMemo`) to each call."""
+    for solution in _skeleton.iter_formula_solutions(problem.formula, None, sig, max_size,
+                                                     memo):
         return solution
     return None

@@ -18,8 +18,9 @@ from pathlib import Path
 import pytest
 
 import hsk
+from helpers import unknowns_of
 from hsk import arith, cli, qcheck, skeleton, sreu
-from hsk.syntax import Application, FunctionSymbol, Signature
+from hsk.syntax import Application, FunctionSymbol, Signature, flatten_and
 from hsk.textform import parse_formula
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -111,6 +112,50 @@ def test_tracer_counts_the_sreu_problems_and_constraints(bench):
     assert counts["sreu.problems"] == 4 and counts["sreu.constraints"] == 8
     assert counts["sreu.convert"] == 1 and counts["sreu.solve"] == 4
     assert counts["sreu.solved"] == 1
+    # four distinct constraints, each printed once, and the witness term c
+    assert counts["textform.print"] == 4 + 1
+
+
+@pytest.mark.parametrize("source", [
+    # k^k problems that repeat their clauses: `f(*1)` makes every conjunct
+    # a check, and the second formula has two unknowns
+    "p(a1) & p(a2) & p(a3) & (f(*1) = a1 | f(*1) = a2 | f(*1) = a3) -> p(c)",
+    "p(a1) & p(a2) & (*1 = a1 | *1 = a2) & (*2 = a1 | *2 = a2) -> p(c)",
+])
+def test_tracer_counts_each_distinct_conjunct_once(bench, monkeypatch, source):
+    problems = sreu.convert_to_sreu(parse_formula(source))
+    distinct = {c for problem in problems for c in flatten_and(problem.formula)}
+    # each problem solved on its own: the distinct (conjunct, terms of its
+    # unknowns) pairs it substitutes, and its whole-formula verifications
+    pairs, verifications, calls = set(), 0, 0
+    substitute = skeleton.substitute
+
+    def recorded(f, assignment):
+        nonlocal verifications, calls
+        calls += 1
+        if any(f is problem.formula for problem in problems):
+            verifications += 1
+        else:
+            pairs.add((f, tuple(assignment[u] for u in unknowns_of(f))))
+        return substitute(f, assignment)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(skeleton, "substitute", recorded)
+        for problem in problems:
+            sreu.solve_sreu_bounded(problem, max_size=3)
+    tracer = bench.Tracer()
+    tracer.install()
+    try:
+        _, output = cli.run(cli.RunConfig(command="sreu", solve=True, max_size=3), source)
+    finally:
+        tracer.uninstall()
+    counts = tracer.counts
+    assert counts["sreu.problems"] == len(problems) and len(problems) in (27, 16)
+    assert counts["sreu.constraints"] > len(distinct)
+    # printed: each distinct constraint once, and each witness term
+    assert counts["textform.print"] == len(distinct) + output.count(":=")
+    assert counts["syntax.substitute"] <= len(pairs) + verifications < calls
+    assert counts["sreu.solve"] == len(problems)
 
 
 def test_clear_caches_empties_the_live_caches(bench):

@@ -249,6 +249,17 @@ def test_search_walks_each_conjunct_once(monkeypatch):
         conjuncts = flatten_and(formula)
         assert len(conjuncts) == 4
         assert Counter(walked) == Counter(conjuncts)  # each once, the whole formula never
+    # the problems of one conversion share their conjuncts: with one memo
+    # across their searches, each distinct conjunct is walked once
+    problems = sreu.convert_to_sreu(parse_formula(
+        "(*1 = a | *1 = b) & (*2 = f(*1) | *2 = a) & (f(*1) = *2 -> *2 = f(a))"))
+    distinct = {c for p in problems for c in flatten_and(p.formula)}
+    assert len(problems) == 4 and len(distinct) == 5
+    memo = skeleton.SearchMemo()
+    walked.clear()
+    solutions = [sreu.solve_sreu_bounded(p, max_size=2, memo=memo) for p in problems]
+    assert Counter(walked) == Counter(distinct)
+    assert solutions[0] == {Unknown(1): A, Unknown(2): parse_term("f(a)")}
 
 
 def test_search_defaults_to_the_formulas_unknowns_and_signature():

@@ -1,11 +1,15 @@
+import dataclasses
+import importlib.util
 import itertools
+import pathlib
 import random
+import sys
 
 import pytest
 
 import reference_sreu
 from helpers import enumerate_terms, signature_of, unknowns_of
-from hsk import qcheck, skeleton, sreu
+from hsk import cli, qcheck, skeleton, sreu
 from hsk.sreu import (
     Clause,
     ContractError,
@@ -29,7 +33,7 @@ from hsk.syntax import (
     Unknown,
     substitute,
 )
-from hsk.textform import parse_formula, print_formula
+from hsk.textform import parse_formula, print_formula, print_term
 
 A = Application(FunctionSymbol("a", 0), ())
 B = Application(FunctionSymbol("b", 0), ())
@@ -376,3 +380,70 @@ def test_conversion_matches_the_reference_on_random_formulas():
     # every outcome of the elimination occurs: deletion, the trivial
     # constraint of a nullary predicate, and several alternatives
     assert deleted > 400 and trivial > 10 and split > 150
+
+
+# ---------------------------------------------------------------------------
+# One command shares work across its problems
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _bench_problems():
+    """perfbench/problems.py, loaded from its file as the benchmark does."""
+    spec = importlib.util.spec_from_file_location("perfbench_problems",
+                                                  ROOT / "perfbench" / "problems.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def _unshared_sreu_solve(config: cli.RunConfig, text: str) -> tuple[int, str]:
+    """`hsk sreu --solve` with nothing shared between problems: each
+    constraint printed from its own `Clause.formula()`, and each problem
+    rebuilt from its constraints and solved with a fresh memo."""
+    lines, any_solved = [], False
+    for i, problem in enumerate(convert_to_sreu(parse_formula(cli._strip_comments(text))),
+                                start=1):
+        texts = [print_formula(c.formula()) for c in problem.constraints]
+        solution = solve_sreu_bounded(SREUProblem(problem.constraints),
+                                      max_size=config.max_size)
+        any_solved |= solution is not None
+        witness = None if solution is None else ";".join(
+            f"*{u.index}:={print_term(t)}" for u, t in sorted(solution.items(),
+                                                             key=lambda kv: kv[0].index))
+        if config.fmt == "records":
+            lines.append(f"problem_index={i}\tverdict=sreu\twitness="
+                         + " & ".join(f"({t})" for t in texts))
+            lines.append(f"problem_index={i}\tverdict=no-solution" if witness is None
+                         else f"problem_index={i}\tverdict=solved\twitness={witness}")
+        else:
+            lines += [f"[{i}.{j}] {t}" for j, t in enumerate(texts, start=1)]
+            lines.append(f"[{i}] NO SOLUTION WITHIN BOUND {config.max_size}" if witness is None
+                         else f"[{i}] SOLVED {witness}" if witness else f"[{i}] SOLVED")
+    return (0 if any_solved else 1), "".join(f"{line}\n" for line in lines)
+
+
+def _sharing_inputs():
+    """(config, text): the sreu goldens, batch 0 of the benchmark's sreu
+    workload (seed 7), and seeded random formulas over two unknowns."""
+    for problem in _bench_problems().make_batch("sreu", 7, 0, ROOT):
+        yield cli.RunConfig(**problem.command), problem.text
+    rng = random.Random(1995)
+    for _ in range(150):
+        text = print_formula(_random_formula(rng, 3))
+        yield cli.RunConfig(command="sreu", solve=True, max_size=2), text
+
+
+def test_shared_work_leaves_every_sreu_output_byte_identical():
+    # every input goes through `sreu --solve` in text and in records form
+    solved = compared = 0
+    for config, text in _sharing_inputs():
+        for fmt in ("text", "records"):
+            solving = dataclasses.replace(config, solve=True, fmt=fmt)
+            got = cli.run(solving, text)
+            assert got == _unshared_sreu_solve(solving, text), (fmt, text)
+            compared += 1
+            solved += "SOLVED" in got[1] or "verdict=solved" in got[1]
+    assert compared > 500 and solved > 200
