@@ -146,11 +146,10 @@ def _cmd_sreu(config: RunConfig, text: str) -> tuple[int, list[str]]:
     rendered: dict[Formula, str] = {}
     memo = skeleton.SearchMemo()
     for i, problem in enumerate(problems, start=1):
-        constraints = flatten_and(problem.formula)
-        for f in constraints:
+        for f in problem.conjuncts:
             if f not in rendered:
                 rendered[f] = print_formula(f)
-        texts = [rendered[f] for f in constraints]
+        texts = [rendered[f] for f in problem.conjuncts]
         if config.fmt == "records":
             witness = " & ".join(f"({text})" for text in texts)
             lines.append(_record(problem_index=str(i), verdict="sreu", witness=witness))

@@ -2,11 +2,14 @@
 
 The solver enumerates candidate tuples in a fixed canonical order (total
 size first, then component-wise term order) so results are reproducible.
+It takes a conjunction as the sequence of its conjuncts: a skeleton's are
+those of its formula, an sreu problem's are its constraints' formulas.
 
 One pass over the conjuncts plans the search, and gives each conjunct one
 of four roles, which it keeps for the whole search.  A conjunct without
-unknowns is *decided at once*.  Any other waits for the depth of its last
-unknown u, the one the search assigns last, and is matched once against
+unknowns is *decided at once*, so a search without unknowns ends with the
+plan.  Any other waits for the depth of its last unknown u, the one the
+search assigns last, and is matched once against
 `E & u = a1 & ... & u = ak -> l = r` (`_horn`), with E a set of ground
 equations, the anchors ai ground and k >= 0.  It is then
 - a *class restriction* of u where l and r are each ground or u itself;
@@ -42,18 +45,18 @@ whose keys are those of the filters' sides: a hash join that drops a
 candidate only where a check would have rejected it, so the stream keeps
 its order.  Keys and indexes are built when first read and live as long as
 one search.  Every reported witness is still verified against the whole
-formula.
+conjunction, which is built only to verify one.
 
 A `SearchMemo` holds what does not depend on the plan: the walk of each
 conjunct (its unknowns in first occurrence order and its symbols) and the
 verdict of each check, under the conjunct and the terms assigned to its own
 unknowns.  A search makes a fresh memo unless it is given one; a command
-that solves many formulas built from few conjuncts, as `hsk sreu --solve`
-does with the k^k problems of one conversion, passes one memo to every
-search, so each distinct conjunct is walked once and each distinct check
-decided once.  The memo lives as long as the command.  Roles, streams and
-keys are still planned per search, since they depend on the unknowns'
-order, the signature and the bound.
+that solves many conjunctions of few distinct conjuncts, as
+`hsk sreu --solve` does with the k^k problems of one conversion, passes one
+memo to every search, so each distinct conjunct is walked once and each
+distinct check decided once.  The memo lives as long as the command.
+Roles, streams and keys are still planned per search, since they depend on
+the unknowns' order, the signature and the bound.
 """
 
 from __future__ import annotations
@@ -80,6 +83,7 @@ from .syntax import (
     Unknown,
     Variable,
     canonical_key,
+    conj,
     disj,
     flatten_and,
     nodes,
@@ -446,27 +450,29 @@ class SearchMemo:
 
 
 def iter_formula_solutions(
-    formula: Formula,
+    conjuncts: Sequence[Formula],
     unknowns: Sequence[Unknown] | None = None,
     sig: Signature | None = None,
     max_size: int = 6,
     memo: SearchMemo | None = None,
 ) -> Iterator[dict[Unknown, Term]]:
-    """Solutions for the given unknown tuple in canonical order, each a
-    dict from the unknowns to ground terms.
+    """Solutions of the conjunction of `conjuncts` for the given unknown
+    tuple in canonical order, each a dict from the unknowns to ground terms.
 
     Order: smallest total size first, then lexicographically by the
-    canonical term order along the tuple.  The formula must be
-    quantifier-free.  The walk of each conjunct gives its unknowns and its
-    symbols; without `unknowns` the search takes the formula's, in first
-    occurrence order, and without `sig` the symbols of the formula.  Given
-    `unknowns` must include every unknown of the formula.  Walks and check
-    verdicts come from `memo`, a fresh one if none is given.
+    canonical term order along the tuple.  The conjuncts must be
+    quantifier-free, and at least one (ContractError otherwise).  The walk
+    of each conjunct gives its unknowns and its symbols; without `unknowns`
+    the search takes the conjuncts', in first occurrence order, and without
+    `sig` their symbols.  Given `unknowns` must include every unknown of the
+    conjuncts.  Walks and check verdicts come from `memo`, a fresh one if
+    none is given.
     """
     if max_size < 0:
         raise ContractError("size bound must be >= 0")
+    if not conjuncts:
+        raise ContractError("empty conjunction")
     memo = SearchMemo() if memo is None else memo
-    conjuncts = flatten_and(formula)
     walks = [memo.walk(c) for c in conjuncts]
     used_by = [used for used, _, _ in walks]  # the unknowns of each conjunct
     if unknowns is None:
@@ -479,10 +485,6 @@ def iter_formula_solutions(
     if sig is None:
         sig = Signature(frozenset().union(*[functions for _, functions, _ in walks]),
                         frozenset().union(*[predicates for _, _, predicates in walks]))
-    if not unknowns:
-        if qcheck.is_quasitautology(formula):
-            yield {}
-        return
 
     # The plan: a conjunct without unknowns is decided at once.  Any other
     # waits for the depth of its last unknown u and is matched there against
@@ -520,6 +522,9 @@ def iter_formula_solutions(
             filters_at_depth[depth].append((equalities, r))
         else:
             checks_at_depth[depth].append((c, used))
+    if not unknowns:  # the plan decided every conjunct
+        yield {}
+        return
     per_unknown = [_intersection(streams) if streams
                    else _class_member_buckets(None, sig, max_size) for streams in restricted]
 
@@ -588,14 +593,14 @@ def iter_formula_solutions(
             if depth + 1 < len(unknowns):
                 levels.append(candidates(depth + 1, left))
                 continue
-            if qcheck.is_quasitautology(substitute(formula, assignment)):
+            if qcheck.is_quasitautology(substitute(conj(conjuncts), assignment)):
                 yield dict(assignment)
 
 
 def iter_solutions(
     sk: Skeleton, sig: Signature | None = None, max_size: int = 6
 ) -> Iterator[dict[Unknown, Term]]:
-    yield from iter_formula_solutions(sk.formula, sk.all_unknowns(), sig, max_size)
+    yield from iter_formula_solutions(flatten_and(sk.formula), sk.all_unknowns(), sig, max_size)
 
 
 def solve_bounded(

@@ -5,13 +5,15 @@ conjunction of rigid Horn clauses ``e1 & ... & em -> lhs = rhs`` (every atom
 an equality), such that a substitution for the unknowns solves the formula
 exactly when it solves at least one problem of the class: the product over
 the formula's clauses of the rigid alternatives of each Horn clause that a
-consequent atom makes, counted before any problem is built.
+consequent atom makes, counted before any problem is built.  A problem
+holds the tuple of its constraints' formulas, its conjuncts, which the
+bounded search takes as they are.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 from . import skeleton as _skeleton
@@ -62,18 +64,21 @@ class Clause:
 
 @dataclass(frozen=True)
 class SREUProblem:
-    """Rigid Horn constraints and `formula`, their conjunction, built once
-    on construction where it is not given.  The conversion gives it, from
-    the formula of each distinct clause, built once for all its problems."""
+    """Rigid Horn constraints and `conjuncts`, the formula of each, in the
+    same order.  The problem is their conjunction: the search takes the
+    conjuncts as they are, and the printer prints each one."""
 
     constraints: tuple[Clause, ...]  # rigid Horn clauses
-    formula: Formula = field(default=None, compare=False, repr=False)
+    conjuncts: tuple[Formula, ...]  # constraints[i].formula(), for each i
 
     def __post_init__(self) -> None:
         if not self.constraints:
             raise ContractError("empty constraint conjunction")
-        if self.formula is None:
-            object.__setattr__(self, "formula", conj(c.formula() for c in self.constraints))
+
+    @property
+    def formula(self) -> Formula:
+        """The conjunction of the conjuncts."""
+        return conj(self.conjuncts)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +233,7 @@ def convert_to_sreu(f: Formula) -> list[SREUProblem]:
         for c in clauses:
             if c not in formulas:
                 formulas[c] = c.formula()
-        problems.append(SREUProblem(clauses, conj([formulas[c] for c in clauses])))
+        problems.append(SREUProblem(clauses, tuple([formulas[c] for c in clauses])))
     return problems
 
 
@@ -241,7 +246,7 @@ def solve_sreu_bounded(
     of the bounded skeleton solver.  The problems of one conversion share
     their conjuncts, so a caller solving several of them passes one memo
     (`skeleton.SearchMemo`) to each call."""
-    for solution in _skeleton.iter_formula_solutions(problem.formula, None, sig, max_size,
+    for solution in _skeleton.iter_formula_solutions(problem.conjuncts, None, sig, max_size,
                                                      memo):
         return solution
     return None

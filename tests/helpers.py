@@ -7,6 +7,7 @@ import random
 from typing import Iterator
 
 from hsk.skeleton import _class_member_buckets
+from hsk.sreu import Clause, SREUProblem
 from hsk.syntax import (
     And,
     Application,
@@ -39,6 +40,12 @@ Q2 = PredicateSymbol("q", 2)
 def unknowns_of(x: Term | Formula) -> list[Unknown]:
     """Unknowns occurring in x, in first occurrence order."""
     return [n for n in nodes(x) if isinstance(n, Unknown)]
+
+
+def problem_of(clauses: tuple[Clause, ...]) -> SREUProblem:
+    """The problem of these rigid clauses, each conjunct built from its own
+    `Clause.formula()`."""
+    return SREUProblem(clauses, tuple(c.formula() for c in clauses))
 
 
 def signature_of(f: Formula) -> Signature:

@@ -4,6 +4,7 @@ returned whole conjunctions checked by a multiset measure, the conversion
 checked for quantifiers in a walk of its own, and every Horn conjunction
 was split out whole before any was rewritten.  Kept unchanged, but for
 local `is_horn` and `is_rigid` in place of the deleted `Clause` methods,
+problems built by `helpers.problem_of`, which gives each its conjuncts,
 and the measure's helpers, `horn_split`, `_dedupe` and `ClauseConjunction`
 moved here from `hsk.sreu`, as the reference that tests compare the
 conversion pipeline against."""
@@ -21,6 +22,7 @@ from hsk.syntax import (
     PredApp,
     const,
 )
+from helpers import problem_of
 from reference_qcheck import is_quantifier_free
 
 
@@ -171,7 +173,7 @@ def eliminate_predicates(gamma: Sequence[Sequence[Clause]]) -> list[SREUProblem]
                 assert _multiset_lt(_pred_counts(replacement), before), "measure must drop"
             todo += reversed(replacements)
     # a conjunction with every clause eliminated as valid: anything solves it
-    return [SREUProblem(clauses or (_trivial_constraint(),)) for clauses in _dedupe(results)]
+    return [problem_of(clauses or (_trivial_constraint(),)) for clauses in _dedupe(results)]
 
 
 def convert_to_sreu(f: Formula) -> list[SREUProblem]:
@@ -180,5 +182,5 @@ def convert_to_sreu(f: Formula) -> list[SREUProblem]:
     single trivially solvable problem."""
     clauses = to_clause_conjunction(f)
     if not clauses:
-        return [SREUProblem((_trivial_constraint(),))]
+        return [problem_of((_trivial_constraint(),))]
     return eliminate_predicates(horn_split([clauses]))

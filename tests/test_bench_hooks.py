@@ -19,8 +19,8 @@ import pytest
 
 import hsk
 from helpers import unknowns_of
-from hsk import arith, cli, qcheck, skeleton, sreu
-from hsk.syntax import Application, FunctionSymbol, Signature, flatten_and
+from hsk import arith, cli, qcheck, skeleton, sreu, syntax
+from hsk.syntax import Application, FunctionSymbol, Signature
 from hsk.textform import parse_formula
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -124,7 +124,7 @@ def test_tracer_counts_the_sreu_problems_and_constraints(bench):
 ])
 def test_tracer_counts_each_distinct_conjunct_once(bench, monkeypatch, source):
     problems = sreu.convert_to_sreu(parse_formula(source))
-    distinct = {c for problem in problems for c in flatten_and(problem.formula)}
+    distinct = {c for problem in problems for c in problem.conjuncts}
     # each problem solved on its own: the distinct (conjunct, terms of its
     # unknowns) pairs it substitutes, and its whole-formula verifications
     pairs, verifications, calls = set(), 0, 0
@@ -143,12 +143,26 @@ def test_tracer_counts_each_distinct_conjunct_once(bench, monkeypatch, source):
         patch.setattr(skeleton, "substitute", recorded)
         for problem in problems:
             sreu.solve_sreu_bounded(problem, max_size=3)
+    joined = 0
+    join = syntax.conj
+
+    def counted_conj(parts):
+        nonlocal joined
+        joined += 1
+        return join(parts)
+
     tracer = bench.Tracer()
     tracer.install()
     try:
-        _, output = cli.run(cli.RunConfig(command="sreu", solve=True, max_size=3), source)
+        with monkeypatch.context() as patch:
+            for module in (syntax, sreu, skeleton):
+                patch.setattr(module, "conj", counted_conj)
+            _, output = cli.run(cli.RunConfig(command="sreu", solve=True, max_size=3), source)
     finally:
         tracer.uninstall()
+    # no problem builds its conjunction: a conjunction is built only for a
+    # distinct constraint's hypotheses and for a whole-formula verification
+    assert joined <= len(distinct) + verifications
     counts = tracer.counts
     assert counts["sreu.problems"] == len(problems) and len(problems) in (27, 16)
     assert counts["sreu.constraints"] > len(distinct)

@@ -10,7 +10,7 @@ import random
 
 from hsk.arith import encoding, mp_semitable, parse_diophantine
 from hsk.skeleton import iter_formula_solutions, make_skeleton
-from hsk.syntax import Variable, numeral, numeral_of
+from hsk.syntax import Variable, flatten_and, numeral, numeral_of
 from hsk.textform import parse_term
 
 Z, ZH, ZT, K, KT = (parse_term(name) for name in ("z", "zh", "zt", "k", "kt"))
@@ -92,7 +92,7 @@ def _round_trip(atoms, names, bound):
     psi = encoding(parse_diophantine(text))
     sk = make_skeleton(psi, 1)
     unknowns = sk.unknown_tuples[0]
-    found = next(iter_formula_solutions(sk.formula, unknowns, max_size=bound), None)
+    found = next(iter_formula_solutions(flatten_and(sk.formula), unknowns, max_size=bound), None)
     # a numeral of size <= bound has a value below it
     within = [s for s in _solutions(atoms, names, bound - 1)
               if _witness_size(atoms, s) <= bound]

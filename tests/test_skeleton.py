@@ -106,11 +106,18 @@ def test_verify_solution_contract():
         verify_solution(sk2, {Unknown(1): A, Unknown(2): Unknown(1)})
     for unknowns in (sk2.unknown_tuples[0], ()):  # a search's tuple must cover them too
         with pytest.raises(ContractError, match="every unknown"):
-            list(iter_formula_solutions(sk2.formula, unknowns))
+            list(iter_formula_solutions(flatten_and(sk2.formula), unknowns))
     # a repeated unknown would yield each solution once per repeat
     with pytest.raises(ContractError, match="distinct"):
-        list(iter_formula_solutions(parse_formula("*1 = a | *1 = b"),
+        list(iter_formula_solutions(flatten_and(parse_formula("*1 = a | *1 = b")),
                                     (Unknown(1), Unknown(1)), max_size=1))
+    # the search takes a conjunction's conjuncts, and the plan decides the
+    # ground ones: a search without unknowns yields {} once they all hold
+    with pytest.raises(ContractError, match="empty conjunction"):
+        list(iter_formula_solutions([]))
+    holding = [parse_formula("a = a"), parse_formula("p(a) -> p(a)")]
+    assert list(iter_formula_solutions(holding)) == [{}]
+    assert list(iter_formula_solutions([*holding, parse_formula("a = b")])) == []
 
 
 def test_verify_invariant_under_unknown_renaming():
@@ -253,7 +260,7 @@ def test_search_walks_each_conjunct_once(monkeypatch):
     # across their searches, each distinct conjunct is walked once
     problems = sreu.convert_to_sreu(parse_formula(
         "(*1 = a | *1 = b) & (*2 = f(*1) | *2 = a) & (f(*1) = *2 -> *2 = f(a))"))
-    distinct = {c for p in problems for c in flatten_and(p.formula)}
+    distinct = {c for p in problems for c in p.conjuncts}
     assert len(problems) == 4 and len(distinct) == 5
     memo = skeleton.SearchMemo()
     walked.clear()
@@ -266,8 +273,9 @@ def test_search_defaults_to_the_formulas_unknowns_and_signature():
     for text in ("(a = b -> *1 = a) & (p(*1) -> p(*2)) & (*2 = f(*1) | *2 = *1)",
                  "*2 = g(*1, *3) & (f(a) = *1 | q(*3))", "p(a) -> p(a)", "*1 = *1"):
         f = parse_formula(text)
-        expected = list(iter_formula_solutions(f, unknowns_of(f), signature_of(f), 2))
-        assert list(iter_formula_solutions(f, max_size=2)) == expected
+        conjuncts = flatten_and(f)
+        expected = list(iter_formula_solutions(conjuncts, unknowns_of(f), signature_of(f), 2))
+        assert list(iter_formula_solutions(conjuncts, max_size=2)) == expected
 
 
 @pytest.mark.parametrize("text", ["exists ?x. *1 = ?x", "*1 = a & forall ?x. ?x = *1",
@@ -275,7 +283,7 @@ def test_search_defaults_to_the_formulas_unknowns_and_signature():
 def test_search_rejects_quantified_input(text):
     for unknowns in (None, (), (Unknown(1),)):
         with pytest.raises(ContractError, match="quantifier-free"):
-            list(iter_formula_solutions(parse_formula(text), unknowns))
+            list(iter_formula_solutions(flatten_and(parse_formula(text)), unknowns))
 
 
 def test_solver_deterministic():
@@ -360,7 +368,7 @@ def test_solver_agrees_with_naive_search_on_random_formulas():
             continue
         sig = signature_of(f)
         bound = rng.randint(1, 3)
-        fast = list(iter_formula_solutions(f, unknowns, sig, bound))
+        fast = list(iter_formula_solutions(flatten_and(f), unknowns, sig, bound))
         slow = _naive_solutions(f, unknowns, sig, bound)
         assert fast == slow, (f, bound)
         trials += 1
@@ -486,7 +494,7 @@ def test_equational_filters_agree_with_naive_search(monkeypatch):
         matched.clear()
         streamed.clear()
         keyed.clear()
-        fast = list(iter_formula_solutions(f, [u1, u2], sig, bound))
+        fast = list(iter_formula_solutions(flatten_and(f), [u1, u2], sig, bound))
         assert fast == _naive_solutions(f, [u1, u2], sig, bound), (str(f), bound)
         # every ground side the plan reaches is a class restriction, its
         # stream read at plan time; a second ground side on one unknown
@@ -508,7 +516,7 @@ def test_equational_filters_agree_with_naive_search(monkeypatch):
         bound = rng.randint(1, 3)
         keyed.clear()
         checked.clear()
-        fast = list(iter_formula_solutions(f, [u1, u2], sig, bound))
+        fast = list(iter_formula_solutions(flatten_and(f), [u1, u2], sig, bound))
         assert fast == _naive_solutions(f, [u1, u2], sig, bound), (str(f), bound)
         own = [c for c in flatten_and(f) if (found := horn(c, u2)) and
                found[2] is skeleton._HOLE and {u1, u2} <= set(syntax.nodes(found[3]))]
@@ -522,7 +530,7 @@ def test_a_free_variable_in_a_join_side_is_checked():
     # a side with a free variable has no class key, so its conjunct is a
     # check, and the check refuses the variable
     with pytest.raises(ContractError, match="ground terms, got [?]x"):
-        list(iter_formula_solutions(parse_formula("*1 = a & *2 = f(*1, ?x)")))
+        list(iter_formula_solutions(flatten_and(parse_formula("*1 = a & *2 = f(*1, ?x)"))))
 
 
 def test_the_hole_is_no_parsed_term():
@@ -755,7 +763,7 @@ def test_hypothesis_filters_agree_with_naive_search(monkeypatch):
         source.clear()
         outcomes.clear()
         streams.clear()
-        fast = list(iter_formula_solutions(f, unknowns, sig, bound))
+        fast = list(iter_formula_solutions(flatten_and(f), unknowns, sig, bound))
         assert fast == _naive_solutions(f, unknowns, sig, bound), (str(f), bound)
         # a nested occurrence never becomes a restriction
         assert not any(c in nested for c, _ in matched), str(f)
@@ -943,9 +951,9 @@ def test_negative_size_bound_is_rejected():
     with pytest.raises(ContractError):
         list(enumerate_terms(sig, -1))
     with pytest.raises(ContractError):
-        list(iter_formula_solutions(parse_formula("p(*1)"), [Unknown(1)], sig, -1))
+        list(iter_formula_solutions([parse_formula("p(*1)")], [Unknown(1)], sig, -1))
     with pytest.raises(ContractError):
-        list(iter_formula_solutions(parse_formula("a = a"), [], sig, -1))
+        list(iter_formula_solutions([parse_formula("a = a")], [], sig, -1))
     assert list(enumerate_terms(sig, 0)) == []
 
 

@@ -8,12 +8,11 @@ import sys
 import pytest
 
 import reference_sreu
-from helpers import enumerate_terms, signature_of, unknowns_of
+from helpers import enumerate_terms, problem_of, signature_of, unknowns_of
 from hsk import cli, qcheck, skeleton, sreu
 from hsk.sreu import (
     Clause,
     ContractError,
-    SREUProblem,
     convert_to_sreu,
     rigid_alternatives,
     solve_sreu_bounded,
@@ -102,23 +101,23 @@ def test_clause_conversion_preserves_meaning():
 def test_horn_split_two_consequents():
     out = convert_to_sreu(parse_formula("c = a -> a = b | a = c"))
     assert out == [
-        SREUProblem((Clause((Equality(C, A),), (Equality(A, B),)),)),
-        SREUProblem((Clause((Equality(C, A),), (Equality(A, C),)),)),
+        problem_of((Clause((Equality(C, A),), (Equality(A, B),)),)),
+        problem_of((Clause((Equality(C, A),), (Equality(A, C),)),)),
     ]
 
 
 def test_horn_split_keeps_consequent_order():
     out = convert_to_sreu(parse_formula("a = b | b = c | a = c"))
     assert out == [
-        SREUProblem((Clause((), (Equality(A, B),)),)),
-        SREUProblem((Clause((), (Equality(B, C),)),)),
-        SREUProblem((Clause((), (Equality(A, C),)),)),
+        problem_of((Clause((), (Equality(A, B),)),)),
+        problem_of((Clause((), (Equality(B, C),)),)),
+        problem_of((Clause((), (Equality(A, C),)),)),
     ]
 
 
 def test_horn_split_fixpoint_on_horn_input():
     clause = Clause((Equality(A, B),), (Equality(B, C),))
-    assert convert_to_sreu(clause.formula()) == [SREUProblem((clause,))]
+    assert convert_to_sreu(clause.formula()) == [problem_of((clause,))]
 
 
 def test_horn_split_not_needed_for_worked_example():
@@ -127,12 +126,12 @@ def test_horn_split_not_needed_for_worked_example():
     f = parse_formula("a = c & (*1 = a | *1 = b) -> b = c")
     clauses = to_clause_conjunction(f)
     assert len(clauses) == 2
-    assert convert_to_sreu(f) == [SREUProblem(tuple(clauses))]
+    assert convert_to_sreu(f) == [problem_of(tuple(clauses))]
 
 
 def test_horn_split_deduplicates():
     out = convert_to_sreu(parse_formula("a = b | a = b"))
-    assert out == [SREUProblem((Clause((), (Equality(A, B),)),))]
+    assert out == [problem_of((Clause((), (Equality(A, B),)),))]
 
 
 # ---------------------------------------------------------------------------
@@ -256,13 +255,13 @@ def test_pipeline_solvability_of_the_four_problems():
 def test_rigid_constraint_input_passes_through():
     problems = convert_to_sreu(parse_formula("a = b -> *1 = c"))
     assert problems == [
-        SREUProblem((Clause((Equality(A, B),), (Equality(STAR, C),)),))
+        problem_of((Clause((Equality(A, B),), (Equality(STAR, C),)),))
     ]
 
 
 def test_generalized_deletion_example():
     problems = convert_to_sreu(parse_formula("p(a) -> *1 = b"))
-    assert problems == [SREUProblem((Clause((), (Equality(STAR, B),)),))]
+    assert problems == [problem_of((Clause((), (Equality(STAR, B),)),))]
 
 
 def test_repeated_solves_share_the_unconstrained_buckets(monkeypatch):
@@ -407,7 +406,7 @@ def _unshared_sreu_solve(config: cli.RunConfig, text: str) -> tuple[int, str]:
     for i, problem in enumerate(convert_to_sreu(parse_formula(cli._strip_comments(text))),
                                 start=1):
         texts = [print_formula(c.formula()) for c in problem.constraints]
-        solution = solve_sreu_bounded(SREUProblem(problem.constraints),
+        solution = solve_sreu_bounded(problem_of(problem.constraints),
                                       max_size=config.max_size)
         any_solved |= solution is not None
         witness = None if solution is None else ";".join(
