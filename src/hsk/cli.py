@@ -308,7 +308,13 @@ def _read_input(path: str) -> str:
         return handle.read()
 
 
+_DIAGNOSTIC_LIMIT = 1000  # characters; a diagnostic may quote a whole deep term
+
+
 def _diagnose(message: str) -> None:
+    if len(message) > _DIAGNOSTIC_LIMIT:
+        cut = len(message) - _DIAGNOSTIC_LIMIT
+        message = f"{message[:_DIAGNOSTIC_LIMIT]}... ({cut} more characters)"
     prefix = "error:"
     if os.environ.get("HSK_COLOR") == "1":
         prefix = "\x1b[31merror:\x1b[0m"

@@ -9,36 +9,35 @@ One pass over the conjuncts plans the search, and gives each conjunct one
 of four roles, which it keeps for the whole search.  A conjunct without
 unknowns is *decided at once*, so a search without unknowns ends with the
 plan.  Any other waits for the depth of its last unknown u, the one the
-search assigns last, and is matched once against
-`E & u = a1 & ... & u = ak -> l = r` (`_horn`), with E a set of ground
-equations, the anchors ai ground and k >= 0.  It is then
-- a *class restriction* of u where l and r are each ground or u itself;
-- a *join filter* of u where k = 0 and u faces a side of earlier unknowns;
+search assigns last, and is matched once against `E' -> l = r` (`_horn`),
+with E' a set of equations and a fresh constant, the hole, for u wherever
+u occurs.  It is then
+- a *class restriction* of u where the match is ground throughout;
+- a *join filter* of u where E' is ground and hole-free and the bare hole
+  faces a side of earlier unknowns;
 - a *check*, decided for every candidate of u, otherwise.
 
-A class restriction holds at u := t exactly when t's class in a finite
-congruence closure is one of a finite set of roots.  Put a fresh constant,
-the hole, for u, and take the closure of E' = E + {hole = ai} over the
-hole, l and r.  A term of a class C makes the conjunct valid exactly when
-merging C with the hole joins l and r; a term of no class joins nothing by
-that merge, so it does exactly when E' alone implies l = r, and then every
-term does and the restriction is dropped.  The classes, named by their
-root terms, are the states of a bottom-up tree automaton (Downey, Sethi &
-Tarjan, JACM 1980), and `_sized_terms` is the one enumerator of the terms
-each state accepts; an unconstrained stream is that of the one-state
-automaton.  `_class_member_buckets` keeps the members of a restriction's
-accepted roots, in canonical order, in its one LRU cache of
-`_CLASS_CACHE_SIZE` entries, so the problems of one `sreu` conversion
-share them.  u's stream is the bucket-wise intersection of its
-restrictions' streams, and a restriction whose stream is empty ends the
-search at plan time.
+A class restriction holds at u := t exactly when E' and hole = t imply
+l = r, the hole being fresh: where E' alone implies l = r, so that every
+term passes and the restriction is dropped, or where t's class in the
+closure of E' over the hole, l and r is a root whose merge with the hole
+joins l and r.  This is rigid E-unification of one variable (Gallier,
+Narendran, Plaisted & Snyder, Inf. & Comp. 1990).  The classes are the
+states of a bottom-up tree automaton (Downey, Sethi & Tarjan, JACM 1980),
+and `_sized_terms` is the one enumerator of the terms each state accepts;
+an unconstrained stream is that of the one-state automaton.
+`_class_member_buckets` keeps the members of a restriction's accepted
+roots, in canonical order, in its one LRU cache of `_CLASS_CACHE_SIZE`
+entries, so the problems of one `sreu` conversion share them.  u's stream
+is the bucket-wise intersection of its restrictions' streams, and a
+restriction whose stream is empty ends the search at plan time.
 
 A join filter `E -> u = side` holds earlier unknowns in its side, so it is
 decided only during the search.  The closure of E and its transition table
-(`_congruence_table`) give every ground term a class key, computed
-bottom-up like an automaton state (`_class_keys`), and the conjunct is
-valid exactly when u and the side have one key.  The side is keyed from the
-keys of the terms assigned to its unknowns, without building its instance.
+(`_congruence_table`) give every ground term a class key, computed bottom-up
+like an automaton state (`_class_keys`), and the conjunct is valid exactly
+when u and the side have one key.  The side is keyed from the keys of the
+terms assigned to its unknowns, without building its instance.
 The search indexes each size bucket of u's stream by its candidates' key
 tuples when it first reads that bucket, and then reads only the candidates
 whose keys are those of the filters' sides: a hash join that drops a
@@ -48,15 +47,16 @@ one search.  Every reported witness is still verified against the whole
 conjunction, which is built only to verify one.
 
 A `SearchMemo` holds what does not depend on the plan: the walk of each
-conjunct (its unknowns in first occurrence order and its symbols) and the
-verdict of each check, under the conjunct and the terms assigned to its own
-unknowns.  A search makes a fresh memo unless it is given one; a command
-that solves many conjunctions of few distinct conjuncts, as
-`hsk sreu --solve` does with the k^k problems of one conversion, passes one
-memo to every search, so each distinct conjunct is walked once and each
-distinct check decided once.  The memo lives as long as the command.
-Roles, streams and keys are still planned per search, since they depend on
-the unknowns' order, the signature and the bound.
+conjunct (its unknowns in first occurrence order and its symbols), its
+match with each unknown as the hole, and the verdict of each check, under
+the conjunct and the terms assigned to its own unknowns.  A search makes a
+fresh memo unless it is given one; a command that solves many conjunctions
+of few distinct conjuncts, as `hsk sreu --solve` does with the k^k problems
+of one conversion, passes one memo to every search, so each distinct
+conjunct is walked once, matched once per unknown and each distinct check
+decided once.  The memo lives as long as the command.  Roles, streams and
+keys are still planned per search: they depend on the unknowns' order, the
+signature and the bound.
 """
 
 from __future__ import annotations
@@ -245,44 +245,34 @@ def _any_term(symbol: FunctionSymbol, arg_states: tuple[int, ...]) -> int:
 # Candidate streams from ground equational conjuncts
 
 
-# Ground equations as (lhs, rhs) pairs.
+# Equations as (lhs, rhs) pairs; a closure takes only ground ones.
 Equalities = tuple[tuple[Term, Term], ...]
-# `E & u = a1 & ... & u = ak -> l = r`: E as pairs, the anchors ai, l and r.
-Horn = tuple[Equalities, tuple[Term, ...], Term, Term]
+# `E' -> l = r` with the hole for u: E' as pairs, l and r.
+Horn = tuple[Equalities, Term, Term]
 # stream[n] = an unknown's candidate terms of size n, in canonical order.
 Stream = tuple[tuple[Term, ...], ...]
 
-# The fresh constant that stands for u in a conclusion; its name is no
-# token, so no parsed term holds it.
+# The fresh constant that stands for u; its name is no token, so no parsed
+# term holds it.
 _HOLE = Application(FunctionSymbol("#hole", 0), ())
 
 
 def _horn(conjunct: Formula, u: Unknown) -> Horn | None:
-    """Match `hyps -> l = r`, curried or not, where every hyp is a ground
-    equation or `u = a` (or `a = u`) with ground a: the ground hyps as
-    pairs, the anchors a in order, and the conclusion's sides, where a bare
-    u becomes `_HOLE` and comes first."""
-    parts: list[tuple[Term, Term]] = []
-    anchors: list[Term] = []
+    """Match `hyps -> l = r`, curried or not, where every hyp is an
+    equation, and put `_HOLE` for u in every side: the hyps as pairs and
+    the conclusion's sides, a bare hole first.  Only sides are rebuilt."""
+    pairs: list[tuple[Term, Term]] = []
     while isinstance(conjunct, Implies):
         for h in flatten_and(conjunct.lhs):
             if not isinstance(h, Equality):
                 return None
-            if h.ground:
-                parts.append((h.lhs, h.rhs))
-            elif h.lhs is u and h.rhs.ground:
-                anchors.append(h.rhs)
-            elif h.rhs is u and h.lhs.ground:
-                anchors.append(h.lhs)
-            else:
-                return None
+            pairs.append((h.lhs, h.rhs))
         conjunct = conjunct.rhs
     if not isinstance(conjunct, Equality):
         return None
-    l, r = conjunct.lhs, conjunct.rhs
-    if r is u:
-        l, r = r, l
-    return tuple(parts), tuple(anchors), _HOLE if l is u else l, _HOLE if r is u else r
+    *parts, (l, r) = [tuple([t if t.ground else substitute(t, {u: _HOLE}) for t in pair])
+                      for pair in (*pairs, (conjunct.lhs, conjunct.rhs))]
+    return (tuple(parts), r, l) if r is _HOLE else (tuple(parts), l, r)
 
 
 def _congruence_table(
@@ -346,26 +336,22 @@ def _class_member_buckets(
     restriction: Horn | None, sig: Signature, max_size: int
 ) -> Stream | None:
     """buckets[n] = the terms t over sig of size n that make the class
-    restriction `E & hole = a1 & ... & hole = ak -> l = r` valid at hole :=
-    t, in canonical order; a restriction of None asks for every term,
-    through the one-state automaton.  Where every term makes it valid, the
-    result is None, so that no search builds the stream of every term for
-    a conjunct that holds whatever u is.
+    restriction `E' -> l = r` valid at hole := t, in canonical order; a
+    restriction of None asks for every term, through the one-state
+    automaton.  Where every term makes it valid, the result is None, so
+    that no search builds the stream of every term for a conjunct that
+    holds whatever u is.
 
-    The classes of the closure of E' = E + {hole = ai} over the hole, l
-    and r, named by their root terms, act as automaton states: an
-    application belongs to a class exactly when some universe application
-    with the same symbol and argument classes does.  The accepted roots are
-    those whose merge with the hole joins l and r, and their members are
-    merged into canonical order.  A term of no class joins nothing by that
-    merge, so every term is accepted where E' alone implies l = r.
+    The states are the classes of the closure of E' over the hole, l and
+    r, named by their roots: an application is in a class exactly when
+    some universe application with its symbol and argument classes is.
+    The accepted roots are those whose merge with the hole joins l and r.
     """
     if restriction is None:
         return tuple(_canonical(by_state.get(0, ())) for by_state in
                      _sized_terms(sig, max_size, _any_term))
-    equalities, anchors, l, r = restriction
-    closure, transitions = _congruence_table(
-        equalities + tuple((_HOLE, a) for a in anchors), (_HOLE, l, r))
+    equalities, l, r = restriction
+    closure, transitions = _congruence_table(equalities, (_HOLE, l, r))
     if closure.same(l, r):
         return None
     accepting = []
@@ -408,12 +394,14 @@ Walk = tuple[tuple[Unknown, ...], frozenset[FunctionSymbol], frozenset[Predicate
 
 class SearchMemo:
     """The per-conjunct work that bounded searches share: each conjunct's
-    walk, and each check's verdict under the conjunct and the terms of its
-    own unknowns, on which alone that verdict depends.  The searches of one
-    command share one memo, which lives as long as the command."""
+    walk, its match with each unknown as the hole, and each check's verdict
+    under the conjunct and the terms of its own unknowns, on which alone
+    that verdict depends.  The searches of one command share one memo,
+    which lives as long as the command."""
 
     def __init__(self) -> None:
         self.walks: dict[Formula, Walk] = {}
+        self.horns: dict[tuple[Formula, Unknown], Horn | None] = {}
         self.verdicts: dict[tuple[Formula, tuple[Term, ...]], bool] = {}
 
     def walk(self, conjunct: Formula) -> Walk:
@@ -436,6 +424,12 @@ class SearchMemo:
             walk = self.walks[conjunct] = (
                 tuple(unknowns), frozenset(functions), frozenset(predicates))
         return walk
+
+    def horn(self, conjunct: Formula, u: Unknown) -> Horn | None:
+        """`_horn(conjunct, u)`, matched once."""
+        if (conjunct, u) not in self.horns:
+            self.horns[conjunct, u] = _horn(conjunct, u)
+        return self.horns[conjunct, u]
 
     def holds(self, conjunct: Formula, unknowns: tuple[Unknown, ...],
               assignment: Mapping[Unknown, Term]) -> bool:
@@ -488,10 +482,10 @@ def iter_formula_solutions(
 
     # The plan: a conjunct without unknowns is decided at once.  Any other
     # waits for the depth of its last unknown u and is matched there against
-    # `E & u = a1 & ... -> l = r`: where l and r are ground or u it
-    # restricts u's class, where no ai and u faces a side of earlier
-    # unknowns it joins u with that side, and otherwise it is checked for
-    # every candidate.
+    # `E' -> l = r` with the hole for u: where that is ground it restricts
+    # u's class, where E' is ground and hole-free and the bare hole faces a
+    # side of earlier unknowns it joins u with that side, and otherwise it
+    # is checked for every candidate.
     position = {u: i for i, u in enumerate(unknowns)}
     # per unknown, the streams of its class restrictions
     restricted: list[list[Stream]] = [[] for _ in unknowns]
@@ -504,21 +498,21 @@ def iter_formula_solutions(
                 return
             continue
         depth = max(position[u] for u in used)
-        u = unknowns[depth]
-        horn = _horn(c, u)
+        horn = memo.horn(c, unknowns[depth])
         if horn is None:
             checks_at_depth[depth].append((c, used))
             continue
-        equalities, anchors, l, r = horn
-        if l.ground and r.ground:  # a class restriction
+        equalities, l, r = horn
+        hyps = [side for pair in equalities for side in pair]
+        if all(t.ground for t in (l, r, *hyps)):  # a class restriction
             stream = _class_member_buckets(horn, sig, max_size)
             if stream is None:  # it holds whatever u is
                 continue
             if not any(stream):  # it fails whatever u is
                 return
             restricted[depth].append(stream)
-        elif l is _HOLE and not anchors and not any(  # a join filter
-                s is u or type(s) is Variable for s in subterms(r)):
+        elif l is _HOLE and all(t.ground for t in hyps) and not any(  # a join filter
+                s is _HOLE or type(s) is Variable for t in (r, *hyps) for s in subterms(t)):
             filters_at_depth[depth].append((equalities, r))
         else:
             checks_at_depth[depth].append((c, used))

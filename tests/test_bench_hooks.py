@@ -13,6 +13,7 @@ import importlib
 import importlib.util
 import pkgutil
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -118,29 +119,43 @@ def test_tracer_counts_the_sreu_problems_and_constraints(bench):
 
 @pytest.mark.parametrize("source", [
     # k^k problems that repeat their clauses: `f(*1)` makes every conjunct
-    # a check, and the second formula has two unknowns
+    # a class restriction, `f(*1, *2)` every conjunct a check, and the last
+    # formula has two unknowns
     "p(a1) & p(a2) & p(a3) & (f(*1) = a1 | f(*1) = a2 | f(*1) = a3) -> p(c)",
+    "p(a1) & p(a2) & p(a3) & (f(*1, *2) = a1 | f(*1, *2) = a2 | f(*1, *2) = a3) -> p(c)",
     "p(a1) & p(a2) & (*1 = a1 | *1 = a2) & (*2 = a1 | *2 = a2) -> p(c)",
 ])
 def test_tracer_counts_each_distinct_conjunct_once(bench, monkeypatch, source):
     problems = sreu.convert_to_sreu(parse_formula(source))
     distinct = {c for problem in problems for c in problem.conjuncts}
     # each problem solved on its own: the distinct (conjunct, terms of its
-    # unknowns) pairs it substitutes, and its whole-formula verifications
-    pairs, verifications, calls = set(), 0, 0
-    substitute = skeleton.substitute
+    # unknowns) pairs it substitutes, how often it matches each (conjunct,
+    # unknown) with the hole for the unknown, the sides it puts the hole
+    # into for those matches, and its whole-formula verifications
+    pairs, matches, holes, verifications, calls = set(), Counter(), Counter(), 0, 0
+    substitute, horn = skeleton.substitute, skeleton._horn
+    match = None  # the match under way
 
     def recorded(f, assignment):
         nonlocal verifications, calls
         calls += 1
         if any(f is problem.formula for problem in problems):
             verifications += 1
+        elif skeleton._HOLE in assignment.values():
+            holes[match] += 1
         else:
             pairs.add((f, tuple(assignment[u] for u in unknowns_of(f))))
         return substitute(f, assignment)
 
+    def matching(conjunct, u):
+        nonlocal match
+        match = conjunct, u
+        matches[match] += 1
+        return horn(conjunct, u)
+
     with monkeypatch.context() as patch:
         patch.setattr(skeleton, "substitute", recorded)
+        patch.setattr(skeleton, "_horn", matching)
         for problem in problems:
             sreu.solve_sreu_bounded(problem, max_size=3)
     joined = 0
@@ -151,15 +166,26 @@ def test_tracer_counts_each_distinct_conjunct_once(bench, monkeypatch, source):
         joined += 1
         return join(parts)
 
+    matched = []
+
+    def matched_once(conjunct, u):
+        matched.append((conjunct, u))
+        return horn(conjunct, u)
+
     tracer = bench.Tracer()
     tracer.install()
     try:
         with monkeypatch.context() as patch:
             for module in (syntax, sreu, skeleton):
                 patch.setattr(module, "conj", counted_conj)
+            patch.setattr(skeleton, "_horn", matched_once)
             _, output = cli.run(cli.RunConfig(command="sreu", solve=True, max_size=3), source)
     finally:
         tracer.uninstall()
+    # the command matches each distinct (conjunct, unknown) once, where the
+    # problems solved on their own match it once per problem
+    assert len(matched) == len(set(matched)) and set(matched) == set(matches)
+    assert len(matches) < sum(matches.values())
     # no problem builds its conjunction: a conjunction is built only for a
     # distinct constraint's hypotheses and for a whole-formula verification
     assert joined <= len(distinct) + verifications
@@ -168,7 +194,8 @@ def test_tracer_counts_each_distinct_conjunct_once(bench, monkeypatch, source):
     assert counts["sreu.constraints"] > len(distinct)
     # printed: each distinct constraint once, and each witness term
     assert counts["textform.print"] == len(distinct) + output.count(":=")
-    assert counts["syntax.substitute"] <= len(pairs) + verifications < calls
+    hole_sides = sum(holes[m] // matches[m] for m in matches)  # those of one match each
+    assert counts["syntax.substitute"] <= len(pairs) + hole_sides + verifications < calls
     assert counts["sreu.solve"] == len(problems)
 
 
@@ -178,7 +205,7 @@ def test_clear_caches_empties_the_live_caches(bench):
     assert hasattr(buckets, "cache_clear")
     qcheck.is_quasitautology(parse_formula("hk4 = hk4"))
     a, b = Application(FunctionSymbol("hk5", 0), ()), Application(FunctionSymbol("hk6", 0), ())
-    buckets((((a, b),), (), skeleton._HOLE, a),
+    buckets((((a, b),), skeleton._HOLE, a),
             Signature(frozenset({a.symbol, b.symbol}), frozenset()), 1)
     assert qcheck._VERDICTS and buckets.cache_info().currsize
     bench.clear_caches()

@@ -232,6 +232,19 @@ def test_clause_form_over_the_limit_exits_2_at_once(tmp_path):
     assert elapsed < 1.0
 
 
+def test_a_diagnostic_quoting_a_deep_term_is_cut(tmp_path):
+    # the conjunct `s^20000(z) = z` matches no primitive shape, and the
+    # message that quotes it is cut to one bounded line
+    source = tmp_path / "deep.fml"
+    source.write_text("s(" * 20000 + "z" + ")" * 20000 + " = z\n")
+    done = run_hsk(["countermodel", str(source)], timeout=60)
+    assert (done.returncode, done.stdout) == (2, b"")
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(b"error: conjunct does not match")
+    assert len(lines[0]) <= len("error: ") + cli._DIAGNOSTIC_LIMIT + 40
+    assert lines[0].endswith(b"... (59048 more characters)")
+
+
 def test_undecodable_input_exits_2(tmp_path, capsys):
     source = tmp_path / "latin1.fml"
     source.write_bytes(b"\xff = a\n")

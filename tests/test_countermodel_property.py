@@ -8,7 +8,6 @@ whenever some instance is valid, the disjunction must be valid.
 
 import random
 
-from hsk import arith, models, qcheck
 from hsk.arith import (
     Semitable,
     associate,

@@ -394,9 +394,9 @@ def _random_equational_formula(rng, u1, u2, self_side=False):
     """A conjunction of `ground equations -> s = t` conjuncts: *2 alone on
     one side and *1 inside the other (join filters of *2), sometimes unary
     constraints on *1 or *2 (class restrictions, one or two per unknown) or
-    a plain check beside them; with `self_side`, also one or two conjuncts
-    whose other side holds *2 nested beside *1, such as
-    `*2 = g(*1, f(*2))`, which are checks."""
+    a check beside them, such as `*2 = g(*1, f(*2))`; with `self_side`,
+    also one or two conjuncts whose other side holds *2 nested beside *1,
+    which are checks too."""
     a, b = _EQ_CONSTS
 
     def around(t):
@@ -430,7 +430,8 @@ def _random_equational_formula(rng, u1, u2, self_side=False):
         conjuncts += [unary(u2, target), unary(u2, target)]
     if rng.random() < 0.3:  # a conjunct the filters leave to the checks
         conjuncts.append(Not(Equality(u1, u2)) if rng.random() < 0.5
-                         else implied(Equality(u2, Application(_EQ_F, (u2,)))))
+                         else implied(Equality(u2, Application(
+                             _EQ_G, (u1, Application(_EQ_F, (u2,)))))))
     for _ in range(rng.randint(1, 2) if self_side else 0):
         inner = around(u2)
         side = Application(_EQ_G, (u1, inner) if rng.random() < 0.5 else (inner, u1))
@@ -461,7 +462,7 @@ def test_equational_filters_agree_with_naive_search(monkeypatch):
 
     def matching(conjunct, u):
         found = horn(conjunct, u)
-        if found is not None and found[2] is skeleton._HOLE and found[3].ground:
+        if found is not None and found[1] is skeleton._HOLE and found[2].ground:
             matched.append((u, found))
         return found
 
@@ -480,7 +481,8 @@ def test_equational_filters_agree_with_naive_search(monkeypatch):
         return key
 
     def substituting(f, sigma):
-        checked.add(f)
+        if skeleton._HOLE not in sigma.values():  # not `_horn` putting in the hole
+            checked.add(f)
         return substitute_(f, sigma)
 
     monkeypatch.setattr(skeleton, "_horn", matching)
@@ -508,8 +510,8 @@ def test_equational_filters_agree_with_naive_search(monkeypatch):
         solved += bool(fast)
     assert fired > 100 and fired_ground > 30 and solved > 40
     # a side that holds *2 itself beside *1 makes its conjunct a check from
-    # the plan on: the search never keys it, and checks it where the other
-    # checks let *2 reach it
+    # the plan on: the search never keys it, since the hole for *2 is in
+    # it, and checks it where the other checks let *2 reach it
     self_checked = self_solved = 0
     for _ in range(100):
         f = _random_equational_formula(rng, u1, u2, self_side=True)
@@ -518,9 +520,9 @@ def test_equational_filters_agree_with_naive_search(monkeypatch):
         checked.clear()
         fast = list(iter_formula_solutions(flatten_and(f), [u1, u2], sig, bound))
         assert fast == _naive_solutions(f, [u1, u2], sig, bound), (str(f), bound)
-        own = [c for c in flatten_and(f) if (found := horn(c, u2)) and
-               found[2] is skeleton._HOLE and {u1, u2} <= set(syntax.nodes(found[3]))]
-        assert own and not any(u2 in syntax.nodes(t) for _, t in keyed), str(f)
+        own = [c for c in flatten_and(f) if (found := horn(c, u2)) and found[1] is
+               skeleton._HOLE and {u1, skeleton._HOLE} <= set(syntax.nodes(found[2]))]
+        assert own and not any(skeleton._HOLE in syntax.nodes(t) for _, t in keyed), str(f)
         self_checked += any(c in checked for c in own)
         self_solved += bool(fast)
     assert self_checked > 30 and self_solved > 6
@@ -615,8 +617,9 @@ def _small_ground(rng, size):
 def _random_hypothesis_conjunct(rng, u, nested):
     """`E & u = a1 & ... & u = ak -> l = r` with 1 to 3 bare hypotheses on
     u in either orientation, ground E, l and r drawn mostly from the
-    conjunct's own terms, sometimes curried; a nested occurrence of u
-    (`f(u) = t` or `h(u, c) = t`) joins the hypotheses when asked."""
+    conjunct's own terms, sometimes curried; when asked, a nested
+    occurrence of u (`f(u) = t` or `h(u, c) = t`) joins the hypotheses,
+    and sometimes stands for one side of the conclusion too."""
     anchors = [_small_ground(rng, 3) for _ in range(rng.randint(1, 3))]
     hyps = [Equality(u, a) if rng.random() < 0.5 else Equality(a, u) for a in anchors]
     pool = list(anchors)
@@ -635,6 +638,8 @@ def _random_hypothesis_conjunct(rng, u, nested):
         return Application(_HYP_F, (t,)) if rng.random() < 0.25 else t
 
     conclusion = Equality(side(), side())
+    if nested and rng.random() < 0.5:
+        conclusion = Equality(inside, conclusion.rhs)
     cut = rng.randint(1, len(hyps))
     if cut < len(hyps) and rng.random() < 0.3:
         return Implies(conj(hyps[:cut]), Implies(conj(hyps[cut:]), conclusion))
@@ -687,35 +692,52 @@ def _random_hypothesis_formula(rng, u1, u2, sides=False):
     return conj(conjuncts), unknowns, nested
 
 
+def _sides(restriction):
+    """The terms of a restriction `E' -> l = r`: l, r and the sides of E'."""
+    equalities, l, r = restriction
+    return [l, r, *(side for pair in equalities for side in pair)]
+
+
+def _anchors(restriction):
+    """The anchors a of a restriction's hypotheses `hole = a`, in either
+    orientation."""
+    return [b if a is skeleton._HOLE else a for a, b in restriction[0]
+            if skeleton._HOLE in (a, b)]
+
+
+def _nested(restriction):
+    """Whether the hole occurs in a restriction below a function symbol."""
+    return any(t is not skeleton._HOLE and skeleton._HOLE in syntax.nodes(t)
+               for t in _sides(restriction))
+
+
 def _accepted_roots(restriction, stream):
-    """The classes of E' = E + {a1 = ai} that the terms of a hypothesis-
-    shaped restriction's stream fall in."""
-    equalities, anchors, _, _ = restriction
-    keys = skeleton._class_keys(equalities + tuple((anchors[0], a) for a in anchors[1:]))
+    """The classes of the closure of E' that the terms of a restriction's
+    stream fall in."""
+    keys = skeleton._class_keys(restriction[0])
     return {keys(t) for bucket in stream for t in bucket}
 
 
 def _class_outcome(conjunct, u, restriction):
-    """What a hypothesis-shaped restriction says about the classes of its
-    closure, decided through qcheck: `filters` where some term of its
-    universe makes the conjunct valid, since every class has one, and
-    `fails` where none does."""
-    equalities, anchors, l, r = restriction
-    universe = {n for t in (*anchors, l, r, *(side for pair in equalities for side in pair))
-                for n in syntax.subterms(t)}
+    """What a restriction whose hole is only a bare hypothesis side says
+    about the classes of its closure, decided through qcheck: `filters`
+    where some hole-free term of its universe makes the conjunct valid,
+    since every class has one, and `fails` where none does."""
+    universe = {n for t in _sides(restriction) for n in syntax.subterms(t)} - {skeleton._HOLE}
     passes = any(qcheck.is_quasitautology(substitute(conjunct, {u: t})) for t in universe)
     return "filters" if passes else "fails"
 
 
 def test_hypothesis_filters_agree_with_naive_search(monkeypatch):
-    # a conjunct whose unknown is only a bare hypothesis side restricts the
-    # unknown's class in E' = E + {a1 = ai}; beside other restrictions, the
-    # unknown's stream is the intersection of theirs.  Every solution and
-    # its order must be those of the naive search, which decides each
-    # candidate through qcheck
+    # a conjunct whose one unknown is a hypothesis side, bare or nested,
+    # restricts the unknown's class in the closure of E', E with the hole
+    # for u; beside other restrictions, the unknown's stream is the
+    # intersection of theirs.  Every solution and its order must be those of
+    # the naive search, which decides each candidate through qcheck
     rng = random.Random(1729)
     u1, u2 = Unknown(1), Unknown(2)
     matched = []  # the hypothesis-shaped conjuncts the plan made restrictions, (conjunct, horn)
+    seen = set()  # the conjuncts the plan matched
     source = {}  # the conjunct and unknown of each restriction, by identity
     outcomes = []  # what each hypothesis-shaped restriction the plan read says
     streams = {}  # the restrictions the plan read and their streams, by unknown
@@ -723,9 +745,10 @@ def test_hypothesis_filters_agree_with_naive_search(monkeypatch):
 
     def matching(conjunct, u):
         found = horn(conjunct, u)
-        if found is not None and found[2].ground and found[3].ground:
+        seen.add(conjunct)
+        if found is not None and all(t.ground for t in _sides(found)):
             source[id(found)] = conjunct, u
-            if found[1]:
+            if _anchors(found) or _nested(found):
                 matched.append((conjunct, found))
         return found
 
@@ -734,7 +757,7 @@ def test_hypothesis_filters_agree_with_naive_search(monkeypatch):
         if restriction is not None:
             conjunct, u = source[id(restriction)]
             streams.setdefault(u, []).append((restriction, stream))
-            if restriction[1]:
+            if _anchors(restriction) and not _nested(restriction):
                 outcome = "holds" if stream is None else _class_outcome(conjunct, u, restriction)
                 assert outcome != "fails" or not any(stream), str(conjunct)
                 outcomes.append(outcome)
@@ -745,7 +768,7 @@ def test_hypothesis_filters_agree_with_naive_search(monkeypatch):
     # the two conjuncts that show both restrictions of the lemma: without
     # E' the first would reject f(h(a, a)), which lies outside E's universe
     # and holds; the second has *1 nested, holds at g(b) and g(h(a)) and
-    # fails at a fresh constant, so it must stay a check
+    # fails at a fresh constant, so it restricts *1 to g(b)'s class
     a_b = parse_formula("*1 = a & *1 = b -> a = f(h(b, a))")
     nested_h = parse_formula("*1 = a & h(*1) = b -> g(b) = a")
     cases = [(a_b, [u1], set(), signature_of(a_b), 4),
@@ -760,33 +783,35 @@ def test_hypothesis_filters_agree_with_naive_search(monkeypatch):
     kinds = Counter()
     for case, (f, unknowns, nested, sig, bound) in enumerate(cases + with_sides):
         matched.clear()
+        seen.clear()
         source.clear()
         outcomes.clear()
         streams.clear()
         fast = list(iter_formula_solutions(flatten_and(f), unknowns, sig, bound))
         assert fast == _naive_solutions(f, unknowns, sig, bound), (str(f), bound)
-        # a nested occurrence never becomes a restriction
-        assert not any(c in nested for c, _ in matched), str(f)
+        # every nested occurrence the plan reaches becomes a restriction
+        assert nested & seen <= {c for c, _ in matched}, str(f)
         if case >= len(cases):
             # three or more streams narrow one unknown together, among them
             # a ground side's and a hypothesis conjunct's
             for read in streams.values():
                 narrowing = [(r, b) for r, b in read if b is not None and any(b)]
-                if (len(narrowing) >= 3 and any(r[1] for r, _ in narrowing)
-                        and any(not r[1] for r, _ in narrowing)):
+                if (len(narrowing) >= 3 and any(_anchors(r) for r, _ in narrowing)
+                        and any(not _anchors(r) for r, _ in narrowing)):
                     intersected += 1
-                    several_roots += any(r[1] and len(_accepted_roots(r, b)) >= 2
+                    several_roots += any(_anchors(r) and len(_accepted_roots(r, b)) >= 2
                                          for r, b in narrowing)
             continue
         fired += bool(matched)
-        several += any(len(anchors) >= 2 for _, (_, anchors, _, _) in matched)
+        several += any(len(_anchors(found)) >= 2 for _, found in matched)
         flipped += any(h.rhs in (u1, u2) for c, _ in matched for h in _hypothesis_list(c))
         nested_seen += bool(nested)
         multi += len(unknowns) == 2 and bool(matched)
         kinds.update(set(outcomes))
         solved += "filters" in outcomes and bool(fast)
     a_b_horn, nested_horn = skeleton._horn(a_b, u1), skeleton._horn(nested_h, u1)
-    assert a_b_horn[1] and a_b_horn[2].ground and a_b_horn[3].ground and nested_horn is None
+    assert all(t.ground for t in _sides(a_b_horn) + _sides(nested_horn))
+    assert _anchors(a_b_horn) and not _nested(a_b_horn) and _nested(nested_horn)
     assert fired > 170 and several > 120 and flipped > 120 and nested_seen > 60 and multi > 40
     assert kinds["holds"] > 60 and kinds["filters"] > 100 and kinds["fails"] > 40
     assert solved > 25
@@ -833,6 +858,15 @@ def test_class_streams_match_brute_force_filter():
         ("f(a) = b -> b = *1 -> f(b) = f(f(f(a)))", 5),
         # the one accepted class, {a, f(b)}, comes from E
         ("a = f(b) & *1 = g(a, b) -> g(f(b), b) = a", 4),
+        # nested: t = a and h(t) = b join g(b) with a exactly where t is in
+        # g(b)'s class, which holds g(h(a))
+        ("*1 = a & h(*1) = b -> g(b) = a", 4),
+        # no class joins a1 with c: no term
+        ("f(*1) = a1 -> a1 = c", 3),
+        # E' alone implies the conclusion by congruence: every term
+        ("f(*1) = a -> f(f(*1)) = f(a)", 3),
+        # a term's class would have to be its own image under f: no term
+        ("*1 = f(*1)", 3),
     ]
     cases += [(parse_formula(text), signature_of(parse_formula(text)), bound)
               for text, bound in hypothesis_shaped]
@@ -850,9 +884,78 @@ def test_class_streams_match_brute_force_filter():
         assert fast == slow, str(conjunct)
         assert len(buckets) == bound + 1
         assert all(term_size(t) == n for n, bucket in enumerate(buckets) for t in bucket)
-        seen["empty" if not fast else "several" if restriction[1] and
-             len(_accepted_roots(restriction, buckets)) >= 2 else "one"] += 1
-    assert seen == {"one": 6, "several": 2, "every": 1, "empty": 1}
+        seen["empty" if not fast else "several"
+             if len(_accepted_roots(restriction, buckets)) >= 2 else "one"] += 1
+    assert seen == {"one": 7, "several": 2, "every": 2, "empty": 3}
+
+
+def _random_nested_conjunct(rng, u, where):
+    """`E -> l = r` over a, b, c, f and h, sometimes curried, in which u
+    occurs below a function symbol in a hypothesis, in the conclusion or in
+    both, as `where` says, and elsewhere bare, nested or not at all; sides
+    often repeat earlier ones."""
+
+    def nested():
+        inner = u if rng.random() < 0.7 else Application(_HYP_F, (u,))
+        if rng.random() < 0.5:
+            return Application(_HYP_F, (inner,))
+        c = rng.choice(_HYP_CONSTS)
+        return Application(_HYP_H, (inner, c) if rng.random() < 0.5 else (c, inner))
+
+    made = []  # the terms so far, which the next ones often repeat
+
+    def term():
+        roll = rng.random()
+        if made and roll < 0.4:
+            return rng.choice(made)
+        made.append(u if roll < 0.5 else nested() if roll < 0.6 else _small_ground(rng, 3))
+        return made[-1]
+
+    def equation(first):
+        return Equality(first, term()) if rng.random() < 0.5 else Equality(term(), first)
+
+    hyps = [equation(term()) for _ in range(rng.randint(0, 2))]
+    if where != "conclusion":
+        hyps.append(equation(nested()))
+    rng.shuffle(hyps)
+    conclusion = equation(nested() if where != "hypothesis" else term())
+    if not hyps:
+        return conclusion
+    cut = rng.randint(1, len(hyps))
+    if cut < len(hyps) and rng.random() < 0.3:
+        return Implies(conj(hyps[:cut]), Implies(conj(hyps[cut:]), conclusion))
+    return Implies(conj(hyps), conclusion)
+
+
+def test_nested_restrictions_match_qcheck_per_candidate():
+    # with the hole for u wherever u occurs, every equational Horn conjunct
+    # of one unknown is a class restriction, however deep u sits; its
+    # stream must be exactly the candidates that make the conjunct valid,
+    # each decided through qcheck, in the same order
+    rng = random.Random(1213)
+    u = Unknown(1)
+    seen = Counter()
+    verdicts = 0
+    for case in range(300):
+        where = ("hypothesis", "conclusion", "both")[case % 3]
+        conjunct = _random_nested_conjunct(rng, u, where)
+        bound = rng.randint(3, 4)
+        restriction = skeleton._horn(conjunct, u)
+        assert all(t.ground for t in _sides(restriction)) and _nested(restriction)
+        buckets = skeleton._class_member_buckets(restriction, _HYP_SIG, bound)
+        pool = list(enumerate_terms(_HYP_SIG, bound))
+        slow = [t for t in pool if qcheck.is_quasitautology(substitute(conjunct, {u: t}))]
+        verdicts += len(pool)
+        if buckets is None:  # every term passes
+            assert slow == pool, str(conjunct)
+            seen["every", where] += 1
+            continue
+        fast = [t for bucket in buckets for t in bucket]
+        assert fast == slow, (str(conjunct), bound)
+        seen["none" if not fast else "some", where] += 1
+    assert verdicts > 8000
+    assert all(seen[outcome, where] >= 5 for outcome in ("every", "none", "some")
+               for where in ("hypothesis", "conclusion", "both")), seen
 
 
 _ENUM_POOL = [FunctionSymbol(n, 0) for n in ("a", "b", "c", "d")] + \
@@ -922,7 +1025,7 @@ def test_enumerator_matches_reference_enumerators():
         sig = _random_signature(rng, 4)
         bound = rng.randint(0, 5)
         eqs, target = _random_class_query(rng)
-        restriction = (eqs, (), skeleton._HOLE, target)  # `eqs -> u = target`
+        restriction = (eqs, skeleton._HOLE, target)  # `eqs -> u = target`
         got = skeleton._class_member_buckets.__wrapped__(restriction, sig, bound)
         want = reference_skeleton._class_member_buckets(eqs, target, sig, bound)
         assert got == want, (eqs, target, sig, bound)
@@ -938,7 +1041,7 @@ def test_class_member_cache_is_bounded():
     try:
         for i in range(bound + 20):
             c = FunctionSymbol(f"c{i}", 0)
-            cached(((), (), skeleton._HOLE, Application(c, ())),
+            cached(((), skeleton._HOLE, Application(c, ())),
                    Signature(frozenset({c}), frozenset()), 1)
             assert cached.cache_info().currsize <= bound
         assert cached.cache_info().currsize == bound

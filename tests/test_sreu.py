@@ -42,6 +42,7 @@ STAR = Unknown(1)
 
 SKELETON_39 = "p(a) & p(b) & (*1 = a | *1 = b) -> p(c)"
 APART_39 = "p(a) & p(b) & (f(*1) = a | f(*1) = b) -> p(c)"
+CROSS_39 = "p(a) & p(b) & (f(*1, *2) = a | f(*1, *2) = b) -> p(c)"
 
 
 def pa(t):
@@ -265,13 +266,15 @@ def test_generalized_deletion_example():
 
 
 def test_repeated_solves_share_the_unconstrained_buckets(monkeypatch):
-    # the unknown of the `apart` problems occurs only nested, so it is
-    # unconstrained and each solve reads one stream for one (signature,
-    # bound) key: it is built once.  The problems of SKELETON_39 restrict
-    # theirs by four distinct hypothesis conjuncts: `*1 = a -> a = c` and
-    # `*1 = b -> b = c` pass c, and each of their streams is built once too;
-    # no term passes the other two, such as `*1 = b -> a = c`, so they
-    # enumerate nothing
+    # every conjunct of the CROSS_39 problems holds *1 in a hypothesis of
+    # *2, so it is a check and both unknowns are unconstrained: each solve
+    # reads one stream for one (signature, bound) key, and it is built
+    # once.  The `apart` problems restrict their unknown by conjuncts such
+    # as `f(*1) = a -> a = c`, which no term passes, so they enumerate
+    # nothing.  The problems of SKELETON_39 restrict theirs by four distinct
+    # hypothesis conjuncts: `*1 = a -> a = c` and `*1 = b -> b = c` pass c,
+    # and each of their streams is built once too; no term passes the other
+    # two, such as `*1 = b -> a = c`, so they enumerate nothing
     built = []
     sized_terms = skeleton._sized_terms
 
@@ -280,7 +283,7 @@ def test_repeated_solves_share_the_unconstrained_buckets(monkeypatch):
         return sized_terms(*args)
 
     monkeypatch.setattr(skeleton, "_sized_terms", counted)
-    for text, streams in ((APART_39, 1), (SKELETON_39, 2)):
+    for text, streams in ((CROSS_39, 1), (APART_39, 0), (SKELETON_39, 2)):
         problems = convert_to_sreu(parse_formula(text))
         sig = signature_of(parse_formula(text))
         built.clear()
