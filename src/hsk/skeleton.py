@@ -46,17 +46,17 @@ its order.  Keys and indexes are built when first read and live as long as
 one search.  Every reported witness is still verified against the whole
 conjunction, which is built only to verify one.
 
-A `SearchMemo` holds what does not depend on the plan: the walk of each
-conjunct (its unknowns in first occurrence order and its symbols), its
-match with each unknown as the hole, and the verdict of each check, under
-the conjunct and the terms assigned to its own unknowns.  A search makes a
-fresh memo unless it is given one; a command that solves many conjunctions
-of few distinct conjuncts, as `hsk sreu --solve` does with the k^k problems
-of one conversion, passes one memo to every search, so each distinct
-conjunct is walked once, matched once per unknown and each distinct check
-decided once.  The memo lives as long as the command.  Roles, streams and
-keys are still planned per search: they depend on the unknowns' order, the
-signature and the bound.
+A `SearchMemo` holds what does not depend on the signature or the bound:
+the walk of each conjunct (its unknowns in first occurrence order and its
+symbols), its match with each unknown as the hole and the role that match
+gives it, and the verdict of each check, under the conjunct and the terms
+assigned to its own unknowns.  A search makes a fresh memo unless it is
+given one; a command that solves many conjunctions of few distinct
+conjuncts, as `hsk sreu --solve` does with the k^k problems of one
+conversion, passes one memo to every search, so each distinct conjunct is
+walked once, matched and given its role once per unknown, and each
+distinct check decided once.  The memo lives as long as the command.  Streams and keys
+are still built per search: they depend on the signature and the bound.
 """
 
 from __future__ import annotations
@@ -275,6 +275,26 @@ def _horn(conjunct: Formula, u: Unknown) -> Horn | None:
     return (tuple(parts), r, l) if r is _HOLE else (tuple(parts), l, r)
 
 
+_RESTRICTION, _JOIN, _CHECK = "restriction", "join", "check"
+
+
+def _role(horn: Horn | None) -> str:
+    """What the plan makes of a conjunct with this match: a class
+    restriction where the match is ground throughout, a join filter where
+    E' is ground and hole-free and the bare hole faces a side of earlier
+    unknowns, and a check otherwise."""
+    if horn is None:
+        return _CHECK
+    equalities, l, r = horn
+    hyps = [side for pair in equalities for side in pair]
+    if all(t.ground for t in (l, r, *hyps)):
+        return _RESTRICTION
+    if l is _HOLE and all(t.ground for t in hyps) and not any(
+            s is _HOLE or type(s) is Variable for t in (r, *hyps) for s in subterms(t)):
+        return _JOIN
+    return _CHECK
+
+
 def _congruence_table(
     equalities: Equalities, leaves: Sequence[Term] = ()
 ) -> tuple[qcheck.CongruenceEngine, dict[tuple, Term]]:
@@ -394,14 +414,14 @@ Walk = tuple[tuple[Unknown, ...], frozenset[FunctionSymbol], frozenset[Predicate
 
 class SearchMemo:
     """The per-conjunct work that bounded searches share: each conjunct's
-    walk, its match with each unknown as the hole, and each check's verdict
-    under the conjunct and the terms of its own unknowns, on which alone
-    that verdict depends.  The searches of one command share one memo,
-    which lives as long as the command."""
+    walk, its match and role with each unknown as the hole, and each
+    check's verdict under the conjunct and the terms of its own unknowns,
+    on which alone that verdict depends.  The searches of one command
+    share one memo, which lives as long as the command."""
 
     def __init__(self) -> None:
         self.walks: dict[Formula, Walk] = {}
-        self.horns: dict[tuple[Formula, Unknown], Horn | None] = {}
+        self.horns: dict[tuple[Formula, Unknown], tuple[str, Horn | None]] = {}
         self.verdicts: dict[tuple[Formula, tuple[Term, ...]], bool] = {}
 
     def walk(self, conjunct: Formula) -> Walk:
@@ -425,11 +445,14 @@ class SearchMemo:
                 tuple(unknowns), frozenset(functions), frozenset(predicates))
         return walk
 
-    def horn(self, conjunct: Formula, u: Unknown) -> Horn | None:
-        """`_horn(conjunct, u)`, matched once."""
-        if (conjunct, u) not in self.horns:
-            self.horns[conjunct, u] = _horn(conjunct, u)
-        return self.horns[conjunct, u]
+    def horn(self, conjunct: Formula, u: Unknown) -> tuple[str, Horn | None]:
+        """The role of the conjunct where u is its last unknown, with
+        `_horn(conjunct, u)`; both are worked out once."""
+        found = self.horns.get((conjunct, u))
+        if found is None:
+            horn = _horn(conjunct, u)
+            found = self.horns[conjunct, u] = (_role(horn), horn)
+        return found
 
     def holds(self, conjunct: Formula, unknowns: tuple[Unknown, ...],
               assignment: Mapping[Unknown, Term]) -> bool:
@@ -481,11 +504,9 @@ def iter_formula_solutions(
                         frozenset().union(*[predicates for _, _, predicates in walks]))
 
     # The plan: a conjunct without unknowns is decided at once.  Any other
-    # waits for the depth of its last unknown u and is matched there against
-    # `E' -> l = r` with the hole for u: where that is ground it restricts
-    # u's class, where E' is ground and hole-free and the bare hole faces a
-    # side of earlier unknowns it joins u with that side, and otherwise it
-    # is checked for every candidate.
+    # waits for the depth of its last unknown u, and its match there with
+    # the hole for u gives its role (`_role`): a class restriction of u, a
+    # join filter of u, or a check of every candidate.
     position = {u: i for i, u in enumerate(unknowns)}
     # per unknown, the streams of its class restrictions
     restricted: list[list[Stream]] = [[] for _ in unknowns]
@@ -498,22 +519,17 @@ def iter_formula_solutions(
                 return
             continue
         depth = max(position[u] for u in used)
-        horn = memo.horn(c, unknowns[depth])
-        if horn is None:
-            checks_at_depth[depth].append((c, used))
-            continue
-        equalities, l, r = horn
-        hyps = [side for pair in equalities for side in pair]
-        if all(t.ground for t in (l, r, *hyps)):  # a class restriction
+        role, horn = memo.horn(c, unknowns[depth])
+        if role is _RESTRICTION:
             stream = _class_member_buckets(horn, sig, max_size)
             if stream is None:  # it holds whatever u is
                 continue
             if not any(stream):  # it fails whatever u is
                 return
             restricted[depth].append(stream)
-        elif l is _HOLE and all(t.ground for t in hyps) and not any(  # a join filter
-                s is _HOLE or type(s) is Variable for t in (r, *hyps) for s in subterms(t)):
-            filters_at_depth[depth].append((equalities, r))
+        elif role is _JOIN:
+            equalities, _, side = horn
+            filters_at_depth[depth].append((equalities, side))
         else:
             checks_at_depth[depth].append((c, used))
     if not unknowns:  # the plan decided every conjunct

@@ -10,7 +10,11 @@ modular hash-consing", ML Workshop 2006): building a node returns the live
 node with the same class and fields when there is one, so structurally
 equal nodes are one object.  Equality is identity and the hash is the
 object's address; neither recurses.  Nodes are immutable.  The table of
-live nodes holds them weakly, so it shrinks when they are dropped.
+live nodes is a plain dict from a node's class and fields to a weak
+reference to the node, so building a node is one dict lookup and one
+call of the reference found.  The reference's callback removes the entry
+when the node dies, so the table keeps no node alive and shrinks when
+nodes are dropped.
 
 No function here recurses on the structure of its input, so terms and
 formulas of any depth are handled.  Every walker is built on two
@@ -52,25 +56,42 @@ class SpecialBase(Enum):
 
 @dataclass(frozen=True)
 class SpecialTag:
+    """The base and language of a special constant; the hash is computed
+    once, at construction, and equality stays structural."""
+
     base: SpecialBase
     language_index: int  # 0 = the unindexed language
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.language_index < 0:
             raise ContractError("language index must be >= 0")
+        object.__setattr__(self, "_hash", hash((self.base, self.language_index)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True)
 class FunctionSymbol:
+    """A function symbol.  Symbols key every congruence transition table,
+    so the hash is computed once, at construction; equality stays
+    structural."""
+
     name: str
     arity: int
     special: SpecialTag | None = None
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.arity < 0:
             raise ContractError(f"negative arity for {self.name}")
         if self.special is not None and self.arity != 0:
             raise ContractError("special constants must be nullary")
+        object.__setattr__(self, "_hash", hash((self.name, self.arity, self.special)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return f"{self.name}/{self.arity}"
@@ -119,26 +140,49 @@ def _kind_of(name: str) -> VarKind:
 
 _GROUND = attrgetter("ground")
 
-# Every live term and formula, keyed by its class and its fields.
-_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+class _Entry(weakref.ref):
+    """A weak reference to a node that knows the node's key in `_NODES`."""
+
+    __slots__ = ("key",)
+
+
+def _forget(entry: _Entry) -> None:
+    """The callback of a dying node's entry: drop the entry if `_NODES`
+    still holds it.  A node built anew after the old one died holds the
+    key under an entry of its own, which stays."""
+    if _NODES.get(entry.key) is entry:
+        del _NODES[entry.key]
+
+
+def _absent() -> None:
+    """Stands for a missing entry: called, it gives None, as an entry whose
+    node died does."""
+    return None
+
+
+# Every live term and formula, keyed by its class and its fields, as a weak
+# reference that its callback drops when the node dies.
+_NODES: dict[tuple, _Entry] = {}
 
 
 class Node:
     """A hash-consed term or formula.
 
-    `Node.__new__` is the only constructor: it returns the live node with
-    the same class and fields, or builds one, checks it in `__post_init__`
-    and only then enters it in `_NODES`, so a node that fails its checks
-    is never shared.  Subclasses are frozen dataclasses with `eq=False`
-    and `init=False`, and their fields are given positionally.  `ground`
-    is true when no variable or unknown lies at or below the node.
+    `Node.__new__` is the only constructor.  It looks its class and fields
+    up in `_NODES` and calls the weak reference found there, which gives
+    the live node.  Where there is none, it builds one, checks it in
+    `__post_init__` and only then enters a weak reference to it, so a node
+    that fails its checks is never shared and no node is kept alive by the
+    table.  Subclasses are frozen dataclasses with `eq=False` and
+    `init=False`, and their fields are given positionally.  `ground` is
+    true when no variable or unknown lies at or below the node.
     """
 
     ground = True
 
     def __new__(cls, *fields):
         key = (cls, *fields)
-        node = _NODES.get(key)
+        node = _NODES.get(key, _absent)()
         if node is None:
             names = cls.__match_args__
             if len(fields) != len(names):
@@ -149,7 +193,8 @@ class Node:
             node.__post_init__()
             if not all(map(_GROUND, _CHILDREN[cls](node))):
                 object.__setattr__(node, "ground", False)
-            _NODES[key] = node
+            entry = _NODES[key] = _Entry(node, _forget)
+            entry.key = key
         return node
 
     def __post_init__(self) -> None:

@@ -15,9 +15,12 @@ for the indexed languages) are the special constants; ``s`` is the unary
 successor and ``pair`` the binary pairing function.
 
 Nothing here recurses, so input of any nesting depth is read and printed.
-The tokenizer makes one ``re.finditer`` pass and yields ``(kind, text,
-offset)`` tuples; a line and column are computed from the offset only
-for a ``ParseError``.  Terms are parsed with a stack of open applications
+The tokenizer is one ``re.findall`` over the token alternatives, which
+gives the token texts and no offsets; each distinct text is classified
+once.  Only a ``ParseError`` scans the text again, up to its token, for a
+line and column.  Each distinct function name and arity is resolved
+against the symbol table once per input, and later occurrences are one
+dict lookup.  Terms are parsed with a stack of open applications
 and formulas by operator precedence on explicit stacks (Pratt, "Top down
 operator precedence", POPL 1973).  The printers emit pieces from an
 explicit stack.
@@ -26,6 +29,7 @@ explicit stack.
 from __future__ import annotations
 
 import re
+from itertools import islice
 
 from .syntax import (
     And,
@@ -57,16 +61,17 @@ class ParseError(ValueError):
         self.column = column
 
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ARROW>->)
-  | (?P<NAT>[0-9]+)
-  | (?P<IDENT>[A-Za-z][A-Za-z0-9_\#@]*)
-  | (?P<PUNCT>[()=,.&|!*?])
-  | (?P<BAD>\S)
-    """,
-    re.VERBOSE,
-)  # whitespace matches no alternative, so finditer steps over it
+# The token alternatives, tried in this order; whitespace matches none, so
+# the scans step over it.
+_ALTERNATIVES = (
+    ("ARROW", r"->"),
+    ("NAT", r"[0-9]+"),
+    ("IDENT", r"[A-Za-z][A-Za-z0-9_\#@]*"),
+    ("PUNCT", r"[()=,.&|!*?]"),
+    ("BAD", r"\S"),
+)
+_TEXT_RE = re.compile("|".join(pattern for _, pattern in _ALTERNATIVES))  # token texts
+_TOKEN_RE = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in _ALTERNATIVES))
 
 _SPECIAL_RE = re.compile(r"^(zh|zt|kt|z|k)(?:_([0-9]+))?$")
 _SPECIAL_ZERO_RE = re.compile(r"^(zh|zt|kt|z|k)_0$")
@@ -74,9 +79,13 @@ _SPECIAL_BY_TOKEN = {b.value: b for b in SpecialBase}
 _QUANTIFIERS = {"exists": Exists, "forall": Forall}
 _RESERVED = {SUCC.name: SUCC, PAIR.name: PAIR}
 
-# Token = (kind, text, offset); kind is ARROW, NAT, IDENT, EOF or the
-# punctuation character itself.
-Token = tuple[str, str, int]
+
+def _kind(text: str) -> str:
+    """The kind of a token text: ARROW, NAT, IDENT, BAD or the punctuation
+    character itself.  A text matched alone takes the alternative it took
+    in place, since every alternative that failed there fails on it too."""
+    kind = _TOKEN_RE.match(text).lastgroup
+    return text if kind == "PUNCT" else kind
 
 
 def special_of_name(name: str) -> FunctionSymbol | None:
@@ -101,86 +110,98 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.tokens: list[Token] = []  # one finditer pass
-        for m in _TOKEN_RE.finditer(text):
-            kind, chunk = m.lastgroup, m.group()
-            if kind == "BAD":
-                raise self.error(f"unexpected character {chunk!r}", (kind, chunk, m.start()))
-            self.tokens.append((chunk if kind == "PUNCT" else kind, chunk, m.start()))
-        self.tokens.append(("EOF", "", len(text)))
+        self.texts: list[str] = _TEXT_RE.findall(text)  # the token texts, in order
+        self.kinds = {t: _kind(t) for t in set(self.texts)}  # each distinct text, once
+        if "BAD" in self.kinds.values():
+            first = next(i for i, t in enumerate(self.texts) if self.kinds[t] == "BAD")
+            raise self.error(f"unexpected character {self.texts[first]!r}", first)
+        self.texts.append("")
+        self.kinds[""] = "EOF"
         self.symbols: dict[str, FunctionSymbol | PredicateSymbol] = {}  # each name read so far
+        # each (name, arity) read so far as a function symbol
+        self.functions: dict[tuple[str, int], FunctionSymbol] = {}
 
     # -- token plumbing
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        """The kind of the next token."""
+        return self.kinds[self.texts[self.pos]]
 
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok[0] != kind:
-            raise self.error(f"expected {kind!r}, found {tok[1] or 'end of input'!r}")
+    def expect(self, kind: str) -> str:
+        text = self.texts[self.pos]
+        if self.kinds[text] != kind:
+            raise self.error(f"expected {kind!r}, found {text or 'end of input'!r}")
         self.pos += 1
-        return tok
+        return text
 
-    def error(self, message: str, tok: Token | None = None) -> ParseError:
-        """A ParseError at the line and column of tok, by default the next
-        token; both are computed from its offset only here."""
-        offset = (tok or self.peek())[2]
+    def error(self, message: str, index: int | None = None) -> ParseError:
+        """A ParseError at the line and column of the token at `index`, by
+        default the next one; only here is the text scanned for offsets."""
+        match = next(islice(_TEXT_RE.finditer(self.text), self.pos if index is None else index,
+                            None), None)
+        offset = len(self.text) if match is None else match.start()
         line = self.text.count("\n", 0, offset) + 1
         return ParseError(message, line, offset - self.text.rfind("\n", 0, offset))
 
     # -- symbol table
 
-    def _function_symbol(self, name: str, arity: int, tok: Token) -> FunctionSymbol:
-        sym = self.symbols.get(name)
-        if type(sym) is FunctionSymbol and sym.arity == arity:
-            return sym
+    def _function(self, name: str, arity: int, index: int) -> FunctionSymbol:
+        """The function symbol read at `index`; each distinct (name, arity)
+        is resolved once."""
+        sym = self.functions.get((name, arity))
+        if sym is None:
+            sym = self.functions[name, arity] = self._function_symbol(name, arity, index)
+        return sym
+
+    def _function_symbol(self, name: str, arity: int, index: int) -> FunctionSymbol:
         if _SPECIAL_ZERO_RE.match(name):
-            raise self.error("special constant index 0 is spelled without suffix", tok)
+            raise self.error("special constant index 0 is spelled without suffix", index)
+        sym = self.symbols.get(name)
         special = special_of_name(name)
         if special is not None:
             if arity != 0:
-                raise self.error(f"special constant {name} takes no arguments", tok)
+                raise self.error(f"special constant {name} takes no arguments", index)
             sym = special
         elif name in _RESERVED:
             sym = _RESERVED[name]
             if arity != sym.arity:
                 raise self.error(f"reserved function {name} takes exactly {sym.arity} "
-                                 f"argument{'s' if sym.arity > 1 else ''}", tok)
+                                 f"argument{'s' if sym.arity > 1 else ''}", index)
         elif isinstance(sym, PredicateSymbol):
-            raise self.error(f"{name} already used as a predicate", tok)
-        elif sym is not None:
-            raise self._mismatch(name, sym.arity, arity, tok)
+            raise self.error(f"{name} already used as a predicate", index)
+        elif sym is not None:  # a function of another arity
+            raise self._mismatch(name, sym.arity, arity, index)
         else:
             sym = FunctionSymbol(name, arity)
         self.symbols[name] = sym
         return sym
 
-    def _predicate_symbol(self, name: str, arity: int, tok: Token) -> PredicateSymbol:
+    def _predicate_symbol(self, name: str, arity: int, index: int) -> PredicateSymbol:
         sym = self.symbols.get(name)
         if type(sym) is PredicateSymbol and sym.arity == arity:
             return sym
         if special_of_name(name) is not None or name in _RESERVED:
-            raise self.error(f"{name} is a reserved function name", tok)
+            raise self.error(f"{name} is a reserved function name", index)
         if isinstance(sym, FunctionSymbol):
-            raise self.error(f"{name} already used as a function", tok)
+            raise self.error(f"{name} already used as a function", index)
         if sym is not None:
-            raise self._mismatch(name, sym.arity, arity, tok)
+            raise self._mismatch(name, sym.arity, arity, index)
         sym = self.symbols[name] = PredicateSymbol(name, arity)
         return sym
 
-    def _mismatch(self, name: str, seen: int, arity: int, tok: Token) -> ParseError:
-        return self.error(f"arity mismatch for {name}: first seen with {seen}, now {arity}", tok)
+    def _mismatch(self, name: str, seen: int, arity: int, index: int) -> ParseError:
+        return self.error(f"arity mismatch for {name}: first seen with {seen}, now {arity}", index)
 
     # -- terms
 
     def parse_variable(self) -> Variable:
         self.expect("?")
-        return Variable(self.expect("IDENT")[1])
+        return Variable(self.expect("IDENT"))
 
     def parse_unknown(self) -> Unknown:
         self.expect("*")
-        kind, text, _ = self.peek()
+        text = self.texts[self.pos]
+        kind = self.kinds[text]
         if kind not in ("NAT", "IDENT"):
             raise self.error("expected an index or name after '*'")
         self.pos += 1
@@ -188,43 +209,54 @@ class _Parser:
 
     def parse_term(self) -> Term:
         """One term; the applications whose arguments are being read wait
-        on a stack with the arguments read so far."""
-        open_apps: list[tuple[Token, list[Term]]] = []
-        tokens = self.tokens
+        on a stack, each with the index of its name and the arguments read
+        so far."""
+        open_apps: list[tuple[int, list[Term]]] = []
+        texts, kinds, functions = self.texts, self.kinds, self.functions
+        pos = self.pos
         while True:
-            tok = tokens[self.pos]
-            if tok[0] == "?":
-                term: Term = self.parse_variable()
-            elif tok[0] == "*":
-                term = self.parse_unknown()
-            elif tok[0] != "IDENT":
-                raise self.error(f"expected a term, found {tok[1] or 'end of input'!r}")
-            elif tokens[self.pos + 1][0] == "(":
-                self.pos += 2
-                open_apps.append((tok, []))
-                continue
+            text = texts[pos]
+            kind = kinds[text]
+            if kind == "IDENT":
+                if texts[pos + 1] == "(":
+                    open_apps.append((pos, []))
+                    pos += 2
+                    continue
+                symbol = functions.get((text, 0)) or self._function(text, 0, pos)
+                term: Term = Application(symbol, ())
+                pos += 1
+            elif kind == "?" or kind == "*":
+                self.pos = pos
+                term = self.parse_variable() if kind == "?" else self.parse_unknown()
+                pos = self.pos
             else:
-                self.pos += 1
-                term = Application(self._function_symbol(tok[1], 0, tok), ())
+                self.pos = pos
+                raise self.error(f"expected a term, found {text or 'end of input'!r}")
             while open_apps:
                 head, args = open_apps[-1]
                 args.append(term)
-                if tokens[self.pos][0] == ",":
-                    self.pos += 1
+                text = texts[pos]
+                if text == ",":
+                    pos += 1
                     break
-                self.expect(")")
+                if text != ")":
+                    self.pos = pos
+                    self.expect(")")  # raises
+                pos += 1
                 open_apps.pop()
-                symbol = self._function_symbol(head[1], len(args), head)
+                name = texts[head]
+                symbol = functions.get((name, len(args))) or self._function(name, len(args), head)
                 term = Application(symbol, tuple(args))
             else:
+                self.pos = pos
                 return term
 
     def _parse_optional_args(self) -> list[Term]:
-        if self.peek()[0] != "(":
+        if self.peek() != "(":
             return []
         self.pos += 1
         args = [self.parse_term()]
-        while self.peek()[0] == ",":
+        while self.peek() == ",":
             self.pos += 1
             args.append(self.parse_term())
         self.expect(")")
@@ -240,7 +272,8 @@ class _Parser:
         out: list[Formula] = []
         ops: list = []
         while True:
-            kind, text, _ = self.peek()
+            text = self.texts[self.pos]
+            kind = self.kinds[text]
             if kind in ("!", "("):
                 self.pos += 1
                 ops.append(kind)
@@ -253,7 +286,7 @@ class _Parser:
                 continue
             out.append(self.parse_atom())
             while True:  # after an operand
-                kind = self.peek()[0]
+                kind = self.peek()
                 if kind in _BINARY:
                     # `->` is right-associative, `&` and `|` left-associative
                     while ops and (_STRENGTH.get(ops[-1], -1) > _STRENGTH[kind]
@@ -270,20 +303,22 @@ class _Parser:
                 ops.pop()
 
     def parse_atom(self) -> Formula:
-        tok = self.peek()
-        if tok[0] in ("?", "*"):
+        index = self.pos
+        text = self.texts[index]
+        kind = self.kinds[text]
+        if kind in ("?", "*"):
             lhs = self.parse_term()
             self.expect("=")
             return Equality(lhs, self.parse_term())
-        if tok[0] != "IDENT":
-            raise self.error(f"expected an atom, found {tok[1] or 'end of input'!r}")
+        if kind != "IDENT":
+            raise self.error(f"expected an atom, found {text or 'end of input'!r}")
         self.pos += 1
         args = self._parse_optional_args()
-        if self.peek()[0] == "=":
+        if self.peek() == "=":
             self.pos += 1
-            symbol = self._function_symbol(tok[1], len(args), tok)
+            symbol = self._function(text, len(args), index)
             return Equality(Application(symbol, tuple(args)), self.parse_term())
-        return PredApp(self._predicate_symbol(tok[1], len(args), tok), tuple(args))
+        return PredApp(self._predicate_symbol(text, len(args), index), tuple(args))
 
 
 def _reduce(out: list[Formula], op) -> None:
@@ -301,9 +336,8 @@ def _reduce(out: list[Formula], op) -> None:
 def _parse_all(text: str, parse) -> Term | Formula:
     parser = _Parser(text)
     result = parse(parser)
-    tok = parser.peek()
-    if tok[0] != "EOF":
-        raise parser.error(f"trailing input {tok[1]!r}")
+    if parser.peek() != "EOF":
+        raise parser.error(f"trailing input {parser.texts[parser.pos]!r}")
     return result
 
 

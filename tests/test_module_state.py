@@ -19,14 +19,15 @@ import subprocess
 import sys
 from collections import OrderedDict
 from pathlib import Path
-from weakref import WeakValueDictionary
+from weakref import WeakValueDictionary, ref
 
 import hsk
-from hsk import qcheck, skeleton
+from hsk import qcheck, skeleton, syntax
 
 CONTAINERS = (dict, list, set, OrderedDict, WeakValueDictionary)
-# Each name that may change, with its bound; the intern table holds weak
-# references only, so it keeps no node alive.
+# Each name that may change, with its bound.  The intern table is the one
+# without a bound: a plain dict whose values are weak references only, each
+# dropped by its callback when its node dies, so it keeps no node alive.
 MAY_CHANGE = {
     "syntax._NODES": None,
     "qcheck._VERDICTS": qcheck._VERDICT_CACHE_LIMIT,
@@ -60,7 +61,8 @@ def _measure_golden_runs() -> dict:
 
     before = _module_state()
     statuses = [(run_cli(args)[0], status) for args, status, _ in GOLDEN_RUNS]
-    return {"before": before, "after": _module_state(), "statuses": statuses}
+    return {"before": before, "after": _module_state(), "statuses": statuses,
+            "weak": all(isinstance(entry, ref) for entry in syntax._NODES.values())}
 
 
 def test_only_the_bounded_caches_grow():
@@ -73,6 +75,7 @@ def test_only_the_bounded_caches_grow():
     measured = json.loads(child.stdout)
     before, after = measured["before"], measured["after"]
     assert all(got == want for got, want in measured["statuses"])
+    assert measured["weak"]
     assert MAY_CHANGE.keys() <= before.keys()
     assert after.keys() == before.keys()
     changed = {name for name in before if after[name] != before[name]}

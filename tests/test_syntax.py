@@ -95,24 +95,31 @@ def test_substitute_rejects_quantified_input():
                 substitute(And(p(Unknown(1)), quantified), bindings)
 
 
+class _CountingTable(dict):
+    """An intern table that records the key of every lookup."""
+
+    def __init__(self, entries):
+        super().__init__(entries)
+        self.lookups = []
+
+    def get(self, key, default=None):
+        self.lookups.append(key)
+        return super().get(key, default)
+
+
 def test_substitution_rebuilds_only_what_changes(monkeypatch):
     deep = numeral(50, ZERO)
     atom, f = p(deep), Equality(deep, Unknown(1))
     sigma = {Unknown(1): A}
-    lookups = []
-    get = syntax._NODES.get
-
-    def counted(key, default=None):
-        lookups.append(key)
-        return get(key, default)
-
-    monkeypatch.setattr(syntax._NODES, "get", counted)
+    table = _CountingTable(syntax._NODES)  # the same entries
+    monkeypatch.setattr(syntax, "_NODES", table)
     assert substitute(deep, sigma) is deep
     assert substitute(atom, sigma) is atom
-    assert lookups == []
+    assert table.lookups == []
     out = substitute(f, sigma)
-    assert len(lookups) == 1  # the equality; its left side is kept as it is
+    assert len(table.lookups) == 1  # the equality; its left side is kept as it is
     monkeypatch.undo()
+    syntax._NODES.update(table)  # the node built meanwhile is shared again
     assert out is Equality(deep, A)
 
 
@@ -321,6 +328,24 @@ def test_dropped_nodes_leave_the_table():
     build_and_drop()
     gc.collect()
     assert len(syntax._NODES) == before
+
+
+def test_a_stale_reference_never_removes_a_live_entry():
+    f = FunctionSymbol("stale_probe", 0)
+    key = (Application, f, ())
+    t = Application(f, ())
+    stale = syntax._NODES[key]
+    callback = stale.__callback__  # a dead reference no longer holds it
+    del t
+    gc.collect()
+    assert key not in syntax._NODES  # its callback dropped the entry
+    syntax._NODES[key] = stale  # as if that callback had not run yet
+    t = Application(f, ())  # a dead entry is built anew, under a reference of its own
+    fresh = syntax._NODES[key]
+    assert fresh is not stale and fresh() is t
+    callback(stale)  # the old callback, run late
+    assert syntax._NODES[key] is fresh
+    assert Application(f, ()) is t
 
 
 def test_nodes_are_immutable():

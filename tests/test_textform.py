@@ -1,6 +1,11 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+import reference_textform
 
 from hsk.syntax import (
     And,
@@ -20,6 +25,7 @@ from hsk.syntax import (
     Variable,
     special_constant,
 )
+from hsk import textform
 from hsk.textform import ParseError, parse_formula, parse_term, print_formula, print_term
 
 P1 = PredicateSymbol("p", 1)
@@ -191,6 +197,7 @@ PARSE_ERRORS = [
     ('formula', 'p(a) & q(p) = b', 'p already used as a predicate', 1, 10),
     ('formula', 'f(a) = b & p(f)', 'arity mismatch for f: first seen with 1, now 0', 1, 14),
     ('formula', 'pair(a, b) = c & pair(c) = a', 'reserved function pair takes exactly 2 arguments', 1, 18),
+    ('formula', 'a = b % c $ d', "unexpected character '%'", 1, 7),
     ('term', 'f(a) b', "trailing input 'b'", 1, 6),
     ('term', 'f(a, g(b)', "expected ')', found 'end of input'", 1, 10),
     ('term', '?', "expected 'IDENT', found 'end of input'", 1, 2),
@@ -217,3 +224,96 @@ def test_deep_terms_and_formulas_round_trip():
                  "exists ?x. " * 2000 + "?x = a"):
         f = parse_formula(text)
         assert parse_formula(print_formula(f)) is f
+
+
+# ---------------------------------------------------------------------------
+# The parser against its reference: the parser as it was before it read
+# token texts (tests/reference_textform.py).
+
+# Names that meet every rule of the symbol table: reserved functions,
+# special constants, an index 0, `#` and `@` inside names, a quantifier word.
+_NAMES = ["a", "f", "g", "p", "q", "s", "pair", "z", "zh_2", "kt", "z_0", "c#1", "x@y",
+          "exists", "forall"]
+# Pieces that break a text: two distinct bad characters, a lone `-`, a NAT
+# followed by an IDENT, names with `#` and `@`, and every punctuation mark.
+_BREAKERS = ["$", "%", "-", "1a", "b#", "@c", "*", "12", "(", ")", ",", "=", "->", "?",
+             ".", "!", "&", "|"]
+_SPACES = ["", " ", " ", "  ", "\t", "\r\n", "\n", " \t\r\n "]
+
+
+def _random_text(rng: random.Random) -> str:
+    """The printed form of a random formula or term, with names
+    swapped, pieces dropped, doubled or inserted, whitespace of every kind
+    between pieces, and sometimes a `*` before the end of input."""
+    if rng.random() < 0.7:
+        text = print_formula(_random_formula(rng, 4))
+    else:
+        text = print_term(_random_term(rng, 4))
+    pieces = [m.group() for m in reference_textform._TOKEN_RE.finditer(text)]
+    for i, piece in enumerate(pieces):
+        if piece[0].isalpha() and rng.random() < 0.05:
+            pieces[i] = rng.choice(_NAMES)
+    for _ in range(rng.choice([0, 0, 0, 1, 1, 2])):
+        at = rng.randrange(len(pieces) + 1)
+        roll = rng.random()
+        if roll < 0.5:
+            pieces.insert(at, rng.choice(_BREAKERS))
+        elif pieces and roll < 0.75:
+            del pieces[min(at, len(pieces) - 1)]
+        elif pieces:
+            pieces.insert(at, pieces[min(at, len(pieces) - 1)])
+    if rng.random() < 0.1:
+        pieces.append("*")
+    return "".join(piece + rng.choice(_SPACES) for piece in pieces)
+
+
+def _outcome(parse, text: str):
+    """The node parsed from text, or its ParseError's message, line and column."""
+    try:
+        return parse(text)
+    except ParseError as error:
+        return (str(error), error.line, error.column)
+
+
+def test_parser_agrees_with_its_reference():
+    rng = random.Random(20261019)
+    read = {"valid": 0, "broken": 0}
+    for _ in range(3000):
+        text = _random_text(rng)
+        for kind in ("formula", "term"):
+            got = _outcome(getattr(textform, f"parse_{kind}"), text)
+            want = _outcome(getattr(reference_textform, f"parse_{kind}"), text)
+            if isinstance(want, tuple):  # the same message, line and column
+                assert got == want, (kind, text)
+                read["broken"] += 1
+            else:  # the same node
+                assert got is want, (kind, text)
+                read["valid"] += 1
+    assert min(read.values()) > 1000, read
+
+
+def test_first_bad_character_in_text_order_under_any_hash_seed():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = ("from hsk.textform import ParseError, parse_formula\n"
+            "try:\n    parse_formula('a = b % c $ d')\n"
+            "except ParseError as e:\n    print(e)\n")
+    for seed in ("0", "1", "7", "42", "1234"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                               text=True, check=True)
+        assert child.stdout == "line 1 col 7: unexpected character '%'\n", seed
+
+
+def test_each_function_name_is_resolved_once(monkeypatch):
+    calls = []
+    resolve = textform._Parser._function_symbol
+
+    def counted(parser, name, arity, index):
+        calls.append((name, arity))
+        return resolve(parser, name, arity, index)
+
+    monkeypatch.setattr(textform._Parser, "_function_symbol", counted)
+    ladder = "s(" * 1000 + "z" + ")" * 1000
+    parse_formula(f"{ladder} = {ladder}")
+    assert sorted(calls) == [("s", 1), ("z", 0)]
