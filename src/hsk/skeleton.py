@@ -30,7 +30,10 @@ an unconstrained stream is that of the one-state automaton.
 roots, in canonical order, in its one LRU cache of `_CLASS_CACHE_SIZE`
 entries, so the problems of one `sreu` conversion share them.  u's stream
 is the bucket-wise intersection of its restrictions' streams, and a
-restriction whose stream is empty ends the search at plan time.
+restriction whose stream is empty ends the search at plan time.  A
+restriction that accepts no class fails whatever u is, and one whose E'
+alone implies l = r holds whatever u is: those two verdicts hold at every
+size and over every signature, so the memo keeps them.
 
 A join filter `E -> u = side` holds earlier unknowns in its side, so it is
 decided only during the search.  The closure of E and its transition table
@@ -49,14 +52,19 @@ conjunction, which is built only to verify one.
 A `SearchMemo` holds what does not depend on the signature or the bound:
 the walk of each conjunct (its unknowns in first occurrence order and its
 symbols), its match with each unknown as the hole and the role that match
-gives it, and the verdict of each check, under the conjunct and the terms
-assigned to its own unknowns.  A search makes a fresh memo unless it is
-given one; a command that solves many conjunctions of few distinct
+gives it, or the restriction's verdict at every size once its stream has
+shown one, and the verdict of each check, under the conjunct and the
+terms assigned to its own unknowns.  A search makes a fresh memo unless
+it is given one; a command that solves many conjunctions of few distinct
 conjuncts, as `hsk sreu --solve` does with the k^k problems of one
 conversion, passes one memo to every search, so each distinct conjunct is
 walked once, matched and given its role once per unknown, and each
-distinct check decided once.  The memo lives as long as the command.  Streams and keys
-are still built per search: they depend on the signature and the bound.
+distinct check decided once.  After the walks, and before it builds a
+signature or a stream, a search reads the memo in conjunct order up to the
+first conjunct the memo has not met, and ends on any conjunct it reads
+that is known to fail whatever u is, as most of the k^k problems do.  The
+memo lives as long as the command.  Streams and keys are still built per
+search: they depend on the signature and the bound.
 """
 
 from __future__ import annotations
@@ -259,8 +267,10 @@ _HOLE = Application(FunctionSymbol("#hole", 0), ())
 
 def _horn(conjunct: Formula, u: Unknown) -> Horn | None:
     """Match `hyps -> l = r`, curried or not, where every hyp is an
-    equation, and put `_HOLE` for u in every side: the hyps as pairs and
-    the conclusion's sides, a bare hole first.  Only sides are rebuilt."""
+    equation, and put `_HOLE` for u wherever u occurs: the hyps as pairs and
+    the conclusion's sides, a bare hole first.  A bare u is the hole itself,
+    a side without u is kept as it is, and only a side that holds u below a
+    symbol is rebuilt."""
     pairs: list[tuple[Term, Term]] = []
     while isinstance(conjunct, Implies):
         for h in flatten_and(conjunct.lhs):
@@ -270,12 +280,23 @@ def _horn(conjunct: Formula, u: Unknown) -> Horn | None:
         conjunct = conjunct.rhs
     if not isinstance(conjunct, Equality):
         return None
-    *parts, (l, r) = [tuple([t if t.ground else substitute(t, {u: _HOLE}) for t in pair])
-                      for pair in (*pairs, (conjunct.lhs, conjunct.rhs))]
+
+    def hole(t: Term) -> Term:
+        if t is u:
+            return _HOLE
+        if t.ground or u not in subterms(t):
+            return t
+        return substitute(t, {u: _HOLE})
+
+    *parts, (l, r) = [(hole(lhs), hole(rhs))
+                      for lhs, rhs in (*pairs, (conjunct.lhs, conjunct.rhs))]
     return (tuple(parts), r, l) if r is _HOLE else (tuple(parts), l, r)
 
 
 _RESTRICTION, _JOIN, _CHECK = "restriction", "join", "check"
+# What a restriction's stream may show, at every size and over every
+# signature: it holds whatever u is, or it fails whatever u is.
+_HOLDS, _FAILS = "holds", "fails"
 
 
 def _role(horn: Horn | None) -> str:
@@ -360,7 +381,10 @@ def _class_member_buckets(
     restriction of None asks for every term, through the one-state
     automaton.  Where every term makes it valid, the result is None, so
     that no search builds the stream of every term for a conjunct that
-    holds whatever u is.
+    holds whatever u is.  Where no class is accepted, the result is (), no
+    bucket at all: no term makes it valid at any size.  That sets it apart
+    from accepted classes without a member within the bound, whose buckets
+    are all empty.
 
     The states are the classes of the closure of E' over the hole, l and
     r, named by their roots: an application is in a class exactly when
@@ -382,7 +406,7 @@ def _class_member_buckets(
             accepting.append(root)
         closure.undo(mark)
     if not accepting:
-        return ((),) * (max_size + 1)
+        return ()
 
     def step(symbol: FunctionSymbol, states: tuple[Term, ...]) -> Term | None:
         return transitions.get((symbol, states))
@@ -416,8 +440,12 @@ class SearchMemo:
     """The per-conjunct work that bounded searches share: each conjunct's
     walk, its match and role with each unknown as the hole, and each
     check's verdict under the conjunct and the terms of its own unknowns,
-    on which alone that verdict depends.  The searches of one command
-    share one memo, which lives as long as the command."""
+    on which alone that verdict depends.  A restriction's role gives way to
+    `_HOLDS` or `_FAILS` once its stream shows that it holds or fails
+    whatever u is, since that verdict holds at every size and over every
+    signature; a stream empty only within its bound teaches nothing.  The
+    searches of one command share one memo, which lives as long as the
+    command."""
 
     def __init__(self) -> None:
         self.walks: dict[Formula, Walk] = {}
@@ -425,8 +453,8 @@ class SearchMemo:
         self.verdicts: dict[tuple[Formula, tuple[Term, ...]], bool] = {}
 
     def walk(self, conjunct: Formula) -> Walk:
-        """The conjunct's unknowns and symbols; a quantifier raises
-        ContractError."""
+        """The conjunct's unknowns and symbols; a quantifier or a free
+        variable raises ContractError."""
         walk = self.walks.get(conjunct)
         if walk is None:
             unknowns: list[Unknown] = []
@@ -441,6 +469,9 @@ class SearchMemo:
                     predicates.add(n.symbol)
                 elif isinstance(n, (Exists, Forall)):
                     raise ContractError("input must be quantifier-free")
+                elif isinstance(n, Variable):
+                    raise ContractError(
+                        f"input must hold only unknowns and ground terms, got {n}")
             walk = self.walks[conjunct] = (
                 tuple(unknowns), frozenset(functions), frozenset(predicates))
         return walk
@@ -453,6 +484,18 @@ class SearchMemo:
             horn = _horn(conjunct, u)
             found = self.horns[conjunct, u] = (_role(horn), horn)
         return found
+
+    def fails(self, conjunct: Formula, last: Unknown | None) -> bool | None:
+        """Whether the memo knows that the conjunct fails whatever the
+        terms, the signature and the bound: a conjunct without unknowns
+        (`last` None) whose verdict is false, or one whose restriction
+        of its last unknown showed `_FAILS`.  None where the memo has not
+        met the conjunct yet."""
+        if last is None:
+            verdict = self.verdicts.get((conjunct, ()))
+            return None if verdict is None else not verdict
+        found = self.horns.get((conjunct, last))
+        return None if found is None else found[0] is _FAILS
 
     def holds(self, conjunct: Formula, unknowns: tuple[Unknown, ...],
               assignment: Mapping[Unknown, Term]) -> bool:
@@ -478,12 +521,13 @@ def iter_formula_solutions(
 
     Order: smallest total size first, then lexicographically by the
     canonical term order along the tuple.  The conjuncts must be
-    quantifier-free, and at least one (ContractError otherwise).  The walk
+    quantifier-free and free of variables, and at least one (ContractError
+    otherwise, whatever the order of the conjuncts).  The walk
     of each conjunct gives its unknowns and its symbols; without `unknowns`
     the search takes the conjuncts', in first occurrence order, and without
     `sig` their symbols.  Given `unknowns` must include every unknown of the
-    conjuncts.  Walks and check verdicts come from `memo`, a fresh one if
-    none is given.
+    conjuncts.  Walks, matches and verdicts come from `memo`, a fresh one
+    if none is given, and what the search learns goes back into it.
     """
     if max_size < 0:
         raise ContractError("size bound must be >= 0")
@@ -499,6 +543,21 @@ def iter_formula_solutions(
     elif len(set(unknowns)) != len(unknowns):
         raise ContractError("the unknowns must be distinct")
     unknowns = tuple(unknowns)
+    position = {u: i for i, u in enumerate(unknowns)}
+    # each conjunct's last unknown, the one the search assigns last
+    lasts = [None if not used else used[0] if len(used) == 1
+             else max(used, key=position.__getitem__) for used in used_by]
+
+    # What earlier searches with this memo learned: read in conjunct order
+    # up to the first conjunct the memo has not met, a conjunct known to
+    # fail whatever u is ends the search before a signature or a stream is
+    # built.
+    for c, last in zip(conjuncts, lasts):
+        fails = memo.fails(c, last)
+        if fails is None:
+            break
+        if fails:
+            return
     if sig is None:
         sig = Signature(frozenset().union(*[functions for _, functions, _ in walks]),
                         frozenset().union(*[predicates for _, _, predicates in walks]))
@@ -506,32 +565,40 @@ def iter_formula_solutions(
     # The plan: a conjunct without unknowns is decided at once.  Any other
     # waits for the depth of its last unknown u, and its match there with
     # the hole for u gives its role (`_role`): a class restriction of u, a
-    # join filter of u, or a check of every candidate.
-    position = {u: i for i, u in enumerate(unknowns)}
+    # join filter of u, or a check of every candidate.  A restriction whose
+    # stream shows that it holds or fails whatever u is keeps that verdict
+    # in the memo instead.
     # per unknown, the streams of its class restrictions
     restricted: list[list[Stream]] = [[] for _ in unknowns]
     # per depth, each check with its unknowns
     checks_at_depth: list[list[tuple[Formula, tuple[Unknown, ...]]]] = [[] for _ in unknowns]
     filters_at_depth: list[list[tuple[Equalities, Term]]] = [[] for _ in unknowns]
-    for c, used in zip(conjuncts, used_by):
-        if not used:
+    for c, used, last in zip(conjuncts, used_by, lasts):
+        if last is None:
             if not memo.holds(c, used, {}):
                 return
             continue
-        depth = max(position[u] for u in used)
-        role, horn = memo.horn(c, unknowns[depth])
+        depth = position[last]
+        role, horn = memo.horn(c, last)
         if role is _RESTRICTION:
             stream = _class_member_buckets(horn, sig, max_size)
             if stream is None:  # it holds whatever u is
+                memo.horns[c, last] = (_HOLDS, horn)
                 continue
-            if not any(stream):  # it fails whatever u is
+            if not stream:  # it fails whatever u is
+                memo.horns[c, last] = (_FAILS, horn)
+                return
+            if not any(stream):  # no term within the bound
                 return
             restricted[depth].append(stream)
         elif role is _JOIN:
             equalities, _, side = horn
             filters_at_depth[depth].append((equalities, side))
-        else:
+        elif role is _CHECK:
             checks_at_depth[depth].append((c, used))
+        elif role is _FAILS:
+            return
+        # and a restriction that holds whatever u is (_HOLDS) drops out
     if not unknowns:  # the plan decided every conjunct
         yield {}
         return

@@ -214,7 +214,14 @@ def convert_to_sreu(f: Formula) -> list[SREUProblem]:
     consequent atom for each clause and of a rigid alternative for each
     Horn clause so chosen, first occurrence first, an empty one getting the
     trivially solvable ``c#0 = c#0``.  Over `_MAX_ALTERNATIVES`
-    alternatives, counted before any is built, raises ContractError."""
+    alternatives, counted before any is built, raises ContractError.
+
+    Each distinct rigid clause gets its formula once.  Problems are
+    deduplicated as tuples of those formulas, which are hash-consed, so
+    the tuples hash and compare by identity in C; a rigid Horn clause and
+    its formula determine each other, so a dict maps each formula back to
+    its clause, and the problems and their order are those of the clause
+    tuples."""
     choices = [[rigid_alternatives(Clause(c.antecedent, (a,))) for a in c.consequent]
                for c in to_clause_conjunction(f)]
     total = math.prod(sum(map(len, per)) for per in choices)
@@ -223,17 +230,25 @@ def convert_to_sreu(f: Formula) -> list[SREUProblem]:
         shown = total if total.bit_length() <= 1000 else f"at least 2**{total.bit_length() - 1}"
         raise ContractError(f"clause conversion gives {shown} alternatives, "
                             f"over the limit {_MAX_ALTERNATIVES}")
-    # the Horn choices vary slowest; a dict keeps the first occurrence
-    found = dict.fromkeys(sum(parts, ()) for horn in product(*choices)
-                          for parts in product(*horn))
     formulas: dict[Clause, Formula] = {}  # each distinct clause's, built once
+    clause_of: dict[Formula, Clause] = {}  # and back
+
+    def formula(c: Clause) -> Formula:
+        if c not in formulas:
+            formulas[c] = c.formula()
+            clause_of[formulas[c]] = c
+        return formulas[c]
+
+    # the choices again, each alternative as the tuple of its formulas
+    conjunct_choices = [[[tuple([formula(c) for c in alternative]) for alternative in per_atom]
+                         for per_atom in per_clause] for per_clause in choices]
+    # the Horn choices vary slowest; a dict keeps the first occurrence
+    found = dict.fromkeys(sum(parts, ()) for horn in product(*conjunct_choices)
+                          for parts in product(*horn))
     problems = []
-    for clauses in found:
-        clauses = clauses or (_trivial_constraint(),)
-        for c in clauses:
-            if c not in formulas:
-                formulas[c] = c.formula()
-        problems.append(SREUProblem(clauses, tuple([formulas[c] for c in clauses])))
+    for conjuncts in found:
+        conjuncts = conjuncts or (formula(_trivial_constraint()),)
+        problems.append(SREUProblem(tuple([clause_of[g] for g in conjuncts]), conjuncts))
     return problems
 
 

@@ -313,6 +313,19 @@ def test_negative_size_bound_exits_2(capsys, args):
     assert "internal error" not in err
 
 
+@pytest.mark.parametrize("text", ["(*1 = f(*1)) & (?x = a)", "(?x = a) & (*1 = f(*1))"],
+                         ids=["variable-last", "variable-first"])
+def test_a_free_variable_exits_2_in_either_conjunct_order(tmp_path, capsys, text):
+    # the search walks every conjunct before it decides one, so a restriction
+    # that fails whatever *1 is cannot hide the free variable of a later one
+    source = tmp_path / "free.fml"
+    source.write_text(text + "\n")
+    status, out = run_cli(["sreu", "--solve", "--max-size", "2", str(source)])
+    assert (status, out) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: input must hold only unknowns and ground terms, got ?x\n")
+
+
 def test_zero_size_bound_is_an_exhausted_search():
     status, out = run_cli(["solve", "--max-size", "0", "guarded_choice.fml"])
     assert (status, out) == (1, "NO SOLUTION WITHIN BOUND 0\n")

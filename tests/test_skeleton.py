@@ -375,6 +375,59 @@ def test_solver_agrees_with_naive_search_on_random_formulas():
     assert trials > 80
 
 
+_SHARED_POOL = [
+    "*1 = f(f(b))",  # one class, whose one member has size 3 and needs f
+    "*1 = a -> f(a) = b",  # accepts no class: fails whatever *1 is
+    "f(*1) = a -> f(f(*1)) = f(a)",  # holds whatever *1 is
+    "*1 = *1",  # holds whatever *1 is
+    "*2 = a -> *2 = b",  # one class, b's
+    "*2 = f(*2)",  # one class, which no term reaches
+    "*1 = a | *1 = f(f(b))",  # a check
+    "*2 = f(*1)",  # a join filter of *2, or a check of *1 where *1 comes last
+    "a = a",
+    "a = b",
+]
+
+
+def test_a_shared_memo_learns_only_what_holds_at_every_bound():
+    # searches that share one memo and their conjuncts, under several
+    # signatures and bounds, must each give what a fresh memo and the naive
+    # search give: the memo keeps a restriction's verdict only where it
+    # holds at every size and over every signature.  The accepted class of
+    # `*1 = f(f(b))` has no member within bound 2, nor over a signature
+    # without f, and a member within bound 3 over one with f
+    u1, u2 = Unknown(1), Unknown(2)
+    pool = [parse_formula(text) for text in _SHARED_POOL]
+    a, b, f, g = (FunctionSymbol("a", 0), FunctionSymbol("b", 0), FunctionSymbol("f", 1),
+                  FunctionSymbol("g", 2))
+    sigs = [Signature(frozenset(symbols), frozenset())
+            for symbols in ({a, b, f}, {a, b}, {a, b, f, g})]
+    memo = skeleton.SearchMemo()
+
+    def search(conjuncts, unknowns, sig, bound):
+        shared = list(iter_formula_solutions(conjuncts, unknowns, sig, bound, memo))
+        fresh = list(iter_formula_solutions(conjuncts, unknowns, sig, bound))
+        assert shared == fresh == _naive_solutions(conj(conjuncts), unknowns, sig, bound), (
+            [str(c) for c in conjuncts], unknowns, sig, bound)
+        return shared
+
+    deep = [pool[0]]
+    assert search(deep, [u1], sigs[0], 2) == []
+    assert search(deep, [u1], sigs[1], 3) == []
+    assert search(deep, [u1], sigs[0], 3) == [{u1: parse_term("f(f(b))")}]
+    rng = random.Random(1990)
+    learned = solved = 0
+    for _ in range(200):
+        conjuncts = rng.sample(pool, rng.randint(1, 4))
+        unknowns = [u for u in (u1, u2) if any(u in syntax.nodes(c) for c in conjuncts)]
+        rng.shuffle(unknowns)
+        # a search whose conjuncts the memo knows to fail whatever u is
+        learned += any(memo.horns.get((c, u), (None,))[0] is skeleton._FAILS
+                       for c in conjuncts for u in unknowns)
+        solved += bool(search(conjuncts, unknowns, rng.choice(sigs), rng.randint(0, 3)))
+    assert learned > 30 and solved > 30
+
+
 _EQ_CONSTS = [Application(FunctionSymbol(n, 0), ()) for n in ("a", "b")]
 _EQ_F = FunctionSymbol("f", 1)
 _EQ_G = FunctionSymbol("g", 2)
@@ -882,11 +935,14 @@ def test_class_streams_match_brute_force_filter():
             continue
         fast = [t for bucket in buckets for t in bucket]
         assert fast == slow, str(conjunct)
-        assert len(buckets) == bound + 1
+        # a restriction that accepts no class has no bucket at all; one that
+        # accepts a class has a bucket per size, even where no term reaches
+        # the class, as none reaches the one `*1 = f(*1)` accepts
+        assert len(buckets) in (0, bound + 1)
         assert all(term_size(t) == n for n, bucket in enumerate(buckets) for t in bucket)
-        seen["empty" if not fast else "several"
+        seen["no class" if not buckets else "empty" if not fast else "several"
              if len(_accepted_roots(restriction, buckets)) >= 2 else "one"] += 1
-    assert seen == {"one": 7, "several": 2, "every": 2, "empty": 3}
+    assert seen == {"one": 7, "several": 2, "every": 2, "empty": 1, "no class": 2}
 
 
 def _random_nested_conjunct(rng, u, where):

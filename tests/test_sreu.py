@@ -9,7 +9,7 @@ import pytest
 
 import reference_sreu
 from helpers import enumerate_terms, problem_of, signature_of, unknowns_of
-from hsk import cli, qcheck, skeleton, sreu
+from hsk import cli, qcheck, skeleton, sreu, syntax
 from hsk.sreu import (
     Clause,
     ContractError,
@@ -295,6 +295,59 @@ def test_repeated_solves_share_the_unconstrained_buckets(monkeypatch):
         finally:
             skeleton._class_member_buckets.cache_clear()
         assert built == [(sig, 3)] * streams, text
+
+
+def _fails_whatever_the_unknown_is(conjunct, u):
+    """No ground subterm of the conjunct and no fresh constant makes it
+    valid at u.  In a conjunct `u = a -> b = c` or `f(u) = a -> b = c`, any
+    term is congruent to one of those subterms or to none of its terms,
+    and has the verdict of that subterm or of the fresh constant."""
+    fresh = Application(FunctionSymbol("fresh", 0), ())
+    ground = {t for side in (n for n in syntax.nodes(conjunct) if isinstance(n, Application))
+              for t in syntax.subterms(side) if t.ground}
+    return not any(qcheck.is_quasitautology(substitute(conjunct, {u: t}))
+                   for t in [*ground, fresh])
+
+
+@pytest.mark.parametrize("flavour", ["plain", "apart"])
+def test_learned_verdicts_spare_most_searches_their_signature(monkeypatch, flavour):
+    # k = 4: 256 problems of four conjuncts over 16 distinct ones, such as
+    # `*1 = a1 -> a2 = c` or, apart, `f(*1) = a1 -> a2 = c`.  Most accept no
+    # class, so they fail whatever *1 is, and the command's memo learns that
+    # the first time a search reads their stream.  A later search that meets
+    # one among conjuncts the memo knows ends before it builds a signature.
+    # So signatures are built at most once per distinct conjunct the memo
+    # meets first, and once per problem that no such verdict decides; each
+    # search reads at most one stream per conjunct
+    unknown = "f(*1)" if flavour == "apart" else "*1"
+    text = ("p(a1) & p(a2) & p(a3) & p(a4) & "
+            f"({' | '.join(f'{unknown} = a{i}' for i in range(1, 5))}) -> p(c)")
+    problems = convert_to_sreu(parse_formula(text))
+    distinct = {c for problem in problems for c in problem.conjuncts}
+    failing = {c for c in distinct if _fails_whatever_the_unknown_is(c, STAR)}
+    undecided = sum(not failing & set(problem.conjuncts) for problem in problems)
+    assert (len(problems), len(distinct), undecided) == (
+        (256, 16, 1) if flavour == "plain" else (256, 16, 0))
+    signatures = streams = 0
+    signature, buckets = skeleton.Signature, skeleton._class_member_buckets
+
+    def counted_signature(*args):
+        nonlocal signatures
+        signatures += 1
+        return signature(*args)
+
+    def counted_buckets(*args):
+        nonlocal streams
+        streams += 1
+        return buckets(*args)
+
+    monkeypatch.setattr(skeleton, "Signature", counted_signature)
+    monkeypatch.setattr(skeleton, "_class_member_buckets", counted_buckets)
+    status, output = cli.run(cli.RunConfig(command="sreu", solve=True, max_size=3), text)
+    assert status == (0 if undecided else 1)
+    assert output.count("] SOLVED") == undecided
+    assert signatures <= len(distinct) + undecided
+    assert streams <= 4 * (len(distinct) + undecided)
 
 
 def test_solve_trivial_constraint():
