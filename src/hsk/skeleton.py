@@ -40,31 +40,34 @@ decided only during the search.  The closure of E and its transition table
 (`_congruence_table`) give every ground term a class key, computed bottom-up
 like an automaton state (`_class_keys`), and the conjunct is valid exactly
 when u and the side have one key.  The side is keyed from the keys of the
-terms assigned to its unknowns, without building its instance.
-The search indexes each size bucket of u's stream by its candidates' key
-tuples when it first reads that bucket, and then reads only the candidates
-whose keys are those of the filters' sides: a hash join that drops a
-candidate only where a check would have rejected it, so the stream keeps
-its order.  Keys and indexes are built when first read and live as long as
-one search.  Every reported witness is still verified against the whole
-conjunction, which is built only to verify one.
+terms assigned to its unknowns, without building its instance, and a
+depth's side keys are worked out once per tuple of terms assigned to the
+unknowns its sides hold, though the search meets that tuple again for
+every total size.  The search indexes each size bucket of u's stream by
+its candidates' key tuples when it first reads that bucket, and then reads
+only the candidates whose keys are those of the filters' sides: a hash
+join that drops a candidate only where a check would have rejected it, so
+the stream keeps its order.  Keys and indexes are built when first read
+and live as long as one search.  Every reported witness is still verified
+against the whole conjunction, which is built only to verify one.
 
 A `SearchMemo` holds what does not depend on the signature or the bound:
 the walk of each conjunct (its unknowns in first occurrence order and its
 symbols), its match with each unknown as the hole and the role that match
 gives it, or the restriction's verdict at every size once its stream has
-shown one, and the verdict of each check, under the conjunct and the
-terms assigned to its own unknowns.  A search makes a fresh memo unless
-it is given one; a command that solves many conjunctions of few distinct
+shown that it holds, the set of conjuncts known to fail whatever their
+terms, and the verdict of each check, under the conjunct and the terms
+assigned to its own unknowns.  A search makes a fresh memo unless it is
+given one; a command that solves many conjunctions of few distinct
 conjuncts, as `hsk sreu --solve` does with the k^k problems of one
 conversion, passes one memo to every search, so each distinct conjunct is
 walked once, matched and given its role once per unknown, and each
-distinct check decided once.  After the walks, and before it builds a
-signature or a stream, a search reads the memo in conjunct order up to the
-first conjunct the memo has not met, and ends on any conjunct it reads
-that is known to fail whatever u is, as most of the k^k problems do.  The
-memo lives as long as the command.  Streams and keys are still built per
-search: they depend on the signature and the bound.
+distinct check decided once.  A search that holds a conjunct known to
+fail ends before it builds a signature or a stream, as most of the k^k
+problems do; where the memo has met all its conjuncts and no unknowns are
+given to check, it ends before its walks too.  The memo lives as long as
+the command.  Streams and keys are still built per search: they depend on
+the signature and the bound.
 """
 
 from __future__ import annotations
@@ -295,8 +298,9 @@ def _horn(conjunct: Formula, u: Unknown) -> Horn | None:
 
 _RESTRICTION, _JOIN, _CHECK = "restriction", "join", "check"
 # What a restriction's stream may show, at every size and over every
-# signature: it holds whatever u is, or it fails whatever u is.
-_HOLDS, _FAILS = "holds", "fails"
+# signature: it holds whatever u is.  One that fails whatever u is joins
+# `SearchMemo.failing`.
+_HOLDS = "holds"
 
 
 def _role(horn: Horn | None) -> str:
@@ -441,16 +445,21 @@ class SearchMemo:
     walk, its match and role with each unknown as the hole, and each
     check's verdict under the conjunct and the terms of its own unknowns,
     on which alone that verdict depends.  A restriction's role gives way to
-    `_HOLDS` or `_FAILS` once its stream shows that it holds or fails
-    whatever u is, since that verdict holds at every size and over every
-    signature; a stream empty only within its bound teaches nothing.  The
-    searches of one command share one memo, which lives as long as the
-    command."""
+    `_HOLDS` once its stream shows that it holds whatever u is, and the
+    restriction joins `failing` once its stream shows that it fails
+    whatever u is, since those verdicts hold at every size and over every
+    signature; a stream empty only within its bound teaches nothing.
+    `failing` also takes a false conjunct without unknowns.  A restriction
+    has one unknown, so neither kind depends on the order of a search's
+    unknowns.  The searches of one command share one memo, which lives as
+    long as the command."""
 
     def __init__(self) -> None:
         self.walks: dict[Formula, Walk] = {}
         self.horns: dict[tuple[Formula, Unknown], tuple[str, Horn | None]] = {}
         self.verdicts: dict[tuple[Formula, tuple[Term, ...]], bool] = {}
+        # the conjuncts known to fail whatever their terms
+        self.failing: set[Formula] = set()
 
     def walk(self, conjunct: Formula) -> Walk:
         """The conjunct's unknowns and symbols; a quantifier or a free
@@ -484,18 +493,6 @@ class SearchMemo:
             horn = _horn(conjunct, u)
             found = self.horns[conjunct, u] = (_role(horn), horn)
         return found
-
-    def fails(self, conjunct: Formula, last: Unknown | None) -> bool | None:
-        """Whether the memo knows that the conjunct fails whatever the
-        terms, the signature and the bound: a conjunct without unknowns
-        (`last` None) whose verdict is false, or one whose restriction
-        of its last unknown showed `_FAILS`.  None where the memo has not
-        met the conjunct yet."""
-        if last is None:
-            verdict = self.verdicts.get((conjunct, ()))
-            return None if verdict is None else not verdict
-        found = self.horns.get((conjunct, last))
-        return None if found is None else found[0] is _FAILS
 
     def holds(self, conjunct: Formula, unknowns: tuple[Unknown, ...],
               assignment: Mapping[Unknown, Term]) -> bool:
@@ -534,6 +531,13 @@ def iter_formula_solutions(
     if not conjuncts:
         raise ContractError("empty conjunction")
     memo = SearchMemo() if memo is None else memo
+    # A conjunct known to fail whatever its terms ends the search before a
+    # signature or a stream is built.  Where the memo has met every
+    # conjunct, their walks raise nothing, so a search without given
+    # unknowns to check ends before it walks them.
+    known_to_fail = not memo.failing.isdisjoint(conjuncts)
+    if known_to_fail and unknowns is None and all(c in memo.walks for c in conjuncts):
+        return
     walks = [memo.walk(c) for c in conjuncts]
     used_by = [used for used, _, _ in walks]  # the unknowns of each conjunct
     if unknowns is None:
@@ -542,22 +546,13 @@ def iter_formula_solutions(
         raise ContractError("the unknowns must include every unknown of the formula")
     elif len(set(unknowns)) != len(unknowns):
         raise ContractError("the unknowns must be distinct")
+    if known_to_fail:
+        return
     unknowns = tuple(unknowns)
     position = {u: i for i, u in enumerate(unknowns)}
     # each conjunct's last unknown, the one the search assigns last
     lasts = [None if not used else used[0] if len(used) == 1
              else max(used, key=position.__getitem__) for used in used_by]
-
-    # What earlier searches with this memo learned: read in conjunct order
-    # up to the first conjunct the memo has not met, a conjunct known to
-    # fail whatever u is ends the search before a signature or a stream is
-    # built.
-    for c, last in zip(conjuncts, lasts):
-        fails = memo.fails(c, last)
-        if fails is None:
-            break
-        if fails:
-            return
     if sig is None:
         sig = Signature(frozenset().union(*[functions for _, functions, _ in walks]),
                         frozenset().union(*[predicates for _, _, predicates in walks]))
@@ -566,16 +561,21 @@ def iter_formula_solutions(
     # waits for the depth of its last unknown u, and its match there with
     # the hole for u gives its role (`_role`): a class restriction of u, a
     # join filter of u, or a check of every candidate.  A restriction whose
-    # stream shows that it holds or fails whatever u is keeps that verdict
-    # in the memo instead.
+    # stream shows that it holds whatever u is keeps `_HOLDS` in the memo
+    # instead, and one whose stream shows that it fails, like a false
+    # conjunct without unknowns, joins the memo's failing conjuncts.
     # per unknown, the streams of its class restrictions
     restricted: list[list[Stream]] = [[] for _ in unknowns]
     # per depth, each check with its unknowns
     checks_at_depth: list[list[tuple[Formula, tuple[Unknown, ...]]]] = [[] for _ in unknowns]
+    # per depth, each join filter's E and side, and the earlier unknowns
+    # the sides hold: the conjuncts' unknowns other than u
     filters_at_depth: list[list[tuple[Equalities, Term]]] = [[] for _ in unknowns]
+    held_at_depth: list[dict[Unknown, None]] = [{} for _ in unknowns]
     for c, used, last in zip(conjuncts, used_by, lasts):
         if last is None:
             if not memo.holds(c, used, {}):
+                memo.failing.add(c)
                 return
             continue
         depth = position[last]
@@ -586,7 +586,7 @@ def iter_formula_solutions(
                 memo.horns[c, last] = (_HOLDS, horn)
                 continue
             if not stream:  # it fails whatever u is
-                memo.horns[c, last] = (_FAILS, horn)
+                memo.failing.add(c)
                 return
             if not any(stream):  # no term within the bound
                 return
@@ -594,10 +594,9 @@ def iter_formula_solutions(
         elif role is _JOIN:
             equalities, _, side = horn
             filters_at_depth[depth].append((equalities, side))
+            held_at_depth[depth].update(dict.fromkeys(v for v in used if v is not last))
         elif role is _CHECK:
             checks_at_depth[depth].append((c, used))
-        elif role is _FAILS:
-            return
         # and a restriction that holds whatever u is (_HOLDS) drops out
     if not unknowns:  # the plan decided every conjunct
         yield {}
@@ -628,10 +627,12 @@ def iter_formula_solutions(
                 return True
         return False
 
-    # Only a search with join filters keys terms; its keys and indexes live
-    # as long as it does.
+    # Only a search with join filters keys terms.  Its keys, its indexes
+    # and each depth's side keys, by the terms of the unknowns the sides
+    # hold, live as long as it does.
     if any(filters_at_depth):
         keys_of = cache(_class_keys)
+        side_keys: list[dict[tuple[Term, ...], tuple]] = [{} for _ in unknowns]
 
         @cache
         def indexed(depth: int, n: int) -> dict[tuple, list[Term]]:
@@ -649,8 +650,12 @@ def iter_formula_solutions(
         low = max(min_size[depth], budget - suffix_max[depth + 1])
         high = min(max_of[depth], budget - suffix_min[depth + 1])
         if filters_at_depth[depth]:
-            keys = tuple([keys_of(equalities)(side, assignment)
-                          for equalities, side in filters_at_depth[depth]])
+            held = tuple([assignment[v] for v in held_at_depth[depth]])
+            keys = side_keys[depth].get(held)
+            if keys is None:
+                keys = side_keys[depth][held] = tuple([
+                    keys_of(equalities)(side, assignment)
+                    for equalities, side in filters_at_depth[depth]])
             return ((budget - n, t) for n in range(low, high + 1)
                     for t in indexed(depth, n).get(keys, ()))
         return ((budget - n, t) for n in range(low, high + 1) for t in per_unknown[depth][n])

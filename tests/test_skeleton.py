@@ -421,9 +421,9 @@ def test_a_shared_memo_learns_only_what_holds_at_every_bound():
         conjuncts = rng.sample(pool, rng.randint(1, 4))
         unknowns = [u for u in (u1, u2) if any(u in syntax.nodes(c) for c in conjuncts)]
         rng.shuffle(unknowns)
-        # a search whose conjuncts the memo knows to fail whatever u is
-        learned += any(memo.horns.get((c, u), (None,))[0] is skeleton._FAILS
-                       for c in conjuncts for u in unknowns)
+        # a search with a restriction the memo learned to fail whatever its
+        # unknown is, which the false ground `a = b` does not count as
+        learned += any(c in memo.failing and memo.walks[c][0] for c in conjuncts)
         solved += bool(search(conjuncts, unknowns, rng.choice(sigs), rng.randint(0, 3)))
     assert learned > 30 and solved > 30
 
@@ -582,10 +582,152 @@ def test_equational_filters_agree_with_naive_search(monkeypatch):
 
 
 def test_a_free_variable_in_a_join_side_is_checked():
-    # a side with a free variable has no class key, so its conjunct is a
-    # check, and the check refuses the variable
+    # a side with a free variable has no class key, so its conjunct could
+    # be no join filter; the search's walk of the conjunct refuses the
+    # variable before any role is given
     with pytest.raises(ContractError, match="ground terms, got [?]x"):
         list(iter_formula_solutions(flatten_and(parse_formula("*1 = a & *2 = f(*1, ?x)"))))
+
+
+def test_join_sides_are_keyed_once_per_assignment_of_their_unknowns(monkeypatch):
+    # in mul(1, 2, 3) both join filters of ?w2, `Sim~(w1, w2)` and
+    # `Tim(…, w1, w2)`, hold ?w1 alone, and the search, which has no
+    # solution to find, enters ?w2's depth again for each ?w1 candidate at
+    # every total size that leaves ?w2 a size its stream has.  A side is
+    # keyed once per term of ?w1 all the same
+    w1, w2 = Variable("w1"), Variable("w2")
+    matrix = arith.mul(numeral(1, zero()), numeral(2, zero()), numeral(3, zero()), w1, w2)
+    sk = make_skeleton(ExistentialFormula((w1, w2), matrix), 1)
+    keyings = Counter()  # per (E, side), the times the search keyed it
+    held = {}  # per (E, side), the terms of ?w1 it was keyed under
+    streams = []  # each unknown's stream, as the plan gives it
+    class_keys, intersection = skeleton._class_keys, skeleton._intersection
+
+    def counted(equalities):
+        keys = class_keys(equalities)
+
+        def key(t, assignment={}):
+            if assignment:  # a side, where the index keys ground candidates
+                keyings[equalities, t] += 1
+                held.setdefault((equalities, t), set()).add(assignment[Unknown(1)])
+            return keys(t, assignment)
+
+        return key
+
+    def recorded(per_unknown):
+        streams.append(intersection(per_unknown))
+        return streams[-1]
+
+    monkeypatch.setattr(skeleton, "_class_keys", counted)
+    monkeypatch.setattr(skeleton, "_intersection", recorded)
+    assert list(iter_solutions(sk, max_size=11)) == []
+    first, second = streams  # ?w1's and ?w2's
+    sizes = [n for n, bucket in enumerate(second) if bucket]
+    # without the keys kept per assignment: one keying per filter each time
+    # the search enters ?w2's depth, for each ?w1 candidate and total size
+    entered = sum(map(len, first)) * (sizes[-1] - sizes[0] + 1)
+    assert len(keyings) == 2
+    for side, times in keyings.items():
+        assert times <= len(held[side]) <= sum(map(len, first))
+    assert sum(keyings.values()) < 2 * entered
+
+
+def _random_three_unknown_formula(rng, unknowns):
+    """A conjunction of `ground equations -> u = side` conjuncts whose side
+    holds some of the unknowns before u, and sometimes class restrictions
+    and checks: join filters of the later unknowns whose sides hold only
+    part of what the search assigned before them."""
+
+    def around(t):
+        roll = rng.random()
+        if roll < 0.5:
+            return t
+        if roll < 0.75:
+            return Application(_EQ_F, (t,))
+        return Application(_EQ_G, (t, rng.choice(_EQ_CONSTS)) if rng.random() < 0.5
+                           else (rng.choice(_EQ_CONSTS), t))
+
+    def implied(conclusion):
+        hyps = _random_ground_equations(rng)
+        return Implies(conj(hyps), conclusion) if hyps else conclusion
+
+    conjuncts = []
+    for i in range(1, len(unknowns)):
+        u = unknowns[i]
+        last = i == len(unknowns) - 1
+        for _ in range((1 if rng.random() < 0.7 else 2) if last else rng.randint(0, 1)):
+            earlier = rng.sample(unknowns[:i], rng.randint(1, min(2, i)))
+            side = (around(earlier[0]) if len(earlier) == 1
+                    else Application(_EQ_G, tuple(earlier)))
+            conjuncts.append(implied(Equality(u, side) if rng.random() < 0.5
+                                     else Equality(side, u)))
+    for u in unknowns:
+        if rng.random() < 0.2:  # a class restriction
+            target = rng.choice([*_EQ_CONSTS, Application(_EQ_F, (_EQ_CONSTS[0],))])
+            conjuncts.append(implied(Equality(u, target)))
+    if rng.random() < 0.3:  # a check
+        conjuncts.append(Not(Equality(*rng.sample(unknowns, 2))))
+    rng.shuffle(conjuncts)
+    return conj(conjuncts)
+
+
+def test_join_keys_agree_with_naive_search_on_three_unknowns():
+    # with a third unknown, a depth's join sides may hold the first unknown
+    # but not the second, or the second alone; the side keys the search
+    # keeps per assignment of their own unknowns must give every solution
+    # of the naive search, in its order
+    rng = random.Random(1980)
+    sig = Signature(frozenset({*(c.symbol for c in _EQ_CONSTS), _EQ_F, _EQ_G}), frozenset())
+    unknowns = [Unknown(1), Unknown(2), Unknown(3)]
+    trials = partial = solved = 0
+    for _ in range(100):
+        f = _random_three_unknown_formula(rng, unknowns)
+        if {n for n in syntax.nodes(f) if isinstance(n, Unknown)} != set(unknowns):
+            continue
+        trials += 1
+        bound = rng.randint(1, 3)
+        fast = list(iter_formula_solutions(flatten_and(f), unknowns, sig, bound))
+        assert fast == _naive_solutions(f, unknowns, sig, bound), (str(f), bound)
+        # a join filter of *3 whose side lacks one of *1 and *2
+        partial += any(
+            (found := skeleton._horn(c, unknowns[2])) and skeleton._role(found) == "join"
+            and len({n for n in syntax.nodes(found[2]) if isinstance(n, Unknown)}) == 1
+            for c in flatten_and(f))
+        solved += bool(fast)
+    assert trials > 80 and partial > 30 and solved > 15
+
+
+def test_a_learned_failure_still_lets_every_conjunct_be_checked():
+    # one memo learns that `a = b` and a restriction accepting no class fail
+    # whatever their terms; a search that holds one of them beside a
+    # conjunct with a free variable must refuse the variable in either
+    # order, and given unknowns that miss or repeat one are refused too
+    memo = skeleton.SearchMemo()
+    failing = [parse_formula("a = b"), parse_formula("*1 = a -> f(a) = b")]
+    for c in failing:
+        assert list(iter_formula_solutions([c], max_size=2, memo=memo)) == []
+    assert memo.failing == set(failing)
+    free = parse_formula("*2 = f(?x)")
+    for c in failing:
+        for conjuncts in ([c, free], [free, c]):
+            with pytest.raises(ContractError, match="ground terms, got [?]x"):
+                list(iter_formula_solutions(conjuncts, max_size=2, memo=memo))
+    restriction = failing[1]
+    with pytest.raises(ContractError, match="include every unknown"):
+        list(iter_formula_solutions([restriction], [], max_size=2, memo=memo))
+    with pytest.raises(ContractError, match="distinct"):
+        list(iter_formula_solutions([restriction], [Unknown(1)] * 2, max_size=2, memo=memo))
+    # where the memo has met every conjunct, the search ends before its walks
+    walked = []
+    walk = memo.walk
+    memo.walk = lambda c: walked.append(c) or walk(c)
+    assert list(iter_formula_solutions([parse_formula("*1 = a"), restriction],
+                                       max_size=2, memo=memo)) == []
+    assert walked == [parse_formula("*1 = a"), restriction]
+    walked.clear()
+    assert list(iter_formula_solutions([parse_formula("*1 = a"), restriction],
+                                       max_size=2, memo=memo)) == []
+    assert walked == []
 
 
 def test_the_hole_is_no_parsed_term():
