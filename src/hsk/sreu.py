@@ -50,11 +50,6 @@ class Clause:
     antecedent: tuple[Atom, ...]
     consequent: tuple[Atom, ...]
 
-    def predicate_atom_count(self) -> int:
-        return sum(
-            1 for a in self.antecedent + self.consequent if isinstance(a, PredApp)
-        )
-
     def formula(self) -> Formula:
         body: Formula = disj(self.consequent)
         if self.antecedent:
@@ -144,64 +139,28 @@ def to_clause_conjunction(f: Formula) -> list[Clause]:
 
 
 # ---------------------------------------------------------------------------
-# Step 2: per-clause elimination of predicate symbols
-
-
-def _eliminate_step(c: Clause) -> list[tuple[Clause, ...]]:
-    """The alternatives, each a tuple of clauses, that replace the Horn
-    clause c, which carries a predicate atom; [] deletes the branch (an
-    unmatched predicate consequent can always be falsified).  Every new
-    clause has fewer predicate atoms than c."""
-    consequent = c.consequent[0]
-    is_pred = isinstance(consequent, PredApp)
-    if is_pred and not any(
-        isinstance(a, PredApp) and a.symbol == consequent.symbol for a in c.antecedent
-    ):
-        return []
-    j, atom = next((j, a) for j, a in enumerate(c.antecedent) if isinstance(a, PredApp))
-    rest = c.antecedent[:j] + c.antecedent[j + 1:]
-    if is_pred and atom.symbol == consequent.symbol:
-        # same predicate: either the arguments agree pairwise, or the
-        # clause holds without this hypothesis
-        equalities = tuple(
-            Clause(rest, (Equality(b, a),)) for b, a in zip(atom.args, consequent.args)
-        )
-        return [equalities, (Clause(rest, c.consequent),)]
-    # drop the leftmost predicate hypothesis: it names another predicate
-    # than the consequent's, or the consequent is an identity, which such
-    # hypotheses never constrain
-    return [(Clause(rest, c.consequent),)]
+# Step 2: per-clause elimination of predicate symbols, in closed form: a
+# predicate consequent follows exactly when it matches one hypothesis of
+# its predicate, and no other predicate hypothesis constrains an identity
 
 
 def rigid_alternatives(c: Clause) -> list[tuple[Clause, ...]]:
     """The tuples of rigid Horn clauses that can replace the Horn clause c,
-    in rewriting order; [] when every branch is deleted.
-
-    Each rewrite replaces the leftmost clause carrying a predicate atom,
-    and the clauses before it carry none, so the next scan starts there.
-    """
+    with E its equality hypotheses in order.  An equality consequent gives
+    the one tuple ``(E -> consequent,)``.  A consequent ``P(s1, ..., sn)``
+    gives, for each hypothesis ``P(t1, ..., tn)`` in order, repeats kept,
+    the tuple of the clauses ``E -> ti = si``, the hypothesis argument on
+    the left (``()`` for a nullary P); with no hypothesis of P it gives [],
+    which deletes the branch, since the consequent can then be falsified.
+    Every other predicate hypothesis is dropped."""
     if len(c.consequent) != 1:
         raise ContractError("predicate elimination needs Horn clauses")
-    results: list[tuple[Clause, ...]] = []
-    todo = [((c,), 0)]  # (alternative still to rewrite, where to scan), next on top
-    while todo:
-        clauses, start = todo.pop()
-        i = next((i for i in range(start, len(clauses))
-                  if clauses[i].predicate_atom_count()), None)
-        if i is None:  # no predicate atom left: rigid
-            results.append(clauses)
-            continue
-        count = clauses[i].predicate_atom_count()
-        alternatives = _eliminate_step(clauses[i])
-        # each new clause carries fewer predicate atoms than the one it
-        # replaces, so the multiset of counts drops (Dershowitz-Manna)
-        # and the rewriting ends
-        for alternative in alternatives:
-            assert all(d.predicate_atom_count() < count for d in alternative), \
-                "measure must drop"
-        todo += [(clauses[:i] + alternative + clauses[i + 1:], i)
-                 for alternative in reversed(alternatives)]
-    return results
+    consequent = c.consequent[0]
+    equalities = tuple(a for a in c.antecedent if isinstance(a, Equality))
+    if isinstance(consequent, Equality):
+        return [(Clause(equalities, c.consequent),)]
+    return [tuple(Clause(equalities, (Equality(t, s),)) for t, s in zip(h.args, consequent.args))
+            for h in c.antecedent if isinstance(h, PredApp) and h.symbol == consequent.symbol]
 
 
 def _trivial_constraint() -> Clause:

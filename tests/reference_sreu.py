@@ -3,11 +3,19 @@ clause was found by a scan of its own before each rewrite, each rewrite
 returned whole conjunctions checked by a multiset measure, the conversion
 checked for quantifiers in a walk of its own, and every Horn conjunction
 was split out whole before any was rewritten.  Kept unchanged, but for
-local `is_horn` and `is_rigid` in place of the deleted `Clause` methods,
-problems built by `helpers.problem_of`, which gives each its conjuncts,
-and the measure's helpers, `horn_split`, `_dedupe` and `ClauseConjunction`
-moved here from `hsk.sreu`, as the reference that tests compare the
-conversion pipeline against."""
+local `is_horn`, `is_rigid` and `predicate_atom_count` in place of the
+deleted `Clause` methods, problems built by `helpers.problem_of`, which
+gives each its conjuncts, and the measure's helpers, `horn_split`,
+`_dedupe` and `ClauseConjunction` moved here from `hsk.sreu`, as the
+reference that tests compare the conversion pipeline against.
+
+`rigid_alternatives_by_rewriting` is the per-clause elimination that
+`hsk.sreu.rigid_alternatives` was before it took its closed form: a
+worklist that rewrites the leftmost clause carrying a predicate atom,
+one `_eliminate_clause_step` (`_eliminate_step` in `hsk.sreu` then) at a
+time, and asserts that each rewrite lowers the clause's count of
+predicate atoms.  It is kept as the oracle that the closed form is
+compared against, alternative for alternative."""
 
 from __future__ import annotations
 
@@ -27,6 +35,10 @@ from reference_qcheck import is_quantifier_free
 
 
 ClauseConjunction = tuple[Clause, ...]
+
+
+def predicate_atom_count(c: Clause) -> int:
+    return sum(1 for a in c.antecedent + c.consequent if isinstance(a, PredApp))
 
 
 def is_horn(c: Clause) -> bool:
@@ -69,7 +81,7 @@ def horn_split(gamma: Sequence[Sequence[Clause]]) -> list[ClauseConjunction]:
 
 
 def _pred_counts(clauses: ClauseConjunction) -> tuple[int, ...]:
-    return tuple(sorted(c.predicate_atom_count() for c in clauses))
+    return tuple(sorted(predicate_atom_count(c) for c in clauses))
 
 
 def _multiset_lt(smaller: tuple[int, ...], larger: tuple[int, ...]) -> bool:
@@ -115,7 +127,7 @@ def _eliminate_step(clauses: ClauseConjunction) -> list[ClauseConjunction] | Non
     can always be falsified), otherwise the replacement alternatives.
     """
     for i, c in enumerate(clauses):
-        if c.predicate_atom_count() == 0:
+        if predicate_atom_count(c) == 0:
             continue
         consequent = c.consequent[0]
         if isinstance(consequent, PredApp):
@@ -148,6 +160,63 @@ def _eliminate_step(clauses: ClauseConjunction) -> list[ClauseConjunction] | Non
         rest = c.antecedent[:j] + c.antecedent[j + 1:]
         return [clauses[:i] + (Clause(rest, c.consequent),) + clauses[i + 1:]]
     return [clauses]
+
+
+def _eliminate_clause_step(c: Clause) -> list[tuple[Clause, ...]]:
+    """The alternatives, each a tuple of clauses, that replace the Horn
+    clause c, which carries a predicate atom; [] deletes the branch (an
+    unmatched predicate consequent can always be falsified).  Every new
+    clause has fewer predicate atoms than c."""
+    consequent = c.consequent[0]
+    is_pred = isinstance(consequent, PredApp)
+    if is_pred and not any(
+        isinstance(a, PredApp) and a.symbol == consequent.symbol for a in c.antecedent
+    ):
+        return []
+    j, atom = next((j, a) for j, a in enumerate(c.antecedent) if isinstance(a, PredApp))
+    rest = c.antecedent[:j] + c.antecedent[j + 1:]
+    if is_pred and atom.symbol == consequent.symbol:
+        # same predicate: either the arguments agree pairwise, or the
+        # clause holds without this hypothesis
+        equalities = tuple(
+            Clause(rest, (Equality(b, a),)) for b, a in zip(atom.args, consequent.args)
+        )
+        return [equalities, (Clause(rest, c.consequent),)]
+    # drop the leftmost predicate hypothesis: it names another predicate
+    # than the consequent's, or the consequent is an identity, which such
+    # hypotheses never constrain
+    return [(Clause(rest, c.consequent),)]
+
+
+def rigid_alternatives_by_rewriting(c: Clause) -> list[tuple[Clause, ...]]:
+    """The tuples of rigid Horn clauses that can replace the Horn clause c,
+    in rewriting order; [] when every branch is deleted.
+
+    Each rewrite replaces the leftmost clause carrying a predicate atom,
+    and the clauses before it carry none, so the next scan starts there.
+    """
+    if len(c.consequent) != 1:
+        raise ContractError("predicate elimination needs Horn clauses")
+    results: list[tuple[Clause, ...]] = []
+    todo = [((c,), 0)]  # (alternative still to rewrite, where to scan), next on top
+    while todo:
+        clauses, start = todo.pop()
+        i = next((i for i in range(start, len(clauses))
+                  if predicate_atom_count(clauses[i])), None)
+        if i is None:  # no predicate atom left: rigid
+            results.append(clauses)
+            continue
+        count = predicate_atom_count(clauses[i])
+        alternatives = _eliminate_clause_step(clauses[i])
+        # each new clause carries fewer predicate atoms than the one it
+        # replaces, so the multiset of counts drops (Dershowitz-Manna)
+        # and the rewriting ends
+        for alternative in alternatives:
+            assert all(predicate_atom_count(d) < count for d in alternative), \
+                "measure must drop"
+        todo += [(clauses[:i] + alternative + clauses[i + 1:], i)
+                 for alternative in reversed(alternatives)]
+    return results
 
 
 def eliminate_predicates(gamma: Sequence[Sequence[Clause]]) -> list[SREUProblem]:

@@ -342,6 +342,19 @@ def test_a_solution_without_bindings_says_solved(tmp_path, args, text, expected)
     assert run_cli([*args, str(source)]) == (0, expected)
 
 
+@pytest.mark.parametrize("options", [[], ["--solve"], ["--format", "records"],
+                                     ["--solve", "--format", "records"]],
+                         ids=["text", "text-solve", "records", "records-solve"])
+@pytest.mark.parametrize("text", ["p\n", "p(*1) & q(*2) -> r\n"], ids=["bare", "unmatched"])
+def test_a_conversion_with_no_problem_left_prints_nothing(tmp_path, capsys, text, options):
+    # every branch is deleted: no predicate consequent has a hypothesis
+    # of its predicate
+    source = tmp_path / "deleted.fml"
+    source.write_text(text)
+    assert run_cli(["sreu", *options, str(source)]) == (1, "")
+    assert capsys.readouterr() == ("", "")
+
+
 @pytest.mark.parametrize("text,conversion", [
     ("c#1 = d#1 -> !(a = a)\n", "[1.1] c#1 = d#1 & a = a -> c#2 = d#2\n"),
     ("c#1 = d#1 -> !(*1 = a)\n", "[1.1] c#1 = d#1 & *1 = a -> c#2 = d#2\n"),

@@ -437,6 +437,54 @@ def test_conversion_matches_the_reference_on_random_formulas():
     assert deleted > 400 and trivial > 10 and split > 150
 
 
+def _random_horn_clause(rng: random.Random) -> Clause:
+    """A Horn clause of up to 7 hypotheses over equalities and the
+    predicates r, p and q2: the consequent an equality or a predicate atom,
+    and the hypotheses interleaving equalities, atoms of the consequent's
+    predicate and of the others, and repeats of earlier hypotheses."""
+
+    def atom(symbol):
+        return PredApp(symbol, tuple(_random_term(rng, 1) for _ in range(symbol.arity)))
+
+    def equality():
+        return Equality(_random_term(rng, 1), _random_term(rng, 1))
+
+    consequent = equality() if rng.random() < 0.25 else atom(rng.choice(PREDICATES))
+    own = consequent.symbol if isinstance(consequent, PredApp) else rng.choice(PREDICATES)
+    hypotheses: list = []
+    for _ in range(rng.randint(0, 7)):
+        roll = rng.random()
+        if hypotheses and roll < 0.2:
+            hypotheses.append(rng.choice(hypotheses))
+        elif roll < 0.55:
+            hypotheses.append(atom(own))
+        elif roll < 0.75:
+            hypotheses.append(atom(rng.choice([q for q in PREDICATES if q != own])))
+        else:
+            hypotheses.append(equality())
+    return Clause(tuple(hypotheses), (consequent,))
+
+
+def test_closed_form_elimination_matches_the_rewriting():
+    # as lists, for 6 000 seeded Horn clauses: the same tuples in the same
+    # order, with the same duplicates
+    rng = random.Random(1995)
+    matched = repeated = 0
+    for _ in range(6000):
+        c = _random_horn_clause(rng)
+        got = rigid_alternatives(c)
+        assert got == reference_sreu.rigid_alternatives_by_rewriting(c), c
+        consequent = c.consequent[0]
+        if isinstance(consequent, PredApp):
+            own = [a for a in c.antecedent
+                   if isinstance(a, PredApp) and a.symbol == consequent.symbol]
+            matched += len(own) >= 2
+            repeated += len(set(own)) < len(own)
+    # many consequents meet several hypotheses of their predicate, and
+    # some meet the same one twice
+    assert matched > 1500 and repeated > 500
+
+
 # ---------------------------------------------------------------------------
 # One command shares work across its problems
 
