@@ -8,9 +8,9 @@ negative or exhausted one, 2 for usage or parse errors, 3 for an internal
 error, running out of memory included (a one-line diagnostic names the
 exception).
 
-Output is plain text, or line-oriented records (`--format records`) of
-tab-separated KEY=VALUE pairs with keys among verdict, witness,
-problem_index and alpha.
+A command returns its results, each a dict of a verdict's fields in the order
+a record prints them, and one of two renderers prints them: as plain text, or
+as records (`--format records`) of tab-separated KEY=VALUE pairs.
 """
 
 from __future__ import annotations
@@ -53,17 +53,10 @@ def _strip_comments(text: str) -> str:
     return "\n".join(lines)
 
 
-def _record(**fields: str) -> str:
-    return "\t".join(f"{key}={value}" for key, value in fields.items())
-
-
-def _bindings(solution: dict[Unknown, Term]) -> list[tuple[Unknown, Term]]:
-    """The solution's bindings, unknowns in canonical order."""
-    return sorted(solution.items(), key=lambda kv: canonical_key(kv[0]))
-
-
-def _witness_text(solution: dict[Unknown, Term]) -> str:
-    return ";".join(f"*{u.index}:={print_term(t)}" for u, t in _bindings(solution))
+def _bindings(solution: dict[Unknown, Term]) -> list[tuple[str, str]]:
+    """The solution's (unknown, term) texts, unknowns in canonical order."""
+    return [(f"*{u.index}", print_term(t))
+            for u, t in sorted(solution.items(), key=lambda kv: canonical_key(kv[0]))]
 
 
 def _alpha_value_text(value: int) -> str:
@@ -101,46 +94,35 @@ def _parse_alpha_bindings(pairs: list[str]) -> AlphaAssignment:
 
 
 # ---------------------------------------------------------------------------
-# Command implementations; each returns (status, list of output lines)
+# Command implementations; each returns (status, list of results)
 
 
-def _cmd_check(config: RunConfig, text: str) -> tuple[int, list[str]]:
-    formula = parse_formula(text)
-    verdict = qcheck.is_quasitautology(formula)
-    if config.fmt == "records":
-        return (0 if verdict else 1,
-                [_record(verdict="quasitautology" if verdict else "not-quasitautology")])
-    return (0 if verdict else 1,
-            ["QUASITAUTOLOGY" if verdict else "NOT A QUASITAUTOLOGY"])
+def _cmd_check(config: RunConfig, text: str) -> tuple[int, list[dict]]:
+    if qcheck.is_quasitautology(parse_formula(text)):
+        return 0, [{"verdict": "quasitautology"}]
+    return 1, [{"verdict": "not-quasitautology"}]
 
 
-def _cmd_skeleton(config: RunConfig, text: str) -> tuple[int, list[str]]:
+def _cmd_skeleton(config: RunConfig, text: str) -> tuple[int, list[dict]]:
     psi = skeleton.existential_of(parse_formula(text))
     sk = skeleton.make_skeleton(psi, config.n)
-    rendered = print_formula(sk.formula)
-    if config.fmt == "records":
-        return 0, [_record(verdict="skeleton", witness=rendered)]
-    return 0, [rendered]
+    return 0, [{"verdict": "skeleton", "witness": print_formula(sk.formula)}]
 
 
-def _cmd_solve(config: RunConfig, text: str) -> tuple[int, list[str]]:
+def _cmd_solve(config: RunConfig, text: str) -> tuple[int, list[dict]]:
     psi = skeleton.existential_of(parse_formula(text))
     sk = skeleton.make_skeleton(psi, config.n)
     solution = skeleton.solve_bounded(sk, max_size=config.max_size)
     if solution is None:
-        if config.fmt == "records":
-            return 1, [_record(verdict="no-solution")]
-        return 1, [f"NO SOLUTION WITHIN BOUND {config.max_size}"]
-    if config.fmt == "records":
-        return 0, [_record(verdict="solved", witness=_witness_text(solution))]
-    return 0, [f"*{u.index} := {print_term(t)}" for u, t in _bindings(solution)] or ["SOLVED"]
+        return 1, [{"verdict": "no-solution"}]
+    return 0, [{"verdict": "solved", "witness": _bindings(solution)}]
 
 
-def _cmd_sreu(config: RunConfig, text: str) -> tuple[int, list[str]]:
+def _cmd_sreu(config: RunConfig, text: str) -> tuple[int, list[dict]]:
     formula = parse_formula(text)
     problems = sreu.convert_to_sreu(formula)
-    lines: list[str] = []
-    any_solved = False
+    results: list[dict] = []
+    positive = bool(problems) and not config.solve
     # the problems share few distinct constraints: each is printed once,
     # and the searches share one memo of conjunct walks and check verdicts
     rendered: dict[Formula, str] = {}
@@ -149,34 +131,20 @@ def _cmd_sreu(config: RunConfig, text: str) -> tuple[int, list[str]]:
         for f in problem.conjuncts:
             if f not in rendered:
                 rendered[f] = print_formula(f)
-        texts = [rendered[f] for f in problem.conjuncts]
-        if config.fmt == "records":
-            witness = " & ".join(f"({text})" for text in texts)
-            lines.append(_record(problem_index=str(i), verdict="sreu", witness=witness))
-        else:
-            lines += [f"[{i}.{j}] {text}" for j, text in enumerate(texts, start=1)]
+        results.append({"problem_index": i, "verdict": "sreu",
+                        "witness": [rendered[f] for f in problem.conjuncts]})
         if config.solve:
             solution = sreu.solve_sreu_bounded(problem, max_size=config.max_size, memo=memo)
-            if solution is not None:
-                any_solved = True
-            if config.fmt == "records":
-                if solution is None:
-                    lines.append(_record(problem_index=str(i), verdict="no-solution"))
-                else:
-                    lines.append(_record(problem_index=str(i), verdict="solved",
-                                         witness=_witness_text(solution)))
+            if solution is None:
+                results.append({"problem_index": i, "verdict": "no-solution"})
             else:
-                if solution is None:
-                    lines.append(f"[{i}] NO SOLUTION WITHIN BOUND {config.max_size}")
-                else:
-                    witness = _witness_text(solution)
-                    lines.append(f"[{i}] SOLVED {witness}" if witness else f"[{i}] SOLVED")
-    if config.solve:
-        return (0 if any_solved else 1), lines
-    return (0 if problems else 1), lines
+                positive = True
+                results.append({"problem_index": i, "verdict": "solved",
+                                "witness": _bindings(solution)})
+    return (0 if positive else 1), results
 
 
-def _cmd_encode(config: RunConfig, text: str) -> tuple[int, list[str]]:
+def _cmd_encode(config: RunConfig, text: str) -> tuple[int, list[dict]]:
     system = arith.parse_diophantine(text)
     if config.m is not None:
         variables = system.variables()
@@ -185,13 +153,12 @@ def _cmd_encode(config: RunConfig, text: str) -> tuple[int, list[str]]:
         psi = arith.reduction_f(system, variables[0], config.m, config.n)
     else:
         psi = arith.encoding(system, config.n)
-    rendered = print_formula(skeleton.close_existentially(psi))
-    if config.fmt == "records":
-        return 0, [_record(verdict="ok", witness=rendered)]
-    return 0, [rendered]
+    return 0, [{"verdict": "ok", "witness": print_formula(skeleton.close_existentially(psi))}]
 
 
-def _cmd_eval(config: RunConfig, text: str) -> tuple[int, list[str]]:
+def _cmd_eval(config: RunConfig, text: str) -> tuple[int, list[dict]]:
+    if config.alpha and config.structure != "m-alpha":
+        raise _UsageError(f"--alpha needs --structure m-alpha, not {config.structure!r}")
     formula = parse_formula(text)
     if config.structure == "two-point":
         structure = models.two_point_structure()
@@ -202,21 +169,17 @@ def _cmd_eval(config: RunConfig, text: str) -> tuple[int, list[str]]:
     else:
         raise _UsageError(f"unknown structure {config.structure!r}")
     verdict = models.holds(structure, formula)
-    if config.fmt == "records":
-        return (0 if verdict else 1, [_record(verdict="true" if verdict else "false")])
-    return (0 if verdict else 1, ["TRUE" if verdict else "FALSE"])
+    return (0 if verdict else 1), [{"verdict": "true" if verdict else "false"}]
 
 
-def _cmd_countermodel(config: RunConfig, text: str) -> tuple[int, list[str]]:
+def _cmd_countermodel(config: RunConfig, text: str) -> tuple[int, list[dict]]:
     formula = parse_formula(text)
     disjuncts = flatten_or(formula)
     failures: list[tuple[int, models.Diagnosis]] = []
     for i, disjunct in enumerate(disjuncts, start=1):
         instance = arith.recognize_instance(disjunct)
         if qcheck.is_quasitautology(disjunct):
-            if config.fmt == "records":
-                return 1, [_record(verdict="valid-disjunct", problem_index=str(i))]
-            return 1, [f"VALID DISJUNCT {i}"]
+            return 1, [{"verdict": "valid-disjunct", "problem_index": i}]
         failures.append((instance.language_index,
                          arith.classify_failures(instance, conjuncts=flatten_and(disjunct))))
     alpha = models.construct_alpha(failures)
@@ -224,12 +187,8 @@ def _cmd_countermodel(config: RunConfig, text: str) -> tuple[int, list[str]]:
     for disjunct in disjuncts:
         if models.holds(structure, disjunct):
             raise ContractError("assignment failed to falsify a disjunct")
-    alpha_text = ";".join(f"{sym.name}:={_alpha_value_text(v)}" for sym, v in alpha.items())
-    if config.fmt == "records":
-        return 0, [_record(verdict="falsified", alpha=alpha_text)]
-    lines = [f"alpha {sym.name} = {_alpha_value_text(v)}" for sym, v in alpha.items()]
-    lines.append("FALSIFIED")
-    return 0, lines
+    return 0, [{"verdict": "falsified",
+                "alpha": [(sym.name, _alpha_value_text(v)) for sym, v in alpha.items()]}]
 
 
 _COMMANDS = {
@@ -243,15 +202,58 @@ _COMMANDS = {
 }
 
 
+def _field(value: int | str | list) -> str:
+    """A record field; constraint texts read `(c1) & (c2)`, (name, value) pairs `n1:=v1;n2:=v2`."""
+    if isinstance(value, (int, str)):
+        return str(value)
+    if value and isinstance(value[0], str):
+        return " & ".join(f"({text})" for text in value)
+    return ";".join(f"{name}:={text}" for name, text in value)
+
+
+def _records(results: list[dict]) -> list[str]:
+    return ["\t".join(f"{key}={_field(value)}" for key, value in result.items())
+            for result in results]
+
+
+_VERDICT_LINES = {"quasitautology": "QUASITAUTOLOGY", "not-quasitautology": "NOT A QUASITAUTOLOGY",
+                  "true": "TRUE", "false": "FALSE",
+                  "valid-disjunct": "VALID DISJUNCT {problem_index}"}
+
+
+def _text(results: list[dict], bound: int) -> list[str]:
+    """The results' text lines; an exhausted search names the size `bound`."""
+    lines: list[str] = []
+    for result in results:
+        verdict, index = result["verdict"], result.get("problem_index")
+        if verdict == "sreu":
+            lines += [f"[{index}.{j}] {text}" for j, text in enumerate(result["witness"], start=1)]
+        elif verdict == "no-solution":
+            lines.append(f"NO SOLUTION WITHIN BOUND {bound}" if index is None
+                         else f"[{index}] NO SOLUTION WITHIN BOUND {bound}")
+        elif verdict == "solved" and index is None:
+            lines += [f"{name} := {text}" for name, text in result["witness"]] or ["SOLVED"]
+        elif verdict == "solved":  # one line, its bindings as in a record
+            witness = _field(result["witness"])
+            lines.append(f"[{index}] SOLVED {witness}" if witness else f"[{index}] SOLVED")
+        elif verdict == "falsified":
+            lines += [f"alpha {name} = {text}" for name, text in result["alpha"]]
+            lines.append("FALSIFIED")
+        else:  # one line: a skeleton's or an encoding's formula, or the verdict's
+            lines.append(result["witness"] if "witness" in result
+                         else _VERDICT_LINES[verdict].format(**result))
+    return lines
+
+
 def run(config: RunConfig, text: str) -> tuple[int, str]:
-    """Dispatch one command on the given input text, its comment lines
-    blanked; returns exit status and the full output (one line per result,
-    trailing newline when nonempty)."""
+    """Dispatch one command on the given input text, its comment lines blanked;
+    returns exit status and the output: the results as text or records lines."""
     handler = _COMMANDS.get(config.command)
     if handler is None:
         raise _UsageError(f"unknown command {config.command!r}")
-    status, lines = handler(config, _strip_comments(text))
-    return status, "".join(f"{line}\n" for line in lines)
+    status, results = handler(config, _strip_comments(text))
+    lines = _records(results) if config.fmt == "records" else _text(results, config.max_size)
+    return status, "\n".join([*lines, ""])  # each line ends in a newline
 
 
 def _build_argparser() -> argparse.ArgumentParser:
@@ -337,10 +339,7 @@ def main(argv: list[str] | None = None) -> int:
     crash = None
     try:
         status, output = run(config, text)
-    except ParseError as err:
-        _diagnose(str(err))
-        return 2
-    except (_UsageError, ContractError) as err:
+    except (ParseError, _UsageError, ContractError) as err:
         _diagnose(str(err))
         return 2
     except Exception as err:  # a crash must not read as a verdict

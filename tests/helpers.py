@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
+import pathlib
 import random
+import sys
 from typing import Iterator
 
 from hsk.skeleton import _class_member_buckets
@@ -29,12 +32,24 @@ from hsk.syntax import (
     subterms,
 )
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
 CONSTS = [FunctionSymbol(n, 0) for n in ("a", "b", "c")]
 F1 = FunctionSymbol("f", 1)
 G2 = FunctionSymbol("g", 2)
 H3 = FunctionSymbol("h", 3)
 P1 = PredicateSymbol("p", 1)
 Q2 = PredicateSymbol("q", 2)
+
+
+def bench_problems():
+    """perfbench/problems.py, loaded from its file as the benchmark does."""
+    spec = importlib.util.spec_from_file_location("perfbench_problems",
+                                                  ROOT / "perfbench" / "problems.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def unknowns_of(x: Term | Formula) -> list[Unknown]:

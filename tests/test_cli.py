@@ -8,8 +8,11 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from helpers import ROOT, bench_problems
 from hsk import cli
 from hsk.cli import main
+from hsk.syntax import flatten_or
+from hsk.textform import parse_formula, print_formula
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -91,18 +94,87 @@ def test_byte_identical_across_hash_seeds(golden):
     assert outputs[0] == outputs[1] == (FIXTURES / "golden" / golden).read_bytes()
 
 
-def test_text_and_record_verdicts_agree():
-    pairs = [
-        (["check", "implication_interference.fml"],
-         ["check", "--format", "records", "implication_interference.fml"]),
-        (["solve", "-n", "1", "--max-size", "3", "guarded_choice.fml"],
-         ["solve", "-n", "1", "--max-size", "3", "--format", "records",
-          "guarded_choice.fml"]),
-        (["countermodel", "variant_failures.fml"],
-         ["countermodel", "--format", "records", "variant_failures.fml"]),
-    ]
-    for text_args, record_args in pairs:
-        assert run_cli(text_args)[0] == run_cli(record_args)[0]
+_ONE_VARIANT = ("(z_1 = s(z_1) -> z_1 = pair(z_1, z_1)) & (z_1 = s(z_1) -> z_1 = s(z_1)) & "
+                "(z_1 = s(z_1) -> z_1 = z_1) & (zt_1 = s(zt_1) -> zt_1 = zt_1) & "
+                "(z_1 = zt_1 -> s(z_1) = zt_1) & (zt_1 = pair(z_1, z_1) -> z_1 = zt_1)")
+_SREU_MIXED = (
+    "[1.1] *1 = a -> a = c\n[1.2] *1 = b -> a = c\n[1] NO SOLUTION WITHIN BOUND 2\n"
+    "[2.1] *1 = a -> a = c\n[2.2] *1 = b -> b = c\n[2] SOLVED *1:=c\n"
+    "[3.1] *1 = a -> b = c\n[3.2] *1 = b -> a = c\n[3] NO SOLUTION WITHIN BOUND 2\n"
+    "[4.1] *1 = a -> b = c\n[4.2] *1 = b -> b = c\n[4] NO SOLUTION WITHIN BOUND 2\n")
+_SREU_MIXED_RECORDS = (
+    "problem_index=1\tverdict=sreu\twitness=(*1 = a -> a = c) & (*1 = b -> a = c)\n"
+    "problem_index=1\tverdict=no-solution\n"
+    "problem_index=2\tverdict=sreu\twitness=(*1 = a -> a = c) & (*1 = b -> b = c)\n"
+    "problem_index=2\tverdict=solved\twitness=*1:=c\n"
+    "problem_index=3\tverdict=sreu\twitness=(*1 = a -> b = c) & (*1 = b -> a = c)\n"
+    "problem_index=3\tverdict=no-solution\n"
+    "problem_index=4\tverdict=sreu\twitness=(*1 = a -> b = c) & (*1 = b -> b = c)\n"
+    "problem_index=4\tverdict=no-solution\n")
+_ENCODED = ("exists ?w1. (z = s(z) -> z = z) & (z = s(z) -> z = z) & (z = s(z) -> z = z) & "
+            "((zt = s(zt) -> zt = ?w1) & (z = zt -> z = ?w1) & (zt = z -> z = ?w1))")
+
+# One row per verdict of every command: (id, arguments before the input file,
+# input text, exit status, stdout with --format text, stdout with --format records)
+VERDICTS = [
+    ("check-quasitautology", ["check"], "a = a", 0,
+     "QUASITAUTOLOGY\n", "verdict=quasitautology\n"),
+    ("check-not-quasitautology", ["check"], "a = b", 1,
+     "NOT A QUASITAUTOLOGY\n", "verdict=not-quasitautology\n"),
+    ("skeleton", ["skeleton"], "exists ?v. p(a) -> p(?v)", 0,
+     "p(a) -> p(*1)\n", "verdict=skeleton\twitness=p(a) -> p(*1)\n"),
+    ("solve-solved", ["solve", "-n", "2", "--max-size", "1"],
+     "exists ?v. p(a) | p(b) -> p(?v)", 0,
+     "*1 := a\n*2 := b\n", "verdict=solved\twitness=*1:=a;*2:=b\n"),
+    ("solve-solved-without-bindings", ["solve"], "a = a", 0,
+     "SOLVED\n", "verdict=solved\twitness=\n"),
+    ("solve-no-solution", ["solve", "--max-size", "3"], "exists ?v. p(a) | p(b) -> p(?v)", 1,
+     "NO SOLUTION WITHIN BOUND 3\n", "verdict=no-solution\n"),
+    ("sreu", ["sreu"], "p(a) & (*1 = a | *1 = b) -> p(c)", 0,
+     "[1.1] *1 = a -> a = c\n[1.2] *1 = b -> a = c\n",
+     "problem_index=1\tverdict=sreu\twitness=(*1 = a -> a = c) & (*1 = b -> a = c)\n"),
+    ("sreu-solve", ["sreu", "--solve", "--max-size", "2"],
+     "p(a) & p(b) & (*1 = a | *1 = b) -> p(c)", 0, _SREU_MIXED, _SREU_MIXED_RECORDS),
+    ("sreu-solve-none-solved", ["sreu", "--solve", "--max-size", "2"],
+     "p(a) & *1 = b -> p(c)", 1,
+     "[1.1] *1 = b -> a = c\n[1] NO SOLUTION WITHIN BOUND 2\n",
+     "problem_index=1\tverdict=sreu\twitness=(*1 = b -> a = c)\n"
+     "problem_index=1\tverdict=no-solution\n"),
+    ("sreu-no-problem", ["sreu"], "p", 1, "", ""),
+    ("sreu-solve-no-problem", ["sreu", "--solve"], "p", 1, "", ""),
+    ("encode", ["encode", "-m", "0", "--dioph"], "x1 + 0 = 0", 0,
+     f"{_ENCODED}\n", f"verdict=ok\twitness={_ENCODED}\n"),
+    ("eval-true", ["eval"], "a = a", 0, "TRUE\n", "verdict=true\n"),
+    ("eval-false", ["eval"], "z = a", 1, "FALSE\n", "verdict=false\n"),
+    ("countermodel-falsified", ["countermodel"], _ONE_VARIANT, 0,
+     "alpha z_1 = J(1,1)\nalpha zh_1 = 0\nalpha zt_1 = 0\nalpha k_1 = J(4,1)\n"
+     "alpha kt_1 = 0\nFALSIFIED\n",
+     "verdict=falsified\talpha=z_1:=J(1,1);zh_1:=0;zt_1:=0;k_1:=J(4,1);kt_1:=0\n"),
+    ("countermodel-valid-disjunct", ["countermodel"],
+     "(z_1 = s(z_1) -> z_1 = z_1) | (z_2 = s(z_2) -> z_2 = s(s(z_2)))", 1,
+     "VALID DISJUNCT 1\n", "verdict=valid-disjunct\tproblem_index=1\n"),
+]
+
+
+def run_verdict(tmp_path, args: list[str], text: str, fmt: str) -> tuple[int, str]:
+    source = tmp_path / "input.txt"
+    source.write_text(text + "\n")
+    return run_cli([*args, str(source), "--format", fmt])
+
+
+@pytest.mark.parametrize("args,text,status,text_out,records_out",
+                         [row[1:] for row in VERDICTS], ids=[row[0] for row in VERDICTS])
+def test_every_verdict_in_both_formats(tmp_path, args, text, status, text_out, records_out):
+    assert run_verdict(tmp_path, args, text, "text") == (status, text_out)
+    assert run_verdict(tmp_path, args, text, "records") == (status, records_out)
+
+
+def test_text_and_record_verdicts_agree(tmp_path):
+    # the table holds every command, and each of its rows gives one status in both formats
+    assert {args[0] for _, args, *_ in VERDICTS} == set(cli._COMMANDS)
+    for _, args, text, _, _, _ in VERDICTS:
+        assert (run_verdict(tmp_path, args, text, "text")[0]
+                == run_verdict(tmp_path, args, text, "records")[0])
 
 
 def test_check_negative_exit_code(tmp_path):
@@ -299,6 +371,46 @@ def test_malformed_alpha_value_exits_2(tmp_path, capsys, binding):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert "internal error" not in err
+
+
+@pytest.mark.parametrize("options,structure", [
+    (["--alpha", "z=3"], "two-point"),
+    (["--structure", "table", "--alpha", "z=3"], "table"),
+    (["--structure", "two-point", "--alpha", "z=abc"], "two-point"),
+], ids=["default", "table", "malformed"])
+def test_alpha_without_m_alpha_exits_2_with_one_diagnostic(tmp_path, capsys, options,
+                                                           structure):
+    # only m-alpha reads the bindings, so elsewhere they would go unchecked and unused
+    source = tmp_path / "zero.fml"
+    source.write_text("z = z\n")
+    status, out = run_cli(["eval", *options, str(source)])
+    assert (status, out) == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: --alpha needs --structure m-alpha, not {structure!r}\n")
+
+
+def test_a_countermodel_alpha_falsifies_every_disjunct_in_eval(tmp_path):
+    # the alpha field of a record, NAME:=VALUE;..., read back as --alpha
+    # NAME=VALUE arguments: the printed values parse to the ones found.
+    # Inputs: the fixture, and the falsifiable countermodel families of the
+    # benchmark's validity workload (seed 7, batch 0)
+    batch = bench_problems().make_batch("validity", 7, 0, ROOT)
+    disjunctions = [(FIXTURES / "variant_failures.fml").read_text(),
+                    *(p.text for p in batch if p.family == "countermodel-falsified")]
+    assert len(disjunctions) == 11
+    source = tmp_path / "input.fml"
+    for text in disjunctions:
+        source.write_text(text)
+        status, out = run_cli(["countermodel", "--format", "records", str(source)])
+        assert status == 0, text
+        fields = dict(field.split("=", 1) for field in out.rstrip("\n").split("\t"))
+        assert fields["verdict"] == "falsified"
+        alpha = [arg for binding in fields["alpha"].split(";")
+                 for arg in ("--alpha", binding.replace(":=", "="))]
+        for disjunct in flatten_or(parse_formula(cli._strip_comments(text))):
+            source.write_text(print_formula(disjunct) + "\n")
+            assert run_cli(["eval", "--structure", "m-alpha", *alpha, str(source)]) == (
+                1, "FALSE\n"), (text, disjunct)
 
 
 @pytest.mark.parametrize("args", [

@@ -1,14 +1,11 @@
 import dataclasses
-import importlib.util
 import itertools
-import pathlib
 import random
-import sys
 
 import pytest
 
 import reference_sreu
-from helpers import enumerate_terms, problem_of, signature_of, unknowns_of
+from helpers import ROOT, bench_problems, enumerate_terms, problem_of, signature_of, unknowns_of
 from hsk import cli, qcheck, skeleton, sreu, syntax
 from hsk.sreu import (
     Clause,
@@ -489,19 +486,6 @@ def test_closed_form_elimination_matches_the_rewriting():
 # One command shares work across its problems
 
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-
-
-def _bench_problems():
-    """perfbench/problems.py, loaded from its file as the benchmark does."""
-    spec = importlib.util.spec_from_file_location("perfbench_problems",
-                                                  ROOT / "perfbench" / "problems.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
 def _unshared_sreu_solve(config: cli.RunConfig, text: str) -> tuple[int, str]:
     """`hsk sreu --solve` with nothing shared between problems: each
     constraint printed from its own `Clause.formula()`, and each problem
@@ -531,7 +515,7 @@ def _unshared_sreu_solve(config: cli.RunConfig, text: str) -> tuple[int, str]:
 def _sharing_inputs():
     """(config, text): the sreu goldens, batch 0 of the benchmark's sreu
     workload (seed 7), and seeded random formulas over two unknowns."""
-    for problem in _bench_problems().make_batch("sreu", 7, 0, ROOT):
+    for problem in bench_problems().make_batch("sreu", 7, 0, ROOT):
         yield cli.RunConfig(**problem.command), problem.text
     rng = random.Random(1995)
     for _ in range(150):
