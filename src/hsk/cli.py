@@ -82,6 +82,8 @@ def _parse_alpha_bindings(pairs: list[str]) -> AlphaAssignment:
         symbol = textform.special_of_name(name.strip())
         if symbol is None:
             raise _UsageError(f"{name!r} is not a special constant")
+        if symbol in values:
+            raise _UsageError(f"--alpha binds {symbol.name} twice")
         value_text = value_text.strip()
         if value_text.startswith("J(") and value_text.endswith(")"):
             inner = value_text[2:-1].split(",")

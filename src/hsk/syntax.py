@@ -5,16 +5,18 @@ written ``*1``, ``*2``, ...).  Unknowns are a separate constructor rather
 than nullary applications so that solution terms can be recognised
 structurally.
 
-Terms and formulas are hash-consed (Filliâtre & Conchon, "Type-safe
-modular hash-consing", ML Workshop 2006): building a node returns the live
-node with the same class and fields when there is one, so structurally
-equal nodes are one object.  Equality is identity and the hash is the
-object's address; neither recurses.  Nodes are immutable.  The table of
-live nodes is a plain dict from a node's class and fields to a weak
-reference to the node, so building a node is one dict lookup and one
-call of the reference found.  The reference's callback removes the entry
-when the node dies, so the table keeps no node alive and shrinks when
-nodes are dropped.
+Terms, formulas and the symbols in them are hash-consed (Filliâtre &
+Conchon, "Type-safe modular hash-consing", ML Workshop 2006): building one
+returns the live one with the same class and fields when there is one, so
+structurally equal values are one object.  Equality is identity and the
+hash is the object's address, both computed in C; neither recurses.  Nodes
+and symbols are immutable.  One table, `_NODES`, holds them all: a plain
+dict from a value's class and fields to a weak reference to the value, so
+building one is one dict lookup and one call of the reference found.  A
+symbol in a key is hashed by its address, so looking a node up calls no
+Python code.  The reference's callback removes the entry when the value
+dies, so the table keeps nothing alive and shrinks when values are
+dropped.
 
 No function here recurses on the structure of its input, so terms and
 formulas of any depth are handled.  Every walker is built on two
@@ -41,6 +43,74 @@ class ContractError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# The intern table
+
+
+class _Entry(weakref.ref):
+    """A weak reference to an interned value that knows the value's key in
+    `_NODES`."""
+
+    __slots__ = ("key",)
+
+
+def _forget(entry: _Entry) -> None:
+    """The callback of a dying value's entry: drop the entry if `_NODES`
+    still holds it.  A value built anew after the old one died holds the
+    key under an entry of its own, which stays."""
+    if _NODES.get(entry.key) is entry:
+        del _NODES[entry.key]
+
+
+def _absent() -> None:
+    """Stands for a missing entry: called, it gives None, as an entry whose
+    value died does."""
+    return None
+
+
+# Every live symbol, term and formula, keyed by its class and its fields, as
+# a weak reference that its callback drops when the value dies.
+_NODES: dict[tuple, _Entry] = {}
+
+_set = object.__setattr__  # sets a field of a frozen dataclass
+
+
+def _enter(key: tuple, value: object) -> None:
+    """Enter a weak reference to the checked `value` under `key`."""
+    entry = _NODES[key] = _Entry(value, _forget)
+    entry.key = key
+
+
+class _Interned:
+    """A value interned in `_NODES`: a symbol, a term or a formula.
+
+    `__new__` is the only constructor.  It looks its class and fields up in
+    `_NODES` and calls the weak reference found there, which gives the live
+    value.  Where there is none, it builds one, checks it in
+    `__post_init__` and only then enters it, so a value that fails its
+    checks is never shared and none is kept alive by the table.  Subclasses
+    are frozen dataclasses with `eq=False` and `init=False`, so equality
+    and the hash are `object`'s, and their fields are given positionally.
+    """
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        value = _NODES.get(key, _absent)()
+        if value is None:
+            names = cls.__match_args__
+            if len(fields) != len(names):
+                raise TypeError(f"{cls.__name__} takes {len(names)} fields, got {len(fields)}")
+            value = object.__new__(cls)
+            for name, field_value in zip(names, fields):
+                _set(value, name, field_value)
+            value.__post_init__()
+            _enter(key, value)
+        return value
+
+    def __post_init__(self) -> None:
+        pass
+
+
+# ---------------------------------------------------------------------------
 # Symbols
 
 
@@ -54,51 +124,41 @@ class SpecialBase(Enum):
     K_TILDE = "kt"
 
 
-@dataclass(frozen=True)
-class SpecialTag:
-    """The base and language of a special constant; the hash is computed
-    once, at construction, and equality stays structural."""
+@dataclass(frozen=True, eq=False, init=False)
+class SpecialTag(_Interned):
+    """The base and language of a special constant."""
 
     base: SpecialBase
     language_index: int  # 0 = the unindexed language
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.language_index < 0:
             raise ContractError("language index must be >= 0")
-        object.__setattr__(self, "_hash", hash((self.base, self.language_index)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
-@dataclass(frozen=True)
-class FunctionSymbol:
-    """A function symbol.  Symbols key every congruence transition table,
-    so the hash is computed once, at construction; equality stays
-    structural."""
+@dataclass(frozen=True, eq=False, init=False)
+class FunctionSymbol(_Interned):
+    """A function symbol; a special constant carries its tag."""
 
     name: str
     arity: int
     special: SpecialTag | None = None
-    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __new__(cls, name: str, arity: int, special: SpecialTag | None = None):
+        return super().__new__(cls, name, arity, special)  # `f, 0` and `f, 0, None`: one key
 
     def __post_init__(self) -> None:
         if self.arity < 0:
             raise ContractError(f"negative arity for {self.name}")
         if self.special is not None and self.arity != 0:
             raise ContractError("special constants must be nullary")
-        object.__setattr__(self, "_hash", hash((self.name, self.arity, self.special)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __str__(self) -> str:
         return f"{self.name}/{self.arity}"
 
 
-@dataclass(frozen=True)
-class PredicateSymbol:
+@dataclass(frozen=True, eq=False, init=False)
+class PredicateSymbol(_Interned):
     name: str
     arity: int
 
@@ -140,65 +200,17 @@ def _kind_of(name: str) -> VarKind:
 
 _GROUND = attrgetter("ground")
 
-class _Entry(weakref.ref):
-    """A weak reference to a node that knows the node's key in `_NODES`."""
 
-    __slots__ = ("key",)
-
-
-def _forget(entry: _Entry) -> None:
-    """The callback of a dying node's entry: drop the entry if `_NODES`
-    still holds it.  A node built anew after the old one died holds the
-    key under an entry of its own, which stays."""
-    if _NODES.get(entry.key) is entry:
-        del _NODES[entry.key]
-
-
-def _absent() -> None:
-    """Stands for a missing entry: called, it gives None, as an entry whose
-    node died does."""
-    return None
-
-
-# Every live term and formula, keyed by its class and its fields, as a weak
-# reference that its callback drops when the node dies.
-_NODES: dict[tuple, _Entry] = {}
-
-
-class Node:
-    """A hash-consed term or formula.
-
-    `Node.__new__` is the only constructor.  It looks its class and fields
-    up in `_NODES` and calls the weak reference found there, which gives
-    the live node.  Where there is none, it builds one, checks it in
-    `__post_init__` and only then enters a weak reference to it, so a node
-    that fails its checks is never shared and no node is kept alive by the
-    table.  Subclasses are frozen dataclasses with `eq=False` and
-    `init=False`, and their fields are given positionally.  `ground` is
-    true when no variable or unknown lies at or below the node.
-    """
+class Node(_Interned):
+    """A hash-consed term or formula.  `ground` is true when no variable
+    or unknown lies at or below the node; `__post_init__` computes it from
+    the children, so a subclass that checks more calls it at the end."""
 
     ground = True
 
-    def __new__(cls, *fields):
-        key = (cls, *fields)
-        node = _NODES.get(key, _absent)()
-        if node is None:
-            names = cls.__match_args__
-            if len(fields) != len(names):
-                raise TypeError(f"{cls.__name__} takes {len(names)} fields, got {len(fields)}")
-            node = object.__new__(cls)
-            for name, value in zip(names, fields):
-                object.__setattr__(node, name, value)
-            node.__post_init__()
-            if not all(map(_GROUND, _CHILDREN[cls](node))):
-                object.__setattr__(node, "ground", False)
-            entry = _NODES[key] = _Entry(node, _forget)
-            entry.key = key
-        return node
-
     def __post_init__(self) -> None:
-        pass
+        if not all(map(_GROUND, _CHILDREN[type(self)](self))):
+            _set(self, "ground", False)
 
     def __str__(self) -> str:
         from .textform import print_formula, print_term  # textform imports this module
@@ -217,11 +229,12 @@ class Variable(Term):
     name: str
     kind: VarKind = field(init=False)
     ground = False
+    size = 0
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ContractError("empty variable name")
-        object.__setattr__(self, "kind", _kind_of(self.name))
+        _set(self, "kind", _kind_of(self.name))
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -230,21 +243,41 @@ class Unknown(Term):
 
     index: Union[int, str]
     ground = False
+    size = 0
 
 
 @dataclass(frozen=True, eq=False, init=False)
 class Application(Term):
+    """A function symbol applied to its arguments.
+
+    The most often built node, so it has a constructor of its own: a hit
+    is one lookup, and a miss checks the arity and computes `size` and
+    `ground` in one pass over the arguments.
+    """
+
     symbol: FunctionSymbol
     args: tuple[Term, ...]
-    size: int = field(init=False, repr=False)  # term_size, from the children
+    size: int = field(init=False, repr=False)  # term_size: variables and unknowns count 0
 
-    def __post_init__(self) -> None:
-        if len(self.args) != self.symbol.arity:
-            raise ContractError(
-                f"{self.symbol.name} expects {self.symbol.arity} args, got {len(self.args)}"
-            )
-        size = 1 + sum([a.size for a in self.args if isinstance(a, Application)])
-        object.__setattr__(self, "size", size)
+    def __new__(cls, symbol: FunctionSymbol, args: tuple[Term, ...]):
+        key = (cls, symbol, args)
+        node = _NODES.get(key, _absent)()
+        if node is None:
+            if len(args) != symbol.arity:
+                raise ContractError(f"{symbol.name} expects {symbol.arity} args, got {len(args)}")
+            size, ground = 1, True
+            for arg in args:
+                size += arg.size
+                if not arg.ground:
+                    ground = False
+            node = object.__new__(cls)
+            _set(node, "symbol", symbol)
+            _set(node, "args", args)
+            _set(node, "size", size)
+            if not ground:
+                _set(node, "ground", False)
+            _enter(key, node)
+        return node
 
 
 def const(symbol: FunctionSymbol) -> Term:
@@ -305,6 +338,7 @@ class PredApp(Formula):
             raise ContractError(
                 f"{self.symbol.name} expects {self.symbol.arity} args, got {len(self.args)}"
             )
+        super().__post_init__()
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -469,7 +503,7 @@ def term_size(t: Term) -> int:
 
     Variables and unknowns contribute nothing; constants count one.
     """
-    return t.size if isinstance(t, Application) else 0
+    return t.size
 
 
 _CONNECTIVES = (Not, And, Or, Implies)

@@ -594,13 +594,16 @@ def test_recognition_builds_no_node(monkeypatch):
     inst = instantiate(make_variant(phi, 2), values)
     formula = inst.formula()
     built = []
-    new = syntax.Node.__new__
 
-    def counted(cls, *fields):
-        built.append(cls)
-        return new(cls, *fields)
+    def counting(new):
+        def counted(cls, *fields):
+            built.append(cls)
+            return new(cls, *fields)
+        return staticmethod(counted)
 
-    monkeypatch.setattr(syntax.Node, "__new__", staticmethod(counted))
+    # Application has a constructor of its own; every other node's is Node's
+    monkeypatch.setattr(syntax.Node, "__new__", counting(syntax.Node.__new__))
+    monkeypatch.setattr(syntax.Application, "__new__", counting(syntax.Application.__new__))
     recognized = recognize_instance(formula)
     monkeypatch.undo()
     assert recognized.primitives() == inst.primitives()

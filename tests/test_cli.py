@@ -373,6 +373,17 @@ def test_malformed_alpha_value_exits_2(tmp_path, capsys, binding):
     assert "internal error" not in err
 
 
+@pytest.mark.parametrize("second", ["z_1=J(1,1)", " z_1 =J(1,1)", "z_1=1"])
+def test_a_constant_bound_twice_exits_2_naming_it(tmp_path, capsys, second):
+    # the later binding would silently replace the earlier one
+    source = tmp_path / "succ.fml"
+    source.write_text("z_1 = s(z_1)\n")
+    status, out = run_cli(["eval", "--structure", "m-alpha", "--alpha", "z_1=1",
+                           "--alpha", second, str(source)])
+    assert (status, out) == (2, "")
+    assert capsys.readouterr().err == "error: --alpha binds z_1 twice\n"
+
+
 @pytest.mark.parametrize("options,structure", [
     (["--alpha", "z=3"], "two-point"),
     (["--structure", "table", "--alpha", "z=3"], "table"),

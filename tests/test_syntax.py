@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import random
+import re
 
 import pytest
 
@@ -20,6 +21,7 @@ from hsk.syntax import (
     PredApp,
     PredicateSymbol,
     SpecialBase,
+    SpecialTag,
     Unknown,
     Variable,
     VarKind,
@@ -373,3 +375,120 @@ def test_flattening_is_iterative_and_ordered(join, flatten):
     parts = [p(Unknown(i)) for i in range(5000)]
     assert flatten(join(parts)) == parts
     assert flatten(parts[0]) == [parts[0]]
+
+
+# ---------------------------------------------------------------------------
+# Interned symbols
+
+
+def test_equal_symbols_are_one_object():
+    from hsk.textform import parse_formula, special_of_name
+
+    assert FunctionSymbol("f", 2) is FunctionSymbol("f", 2)
+    assert FunctionSymbol("a", 0) is FunctionSymbol("a", 0, None)
+    assert PredicateSymbol("p", 1) is P
+    assert SpecialTag(SpecialBase.ZERO, 1) is SpecialTag(SpecialBase.ZERO, 1)
+    z1 = special_constant(SpecialBase.ZERO, 1)
+    assert z1 is special_constant(SpecialBase.ZERO, 1) is special_of_name("z_1")
+    assert z1 is FunctionSymbol("z_1", 0, SpecialTag(SpecialBase.ZERO, 1))
+    assert special_of_name("z") is Z
+    first, second = (parse_formula("f(a, z_1) = g(a) -> p(a)") for _ in range(2))
+    assert first is second
+    for one, other in [(first.lhs.lhs, second.lhs.lhs), (first.rhs, second.rhs)]:
+        assert one.symbol is other.symbol
+    assert first.lhs.lhs.args[1].symbol is z1
+    assert first.rhs.symbol is PredicateSymbol("p", 1)
+
+
+@pytest.mark.parametrize("cls", [FunctionSymbol, PredicateSymbol, SpecialTag])
+def test_symbols_compare_and_hash_by_identity(cls):
+    assert cls.__hash__ is object.__hash__
+    assert cls.__eq__ is object.__eq__
+
+
+def test_rejected_symbol_is_never_entered():
+    tag = SpecialTag(SpecialBase.K, 3)
+    gc.collect()
+    before = len(syntax._NODES)
+    for build, message in [
+        (lambda: FunctionSymbol("neg_probe", -1), "negative arity for neg_probe"),
+        (lambda: FunctionSymbol("k_3", 1, tag), "special constants must be nullary"),
+        (lambda: PredicateSymbol("neg_probe", -2), "negative arity for neg_probe"),
+        (lambda: SpecialTag(SpecialBase.K, -1), "language index must be >= 0"),
+    ]:
+        for _ in range(2):  # a second try finds no shared half-built symbol
+            with pytest.raises(ContractError, match=re.escape(message)):
+                build()
+        assert len(syntax._NODES) == before
+
+
+def test_dropped_symbols_leave_the_table():
+    keys = [(FunctionSymbol, "drop_probe", 3, None), (PredicateSymbol, "drop_probe", 1),
+            (SpecialTag, SpecialBase.ZERO_HAT, 987)]
+
+    def build_and_drop():
+        symbols = [FunctionSymbol("drop_probe", 3), PredicateSymbol("drop_probe", 1),
+                   special_constant(SpecialBase.ZERO_HAT, 987)]
+        assert all(key in syntax._NODES for key in keys)
+        assert (FunctionSymbol, "zh_987", 0, symbols[2].special) in syntax._NODES
+
+    gc.collect()
+    before = len(syntax._NODES)
+    build_and_drop()
+    gc.collect()
+    assert len(syntax._NODES) == before
+    assert not any(key in syntax._NODES for key in keys)
+
+
+# ---------------------------------------------------------------------------
+# The one-pass Application constructor, against plain recursive definitions
+
+
+_LEAVES = [Variable("x1"), Variable("v"), Unknown(1), Unknown("u")]
+
+
+def _random_mixed_term(rng: random.Random, depth: int):
+    """A term whose leaves are constants, variables and unknowns at random
+    depths; a fresh constant name now and then makes the nodes above it new."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.25:
+        pick = rng.random()
+        if pick < 0.4:
+            return rng.choice(_LEAVES)
+        name = f"fresh{rng.randrange(10**9)}" if pick < 0.5 else rng.choice("abc")
+        return Application(FunctionSymbol(name, 0), ())
+    symbol = FunctionSymbol(rng.choice("fgh"), rng.randrange(1, 4))
+    return Application(symbol, tuple(_random_mixed_term(rng, rng.randrange(depth))
+                                     for _ in range(symbol.arity)))
+
+
+def _recursive_size(t) -> int:
+    if isinstance(t, Application):
+        return 1 + sum(_recursive_size(a) for a in t.args)
+    return 0
+
+
+def test_application_size_and_ground_match_plain_definitions():
+    rng = random.Random(20261020)
+    seen_ground = seen_open = 0
+    for _ in range(3000):
+        t = _random_mixed_term(rng, rng.randrange(1, 8))
+        if not isinstance(t, Application):
+            continue
+        assert t.size == term_size(t) == _recursive_size(t)
+        open_ = any(isinstance(n, (Variable, Unknown)) for n in syntax.nodes(t))
+        assert t.ground is not open_
+        seen_ground += not open_
+        seen_open += open_
+    assert seen_ground > 200 and seen_open > 200
+
+
+def test_application_arity_mismatch_enters_nothing():
+    f = FunctionSymbol("mismatch_probe", 2)
+    cases = [((), "got 0"), ((A,), "got 1"), ((A, Unknown(1), B), "got 3")]
+    gc.collect()
+    before = len(syntax._NODES)
+    for args, got in cases:
+        with pytest.raises(ContractError, match=f"^mismatch_probe expects 2 args, {got}$"):
+            Application(f, args)
+    assert len(syntax._NODES) == before
