@@ -68,6 +68,9 @@ def k_tilde(lang: int = 0) -> Term:
 
 
 def zero_symbol(lang: int = 0) -> FunctionSymbol:
+    """The symbol of `zero(lang)`, the paper's special constant 0 of the
+    language with this index; hsk builds its terms through `zero`, and tests
+    read the symbol to build signatures and alpha assignments."""
     return special_constant(SpecialBase.ZERO, lang)
 
 
@@ -143,7 +146,12 @@ def tim(x: Term, y: Term, z_arg: Term, w: Term, wt: Term, lang: int = 0) -> Form
 
 
 def mul(x: Term, y: Term, z_arg: Term, w: Variable, wt: Variable, lang: int = 0) -> Formula:
-    """Tab(w) & Tab~(wt) & Sim~(w, wt) & Tim(x, y, z, w, wt)"""
+    """Tab(w) & Tab~(wt) & Sim~(w, wt) & Tim(x, y, z, w, wt)
+
+    The paper's Mul(x, y, z, w, w~): at numerals m, p and m * p, the two
+    instances of the (m, p)-semitable make it valid.  The encoding builds
+    it through `mul_block`; this conjunction is the definition that tests
+    state it with."""
     return _conjoin(mul_block(x, y, z_arg, w, wt, lang))
 
 
@@ -177,27 +185,13 @@ class Semitable:
 
 
 def mp_semitable(m: int, p: int) -> Semitable:
-    """The unique (m, p)-semitable."""
+    """The unique (m, p)-semitable: the paper's course of values of m * j
+    for j = p-1 down to 0, whose instances witness Mul(m, p, m * p).  hsk
+    finds those witnesses by search; tests build them from this
+    definition."""
     if m < 0 or p < 0:
         raise ContractError("table parameters must be naturals")
     return Semitable(tuple((j, m * j) for j in range(p - 1, -1, -1)))
-
-
-def parse_semitable(t: Term, x: Term, y: Term, z_slot: Term) -> Semitable | None:
-    """Recognise t as a semitable instance over (x, y, z_slot)."""
-    rows: list[tuple[int, int]] = []
-    while t != z_slot:
-        if not (isinstance(t, Application) and t.symbol.name == "pair"):
-            return None
-        row, t = t.args
-        if not (isinstance(row, Application) and row.symbol.name == "pair"):
-            return None
-        p = numeral_of(row.args[0], x)
-        q = numeral_of(row.args[1], y)
-        if p is None or q is None:
-            return None
-        rows.append((p, q))
-    return Semitable(tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -248,22 +242,6 @@ class DiophantineFormula:
                 if isinstance(t, Variable) and t not in out:
                     out.append(t)
         return tuple(out)
-
-
-def eval_diophantine(psi: DiophantineFormula) -> bool:
-    """Arithmetic truth of a closed diophantine formula."""
-    z0 = zero(0)
-    total = True
-    for atom in psi.atoms:
-        values = []
-        for t in atom.terms():
-            m = numeral_of(t, z0) if not isinstance(t, Variable) else None
-            if m is None:
-                raise ContractError(f"free variable in closed formula: {t}")
-            values.append(m)
-        a, b, c = values
-        total = total and ((a + b == c) if atom.kind is DiophKind.ADD else (a * b == c))
-    return total
 
 
 _DIOPH_LINE = re.compile(

@@ -42,14 +42,25 @@ like an automaton state (`_class_keys`), and the conjunct is valid exactly
 when u and the side have one key.  The side is keyed from the keys of the
 terms assigned to its unknowns, without building its instance, and a
 depth's side keys are worked out once per tuple of terms assigned to the
-unknowns its sides hold, though the search meets that tuple again for
-every total size.  The search indexes each size bucket of u's stream by
-its candidates' key tuples when it first reads that bucket, and then reads
-only the candidates whose keys are those of the filters' sides: a hash
-join that drops a candidate only where a check would have rejected it, so
-the stream keeps its order.  Keys and indexes are built when first read
-and live as long as one search.  Every reported witness is still verified
-against the whole conjunction, which is built only to verify one.
+unknowns its sides hold.  When the first prefix reaches u, the search
+indexes u's stream by its candidates' key tuples, size by size, and then
+reads only the candidates whose keys are those of the filters' sides: a
+hash join that drops a candidate only where a check would have rejected
+it, so the stream keeps its order.  Keys and indexes are built when first
+read and live as long as one search.  Every reported witness is still
+verified against the whole conjunction, which is built only to verify one.
+
+The search reads each prefix, the terms of the unknowns before u, once.
+The depths are a chain of generators, built by a loop, each reading the
+prefixes of the one before in order, by total size and then along the
+tuple.  A prefix waits under every total, its size + n, at which u has
+candidates of size n for it: every size of u's stream, or where u has join
+filters, the sizes of the index entry of the prefix's side keys.  Once
+every prefix of size at most s has come, so have all those waiting under
+the totals up to s + u's least size, and each such total is emitted: its
+waiting prefixes in tuple order, each followed by its candidates that pass
+the checks at u, and then a marker that every prefix up to the last
+total emitted has come.  The last depth feeds the final verification.
 
 A `SearchMemo` holds what does not depend on the signature or the bound:
 the walk of each conjunct (its unknowns in first occurrence order and its
@@ -75,6 +86,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache, lru_cache
+from operator import itemgetter
 from typing import Callable, Hashable, Iterator, Mapping, Sequence
 
 from . import qcheck
@@ -440,6 +452,35 @@ def _intersection(streams: list[Stream]) -> Stream:
 Walk = tuple[tuple[Unknown, ...], frozenset[FunctionSymbol], frozenset[PredicateSymbol]]
 
 
+# A prefix of the search, the terms of the first unknowns, with its total
+# size; (size, None) says that every prefix of size at most size has come.
+Prefixed = tuple[int, tuple[Term, ...] | None]
+# An unknown's candidates that fit a prefix, as (size, terms) by size.
+Sizes = Sequence[tuple[int, Sequence[Term]]]
+
+
+def _indexed(sized: Sizes, keyers: Sequence[Callable[[Term], Hashable]]
+             ) -> dict[tuple, Sizes]:
+    """An unknown's candidates by their tuple of keys, each as (size,
+    terms) by size, in the stream's order."""
+    index: dict[tuple, list[tuple[int, list[Term]]]] = {}
+    for n, bucket in sized:
+        by_keys: dict[tuple, list[Term]] = {}
+        for t in bucket:
+            by_keys.setdefault(tuple([key(t) for key in keyers]), []).append(t)
+        for keys, terms in by_keys.items():
+            index.setdefault(keys, []).append((n, terms))
+    return index
+
+
+def _side_keys(sides: Sequence[tuple[Callable[..., Hashable], Term]],
+               assignment: Mapping[Unknown, Term]) -> tuple:
+    """The class keys of a depth's join sides, each with its keyer, under
+    the assignment of the earlier unknowns: worked out once per tuple of
+    the terms the sides hold."""
+    return tuple([key(side, assignment) for key, side in sides])
+
+
 class SearchMemo:
     """The per-conjunct work that bounded searches share: each conjunct's
     walk, its match and role with each unknown as the hole, and each
@@ -604,19 +645,12 @@ def iter_formula_solutions(
     per_unknown = [_intersection(streams) if streams
                    else _class_member_buckets(None, sig, max_size) for streams in restricted]
 
-    min_size: list[int] = []
-    max_of: list[int] = []
-    for buckets in per_unknown:
-        sizes = [n for n, b in enumerate(buckets) if b]
-        if not sizes:
-            return
-        min_size.append(sizes[0])
-        max_of.append(sizes[-1])
-    suffix_min = [0] * (len(unknowns) + 1)
-    suffix_max = [0] * (len(unknowns) + 1)
-    for i in range(len(unknowns) - 1, -1, -1):
-        suffix_min[i] = suffix_min[i + 1] + min_size[i]
-        suffix_max[i] = suffix_max[i + 1] + max_of[i]
+    # per depth, each size at which the unknown has candidates, with them
+    sized: list[Sizes] = [[(n, bucket) for n, bucket in enumerate(buckets) if bucket]
+                          for buckets in per_unknown]
+    if not all(sized):
+        return
+    min_size = [candidates[0][0] for candidates in sized]
 
     assignment: dict[Unknown, Term] = {}
 
@@ -627,56 +661,83 @@ def iter_formula_solutions(
                 return True
         return False
 
-    # Only a search with join filters keys terms.  Its keys, its indexes
-    # and each depth's side keys, by the terms of the unknowns the sides
-    # hold, live as long as it does.
+    # Only a search with join filters keys terms; its keys live as long as
+    # it does.
     if any(filters_at_depth):
         keys_of = cache(_class_keys)
-        side_keys: list[dict[tuple[Term, ...], tuple]] = [{} for _ in unknowns]
 
-        @cache
-        def indexed(depth: int, n: int) -> dict[tuple, list[Term]]:
-            """The size-n bucket of unknown `depth`, by its filters' keys."""
-            keyers = [keys_of(equalities) for equalities, _ in filters_at_depth[depth]]
-            index: dict[tuple, list[Term]] = {}
-            for t in per_unknown[depth][n]:
-                index.setdefault(tuple([key(t) for key in keyers]), []).append(t)
-            return index
+    def merged(depth: int, prefixes: Iterator[Prefixed]) -> Iterator[Prefixed]:
+        """The prefixes over unknowns[:depth + 1] that pass their checks, in
+        order, from those over unknowns[:depth], with a marker (size, None)
+        once every prefix of size at most size has come.  While a prefix is
+        yielded, the assignment holds its terms."""
+        u, low = unknowns[depth], min_size[depth]
+        sides = [(keys_of(equalities), side) for equalities, side in filters_at_depth[depth]]
+        if sides:  # the terms of a prefix that its side keys depend on
+            held = [position[v] for v in held_at_depth[depth]]
+            project = None if len(held) == depth else itemgetter(*held)
+        index: dict[tuple, Sizes] | None = None
+        # per tuple of the terms the sides hold, u's candidates by size
+        found_for: dict[Hashable, Sizes] = {}
+        waiting: dict[int, list[tuple[tuple[Term, ...], Sequence[Term]]]] = {}
+        # per unknown of the prefix, each candidate's place in its stream,
+        # by size and then in canonical order, from the first sort on
+        ranks: list[dict[Term, int]] = []
 
-    def candidates(depth: int, budget: int) -> Iterator[tuple[int, Term]]:
-        """(budget left, term) for each term unknown `depth` may take so
-        that the later unknowns can use up exactly what is left and the
-        join filters at this depth hold."""
-        low = max(min_size[depth], budget - suffix_max[depth + 1])
-        high = min(max_of[depth], budget - suffix_min[depth + 1])
-        if filters_at_depth[depth]:
-            held = tuple([assignment[v] for v in held_at_depth[depth]])
-            keys = side_keys[depth].get(held)
-            if keys is None:
-                keys = side_keys[depth][held] = tuple([
-                    keys_of(equalities)(side, assignment)
-                    for equalities, side in filters_at_depth[depth]])
-            return ((budget - n, t) for n in range(low, high + 1)
-                    for t in indexed(depth, n).get(keys, ()))
-        return ((budget - n, t) for n in range(low, high + 1) for t in per_unknown[depth][n])
+        def fitting() -> Sizes:
+            """u's candidates whose keys are those of the sides under the
+            assignment, which holds the prefix just yielded."""
+            nonlocal index
+            if index is None:
+                index = _indexed(sized[depth], [key for key, _ in sides])
+            return index.get(_side_keys(sides, assignment), ())
 
-    for total in range(suffix_min[0], suffix_max[0] + 1):
-        levels = [candidates(0, total)]  # the candidates left for each assigned unknown
-        while levels:
-            depth = len(levels) - 1
-            picked = next(levels[-1], None)
-            if picked is None:
-                levels.pop()
-                assignment.pop(unknowns[depth], None)
+        def emit(total: int) -> Iterator[Prefixed]:
+            group = waiting.pop(total, None)
+            if group is None:
+                return
+            if depth > 1:  # prefixes of several sizes, in tuple order
+                if not ranks:
+                    ranks.extend({t: g for g, t in enumerate(itertools.chain(*per_unknown[i]))}
+                                 for i in range(depth))
+                group.sort(key=lambda waiter: tuple(map(dict.__getitem__, ranks, waiter[0])))
+            for prefix, terms in group:
+                assignment.update(zip(unknowns, prefix))
+                for t in terms:
+                    assignment[u] = t
+                    if not prune_fails(depth):
+                        yield total, (*prefix, t)
+
+        ready = -1  # every total up to this one is emitted
+        for size, prefix in prefixes:
+            if prefix is None:  # every prefix of size at most `size` has come
+                for total in range(ready + 1, size + low + 1):
+                    yield from emit(total)
+                ready = size + low
+                yield ready, None
                 continue
-            left, assignment[unknowns[depth]] = picked
-            if prune_fails(depth):
-                continue
-            if depth + 1 < len(unknowns):
-                levels.append(candidates(depth + 1, left))
-                continue
-            if qcheck.is_quasitautology(substitute(conj(conjuncts), assignment)):
-                yield dict(assignment)
+            if not sides:
+                found = sized[depth]
+            elif project is None:  # the sides hold the whole prefix, which comes once
+                found = fitting()
+            else:  # they hold part of it, which other prefixes share
+                terms_held = project(prefix)
+                found = found_for.get(terms_held)
+                if found is None:
+                    found = found_for[terms_held] = fitting()
+            for n, terms in found:
+                waiting.setdefault(size + n, []).append((prefix, terms))
+        for total in sorted(waiting):  # every prefix has come
+            yield from emit(total)
+            yield total, None
+
+    prefixes: Iterator[Prefixed] = iter([(0, ()), (0, None)])  # the empty prefix
+    for depth in range(len(unknowns)):
+        prefixes = merged(depth, prefixes)
+    for _, prefix in prefixes:
+        if prefix is not None and qcheck.is_quasitautology(
+                substitute(conj(conjuncts), assignment)):
+            yield dict(assignment)
 
 
 def iter_solutions(

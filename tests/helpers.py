@@ -9,6 +9,7 @@ import random
 import sys
 from typing import Iterator
 
+from hsk.arith import DiophantineFormula, DiophKind, Semitable, zero
 from hsk.skeleton import _class_member_buckets
 from hsk.sreu import Clause, SREUProblem
 from hsk.syntax import (
@@ -26,9 +27,11 @@ from hsk.syntax import (
     Signature,
     Term,
     Unknown,
+    Variable,
     conj,
     disj,
     nodes,
+    numeral_of,
     subterms,
 )
 
@@ -263,3 +266,36 @@ def valid_by_model_enumeration(f: Formula) -> bool:
             if not _evaluate(f, block_of, pred_val):
                 return False
     return True
+
+
+def parse_semitable(t: Term, x: Term, y: Term, z_slot: Term) -> Semitable | None:
+    """Recognise t as a semitable instance over (x, y, z_slot)."""
+    rows: list[tuple[int, int]] = []
+    while t != z_slot:
+        if not (isinstance(t, Application) and t.symbol.name == "pair"):
+            return None
+        row, t = t.args
+        if not (isinstance(row, Application) and row.symbol.name == "pair"):
+            return None
+        p = numeral_of(row.args[0], x)
+        q = numeral_of(row.args[1], y)
+        if p is None or q is None:
+            return None
+        rows.append((p, q))
+    return Semitable(tuple(rows))
+
+
+def eval_diophantine(psi: DiophantineFormula) -> bool:
+    """Arithmetic truth of a closed diophantine formula."""
+    z0 = zero(0)
+    total = True
+    for atom in psi.atoms:
+        values = []
+        for t in atom.terms():
+            m = numeral_of(t, z0) if not isinstance(t, Variable) else None
+            if m is None:
+                raise ContractError(f"free variable in closed formula: {t}")
+            values.append(m)
+        a, b, c = values
+        total = total and ((a + b == c) if atom.kind is DiophKind.ADD else (a * b == c))
+    return total

@@ -17,6 +17,7 @@ from helpers import (
     H3,
     P1,
     enumerate_terms,
+    eval_diophantine,
     random_ground_formula,
     random_ground_term,
     signature_of,
@@ -28,7 +29,6 @@ from hsk.arith import (
     Semitable,
     associate,
     classify_failures,
-    eval_diophantine,
     instantiate,
     k_plain,
     k_tilde,

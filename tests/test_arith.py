@@ -4,7 +4,7 @@ import pytest
 
 import hsk.arith as arith_module
 import reference_arith
-from helpers import signature_of
+from helpers import eval_diophantine, parse_semitable, signature_of
 from hsk import qcheck, skeleton, syntax
 from hsk.arith import (
     ContractError,
@@ -20,7 +20,6 @@ from hsk.arith import (
     associate,
     assign_n,
     classify_failures,
-    eval_diophantine,
     instantiate,
     instantiate_numeral,
     k_plain,
@@ -33,7 +32,6 @@ from hsk.arith import (
     num_block,
     num_tilde,
     parse_diophantine,
-    parse_semitable,
     plus,
     recognize_conjunct,
     recognize_instance,

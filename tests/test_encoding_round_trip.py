@@ -16,7 +16,7 @@ from hsk.textform import parse_term
 Z, ZH, ZT, K, KT = (parse_term(name) for name in ("z", "zh", "zt", "k", "kt"))
 
 # Largest semitable the search is asked for: larger ones take seconds each.
-TABLE_LIMIT = 12
+TABLE_LIMIT = 16
 
 
 def _table_size(m, p):

@@ -25,6 +25,7 @@ from hsk.syntax import (
     FunctionSymbol,
     Implies,
     Not,
+    Or,
     Signature,
     Unknown,
     Variable,
@@ -591,10 +592,10 @@ def test_a_free_variable_in_a_join_side_is_checked():
 
 def test_join_sides_are_keyed_once_per_assignment_of_their_unknowns(monkeypatch):
     # in mul(1, 2, 3) both join filters of ?w2, `Sim~(w1, w2)` and
-    # `Tim(…, w1, w2)`, hold ?w1 alone, and the search, which has no
-    # solution to find, enters ?w2's depth again for each ?w1 candidate at
-    # every total size that leaves ?w2 a size its stream has.  A side is
-    # keyed once per term of ?w1 all the same
+    # `Tim(…, w1, w2)`, hold ?w1 alone.  A walk per total size, with no
+    # solution to find, would enter ?w2's depth again for each ?w1
+    # candidate at every total size that leaves ?w2 a size its stream has;
+    # a side is keyed once per term of ?w1 all the same
     w1, w2 = Variable("w1"), Variable("w2")
     matrix = arith.mul(numeral(1, zero()), numeral(2, zero()), numeral(3, zero()), w1, w2)
     sk = make_skeleton(ExistentialFormula((w1, w2), matrix), 1)
@@ -623,8 +624,8 @@ def test_join_sides_are_keyed_once_per_assignment_of_their_unknowns(monkeypatch)
     assert list(iter_solutions(sk, max_size=11)) == []
     first, second = streams  # ?w1's and ?w2's
     sizes = [n for n, bucket in enumerate(second) if bucket]
-    # without the keys kept per assignment: one keying per filter each time
-    # the search enters ?w2's depth, for each ?w1 candidate and total size
+    # one keying per filter each time a walk per total size would enter
+    # ?w2's depth, for each ?w1 candidate and total size
     entered = sum(map(len, first)) * (sizes[-1] - sizes[0] + 1)
     assert len(keyings) == 2
     for side, times in keyings.items():
@@ -695,6 +696,146 @@ def test_join_keys_agree_with_naive_search_on_three_unknowns():
             for c in flatten_and(f))
         solved += bool(fast)
     assert trials > 80 and partial > 30 and solved > 15
+
+
+def _random_linked_formula(rng, unknowns):
+    """A conjunction over the unknowns whose later ones are linked to
+    earlier ones by join filters `E -> u = side`, a side holding one or two
+    earlier linked unknowns, with class restrictions and checks beside
+    them, at the last depth and sometimes at others.  One unknown between
+    two linked ones may share no conjunct with any other: its prefixes
+    then meet the later depths in every size at once."""
+    a, b = _EQ_CONSTS
+
+    def implied(conclusion):
+        hyps = _random_ground_equations(rng)
+        return Implies(conj(hyps), conclusion) if hyps else conclusion
+
+    free = rng.randrange(1, len(unknowns) - 1) if len(unknowns) > 2 and rng.random() < 0.5 else None
+    linked = [u for i, u in enumerate(unknowns) if i != free]
+    conjuncts = []
+    for i in range(1, len(linked)):
+        earlier = rng.sample(linked[:i], min(i, rng.choice((1, 2, 2))))
+        if len(earlier) == 1:
+            side = earlier[0] if rng.random() < 0.3 else Application(_EQ_F, (earlier[0],))
+        else:
+            side = Application(_EQ_G, tuple(earlier))
+        conjuncts.append(implied(Equality(linked[i], side) if rng.random() < 0.5
+                                 else Equality(side, linked[i])))
+    for u in unknowns:
+        if rng.random() < 0.25:  # a class restriction
+            conjuncts.append(implied(Equality(u, rng.choice([a, b, Application(_EQ_F, (a,))]))))
+    last = unknowns[-1]
+    for _ in range(rng.randint(0, 2)):  # checks at the last depth
+        other = rng.choice(unknowns[:-1])
+        conjuncts.append(Or(Equality(last, other), Equality(last, Application(_EQ_F, (other,))))
+                         if rng.random() < 0.5 else Or(Equality(last, a), Equality(other, b)))
+    if len(linked) > 2 and rng.random() < 0.3:  # a check at a middle depth
+        conjuncts.append(Or(Equality(linked[1], linked[0]), Equality(linked[1], a)))
+    rng.shuffle(conjuncts)
+    return conjuncts
+
+
+def test_merged_search_agrees_with_the_per_total_walk():
+    # the search merges each depth's prefixes by total size, where the
+    # reference walks all depths again for every total; at bounds the
+    # naive product cannot reach, with two to four unknowns, both must give
+    # every solution in one order.  Prefixes of two or more terms that wait
+    # under one total arrive by size, not in tuple order, so the order
+    # tells a merge that does not sort them, or that emits a total before
+    # every prefix of its size has come
+    rng = random.Random(2019)
+    sig = Signature(frozenset({*(c.symbol for c in _EQ_CONSTS), _EQ_F, _EQ_G}), frozenset())
+    unsorted = early = wide = solved = 0
+    for _ in range(100):
+        k = rng.randint(2, 4)
+        unknowns = [Unknown(i + 1) for i in range(k)]
+        conjuncts = _random_linked_formula(rng, unknowns)
+        bound = rng.randint(4, 6) if k == 2 else rng.randint(4, 5)
+        # the first solutions, where a loose conjunction has thousands
+        fast = list(itertools.islice(iter_formula_solutions(conjuncts, unknowns, sig, bound), 400))
+        slow = list(itertools.islice(
+            reference_skeleton.iter_formula_solutions(conjuncts, unknowns, sig, bound), 400))
+        assert fast == slow, ([str(c) for c in conjuncts], bound)
+        tuples = [tuple(s[u] for u in unknowns) for s in fast]
+        sizes = [sum(t.size for t in terms) for terms in tuples]
+        # two solutions of one total whose prefixes of two terms come in
+        # the other order by size
+        unsorted += any(
+            sizes[i] == sizes[j] and term_size(tuples[i][0]) + term_size(tuples[i][1])
+            > term_size(tuples[j][0]) + term_size(tuples[j][1])
+            for i in range(len(tuples)) for j in range(i + 1, len(tuples)) if k > 2)
+        early += any(sizes[i] == sizes[i + 1] and tuples[i][:-1] != tuples[i + 1][:-1]
+                     for i in range(len(tuples) - 1))
+        wide += any(skeleton._role(found) == "join"
+                    and len({n for n in syntax.nodes(found[2]) if isinstance(n, Unknown)}) == 2
+                    for c in conjuncts for u in unknowns
+                    if (found := skeleton._horn(c, u)) is not None)
+        solved += bool(fast)
+    assert unsorted > 5 and early > 15 and wide > 15 and solved > 30
+
+
+def test_the_search_keys_each_prefix_once(monkeypatch):
+    # mul(2,3,7) at bound 22 has no solution, and the encoding of
+    # `0 * 3 = x1; 0 + x2 = 1` its first at bound 16.  Walked once per
+    # total, their join depths were entered 194 810 and 533 572 times.
+    # Merged by total, each prefix is read once, and a depth's sides are
+    # keyed once per tuple of the terms they hold: 8 855 and 7 890 tuples
+    keyed = []  # per keying, the sides and the terms they hold
+    side_keys = skeleton._side_keys
+
+    def counted(sides, assignment):
+        held = sorted({n for _, side in sides for n in syntax.nodes(side)
+                       if isinstance(n, Unknown)}, key=lambda u: u.index)
+        keyed.append((tuple(side for _, side in sides), tuple(assignment[u] for u in held)))
+        return side_keys(sides, assignment)
+
+    monkeypatch.setattr(skeleton, "_side_keys", counted)
+    z, w1, w2 = zero(), Variable("w1"), Variable("w2")
+    matrix = arith.mul(numeral(2, z), numeral(3, z), numeral(7, z), w1, w2)
+    assert solve_bounded(make_skeleton(ExistentialFormula((w1, w2), matrix), 1),
+                         max_size=22) is None
+    assert len(keyed) == len(set(keyed)) <= 8855
+    keyed.clear()
+    psi = arith.encoding(arith.parse_diophantine("0 * 3 = x1\n0 + x2 = 1"))
+    sk = make_skeleton(psi, 1)
+    found = next(iter_formula_solutions(flatten_and(sk.formula), sk.unknown_tuples[0],
+                                        max_size=16))
+    assert [found[u] for u in sk.unknown_tuples[0][:2]] == [numeral(0, z), numeral(1, z)]
+    assert len(keyed) == len(set(keyed)) <= 7890
+
+
+def test_the_search_checks_no_prefix_beyond_the_first_solution(monkeypatch):
+    # a check at each of ?x2 and ?x3, and a first solution, (a, f(a),
+    # g(a, f(a))), of total 7, above the least total, 4, and far below what
+    # the bound allows.  Each depth emits total by total, so no prefix
+    # larger than the solution is checked, nor any twice; the per-total
+    # walk checks some again at every total, and none the merge does not
+    a, b = _EQ_CONSTS
+    x1, x2, x3 = (Unknown(i) for i in (1, 2, 3))
+    conjuncts = [
+        Or(Equality(x2, Application(_EQ_F, (x1,))), Equality(x1, Application(_EQ_F, (x2,)))),
+        Or(Equality(x3, Application(_EQ_G, (x1, x2))), Equality(x3, Application(_EQ_G, (x2, x1)))),
+    ]
+    sig = Signature(frozenset({a.symbol, b.symbol, _EQ_F, _EQ_G}), frozenset())
+    checked = []  # per check, the conjunct and the terms of its unknowns
+    holds = skeleton.SearchMemo.holds
+
+    def counted(memo, c, used, assignment):
+        terms = tuple(assignment[u] for u in used)
+        assert sum(t.size for t in terms) <= 7, [str(t) for t in terms]
+        checked.append((c, terms))
+        return holds(memo, c, used, assignment)
+
+    monkeypatch.setattr(skeleton.SearchMemo, "holds", counted)
+    first = next(iter_formula_solutions(conjuncts, [x1, x2, x3], sig, 10))
+    fa = Application(_EQ_F, (a,))
+    assert [first[u] for u in (x1, x2, x3)] == [a, fa, Application(_EQ_G, (a, fa))]
+    merged = list(checked)
+    checked.clear()
+    assert next(reference_skeleton.iter_formula_solutions(conjuncts, [x1, x2, x3], sig, 10)) == first
+    assert len(merged) == len(set(merged)) and set(checked) <= set(merged)
+    assert len(checked) > len(set(checked))
 
 
 def test_a_learned_failure_still_lets_every_conjunct_be_checked():
@@ -1225,7 +1366,7 @@ def test_enumerator_matches_reference_enumerators():
         eqs, target = _random_class_query(rng)
         restriction = (eqs, skeleton._HOLE, target)  # `eqs -> u = target`
         got = skeleton._class_member_buckets.__wrapped__(restriction, sig, bound)
-        want = reference_skeleton._class_member_buckets(eqs, target, sig, bound)
+        want = reference_skeleton._target_class_buckets(eqs, target, sig, bound)
         assert got == want, (eqs, target, sig, bound)
         shared_buckets += sum(len(b) > 1 for b in got)
     assert shared_buckets > 300  # buckets of several members, whose order is checked
