@@ -20,10 +20,18 @@ gives the token texts and no offsets; each distinct text is classified
 once.  Only a ``ParseError`` scans the text again, up to its token, for a
 line and column.  Each distinct function name and arity is resolved
 against the symbol table once per input, and later occurrences are one
-dict lookup.  Terms are parsed with a stack of open applications
-and formulas by operator precedence on explicit stacks (Pratt, "Top down
-operator precedence", POPL 1973).  The printers emit pieces from an
-explicit stack.
+dict lookup.  Formulas are parsed by operator precedence on explicit
+stacks (Pratt, "Top down operator precedence", POPL 1973), and terms with
+a stack of open runs.  A run is a chain of nested applications of one name,
+``s(s(s(...``, and its entry is [index of its outermost name, levels still
+open, arguments of its innermost open level]: the opening loop steps over
+the run by comparing token texts, and a ``)`` closes the innermost level.
+Each level just outside it that holds only the term so built and closes
+at once is built in a tight loop with one symbol lookup; after a comma or
+any other token the next level collects its arguments on the same entry.
+Symbols are resolved in the order the levels close, innermost first, so
+every error is reported at the level where it arises.  The printers emit
+pieces from an explicit stack.
 """
 
 from __future__ import annotations
@@ -208,10 +216,8 @@ class _Parser:
         return Unknown(int(text) if kind == "NAT" else text)
 
     def parse_term(self) -> Term:
-        """One term; the applications whose arguments are being read wait
-        on a stack, each with the index of its name and the arguments read
-        so far."""
-        open_apps: list[tuple[int, list[Term]]] = []
+        """One term, read from the next token; leaves the position after it."""
+        open_runs: list[list] = []
         texts, kinds, functions = self.texts, self.kinds, self.functions
         pos = self.pos
         while True:
@@ -219,8 +225,11 @@ class _Parser:
             kind = kinds[text]
             if kind == "IDENT":
                 if texts[pos + 1] == "(":
-                    open_apps.append((pos, []))
+                    head = pos
                     pos += 2
+                    while texts[pos] == text and texts[pos + 1] == "(":
+                        pos += 2
+                    open_runs.append([head, (pos - head) // 2, []])
                     continue
                 symbol = functions.get((text, 0)) or self._function(text, 0, pos)
                 term: Term = Application(symbol, ())
@@ -232,8 +241,9 @@ class _Parser:
             else:
                 self.pos = pos
                 raise self.error(f"expected a term, found {text or 'end of input'!r}")
-            while open_apps:
-                head, args = open_apps[-1]
+            while open_runs:
+                run = open_runs[-1]
+                head, levels, args = run
                 args.append(term)
                 text = texts[pos]
                 if text == ",":
@@ -243,10 +253,22 @@ class _Parser:
                     self.pos = pos
                     self.expect(")")  # raises
                 pos += 1
-                open_apps.pop()
+                levels -= 1  # the innermost open level closes; its name is at head + 2 * levels
                 name = texts[head]
-                symbol = functions.get((name, len(args))) or self._function(name, len(args), head)
+                symbol = (functions.get((name, len(args)))
+                          or self._function(name, len(args), head + 2 * levels))
                 term = Application(symbol, tuple(args))
+                if levels and texts[pos] == ")":  # levels that hold only the term just built
+                    symbol = (functions.get((name, 1))
+                              or self._function(name, 1, head + 2 * levels - 2))
+                    while levels and texts[pos] == ")":
+                        term = Application(symbol, (term,))
+                        pos += 1
+                        levels -= 1
+                if levels:
+                    run[1], run[2] = levels, []
+                else:
+                    open_runs.pop()
             else:
                 self.pos = pos
                 return term

@@ -24,6 +24,16 @@ def test_deep_numeral(config, text, status, output):
     assert run(config, text) == (status, output)
 
 
+PAIRS = "pair(" * 5000 + "z" + ", z)" * 5000  # every level of the run takes two arguments
+CHAINS = "s(" * 5000 + "f(" * 5000 + "a" + ")" * 10000  # s^5000(f^5000(a)): two runs
+
+
+@pytest.mark.parametrize("term", [PAIRS, CHAINS], ids=["pairs", "chains"])
+def test_deep_runs_that_are_not_numerals(term):
+    assert run(RunConfig("check"), f"{term} = {term}") == (0, "QUASITAUTOLOGY\n")
+    assert run(RunConfig("skeleton"), f"exists ?v. ?v = {term}") == (0, f"*1 = {term}\n")
+
+
 def test_encode_with_a_deep_numeral():
     status, small = run(RunConfig("encode", m=3), "x1 + 1 = 2")
     assert status == 0 and small.count("s(s(s(z)))") == 2

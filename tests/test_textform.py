@@ -203,6 +203,7 @@ PARSE_ERRORS = [
     ('term', '?', "expected 'IDENT', found 'end of input'", 1, 2),
     ('term', '*?', "expected an index or name after '*'", 1, 2),
     ('term', 'f(s(a, a))', 'reserved function s takes exactly 1 argument', 1, 3),
+    ('term', 'f(f(f(f(f(f(a, b))))))', 'arity mismatch for f: first seen with 2, now 1', 1, 9),
 ]
 
 
@@ -290,6 +291,86 @@ def test_parser_agrees_with_its_reference():
                 assert got is want, (kind, text)
                 read["valid"] += 1
     assert min(read.values()) > 1000, read
+
+
+# Runs of one name, `s(s(s(...`, each read as one stack entry by the parser.
+# A run is cut at a random level by one of _RUN_CUTS: a further argument
+# after a comma (a clash for every name: `s` and `pair` are reserved, `f` and
+# `g` are met at two arities), a run of another name, a missing or an extra
+# `)`, a special constant applied (`z(`), the predicate `p` used as a
+# function, or a bad character.  Every level of a `pair` run takes a leaf as
+# its second argument.
+_RUN_NAMES = ["s", "f", "g", "pair"]
+_RUN_LEAVES = ["a", "b", "z", "kt", "?x", "*1", "*u"]
+_RUN_CUTS = ["comma", "other run", "missing )", "extra )", "z(", "p(", "bad"]
+_RUN_SPACES = ["", "", "", " ", "\n"]
+
+
+def _closing(rng: random.Random, name: str) -> list[str]:
+    return [",", rng.choice(_RUN_LEAVES), ")"] if name == "pair" else [")"]
+
+
+def _run_pieces(rng: random.Random, depth: int) -> list[str]:
+    """The pieces of a leaf, or of a run of 1-60 levels of one name, which
+    a fifth of the time one cut breaks at a random level."""
+    if depth <= 0 or rng.random() < 0.25:
+        return [rng.choice(_RUN_LEAVES)]
+    levels = rng.randint(1, 60)
+    names = [rng.choice(_RUN_NAMES)] * levels
+    cut = rng.choice(_RUN_CUTS) if rng.random() < 0.2 else None
+    at = rng.randrange(levels)
+    if cut in ("z(", "p("):
+        names[at] = cut[0]
+    other = rng.choice([n for n in _RUN_NAMES if n != names[0]])
+    others = rng.randint(1, 20) if cut == "other run" else 0
+    pieces = []
+    for level, name in enumerate(names):
+        pieces += (name, "(")
+        if level == at:
+            pieces += (other, "(") * others
+    pieces += _run_pieces(rng, depth - 1)
+    for level in reversed(range(levels)):
+        if level == at:
+            for _ in range(others):
+                pieces += _closing(rng, other)
+            if cut == "comma":
+                pieces += (",", *_run_pieces(rng, depth - 1))
+            elif cut == "bad":
+                pieces.append(rng.choice("$%"))
+            elif cut == "missing )":
+                continue
+            elif cut == "extra )":
+                pieces.append(")")
+        pieces += _closing(rng, names[level])
+    return pieces
+
+
+def _run_text(rng: random.Random) -> str:
+    """A term, an equation, or equations beside the predicates `p` and `q`."""
+    shape = rng.choice(["{}", "{} = {}", "p({}) & {} = {}", "{} = {} -> q({}, {})"])
+    first, *rest = shape.split("{}")
+    pieces = [first]
+    for part in rest:
+        pieces += (*_run_pieces(rng, 3), part)
+    return "".join(piece + rng.choice(_RUN_SPACES) for piece in pieces)
+
+
+def test_parser_agrees_with_its_reference_on_long_runs():
+    rng = random.Random(20261020)
+    read = {"valid": 0, "broken": 0, "arity clash": 0}
+    for _ in range(400):
+        text = _run_text(rng)
+        for kind in ("formula", "term"):
+            got = _outcome(getattr(textform, f"parse_{kind}"), text)
+            want = _outcome(getattr(reference_textform, f"parse_{kind}"), text)
+            if isinstance(want, tuple):  # the same message, line and column
+                assert got == want, (kind, text)
+                read["broken"] += 1
+                read["arity clash"] += "arity mismatch" in want[0] or "takes" in want[0]
+            else:  # the same node
+                assert got is want, (kind, text)
+                read["valid"] += 1
+    assert min(read.values()) > 100, read
 
 
 def test_first_bad_character_in_text_order_under_any_hash_seed():
