@@ -17,6 +17,10 @@ checked as it is asserted, so a conflict prunes its branch at once; goals
 that leave no choice are taken before any branch; backtracking undoes the
 closure from its trail.  Nodes are interned, so the closure keys its
 tables by the nodes themselves.
+
+A ground equational Horn implication `E -> l = r` needs no search: it is
+valid exactly when l = r holds in the closure of E, and `entails` decides
+it with one closure and no formula.
 """
 
 from __future__ import annotations
@@ -156,6 +160,16 @@ class CongruenceEngine:
     def same(self, a: Node, b: Node) -> bool:
         ra, rb = self._roots(a, b)
         return ra is rb
+
+
+def entails(equalities: Sequence[tuple[Term, Term]], lhs: Term, rhs: Term) -> bool:
+    """Whether the equations imply lhs = rhs in every structure: one closure
+    over their sides and lhs and rhs, with every equation merged.  An
+    unknown is a constant here, like any nullary application."""
+    closure = CongruenceEngine([lhs, rhs, *(side for pair in equalities for side in pair)])
+    for a, b in equalities:
+        closure.merge(a, b)
+    return closure.same(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------

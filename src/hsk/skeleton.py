@@ -48,7 +48,8 @@ reads only the candidates whose keys are those of the filters' sides: a
 hash join that drops a candidate only where a check would have rejected
 it, so the stream keeps its order.  Keys and indexes are built when first
 read and live as long as one search.  Every reported witness is still
-verified against the whole conjunction, which is built only to verify one.
+verified, conjunct by conjunct, apart from the streams and keys that found
+it: a conjunction is valid exactly when each of its conjuncts is.
 
 The search reads each prefix, the terms of the unknowns before u, once.
 The depths are a chain of generators, built by a loop, each reading the
@@ -67,18 +68,21 @@ the walk of each conjunct (its unknowns in first occurrence order and its
 symbols), its match with each unknown as the hole and the role that match
 gives it, or the restriction's verdict at every size once its stream has
 shown that it holds, the set of conjuncts known to fail whatever their
-terms, and the verdict of each check, under the conjunct and the terms
-assigned to its own unknowns.  A search makes a fresh memo unless it is
-given one; a command that solves many conjunctions of few distinct
-conjuncts, as `hsk sreu --solve` does with the k^k problems of one
-conversion, passes one memo to every search, so each distinct conjunct is
-walked once, matched and given its role once per unknown, and each
-distinct check decided once.  A search that holds a conjunct known to
-fail ends before it builds a signature or a stream, as most of the k^k
-problems do; where the memo has met all its conjuncts and no unknowns are
-given to check, it ends before its walks too.  The memo lives as long as
-the command.  Streams and keys are still built per search: they depend on
-the signature and the bound.
+terms, and the verdict of each conjunct decided by a check or a witness's
+verification, under the conjunct and the terms assigned to its own
+unknowns.  An equational Horn conjunct is decided by one congruence
+closure over its match and the terms of its unknowns, any other by qcheck
+(`SearchMemo.holds`).  A search makes a fresh memo unless it is given one;
+a command that solves many conjunctions of few distinct conjuncts, as
+`hsk sreu --solve` does with the k^k problems of one conversion, passes
+one memo to every search, so each distinct conjunct is walked once,
+matched and given its role once per unknown, and decided once under each
+tuple of terms.  A search that holds a conjunct known to fail ends before
+it builds a signature or a stream, as most of the k^k problems do; where
+the memo has met all its conjuncts and no unknowns are given to check, it
+ends before its walks too.  The memo lives as long as the command.
+Streams and keys are still built per search: they depend on the
+signature and the bound.
 """
 
 from __future__ import annotations
@@ -106,7 +110,6 @@ from .syntax import (
     Unknown,
     Variable,
     canonical_key,
-    conj,
     disj,
     flatten_and,
     nodes,
@@ -484,16 +487,16 @@ def _side_keys(sides: Sequence[tuple[Callable[..., Hashable], Term]],
 class SearchMemo:
     """The per-conjunct work that bounded searches share: each conjunct's
     walk, its match and role with each unknown as the hole, and each
-    check's verdict under the conjunct and the terms of its own unknowns,
-    on which alone that verdict depends.  A restriction's role gives way to
-    `_HOLDS` once its stream shows that it holds whatever u is, and the
-    restriction joins `failing` once its stream shows that it fails
-    whatever u is, since those verdicts hold at every size and over every
-    signature; a stream empty only within its bound teaches nothing.
-    `failing` also takes a false conjunct without unknowns.  A restriction
-    has one unknown, so neither kind depends on the order of a search's
-    unknowns.  The searches of one command share one memo, which lives as
-    long as the command."""
+    verdict of a check or a witness's verification under the conjunct and
+    the terms of its own unknowns, on which alone that verdict depends.
+    A restriction's role gives way to `_HOLDS` once its stream shows that
+    it holds whatever u is, and the restriction joins `failing` once its
+    stream shows that it fails whatever u is, since those verdicts hold at
+    every size and over every signature; a stream empty only within its
+    bound teaches nothing.  `failing` also takes a false conjunct without
+    unknowns.  A restriction has one unknown, so neither kind depends on
+    the order of a search's unknowns.  The searches of one command share
+    one memo, which lives as long as the command."""
 
     def __init__(self) -> None:
         self.walks: dict[Formula, Walk] = {}
@@ -538,12 +541,30 @@ class SearchMemo:
     def holds(self, conjunct: Formula, unknowns: tuple[Unknown, ...],
               assignment: Mapping[Unknown, Term]) -> bool:
         """Whether the conjunct, whose unknowns are these, is valid under
-        the assignment."""
+        the assignment σ.
+
+        A conjunct that matches `E' -> l = r` with the hole for the last of
+        these unknowns, u (`horn`), is decided by one closure, with no
+        substitution and no search: Eσ implies lσ = rσ exactly when E',
+        hole = σ(u) and v = σ(v) for its other unknowns v imply l = r, each
+        unknown read as a fresh constant.  Unknowns are rigid and σ's terms
+        are ground, so in a model of either side every term equals its
+        instance, and equals replace equals.  Any other conjunct, and one
+        without unknowns, is decided by qcheck."""
         key = (conjunct, tuple([assignment[u] for u in unknowns]))
         verdict = self.verdicts.get(key)
         if verdict is None:
-            verdict = self.verdicts[key] = qcheck.is_quasitautology(
-                substitute(conjunct, assignment) if unknowns else conjunct)
+            horn = self.horn(conjunct, unknowns[-1])[1] if unknowns else None
+            if horn is None:
+                verdict = qcheck.is_quasitautology(
+                    substitute(conjunct, assignment) if unknowns else conjunct)
+            else:
+                equalities, l, r = horn
+                *others, u = unknowns
+                verdict = qcheck.entails(
+                    (*equalities, (_HOLE, assignment[u]), *[(v, assignment[v]) for v in others]),
+                    l, r)
+            self.verdicts[key] = verdict
         return verdict
 
 
@@ -734,9 +755,12 @@ def iter_formula_solutions(
     prefixes: Iterator[Prefixed] = iter([(0, ()), (0, None)])  # the empty prefix
     for depth in range(len(unknowns)):
         prefixes = merged(depth, prefixes)
+    # A conjunction is valid exactly when each of its conjuncts is, so a
+    # witness is verified conjunct by conjunct, apart from the streams and
+    # keys that found it, with the verdicts the checks left in the memo.
     for _, prefix in prefixes:
-        if prefix is not None and qcheck.is_quasitautology(
-                substitute(conj(conjuncts), assignment)):
+        if prefix is not None and all(memo.holds(c, used, assignment)
+                                      for c, used in zip(conjuncts, used_by)):
             yield dict(assignment)
 
 

@@ -57,7 +57,9 @@ def test_tracer_wraps_the_live_layers_and_restores_them(bench):
     try:
         assert all(now is not then for now, then in zip(_hooked(), before))
         checked = cli.run(cli.RunConfig(command="check"), "hk1 = hk2 -> hk2 = hk1\n")
-        solved = cli.run(cli.RunConfig(command="solve"), "exists ?v. ?v = hk3\n")
+        # a predicate conjunct is no equational Horn conjunct, so the search
+        # decides it by substitution and qcheck
+        solved = cli.run(cli.RunConfig(command="solve"), "exists ?v. p(hk3) -> p(?v)\n")
     finally:
         tracer.uninstall()
     assert all(now is then for now, then in zip(_hooked(), before))
@@ -128,23 +130,23 @@ def test_tracer_counts_the_sreu_problems_and_constraints(bench):
 def test_tracer_counts_each_distinct_conjunct_once(bench, monkeypatch, source):
     problems = sreu.convert_to_sreu(parse_formula(source))
     distinct = {c for problem in problems for c in problem.conjuncts}
-    # each problem solved on its own: the distinct (conjunct, terms of its
-    # unknowns) pairs it substitutes, how often it matches each (conjunct,
-    # unknown) with the hole for the unknown, the sides it puts the hole
-    # into for those matches, and its whole-formula verifications
-    pairs, matches, holes, verifications, calls = set(), Counter(), Counter(), 0, 0
-    substitute, horn = skeleton.substitute, skeleton._horn
+    # each problem solved on its own: the (conjunct, terms of its unknowns)
+    # pairs it decides, which the searches and the verifications of their
+    # witnesses share, how often it matches each (conjunct, unknown) with
+    # the hole for the unknown, the sides it puts the hole into for those
+    # matches, and the conjuncts it substitutes for qcheck
+    pairs, matches, holes, substituted = set(), Counter(), Counter(), set()
+    decisions = calls = 0
+    substitute, horn, holds = skeleton.substitute, skeleton._horn, skeleton.SearchMemo.holds
     match = None  # the match under way
 
     def recorded(f, assignment):
-        nonlocal verifications, calls
+        nonlocal calls
         calls += 1
-        if any(f is problem.formula for problem in problems):
-            verifications += 1
-        elif skeleton._HOLE in assignment.values():
+        if skeleton._HOLE in assignment.values():
             holes[match] += 1
         else:
-            pairs.add((f, tuple(assignment[u] for u in unknowns_of(f))))
+            substituted.add((f, tuple(assignment[u] for u in unknowns_of(f))))
         return substitute(f, assignment)
 
     def matching(conjunct, u):
@@ -153,9 +155,18 @@ def test_tracer_counts_each_distinct_conjunct_once(bench, monkeypatch, source):
         matches[match] += 1
         return horn(conjunct, u)
 
+    def deciding(memo, c, used, assignment):
+        nonlocal decisions
+        terms = tuple(assignment[u] for u in used)
+        if (c, terms) not in memo.verdicts:
+            decisions += 1
+            pairs.add((c, terms))
+        return holds(memo, c, used, assignment)
+
     with monkeypatch.context() as patch:
         patch.setattr(skeleton, "substitute", recorded)
         patch.setattr(skeleton, "_horn", matching)
+        patch.setattr(skeleton.SearchMemo, "holds", deciding)
         for problem in problems:
             sreu.solve_sreu_bounded(problem, max_size=3)
     joined = 0
@@ -166,19 +177,26 @@ def test_tracer_counts_each_distinct_conjunct_once(bench, monkeypatch, source):
         joined += 1
         return join(parts)
 
-    matched = []
+    matched, decided = [], []
 
     def matched_once(conjunct, u):
         matched.append((conjunct, u))
         return horn(conjunct, u)
 
+    def decided_once(memo, c, used, assignment):
+        terms = tuple(assignment[u] for u in used)
+        if (c, terms) not in memo.verdicts:
+            decided.append((c, terms))
+        return holds(memo, c, used, assignment)
+
     tracer = bench.Tracer()
     tracer.install()
     try:
         with monkeypatch.context() as patch:
-            for module in (syntax, sreu, skeleton):
+            for module in (syntax, sreu):
                 patch.setattr(module, "conj", counted_conj)
             patch.setattr(skeleton, "_horn", matched_once)
+            patch.setattr(skeleton.SearchMemo, "holds", decided_once)
             _, output = cli.run(cli.RunConfig(command="sreu", solve=True, max_size=3), source)
     finally:
         tracer.uninstall()
@@ -186,16 +204,21 @@ def test_tracer_counts_each_distinct_conjunct_once(bench, monkeypatch, source):
     # problems solved on their own match it once per problem
     assert len(matched) == len(set(matched)) and set(matched) == set(matches)
     assert len(matches) < sum(matches.values())
-    # no problem builds its conjunction: a conjunction is built only for a
-    # distinct constraint's hypotheses and for a whole-formula verification
-    assert joined <= len(distinct) + verifications
+    # no problem builds its conjunction, and no witness is verified on one:
+    # a conjunction is built only for a distinct constraint's hypotheses
+    assert joined <= len(distinct)
     counts = tracer.counts
     assert counts["sreu.problems"] == len(problems) and len(problems) in (27, 16)
     assert counts["sreu.constraints"] > len(distinct)
     # printed: each distinct constraint once, and each witness term
     assert counts["textform.print"] == len(distinct) + output.count(":=")
+    # the command decides each distinct (conjunct, terms) pair once and
+    # substitutes each once, besides the sides of one match each, where the
+    # problems on their own repeat some of that work once per problem
+    assert len(decided) == len(set(decided)) and set(decided) <= pairs
     hole_sides = sum(holes[m] // matches[m] for m in matches)  # those of one match each
-    assert counts["syntax.substitute"] <= len(pairs) + hole_sides + verifications < calls
+    assert counts["syntax.substitute"] <= len(substituted) + hole_sides
+    assert len(pairs) + len(substituted) + hole_sides < decisions + calls
     assert counts["sreu.solve"] == len(problems)
 
 

@@ -432,6 +432,7 @@ def test_a_shared_memo_learns_only_what_holds_at_every_bound():
 _EQ_CONSTS = [Application(FunctionSymbol(n, 0), ()) for n in ("a", "b")]
 _EQ_F = FunctionSymbol("f", 1)
 _EQ_G = FunctionSymbol("g", 2)
+_EQ_SIG = Signature(frozenset({*(c.symbol for c in _EQ_CONSTS), _EQ_F, _EQ_G}), frozenset())
 
 
 def _random_ground_equations(rng):
@@ -510,9 +511,11 @@ def test_equational_filters_agree_with_naive_search(monkeypatch):
     matched = []  # the ground sides the plan matched, (unknown, restriction)
     streamed = []  # the restrictions whose streams the plan read
     keyed = set()  # the (E, term) pairs the search keyed for a join
-    checked = set()  # the conjuncts the search substituted to check them
+    # the conjuncts the search decided: a check conjunct at a candidate,
+    # and so before any witness's verification decides it again
+    checked = set()
     horn, buckets, class_keys = skeleton._horn, skeleton._class_member_buckets, skeleton._class_keys
-    substitute_ = skeleton.substitute
+    holds = skeleton.SearchMemo.holds
 
     def matching(conjunct, u):
         found = horn(conjunct, u)
@@ -534,15 +537,14 @@ def test_equational_filters_agree_with_naive_search(monkeypatch):
 
         return key
 
-    def substituting(f, sigma):
-        if skeleton._HOLE not in sigma.values():  # not `_horn` putting in the hole
-            checked.add(f)
-        return substitute_(f, sigma)
+    def deciding(memo, c, used, assignment):
+        checked.add(c)
+        return holds(memo, c, used, assignment)
 
     monkeypatch.setattr(skeleton, "_horn", matching)
     monkeypatch.setattr(skeleton, "_class_member_buckets", streaming)
     monkeypatch.setattr(skeleton, "_class_keys", counted)
-    monkeypatch.setattr(skeleton, "substitute", substituting)
+    monkeypatch.setattr(skeleton.SearchMemo, "holds", deciding)
     fired = fired_ground = solved = 0
     for _ in range(120):
         f = _random_equational_formula(rng, u1, u2)
@@ -831,7 +833,12 @@ def test_the_search_checks_no_prefix_beyond_the_first_solution(monkeypatch):
     first = next(iter_formula_solutions(conjuncts, [x1, x2, x3], sig, 10))
     fa = Application(_EQ_F, (a,))
     assert [first[u] for u in (x1, x2, x3)] == [a, fa, Application(_EQ_G, (a, fa))]
-    merged = list(checked)
+    # the witness's verification decides each conjunct last, from the
+    # verdicts its checks left
+    merged, verified = checked[:-len(conjuncts)], checked[-len(conjuncts):]
+    walk = skeleton.SearchMemo().walk
+    assert verified == [(c, tuple(first[u] for u in walk(c)[0])) for c in conjuncts]
+    assert set(verified) <= set(merged)
     checked.clear()
     assert next(reference_skeleton.iter_formula_solutions(conjuncts, [x1, x2, x3], sig, 10)) == first
     assert len(merged) == len(set(merged)) and set(checked) <= set(merged)
@@ -869,6 +876,137 @@ def test_a_learned_failure_still_lets_every_conjunct_be_checked():
     assert list(iter_formula_solutions([parse_formula("*1 = a"), restriction],
                                        max_size=2, memo=memo)) == []
     assert walked == []
+
+
+def _random_horn_conjunct(rng, unknowns):
+    """`G1 -> (G2 -> … -> l = r)` over a, b, f, g and 1–3 of the unknowns,
+    each Gi a conjunction of one or more equations, with no hypothesis at
+    all a fifth of the time; an unknown may sit under f or g on either
+    side, and a hypothesis may be trivial, such as `*1 = *1`."""
+    used = unknowns[:rng.randint(1, 3)]
+    a, b = _EQ_CONSTS
+
+    def term(depth):
+        roll = rng.random()
+        if depth == 0 or roll < 0.5:
+            return rng.choice(used) if rng.random() < 0.5 else rng.choice((a, b))
+        if roll < 0.8:
+            return Application(_EQ_F, (term(depth - 1),))
+        return Application(_EQ_G, (term(depth - 1), term(depth - 1)))
+
+    def equation():
+        if rng.random() < 0.15:
+            u = rng.choice(used)
+            return Equality(u, u)
+        return Equality(term(2), term(2))
+
+    hyps = [equation() for _ in range(rng.randint(0, 4) if rng.random() < 0.8 else 0)]
+    # the conclusion holds an unknown, so that the conjunct has one
+    u = rng.choice(used)
+    side = u if rng.random() < 0.5 else Application(_EQ_F, (u,))
+    out = Equality(side, term(2)) if rng.random() < 0.5 else Equality(term(2), side)
+    cuts = sorted(rng.sample(range(1, len(hyps)), rng.randint(0, len(hyps) - 1))) if hyps else []
+    groups = [hyps[i:j] for i, j in zip([0, *cuts], [*cuts, len(hyps)])] if hyps else []
+    for group in reversed(groups):
+        out = Implies(conj(group), out)
+    return out
+
+
+def test_equational_horn_conjuncts_are_decided_by_one_closure(monkeypatch):
+    # `SearchMemo.holds` decides an equational Horn conjunct E -> l = r under
+    # an assignment σ on the closure of E' (E with the hole for the last of
+    # its unknowns, u), hole = σ(u) and v = σ(v) for its other unknowns, with no
+    # substitution and no qcheck; every verdict must be qcheck's on the
+    # substituted conjunct
+    rng = random.Random(4211)
+    unknowns = [Unknown(i) for i in (1, 2, 3)]
+    a, b = _EQ_CONSTS
+    fa, fb = Application(_EQ_F, (a,)), Application(_EQ_F, (b,))
+    pool = [a, b, fa, fb, Application(_EQ_F, (fa,)), Application(_EQ_F, (fb,)),
+            *(Application(_EQ_G, (x, y)) for x in (a, b) for y in (a, b))]  # sizes 1-3
+    cases = []
+    for _ in range(5000):
+        c = _random_horn_conjunct(rng, unknowns)
+        sigma = {u: rng.choice(pool[:3] if rng.random() < 0.5 else pool) for u in unknowns_of(c)}
+        cases.append((c, sigma, qcheck.is_quasitautology(substitute(c, sigma))))
+
+    def no_qcheck(f):
+        raise AssertionError(f"qcheck reached on {f}")
+
+    monkeypatch.setattr(qcheck, "is_quasitautology", no_qcheck)
+    memo = skeleton.SearchMemo()
+    seen = Counter()
+    for c, sigma, expected in cases:
+        used = memo.walk(c)[0]
+        assert memo.holds(c, used, sigma) == expected, (
+            str(c), {str(u): str(t) for u, t in sigma.items()})
+        seen[expected] += 1
+        seen["unknowns", len(used)] += 1
+        groups = []  # the hypotheses of each implication, outermost first
+        while isinstance(c, Implies):
+            groups.append(c.lhs)
+            c = c.rhs
+        seen["curried"] += len(groups) > 1
+        seen["conjunctive"] += any(not isinstance(g, Equality) for g in groups)
+        seen["trivial"] += any(h.lhs is h.rhs and not h.ground
+                               for g in groups for h in flatten_and(g))
+        seen["nested"] += any(isinstance(n, Application) and not n.ground
+                              for g in (*groups, c) for n in syntax.nodes(g))
+    assert seen[True] > 900 and seen[False] > 3000, seen
+    assert seen["unknowns", 1] > 2000 and seen["unknowns", 2] > 1000, seen
+    assert seen["unknowns", 3] > 400, seen
+    assert seen["curried"] > 1000 and seen["conjunctive"] > 1000, seen
+    assert seen["trivial"] > 800 and seen["nested"] > 3000, seen
+
+
+def test_the_verification_rejects_what_a_loose_restriction_admits(monkeypatch):
+    # a class restriction whose stream admits every term lets through terms
+    # that break it; the verification of each witness, conjunct by
+    # conjunct, must reject them, so the solutions stay those of the naive
+    # search.  Every witness has each of its conjuncts decided before it is
+    # yielded
+    rng = random.Random(1931)
+    u1, u2 = Unknown(1), Unknown(2)
+    buckets, holds = skeleton._class_member_buckets, skeleton.SearchMemo.holds
+    loosened = []  # the restrictions whose streams admit every term
+    decided = []  # per call of holds, the conjunct, its terms and the verdict
+
+    def loose(restriction, sig, max_size):
+        if restriction is not None:
+            loosened.append(restriction)
+        return buckets(None, sig, max_size)
+
+    def deciding(memo, c, used, assignment):
+        verdict = holds(memo, c, used, assignment)
+        decided.append((c, tuple(assignment[u] for u in used), verdict))
+        return verdict
+
+    monkeypatch.setattr(skeleton, "_class_member_buckets", loose)
+    monkeypatch.setattr(skeleton.SearchMemo, "holds", deciding)
+    walk = skeleton.SearchMemo().walk
+    rejected = solved = 0
+    for case in range(300):
+        if case % 2:
+            f, unknowns, _ = _random_hypothesis_formula(rng, u1, u2, sides=rng.random() < 0.5)
+            sig = _HYP_SIG
+        else:
+            f, unknowns = _random_equational_formula(rng, u1, u2, rng.random() < 0.3), [u1, u2]
+            sig = _EQ_SIG
+        bound = rng.randint(1, 3)
+        conjuncts = flatten_and(f)
+        loosened.clear()
+        decided.clear()
+        fast = []
+        for solution in iter_formula_solutions(conjuncts, unknowns, sig, bound):
+            seen = {(c, terms) for c, terms, _ in decided}
+            assert all((c, tuple(solution[u] for u in walk(c)[0])) in seen for c in conjuncts)
+            fast.append(solution)
+        assert fast == _naive_solutions(f, unknowns, sig, bound), (str(f), bound)
+        restrictions = {c for c in conjuncts if any(
+            skeleton._horn(c, u) in loosened for u in walk(c)[0])}
+        rejected += any(c in restrictions and not verdict for c, _, verdict in decided)
+        solved += bool(fast)
+    assert rejected > 100 and solved > 50
 
 
 def test_the_hole_is_no_parsed_term():
