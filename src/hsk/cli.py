@@ -130,11 +130,11 @@ def _cmd_sreu(config: RunConfig, text: str) -> tuple[int, list[dict]]:
     rendered: dict[Formula, str] = {}
     memo = skeleton.SearchMemo()
     for i, problem in enumerate(problems, start=1):
-        for f in problem.conjuncts:
+        for f in problem.constraints:
             if f not in rendered:
                 rendered[f] = print_formula(f)
         results.append({"problem_index": i, "verdict": "sreu",
-                        "witness": [rendered[f] for f in problem.conjuncts]})
+                        "witness": [rendered[f] for f in problem.constraints]})
         if config.solve:
             solution = sreu.solve_sreu_bounded(problem, max_size=config.max_size, memo=memo)
             if solution is None:

@@ -3,7 +3,7 @@
 The solver enumerates candidate tuples in a fixed canonical order (total
 size first, then component-wise term order) so results are reproducible.
 It takes a conjunction as the sequence of its conjuncts: a skeleton's are
-those of its formula, an sreu problem's are its constraints' formulas.
+those of its formula, an sreu problem's are its constraints.
 
 One pass over the conjuncts plans the search, and gives each conjunct one
 of four roles, which it keeps for the whole search.  A conjunct without

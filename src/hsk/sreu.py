@@ -6,8 +6,8 @@ an equality), such that a substitution for the unknowns solves the formula
 exactly when it solves at least one problem of the class: the product over
 the formula's clauses of the rigid alternatives of each Horn clause that a
 consequent atom makes, counted before any problem is built.  A problem
-holds the tuple of its constraints' formulas, its conjuncts, which the
-bounded search takes as they are.
+is the tuple of its constraints, each the formula of its rigid Horn
+clause, which the bounded search takes as they are.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .syntax import (
     Signature,
     Term,
     Unknown,
+    Variable,
     conj,
     const,
     disj,
@@ -59,12 +60,11 @@ class Clause:
 
 @dataclass(frozen=True)
 class SREUProblem:
-    """Rigid Horn constraints and `conjuncts`, the formula of each, in the
-    same order.  The problem is their conjunction: the search takes the
-    conjuncts as they are, and the printer prints each one."""
+    """Rigid Horn constraints, each the formula ``E -> l = r`` (or ``l = r``)
+    of its clause.  The problem is their conjunction: the search takes the
+    constraints as they are, and the printer prints each one."""
 
-    constraints: tuple[Clause, ...]  # rigid Horn clauses
-    conjuncts: tuple[Formula, ...]  # constraints[i].formula(), for each i
+    constraints: tuple[Formula, ...]
 
     def __post_init__(self) -> None:
         if not self.constraints:
@@ -72,8 +72,8 @@ class SREUProblem:
 
     @property
     def formula(self) -> Formula:
-        """The conjunction of the conjuncts."""
-        return conj(self.conjuncts)
+        """The conjunction of the constraints."""
+        return conj(self.constraints)
 
 
 # ---------------------------------------------------------------------------
@@ -117,11 +117,17 @@ def to_clause_conjunction(f: Formula) -> list[Clause]:
     literal order, and a clause without positive atoms gets the consequent
     ``c#i = d#i`` over two new distinct constants, the least i above the
     last one whose names f does not use.  A quantifier in f raises
-    ContractError."""
+    ContractError, and so does a free variable."""
     clauses: list[Clause] = []
-    used = {n.symbol.name for n in nodes(f) if isinstance(n, (Application, PredApp))}
+    rows = _cnf(f)
+    used: set[str] = set()
+    for n in nodes(f):
+        if isinstance(n, (Application, PredApp)):
+            used.add(n.symbol.name)
+        elif isinstance(n, Variable):
+            raise ContractError(f"input must hold only unknowns and ground terms, got {n}")
     fresh = 0
-    for row in _cnf(f):
+    for row in rows:
         antecedent = tuple(atom for sign, atom in row if not sign)
         consequent = tuple(atom for sign, atom in row if sign)
         if not consequent:
@@ -175,40 +181,23 @@ def convert_to_sreu(f: Formula) -> list[SREUProblem]:
     trivially solvable ``c#0 = c#0``.  Over `_MAX_ALTERNATIVES`
     alternatives, counted before any is built, raises ContractError.
 
-    Each distinct rigid clause gets its formula once.  Problems are
-    deduplicated as tuples of those formulas, which are hash-consed, so
-    the tuples hash and compare by identity in C; a rigid Horn clause and
-    its formula determine each other, so a dict maps each formula back to
-    its clause, and the problems and their order are those of the clause
-    tuples."""
-    choices = [[rigid_alternatives(Clause(c.antecedent, (a,))) for a in c.consequent]
-               for c in to_clause_conjunction(f)]
+    Each alternative is the tuple of its clauses' formulas, built once.
+    Problems are deduplicated as tuples of those formulas, which are
+    hash-consed, so the tuples hash and compare by identity in C."""
+    choices = [[[tuple([g.formula() for g in alternative])
+                 for alternative in rigid_alternatives(Clause(c.antecedent, (a,)))]
+                for a in c.consequent] for c in to_clause_conjunction(f)]
     total = math.prod(sum(map(len, per)) for per in choices)
     if total > _MAX_ALTERNATIVES:
         # Python prints at most 4 300 decimal digits of an int
         shown = total if total.bit_length() <= 1000 else f"at least 2**{total.bit_length() - 1}"
         raise ContractError(f"clause conversion gives {shown} alternatives, "
                             f"over the limit {_MAX_ALTERNATIVES}")
-    formulas: dict[Clause, Formula] = {}  # each distinct clause's, built once
-    clause_of: dict[Formula, Clause] = {}  # and back
-
-    def formula(c: Clause) -> Formula:
-        if c not in formulas:
-            formulas[c] = c.formula()
-            clause_of[formulas[c]] = c
-        return formulas[c]
-
-    # the choices again, each alternative as the tuple of its formulas
-    conjunct_choices = [[[tuple([formula(c) for c in alternative]) for alternative in per_atom]
-                         for per_atom in per_clause] for per_clause in choices]
     # the Horn choices vary slowest; a dict keeps the first occurrence
-    found = dict.fromkeys(sum(parts, ()) for horn in product(*conjunct_choices)
+    found = dict.fromkeys(sum(parts, ()) for horn in product(*choices)
                           for parts in product(*horn))
-    problems = []
-    for conjuncts in found:
-        conjuncts = conjuncts or (formula(_trivial_constraint()),)
-        problems.append(SREUProblem(tuple([clause_of[g] for g in conjuncts]), conjuncts))
-    return problems
+    trivial = (_trivial_constraint().formula(),)
+    return [SREUProblem(constraints or trivial) for constraints in found]
 
 
 def solve_sreu_bounded(
@@ -218,9 +207,9 @@ def solve_sreu_bounded(
     """First assignment of the problem's unknowns, in first occurrence
     order, that solves all constraints, in the deterministic search order
     of the bounded skeleton solver.  The problems of one conversion share
-    their conjuncts, so a caller solving several of them passes one memo
+    their constraints, so a caller solving several of them passes one memo
     (`skeleton.SearchMemo`) to each call."""
-    for solution in _skeleton.iter_formula_solutions(problem.conjuncts, None, sig, max_size,
+    for solution in _skeleton.iter_formula_solutions(problem.constraints, None, sig, max_size,
                                                      memo):
         return solution
     return None

@@ -61,9 +61,9 @@ def unknowns_of(x: Term | Formula) -> list[Unknown]:
 
 
 def problem_of(clauses: tuple[Clause, ...]) -> SREUProblem:
-    """The problem of these rigid clauses, each conjunct built from its own
-    `Clause.formula()`."""
-    return SREUProblem(clauses, tuple(c.formula() for c in clauses))
+    """The problem of these rigid clauses, each constraint built from its
+    own `Clause.formula()`."""
+    return SREUProblem(tuple(c.formula() for c in clauses))
 
 
 def signature_of(f: Formula) -> Signature:

@@ -81,7 +81,7 @@ def test_criterion_1_pipeline_exactness():
     f = parse_formula("p(a) & p(b) & (*1 = a | *1 = b) -> p(c)")
     problems = sreu.convert_to_sreu(f)
     texts = [
-        [print_formula(c.formula()) for c in problem.constraints]
+        [print_formula(c) for c in problem.constraints]
         for problem in problems
     ]
     assert texts == [

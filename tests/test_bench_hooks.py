@@ -129,7 +129,7 @@ def test_tracer_counts_the_sreu_problems_and_constraints(bench):
 ])
 def test_tracer_counts_each_distinct_conjunct_once(bench, monkeypatch, source):
     problems = sreu.convert_to_sreu(parse_formula(source))
-    distinct = {c for problem in problems for c in problem.conjuncts}
+    distinct = {c for problem in problems for c in problem.constraints}
     # each problem solved on its own: the (conjunct, terms of its unknowns)
     # pairs it decides, which the searches and the verifications of their
     # witnesses share, how often it matches each (conjunct, unknown) with

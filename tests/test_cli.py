@@ -225,6 +225,7 @@ CONTRACT_DIAGNOSTICS = [
     ("sreu", "exists ?x. *1 = ?x", "clause conversion requires a quantifier-free formula"),
     ("sreu", "a = b | forall ?x. p(?x)",
      "clause conversion requires a quantifier-free formula"),
+    ("sreu", "?x = a", "input must hold only unknowns and ground terms, got ?x"),
     ("solve", "exists ?v. forall ?u. ?u = ?v", "matrix must be quantifier-free"),
     ("solve", "exists ?v. ?v = *1", "matrix must not contain unknowns"),
     ("solve", "exists ?v. ?v = ?u", "matrix has variables outside the bound tuple"),

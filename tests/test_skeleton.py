@@ -180,15 +180,21 @@ def test_enumerate_numerals():
 
 
 def test_enumerate_counts_match_recursive_oracle():
-    f2 = FunctionSymbol("f", 2)
-    sig = Signature(frozenset({FunctionSymbol("a", 0), f2}), frozenset())
-    for bound in range(1, 8):
-        got = list(enumerate_terms(sig, bound))
-        assert len(got) == len(set(got))
-        assert len(got) == _count_terms([0, 2], bound)
-        assert all(term_size(t) <= bound for t in got)
-        assert got == sorted(got, key=canonical_key)
-    # frozen expectation for the cumulative count at bound 7: 1 + 1 + 2 + 5
+    # up to arity 2 the terms are built in canonical order anyway; with f/3,
+    # size 5 builds f(b, a, s(a)) before f(a, s(a), a), which sorts first, so
+    # only the second signature shows whether the stream is sorted
+    for arities in ({"a": 0, "f": 2}, {"a": 0, "b": 0, "s": 1, "f": 3}):
+        sig = Signature(frozenset(FunctionSymbol(name, n) for name, n in arities.items()),
+                        frozenset())
+        for bound in range(1, 8):
+            got = list(enumerate_terms(sig, bound))
+            assert len(got) == len(set(got))
+            assert len(got) == _count_terms(list(arities.values()), bound)
+            assert all(term_size(t) <= bound for t in got)
+            assert got == sorted(got, key=canonical_key)
+    # frozen expectation for the cumulative count of {a, f/2} at bound 7:
+    # 1 + 1 + 2 + 5
+    sig = Signature(frozenset({FunctionSymbol("a", 0), FunctionSymbol("f", 2)}), frozenset())
     assert len(list(enumerate_terms(sig, 7))) == 9
 
 
@@ -261,7 +267,7 @@ def test_search_walks_each_conjunct_once(monkeypatch):
     # across their searches, each distinct conjunct is walked once
     problems = sreu.convert_to_sreu(parse_formula(
         "(*1 = a | *1 = b) & (*2 = f(*1) | *2 = a) & (f(*1) = *2 -> *2 = f(a))"))
-    distinct = {c for p in problems for c in p.conjuncts}
+    distinct = {c for p in problems for c in p.constraints}
     assert len(problems) == 4 and len(distinct) == 5
     memo = skeleton.SearchMemo()
     walked.clear()

@@ -10,6 +10,7 @@ from hsk import cli, qcheck, skeleton, sreu, syntax
 from hsk.sreu import (
     Clause,
     ContractError,
+    SREUProblem,
     convert_to_sreu,
     rigid_alternatives,
     solve_sreu_bounded,
@@ -184,7 +185,7 @@ def test_non_horn_input_rejected():
 def test_pipeline_produces_the_four_problems_in_order():
     problems = convert_to_sreu(parse_formula(SKELETON_39))
     texts = [
-        " & ".join(print_formula(c.formula()) for c in problem.constraints)
+        " & ".join(print_formula(c) for c in problem.constraints)
         for problem in problems
     ]
     assert texts == [
@@ -200,7 +201,7 @@ def test_horn_choices_vary_slowest():
     # atoms; a flat product over each clause's options would interleave them
     problems = convert_to_sreu(parse_formula("(p(u) & p(v) -> p(y)) & (a = b | a = c)"))
     texts = [
-        " & ".join(print_formula(c.formula()) for c in problem.constraints)
+        " & ".join(print_formula(c) for c in problem.constraints)
         for problem in problems
     ]
     assert texts == ["u = y & a = b", "v = y & a = b", "u = y & a = c", "v = y & a = c"]
@@ -320,9 +321,9 @@ def test_learned_verdicts_spare_most_searches_their_signature(monkeypatch, flavo
     text = ("p(a1) & p(a2) & p(a3) & p(a4) & "
             f"({' | '.join(f'{unknown} = a{i}' for i in range(1, 5))}) -> p(c)")
     problems = convert_to_sreu(parse_formula(text))
-    distinct = {c for problem in problems for c in problem.conjuncts}
+    distinct = {c for problem in problems for c in problem.constraints}
     failing = {c for c in distinct if _fails_whatever_the_unknown_is(c, STAR)}
-    undecided = sum(not failing & set(problem.conjuncts) for problem in problems)
+    undecided = sum(not failing & set(problem.constraints) for problem in problems)
     assert (len(problems), len(distinct), undecided) == (
         (256, 16, 1) if flavour == "plain" else (256, 16, 0))
     signatures = streams = 0
@@ -394,7 +395,7 @@ def test_solution_equivalence_exhaustive(text):
 F1 = FunctionSymbol("f", 1)
 PREDICATES = (PredicateSymbol("r", 0), P, PredicateSymbol("q2", 2))
 C0 = Application(FunctionSymbol("c#0", 0), ())
-TRIVIAL = Clause((), (Equality(C0, C0),))
+TRIVIAL = Clause((), (Equality(C0, C0),)).formula()
 
 
 def _random_term(rng: random.Random, depth: int):
@@ -488,13 +489,13 @@ def test_closed_form_elimination_matches_the_rewriting():
 
 def _unshared_sreu_solve(config: cli.RunConfig, text: str) -> tuple[int, str]:
     """`hsk sreu --solve` with nothing shared between problems: each
-    constraint printed from its own `Clause.formula()`, and each problem
-    rebuilt from its constraints and solved with a fresh memo."""
+    constraint printed afresh, and each problem rebuilt from its
+    constraints and solved with a fresh memo."""
     lines, any_solved = [], False
     for i, problem in enumerate(convert_to_sreu(parse_formula(cli._strip_comments(text))),
                                 start=1):
-        texts = [print_formula(c.formula()) for c in problem.constraints]
-        solution = solve_sreu_bounded(problem_of(problem.constraints),
+        texts = [print_formula(c) for c in problem.constraints]
+        solution = solve_sreu_bounded(SREUProblem(problem.constraints),
                                       max_size=config.max_size)
         any_solved |= solution is not None
         witness = None if solution is None else ";".join(
