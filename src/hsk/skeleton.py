@@ -25,10 +25,14 @@ joins l and r.  This is rigid E-unification of one variable (Gallier,
 Narendran, Plaisted & Snyder, Inf. & Comp. 1990).  The classes are the
 states of a bottom-up tree automaton (Downey, Sethi & Tarjan, JACM 1980),
 and `_sized_terms` is the one enumerator of the terms each state accepts;
-an unconstrained stream is that of the one-state automaton.
+an unconstrained stream is that of the one-state automaton.  It gives each
+term its rank as it builds it, its place by size and then in canonical
+order, which within one size is by symbol and then by the tuple of its
+arguments' ranks, so no term is walked to be sorted.
 `_class_member_buckets` keeps the members of a restriction's accepted
-roots, in canonical order, in its one LRU cache of `_CLASS_CACHE_SIZE`
-entries, so the problems of one `sreu` conversion share them.  u's stream
+roots, merged by rank, with the ranks (`Stream`), in its one LRU cache of
+`_CLASS_CACHE_SIZE` entries, so the problems of one `sreu` conversion
+share them.  u's stream
 is the bucket-wise intersection of its restrictions' streams, and a
 restriction whose stream is empty ends the search at plan time.  A
 restriction that accepts no class fails whatever u is, and one whose E'
@@ -37,17 +41,20 @@ size and over every signature, so the memo keeps them.
 
 A join filter `E -> u = side` holds earlier unknowns in its side, so it is
 decided only during the search.  The closure of E and its transition table
-(`_congruence_table`) give every ground term a class key, computed bottom-up
-like an automaton state (`_class_keys`), and the conjunct is valid exactly
-when u and the side have one key.  The side is keyed from the keys of the
-terms assigned to its unknowns, without building its instance, and a
-depth's side keys are worked out once per tuple of terms assigned to the
-unknowns its sides hold.  When the first prefix reaches u, the search
-indexes u's stream by its candidates' key tuples, size by size, and then
-reads only the candidates whose keys are those of the filters' sides: a
-hash join that drops a candidate only where a check would have rejected
-it, so the stream keeps its order.  Keys and indexes are built when first
-read and live as long as one search.  Every reported witness is still
+(`_congruence_table`) give every ground term a class key, the state of a
+bottom-up key automaton, and the conjunct is valid exactly when u and the
+side have one key.  A search keys into one table per E: when the first
+prefix reaches u, each term that the enumerations of u's and the held
+unknowns' streams built gets its key from its arguments' keys, in rank
+order, one lookup each (`_key_states`).  u's index is its stream by size
+and by its candidates' key states, and each side is compiled once to a
+postorder program over its unknowns' slots (`_side_program`), which runs
+on the key states of the prefix's terms, without building the instance,
+once per tuple of terms assigned to the unknowns the depth's sides hold.
+The search then reads only the candidates whose keys are those of the
+filters' sides: a hash join that drops a candidate only where a check
+would have rejected it, so the stream keeps its order.  Tables, keys and
+indexes live as long as one search.  Every reported witness is still
 verified, conjunct by conjunct, apart from the streams and keys that found
 it: a conjunction is valid exactly when each of its conjuncts is.
 
@@ -89,9 +96,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache, lru_cache
-from operator import itemgetter
-from typing import Callable, Hashable, Iterator, Mapping, Sequence
+from functools import lru_cache
+from operator import attrgetter, itemgetter
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from . import qcheck
 from .syntax import (
@@ -109,11 +116,9 @@ from .syntax import (
     Term,
     Unknown,
     Variable,
-    canonical_key,
     disj,
     flatten_and,
     nodes,
-    rebuild,
     substitute,
     subterms,
 )
@@ -225,13 +230,15 @@ def _sized_terms(
     sig: Signature,
     max_size: int,
     step: Callable[[FunctionSymbol, tuple[Hashable, ...]], Hashable | None],
-) -> list[dict[Hashable, list[Term]]]:
-    """sized[n][state] = the terms over sig of size n that the bottom-up tree
-    automaton `step` takes to `state`, in the order they are built: by
-    symbol, composition of sizes, argument states and argument terms.
-    That order is not canonical in general, so a caller sorts the lists it
-    reads, and no other list is sorted.
+) -> tuple[list[dict[Hashable, list[Term]]], dict[Term, int]]:
+    """(sized, rank): sized[n][state] = the terms over sig of size n that
+    the bottom-up tree automaton `step` takes to `state`, in canonical
+    order, and rank[t] = t's place among all the terms built, by size and
+    then in canonical order.
 
+    Within one size that order is by symbol and then by the tuple of the
+    argument ranks, across every composition of the argument sizes: each
+    size's terms are sorted once on that tuple, and no term is walked.
     `step(symbol, arg_states)` is the transition: the state of an
     application from the states of its arguments, or None to reject it.  It
     is called once per tuple of argument states, and the argument terms are
@@ -242,24 +249,25 @@ def _sized_terms(
     if not any(f.arity == 0 for f in symbols):
         symbols = sorted(symbols + [_INJECTED_CONSTANT], key=lambda f: (f.name, f.arity))
     sized: list[dict[Hashable, list[Term]]] = [{} for _ in range(max_size + 1)]
+    rank: dict[Term, int] = {}
     for n in range(1, max_size + 1):
-        fresh = sized[n]
-        for symbol in symbols:
+        built: list[tuple[tuple[int, ...], Term, Hashable]] = []  # (order, term, state)
+        for place, symbol in enumerate(symbols):
             for shape in _compositions(n - 1, symbol.arity):
                 for states in itertools.product(*(sized[s] for s in shape)):
                     state = step(symbol, states)
                     if state is None:
                         continue
                     pools = (sized[s][q] for s, q in zip(shape, states))
-                    fresh.setdefault(state, []).extend(
-                        Application(symbol, args) for args in itertools.product(*pools)
-                    )
-    return sized
-
-
-def _canonical(terms: Sequence[Term]) -> tuple[Term, ...]:
-    """The terms in canonical order."""
-    return tuple(sorted(terms, key=canonical_key)) if len(terms) > 1 else tuple(terms)
+                    built += [((place, *map(rank.__getitem__, args)), Application(symbol, args),
+                               state) for args in itertools.product(*pools)]
+        if built:
+            built.sort(key=itemgetter(0))
+            fresh = sized[n]
+            for _, t, state in built:
+                rank[t] = len(rank)
+                fresh.setdefault(state, []).append(t)
+    return sized, rank
 
 
 def _any_term(symbol: FunctionSymbol, arg_states: tuple[int, ...]) -> int:
@@ -275,8 +283,22 @@ def _any_term(symbol: FunctionSymbol, arg_states: tuple[int, ...]) -> int:
 Equalities = tuple[tuple[Term, Term], ...]
 # `E' -> l = r` with the hole for u: E' as pairs, l and r.
 Horn = tuple[Equalities, Term, Term]
-# stream[n] = an unknown's candidate terms of size n, in canonical order.
-Stream = tuple[tuple[Term, ...], ...]
+
+
+class Stream(tuple):
+    """stream[n] = an unknown's candidate terms of size n, in canonical
+    order: a tuple of buckets, with the ranks of the enumeration that built
+    them.  `rank` gives every term it built, the stream's terms and their
+    subterms, its place by size and then in canonical order
+    (`_sized_terms`), so each term comes after its arguments."""
+
+    rank: dict[Term, int]
+
+    def __new__(cls, buckets: Iterable[tuple[Term, ...]], rank: dict[Term, int]):
+        stream = super().__new__(cls, buckets)
+        stream.rank = rank
+        return stream
+
 
 # The fresh constant that stands for u; its name is no token, so no parsed
 # term holds it.
@@ -352,37 +374,24 @@ def _congruence_table(
     return closure, transitions
 
 
-def _class_keys(equalities: Equalities) -> Callable[[Term, Mapping[Unknown, Term]], Hashable]:
-    """The class key of a term in the congruence closure of the equalities,
-    where an unknown leaf has the key of the term the assignment gives it.
+def _key_states(terms: Iterable[Term], table: dict[tuple, Hashable]) -> dict[Term, Hashable]:
+    """The class key of each term, in the congruence closure whose
+    transition table this is (`_congruence_table`).  Every term comes
+    after its arguments, as in the ranks of the enumeration that built
+    them, and its key is one step of the closure's key automaton: the
+    table's entry for its symbol and its arguments' keys.
 
-    Bottom-up, an application's key is the transition of its symbol and its
-    arguments' keys; where the closure's universe has no such application,
-    that pair gets a new number the first time it is met, so keys stay flat:
-    a term outside the universe meets a universe class exactly when it is
+    Where the closure's universe has no such application, the entry is a
+    new number, made the first time it is met, so keys stay flat: a term
+    outside the universe meets a universe class exactly when it is
     congruent to a member, and two terms have one key exactly when the
-    equalities imply that they are equal.  Keys of ground terms are
-    remembered for the life of the returned function.
-    """
-    _, transitions = _congruence_table(equalities)
+    equalities imply that they are equal.  Terms keyed into one table have
+    one key whichever stream they come from."""
     keys: dict[Term, Hashable] = {}
-
-    def combine(t: Application, arg_keys: tuple) -> Hashable:
-        key = transitions.setdefault((t.symbol, arg_keys), len(transitions))
-        if t.ground:
-            keys[t] = key
-        return key
-
-    def key(t: Term, assignment: Mapping[Unknown, Term] = {}) -> Hashable:
-        def leaf(n: Term) -> Hashable | None:
-            if type(n) is not Unknown:
-                return keys.get(n)
-            known = keys.get(assignment[n])  # a key may be 0
-            return rebuild(assignment[n], keys.get, combine) if known is None else known
-
-        return rebuild(t, leaf, combine)
-
-    return key
+    of = keys.__getitem__
+    for t in terms:
+        keys[t] = table.setdefault((t.symbol, tuple(map(of, t.args))), len(table))
+    return keys
 
 
 # Distinct (restriction, sig, max_size) keys kept by _class_member_buckets,
@@ -408,34 +417,38 @@ def _class_member_buckets(
     The states are the classes of the closure of E' over the hole, l and
     r, named by their roots: an application is in a class exactly when
     some universe application with its symbol and argument classes is.
-    The accepted roots are those whose merge with the hole joins l and r.
+    The accepted roots are those whose merge with the hole joins l and r,
+    and a bucket is their terms merged by rank.
     """
     if restriction is None:
-        return tuple(_canonical(by_state.get(0, ())) for by_state in
-                     _sized_terms(sig, max_size, _any_term))
-    equalities, l, r = restriction
-    closure, transitions = _congruence_table(equalities, (_HOLE, l, r))
-    if closure.same(l, r):
-        return None
-    accepting = []
-    for root in {closure.find(t) for t in closure.parent}:
-        mark = closure.mark()
-        closure.merge(root, _HOLE)
+        step: Callable[[FunctionSymbol, tuple], Hashable | None] = _any_term
+        accepting: list[Hashable] = [0]
+    else:
+        equalities, l, r = restriction
+        closure, transitions = _congruence_table(equalities, (_HOLE, l, r))
         if closure.same(l, r):
-            accepting.append(root)
-        closure.undo(mark)
-    if not accepting:
-        return ()
+            return None
+        accepting = []
+        for root in {closure.find(t) for t in closure.parent}:
+            mark = closure.mark()
+            closure.merge(root, _HOLE)
+            if closure.same(l, r):
+                accepting.append(root)
+            closure.undo(mark)
+        if not accepting:
+            return ()
 
-    def step(symbol: FunctionSymbol, states: tuple[Term, ...]) -> Term | None:
-        return transitions.get((symbol, states))
+        def step(symbol: FunctionSymbol, states: tuple[Term, ...]) -> Term | None:
+            return transitions.get((symbol, states))
 
-    return tuple(_canonical([t for q in accepting for t in by_state.get(q, ())])
-                 for by_state in _sized_terms(sig, max_size, step))
+    sized, rank = _sized_terms(sig, max_size, step)
+    return Stream([tuple(sorted(itertools.chain(*[by_state.get(q, ()) for q in accepting]),
+                                key=rank.__getitem__)) for by_state in sized], rank)
 
 
 def _intersection(streams: list[Stream]) -> Stream:
-    """The terms of every stream, bucket by bucket, in canonical order."""
+    """The terms of every stream, bucket by bucket, in canonical order; the
+    first stream's enumeration ranks them."""
     if len(streams) == 1:
         return streams[0]
     out = []
@@ -443,7 +456,7 @@ def _intersection(streams: list[Stream]) -> Stream:
         base = min(buckets, key=len)
         others = [set(b) for b in buckets if b is not base]
         out.append(tuple([t for t in base if all(t in other for other in others)]))
-    return tuple(out)
+    return Stream(out, streams[0].rank)
 
 
 # ---------------------------------------------------------------------------
@@ -462,26 +475,63 @@ Prefixed = tuple[int, tuple[Term, ...] | None]
 Sizes = Sequence[tuple[int, Sequence[Term]]]
 
 
-def _indexed(sized: Sizes, keyers: Sequence[Callable[[Term], Hashable]]
-             ) -> dict[tuple, Sizes]:
-    """An unknown's candidates by their tuple of keys, each as (size,
-    terms) by size, in the stream's order."""
+def _index(sized: Sizes, keys: Sequence[Mapping[Term, Hashable]]) -> dict[tuple, Sizes]:
+    """An unknown's candidates by their tuple of key states, one per join
+    filter, each as (size, terms) by size, in the stream's order."""
     index: dict[tuple, list[tuple[int, list[Term]]]] = {}
     for n, bucket in sized:
         by_keys: dict[tuple, list[Term]] = {}
         for t in bucket:
-            by_keys.setdefault(tuple([key(t) for key in keyers]), []).append(t)
-        for keys, terms in by_keys.items():
-            index.setdefault(keys, []).append((n, terms))
+            by_keys.setdefault(tuple([key[t] for key in keys]), []).append(t)
+        for states, terms in by_keys.items():
+            index.setdefault(states, []).append((n, terms))
     return index
 
 
-def _side_keys(sides: Sequence[tuple[Callable[..., Hashable], Term]],
-               assignment: Mapping[Unknown, Term]) -> tuple:
-    """The class keys of a depth's join sides, each with its keyer, under
-    the assignment of the earlier unknowns: worked out once per tuple of
-    the terms the sides hold."""
-    return tuple([key(side, assignment) for key, side in sides])
+def _side_program(side: Term, table: Mapping[tuple, Hashable],
+                  slots: Mapping[Unknown, tuple[int, Mapping[Term, Hashable]]]
+                  ) -> Callable[[Sequence[Term]], Hashable | None]:
+    """The class key of a join side's instance under a prefix, as a
+    program compiled once: the key states of the prefix's terms in the
+    side's unknowns' slots, each slot a place in the prefix and the key of
+    each term there, and then the side's other distinct nodes bottom-up, by
+    size, each one table lookup.  Ground nodes are looked up at compile
+    time.
+
+    The program mints no number: where the table has no entry for a node,
+    it returns None.  Once every candidate of u has been keyed into the
+    table, that means that no candidate has the side's key, since a node
+    outside the table would get a number no term has, and so would every
+    node above it."""
+    # one register per distinct node: a ground node's key, or None until
+    # the run fills it
+    compiled: list[Hashable | None] = []
+    loads: list[tuple[int, int, Mapping[Term, Hashable]]] = []  # (register, place, keys)
+    code: list[tuple[int, FunctionSymbol, list[int]]] = []  # (register, symbol, arguments')
+    register: dict[Term, int] = {}
+    for t in sorted(dict.fromkeys(subterms(side)), key=attrgetter("size")):  # arguments first
+        register[t] = len(compiled)
+        if type(t) is Unknown:
+            loads.append((len(compiled), *slots[t]))
+            compiled.append(None)
+        elif t.ground:
+            compiled.append(table.get((t.symbol, tuple([compiled[register[a]] for a in t.args]))))
+        else:
+            code.append((len(compiled), t.symbol, [register[a] for a in t.args]))
+            compiled.append(None)
+    get, out = table.get, register[side]
+
+    def run(prefix: Sequence[Term]) -> Hashable | None:
+        registers = compiled.copy()
+        for r, place, keys in loads:
+            registers[r] = keys[prefix[place]]
+        for r, symbol, args in code:
+            registers[r] = get((symbol, tuple([registers[a] for a in args])))
+            if registers[r] is None:
+                return None
+        return registers[out]
+
+    return run
 
 
 class SearchMemo:
@@ -539,12 +589,15 @@ class SearchMemo:
         return found
 
     def holds(self, conjunct: Formula, unknowns: tuple[Unknown, ...],
-              assignment: Mapping[Unknown, Term]) -> bool:
-        """Whether the conjunct, whose unknowns are these, is valid under
-        the assignment σ.
+              assignment: Mapping[Unknown, Term], last: Unknown | None) -> bool:
+        """Whether the conjunct, whose unknowns are these, in first
+        occurrence order, is valid under the assignment σ; `last` is the one
+        the search assigns last, or None where there are no unknowns.  The
+        verdict is kept under the conjunct and its unknowns' terms in that
+        order, whatever the search's order.
 
-        A conjunct that matches `E' -> l = r` with the hole for the last of
-        these unknowns, u (`horn`), is decided by one closure, with no
+        A conjunct that matches `E' -> l = r` with the hole for `last`, u
+        (`horn`, as the plan matched it), is decided by one closure, with no
         substitution and no search: Eσ implies lσ = rσ exactly when E',
         hole = σ(u) and v = σ(v) for its other unknowns v imply l = r, each
         unknown read as a fresh constant.  Unknowns are rigid and σ's terms
@@ -554,15 +607,15 @@ class SearchMemo:
         key = (conjunct, tuple([assignment[u] for u in unknowns]))
         verdict = self.verdicts.get(key)
         if verdict is None:
-            horn = self.horn(conjunct, unknowns[-1])[1] if unknowns else None
+            horn = None if last is None else self.horn(conjunct, last)[1]
             if horn is None:
                 verdict = qcheck.is_quasitautology(
                     substitute(conjunct, assignment) if unknowns else conjunct)
             else:
                 equalities, l, r = horn
-                *others, u = unknowns
                 verdict = qcheck.entails(
-                    (*equalities, (_HOLE, assignment[u]), *[(v, assignment[v]) for v in others]),
+                    (*equalities, (_HOLE, assignment[last]),
+                     *[(v, assignment[v]) for v in unknowns if v is not last]),
                     l, r)
             self.verdicts[key] = verdict
         return verdict
@@ -628,15 +681,19 @@ def iter_formula_solutions(
     # conjunct without unknowns, joins the memo's failing conjuncts.
     # per unknown, the streams of its class restrictions
     restricted: list[list[Stream]] = [[] for _ in unknowns]
-    # per depth, each check with its unknowns
-    checks_at_depth: list[list[tuple[Formula, tuple[Unknown, ...]]]] = [[] for _ in unknowns]
-    # per depth, each join filter's E and side, and the earlier unknowns
-    # the sides hold: the conjuncts' unknowns other than u
-    filters_at_depth: list[list[tuple[Equalities, Term]]] = [[] for _ in unknowns]
-    held_at_depth: list[dict[Unknown, None]] = [{} for _ in unknowns]
+    # per depth, each check with its unknowns and the last of them
+    checks_at_depth: list[list[tuple[Formula, tuple[Unknown, ...], Unknown]]] = [
+        [] for _ in unknowns]
+    # per depth, each join filter's E, its side and the earlier unknowns the
+    # side holds, the conjunct's unknowns other than u; per unknown, the Es
+    # of its filters and of the sides that hold it, under which the search
+    # keys its terms
+    filters_at_depth: list[list[tuple[Equalities, Term, tuple[Unknown, ...]]]] = [
+        [] for _ in unknowns]
+    keyed_by: list[dict[Equalities, None]] = [{} for _ in unknowns]
     for c, used, last in zip(conjuncts, used_by, lasts):
         if last is None:
-            if not memo.holds(c, used, {}):
+            if not memo.holds(c, used, {}, None):
                 memo.failing.add(c)
                 return
             continue
@@ -655,10 +712,12 @@ def iter_formula_solutions(
             restricted[depth].append(stream)
         elif role is _JOIN:
             equalities, _, side = horn
-            filters_at_depth[depth].append((equalities, side))
-            held_at_depth[depth].update(dict.fromkeys(v for v in used if v is not last))
+            held = tuple([v for v in used if v is not last])
+            filters_at_depth[depth].append((equalities, side, held))
+            for v in (last, *held):
+                keyed_by[position[v]][equalities] = None
         elif role is _CHECK:
-            checks_at_depth[depth].append((c, used))
+            checks_at_depth[depth].append((c, used, last))
         # and a restriction that holds whatever u is (_HOLDS) drops out
     if not unknowns:  # the plan decided every conjunct
         yield {}
@@ -677,15 +736,41 @@ def iter_formula_solutions(
 
     def prune_fails(depth: int) -> bool:
         """A conjunct whose last unknown is this one fails."""
-        for c, used in checks_at_depth[depth]:
-            if not memo.holds(c, used, assignment):
+        for c, used, last in checks_at_depth[depth]:
+            if not memo.holds(c, used, assignment, last):
                 return True
         return False
 
-    # Only a search with join filters keys terms; its keys live as long as
-    # it does.
-    if any(filters_at_depth):
-        keys_of = cache(_class_keys)
+    # Only a search with join filters keys terms: one table per E, and the
+    # key states of each unknown's terms, built when first read.  Both live
+    # as long as the search.
+    tables: dict[Equalities, dict[tuple, Hashable]] = {}
+    key_states: dict[int, dict[Equalities, dict[Term, Hashable]]] = {}
+
+    def keys_of(i: int) -> dict[Equalities, dict[Term, Hashable]]:
+        """The key of each term of unknown i under each E it is keyed by."""
+        found = key_states.get(i)
+        if found is None:
+            for equalities in keyed_by[i]:
+                if equalities not in tables:
+                    tables[equalities] = _congruence_table(equalities)[1]
+            found = key_states[i] = {e: _key_states(per_unknown[i].rank, tables[e])
+                                     for e in keyed_by[i]}
+        return found
+
+    def join(depth: int) -> Callable[[tuple[Term, ...]], Sizes]:
+        """u's candidates for a prefix: those whose keys are those of its
+        filters' sides.  u's candidates are keyed before any side program
+        is compiled, so a program may read a missing entry as no
+        candidate."""
+        filters = filters_at_depth[depth]
+        own = keys_of(depth)
+        index = _index(sized[depth], [own[equalities] for equalities, _, _ in filters])
+        slots = [{v: (position[v], keys_of(position[v])[equalities]) for v in held}
+                 for equalities, _, held in filters]
+        programs = [_side_program(side, tables[equalities], slot)
+                    for (equalities, side, _), slot in zip(filters, slots)]
+        return lambda prefix: index.get(tuple([run(prefix) for run in programs]), ())
 
     def merged(depth: int, prefixes: Iterator[Prefixed]) -> Iterator[Prefixed]:
         """The prefixes over unknowns[:depth + 1] that pass their checks, in
@@ -693,34 +778,23 @@ def iter_formula_solutions(
         once every prefix of size at most size has come.  While a prefix is
         yielded, the assignment holds its terms."""
         u, low = unknowns[depth], min_size[depth]
-        sides = [(keys_of(equalities), side) for equalities, side in filters_at_depth[depth]]
-        if sides:  # the terms of a prefix that its side keys depend on
-            held = [position[v] for v in held_at_depth[depth]]
+        if filters_at_depth[depth]:  # the terms of a prefix that its side keys depend on
+            held = sorted({position[v] for _, _, side_unknowns in filters_at_depth[depth]
+                           for v in side_unknowns})
             project = None if len(held) == depth else itemgetter(*held)
-        index: dict[tuple, Sizes] | None = None
+        fitting: Callable[[tuple[Term, ...]], Sizes] | None = None
         # per tuple of the terms the sides hold, u's candidates by size
         found_for: dict[Hashable, Sizes] = {}
         waiting: dict[int, list[tuple[tuple[Term, ...], Sequence[Term]]]] = {}
-        # per unknown of the prefix, each candidate's place in its stream,
-        # by size and then in canonical order, from the first sort on
-        ranks: list[dict[Term, int]] = []
-
-        def fitting() -> Sizes:
-            """u's candidates whose keys are those of the sides under the
-            assignment, which holds the prefix just yielded."""
-            nonlocal index
-            if index is None:
-                index = _indexed(sized[depth], [key for key, _ in sides])
-            return index.get(_side_keys(sides, assignment), ())
+        # per unknown of the prefix, each term's place by size and then in
+        # canonical order, from the enumeration that built it
+        ranks = [per_unknown[i].rank for i in range(depth)]
 
         def emit(total: int) -> Iterator[Prefixed]:
             group = waiting.pop(total, None)
             if group is None:
                 return
             if depth > 1:  # prefixes of several sizes, in tuple order
-                if not ranks:
-                    ranks.extend({t: g for g, t in enumerate(itertools.chain(*per_unknown[i]))}
-                                 for i in range(depth))
                 group.sort(key=lambda waiter: tuple(map(dict.__getitem__, ranks, waiter[0])))
             for prefix, terms in group:
                 assignment.update(zip(unknowns, prefix))
@@ -737,15 +811,18 @@ def iter_formula_solutions(
                 ready = size + low
                 yield ready, None
                 continue
-            if not sides:
+            if not filters_at_depth[depth]:
                 found = sized[depth]
-            elif project is None:  # the sides hold the whole prefix, which comes once
-                found = fitting()
-            else:  # they hold part of it, which other prefixes share
-                terms_held = project(prefix)
-                found = found_for.get(terms_held)
-                if found is None:
-                    found = found_for[terms_held] = fitting()
+            else:
+                if fitting is None:  # the first prefix has come
+                    fitting = join(depth)
+                if project is None:  # the sides hold the whole prefix, which comes once
+                    found = fitting(prefix)
+                else:  # they hold part of it, which other prefixes share
+                    terms_held = project(prefix)
+                    found = found_for.get(terms_held)
+                    if found is None:
+                        found = found_for[terms_held] = fitting(prefix)
             for n, terms in found:
                 waiting.setdefault(size + n, []).append((prefix, terms))
         for total in sorted(waiting):  # every prefix has come
@@ -759,8 +836,8 @@ def iter_formula_solutions(
     # witness is verified conjunct by conjunct, apart from the streams and
     # keys that found it, with the verdicts the checks left in the memo.
     for _, prefix in prefixes:
-        if prefix is not None and all(memo.holds(c, used, assignment)
-                                      for c, used in zip(conjuncts, used_by)):
+        if prefix is not None and all(memo.holds(c, used, assignment, last)
+                                      for c, used, last in zip(conjuncts, used_by, lasts)):
             yield dict(assignment)
 
 

@@ -11,14 +11,21 @@ compare the current code against.
 - The bounded search `iter_formula_solutions` as it was before it merged by
   total size: it walks the unknowns depth first once per total size, so it
   meets each prefix again for every total it fits in.  Kept unchanged,
-  apart from its imports; its plan, streams and keys are those of
-  `hsk.skeleton`."""
+  apart from its imports and the unknown it gives `SearchMemo.holds` for
+  the hole, the one it assigns last; its plan and streams are those of
+  `hsk.skeleton`, and its keys those below.
+- The walks that sorted and keyed terms after they were built, before the
+  enumeration gave each term its rank and each join key became an
+  automaton state: `_canonical` sorted a stream by `canonical_key`,
+  `_class_keys` keyed a term bottom-up through `rebuild`, `_indexed` keyed
+  each candidate of a joined unknown and `_side_keys` each join side under
+  an assignment.  Kept unchanged."""
 
 from __future__ import annotations
 
 import itertools
 from functools import cache
-from typing import Iterator, Sequence
+from typing import Callable, Hashable, Iterator, Mapping, Sequence
 
 from hsk import qcheck
 from hsk.skeleton import (
@@ -28,9 +35,10 @@ from hsk.skeleton import (
     _RESTRICTION,
     Equalities,
     SearchMemo,
+    Sizes,
     Stream,
-    _class_keys,
     _class_member_buckets,
+    _congruence_table,
     _intersection,
 )
 from hsk.syntax import (
@@ -43,6 +51,7 @@ from hsk.syntax import (
     Unknown,
     canonical_key,
     conj,
+    rebuild,
     subterms,
     substitute,
 )
@@ -209,15 +218,16 @@ def iter_formula_solutions(
     # conjunct without unknowns, joins the memo's failing conjuncts.
     # per unknown, the streams of its class restrictions
     restricted: list[list[Stream]] = [[] for _ in unknowns]
-    # per depth, each check with its unknowns
-    checks_at_depth: list[list[tuple[Formula, tuple[Unknown, ...]]]] = [[] for _ in unknowns]
+    # per depth, each check with its unknowns and the last of them
+    checks_at_depth: list[list[tuple[Formula, tuple[Unknown, ...], Unknown]]] = [
+        [] for _ in unknowns]
     # per depth, each join filter's E and side, and the earlier unknowns
     # the sides hold: the conjuncts' unknowns other than u
     filters_at_depth: list[list[tuple[Equalities, Term]]] = [[] for _ in unknowns]
     held_at_depth: list[dict[Unknown, None]] = [{} for _ in unknowns]
     for c, used, last in zip(conjuncts, used_by, lasts):
         if last is None:
-            if not memo.holds(c, used, {}):
+            if not memo.holds(c, used, {}, None):
                 memo.failing.add(c)
                 return
             continue
@@ -239,7 +249,7 @@ def iter_formula_solutions(
             filters_at_depth[depth].append((equalities, side))
             held_at_depth[depth].update(dict.fromkeys(v for v in used if v is not last))
         elif role is _CHECK:
-            checks_at_depth[depth].append((c, used))
+            checks_at_depth[depth].append((c, used, last))
         # and a restriction that holds whatever u is (_HOLDS) drops out
     if not unknowns:  # the plan decided every conjunct
         yield {}
@@ -265,8 +275,8 @@ def iter_formula_solutions(
 
     def prune_fails(depth: int) -> bool:
         """A conjunct whose last unknown is this one fails."""
-        for c, used in checks_at_depth[depth]:
-            if not memo.holds(c, used, assignment):
+        for c, used, last in checks_at_depth[depth]:
+            if not memo.holds(c, used, assignment, last):
                 return True
         return False
 
@@ -320,3 +330,63 @@ def iter_formula_solutions(
                 continue
             if qcheck.is_quasitautology(substitute(conj(conjuncts), assignment)):
                 yield dict(assignment)
+
+
+def _canonical(terms: Sequence[Term]) -> tuple[Term, ...]:
+    """The terms in canonical order."""
+    return tuple(sorted(terms, key=canonical_key)) if len(terms) > 1 else tuple(terms)
+
+
+def _class_keys(equalities: Equalities) -> Callable[[Term, Mapping[Unknown, Term]], Hashable]:
+    """The class key of a term in the congruence closure of the equalities,
+    where an unknown leaf has the key of the term the assignment gives it.
+
+    Bottom-up, an application's key is the transition of its symbol and its
+    arguments' keys; where the closure's universe has no such application,
+    that pair gets a new number the first time it is met, so keys stay flat:
+    a term outside the universe meets a universe class exactly when it is
+    congruent to a member, and two terms have one key exactly when the
+    equalities imply that they are equal.  Keys of ground terms are
+    remembered for the life of the returned function.
+    """
+    _, transitions = _congruence_table(equalities)
+    keys: dict[Term, Hashable] = {}
+
+    def combine(t: Application, arg_keys: tuple) -> Hashable:
+        key = transitions.setdefault((t.symbol, arg_keys), len(transitions))
+        if t.ground:
+            keys[t] = key
+        return key
+
+    def key(t: Term, assignment: Mapping[Unknown, Term] = {}) -> Hashable:
+        def leaf(n: Term) -> Hashable | None:
+            if type(n) is not Unknown:
+                return keys.get(n)
+            known = keys.get(assignment[n])  # a key may be 0
+            return rebuild(assignment[n], keys.get, combine) if known is None else known
+
+        return rebuild(t, leaf, combine)
+
+    return key
+
+
+def _indexed(sized: Sizes, keyers: Sequence[Callable[[Term], Hashable]]
+             ) -> dict[tuple, Sizes]:
+    """An unknown's candidates by their tuple of keys, each as (size,
+    terms) by size, in the stream's order."""
+    index: dict[tuple, list[tuple[int, list[Term]]]] = {}
+    for n, bucket in sized:
+        by_keys: dict[tuple, list[Term]] = {}
+        for t in bucket:
+            by_keys.setdefault(tuple([key(t) for key in keyers]), []).append(t)
+        for keys, terms in by_keys.items():
+            index.setdefault(keys, []).append((n, terms))
+    return index
+
+
+def _side_keys(sides: Sequence[tuple[Callable[..., Hashable], Term]],
+               assignment: Mapping[Unknown, Term]) -> tuple:
+    """The class keys of a depth's join sides, each with its keyer, under
+    the assignment of the earlier unknowns: worked out once per tuple of
+    the terms the sides hold."""
+    return tuple([key(side, assignment) for key, side in sides])

@@ -155,13 +155,13 @@ def test_tracer_counts_each_distinct_conjunct_once(bench, monkeypatch, source):
         matches[match] += 1
         return horn(conjunct, u)
 
-    def deciding(memo, c, used, assignment):
+    def deciding(memo, c, used, assignment, last):
         nonlocal decisions
         terms = tuple(assignment[u] for u in used)
         if (c, terms) not in memo.verdicts:
             decisions += 1
             pairs.add((c, terms))
-        return holds(memo, c, used, assignment)
+        return holds(memo, c, used, assignment, last)
 
     with monkeypatch.context() as patch:
         patch.setattr(skeleton, "substitute", recorded)
@@ -183,11 +183,11 @@ def test_tracer_counts_each_distinct_conjunct_once(bench, monkeypatch, source):
         matched.append((conjunct, u))
         return horn(conjunct, u)
 
-    def decided_once(memo, c, used, assignment):
+    def decided_once(memo, c, used, assignment, last):
         terms = tuple(assignment[u] for u in used)
         if (c, terms) not in memo.verdicts:
             decided.append((c, terms))
-        return holds(memo, c, used, assignment)
+        return holds(memo, c, used, assignment, last)
 
     tracer = bench.Tracer()
     tracer.install()

@@ -10,6 +10,13 @@ of the printed text.
 A change that alters some output on purpose updates the digests here and
 says in CHANGES.md which outputs changed and why.  To print the digests of
 the current code: ``PYTHONPATH=src python tests/test_output_digest.py``.
+
+Beside the outputs, batch 0 of seed 7 of each workload pins the work that
+makes them, in counts that do not depend on the machine: the conjuncts
+`SearchMemo.holds` decides (its verdict-cache misses), the calls of
+`qcheck.entails` and `qcheck.falsifying_literals`, and the matches
+`skeleton._horn` makes.  A change that moves a count on purpose updates it
+here and says in CHANGES.md why.
 """
 
 import hashlib
@@ -49,6 +56,37 @@ def batch_digest(workload: str, seed: int) -> tuple[int, str]:
 @pytest.mark.parametrize("workload,seed", BATCHES)
 def test_batch_outputs_match_their_digest(workload, seed):
     assert batch_digest(workload, seed) == DIGESTS[workload, seed]
+
+
+# workload: (decisions, entails, falsifying_literals, _horn) in batch 0 of seed 7
+WORK = {
+    "validity": (0, 0, 232, 0),
+    "solve": (176, 116, 58, 269),
+    "sreu": (671, 671, 0, 497),
+}
+
+
+@pytest.mark.parametrize("workload", WORK)
+def test_batch_work_matches_its_counts(workload, monkeypatch):
+    counts = dict.fromkeys(("decisions", "entails", "falsifying_literals", "_horn"), 0)
+    holds = skeleton.SearchMemo.holds
+
+    def deciding(memo, c, used, assignment, last):
+        counts["decisions"] += (c, tuple(assignment[u] for u in used)) not in memo.verdicts
+        return holds(memo, c, used, assignment, last)
+
+    def counting(name, call):
+        def counted(*args):
+            counts[name] += 1
+            return call(*args)
+        return counted
+
+    monkeypatch.setattr(skeleton.SearchMemo, "holds", deciding)
+    for module, name in ((qcheck, "entails"), (qcheck, "falsifying_literals"),
+                         (skeleton, "_horn")):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    batch_digest(workload, 7)
+    assert tuple(counts.values()) == WORK[workload]
 
 
 if __name__ == "__main__":

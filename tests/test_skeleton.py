@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from collections import Counter
@@ -516,11 +517,12 @@ def test_equational_filters_agree_with_naive_search(monkeypatch):
     sig = Signature(frozenset({*(c.symbol for c in _EQ_CONSTS), _EQ_F, _EQ_G}), frozenset())
     matched = []  # the ground sides the plan matched, (unknown, restriction)
     streamed = []  # the restrictions whose streams the plan read
-    keyed = set()  # the (E, term) pairs the search keyed for a join
+    compiled = set()  # the join sides the search compiled to programs
     # the conjuncts the search decided: a check conjunct at a candidate,
     # and so before any witness's verification decides it again
     checked = set()
-    horn, buckets, class_keys = skeleton._horn, skeleton._class_member_buckets, skeleton._class_keys
+    horn, buckets = skeleton._horn, skeleton._class_member_buckets
+    side_program = skeleton._side_program
     holds = skeleton.SearchMemo.holds
 
     def matching(conjunct, u):
@@ -534,22 +536,17 @@ def test_equational_filters_agree_with_naive_search(monkeypatch):
             streamed.append(restriction)
         return buckets(restriction, sig, max_size)
 
-    def counted(equalities):
-        keys = class_keys(equalities)
+    def compiling(side, table, slots):
+        compiled.add(side)
+        return side_program(side, table, slots)
 
-        def key(t, assignment={}):
-            keyed.add((equalities, t))
-            return keys(t, assignment)
-
-        return key
-
-    def deciding(memo, c, used, assignment):
+    def deciding(memo, c, used, assignment, last):
         checked.add(c)
-        return holds(memo, c, used, assignment)
+        return holds(memo, c, used, assignment, last)
 
     monkeypatch.setattr(skeleton, "_horn", matching)
     monkeypatch.setattr(skeleton, "_class_member_buckets", streaming)
-    monkeypatch.setattr(skeleton, "_class_keys", counted)
+    monkeypatch.setattr(skeleton, "_side_program", compiling)
     monkeypatch.setattr(skeleton.SearchMemo, "holds", deciding)
     fired = fired_ground = solved = 0
     for _ in range(120):
@@ -557,7 +554,7 @@ def test_equational_filters_agree_with_naive_search(monkeypatch):
         bound = rng.randint(1, 3)
         matched.clear()
         streamed.clear()
-        keyed.clear()
+        compiled.clear()
         fast = list(iter_formula_solutions(flatten_and(f), [u1, u2], sig, bound))
         assert fast == _naive_solutions(f, [u1, u2], sig, bound), (str(f), bound)
         # every ground side the plan reaches is a class restriction, its
@@ -567,24 +564,24 @@ def test_equational_filters_agree_with_naive_search(monkeypatch):
         assert all(id(m) in read for _, m in matched)
         second_ground = [m for i, (u, m) in enumerate(matched)
                          if any(v is u for v, _ in matched[:i])]
-        fired += bool(keyed)
+        fired += bool(compiled)
         fired_ground += bool(second_ground)
         solved += bool(fast)
     assert fired > 100 and fired_ground > 30 and solved > 40
     # a side that holds *2 itself beside *1 makes its conjunct a check from
-    # the plan on: the search never keys it, since the hole for *2 is in
-    # it, and checks it where the other checks let *2 reach it
+    # the plan on: the search never compiles it, since the hole for *2 is
+    # in it, and checks it where the other checks let *2 reach it
     self_checked = self_solved = 0
     for _ in range(100):
         f = _random_equational_formula(rng, u1, u2, self_side=True)
         bound = rng.randint(1, 3)
-        keyed.clear()
+        compiled.clear()
         checked.clear()
         fast = list(iter_formula_solutions(flatten_and(f), [u1, u2], sig, bound))
         assert fast == _naive_solutions(f, [u1, u2], sig, bound), (str(f), bound)
         own = [c for c in flatten_and(f) if (found := horn(c, u2)) and found[1] is
                skeleton._HOLE and {u1, skeleton._HOLE} <= set(syntax.nodes(found[2]))]
-        assert own and not any(skeleton._HOLE in syntax.nodes(t) for _, t in keyed), str(f)
+        assert own and not any(skeleton._HOLE in syntax.nodes(t) for t in compiled), str(f)
         self_checked += any(c in checked for c in own)
         self_solved += bool(fast)
     assert self_checked > 30 and self_solved > 6
@@ -603,37 +600,36 @@ def test_join_sides_are_keyed_once_per_assignment_of_their_unknowns(monkeypatch)
     # `Tim(…, w1, w2)`, hold ?w1 alone.  A walk per total size, with no
     # solution to find, would enter ?w2's depth again for each ?w1
     # candidate at every total size that leaves ?w2 a size its stream has;
-    # a side is keyed once per term of ?w1 all the same
+    # a side's program runs once per term of ?w1 all the same
     w1, w2 = Variable("w1"), Variable("w2")
     matrix = arith.mul(numeral(1, zero()), numeral(2, zero()), numeral(3, zero()), w1, w2)
     sk = make_skeleton(ExistentialFormula((w1, w2), matrix), 1)
-    keyings = Counter()  # per (E, side), the times the search keyed it
-    held = {}  # per (E, side), the terms of ?w1 it was keyed under
+    keyings = Counter()  # per side, the times its program ran
+    held = {}  # per side, the terms of ?w1 its program ran on
     streams = []  # each unknown's stream, as the plan gives it
-    class_keys, intersection = skeleton._class_keys, skeleton._intersection
+    side_program, intersection = skeleton._side_program, skeleton._intersection
 
-    def counted(equalities):
-        keys = class_keys(equalities)
+    def counted(side, table, slots):
+        run = side_program(side, table, slots)
 
-        def key(t, assignment={}):
-            if assignment:  # a side, where the index keys ground candidates
-                keyings[equalities, t] += 1
-                held.setdefault((equalities, t), set()).add(assignment[Unknown(1)])
-            return keys(t, assignment)
+        def counted_run(prefix):
+            keyings[side] += 1
+            held.setdefault(side, set()).add(prefix[0])
+            return run(prefix)
 
-        return key
+        return counted_run
 
     def recorded(per_unknown):
         streams.append(intersection(per_unknown))
         return streams[-1]
 
-    monkeypatch.setattr(skeleton, "_class_keys", counted)
+    monkeypatch.setattr(skeleton, "_side_program", counted)
     monkeypatch.setattr(skeleton, "_intersection", recorded)
     assert list(iter_solutions(sk, max_size=11)) == []
     first, second = streams  # ?w1's and ?w2's
     sizes = [n for n, bucket in enumerate(second) if bucket]
-    # one keying per filter each time a walk per total size would enter
-    # ?w2's depth, for each ?w1 candidate and total size
+    # one run per filter each time a walk per total size would enter ?w2's
+    # depth, for each ?w1 candidate and total size
     entered = sum(map(len, first)) * (sizes[-1] - sizes[0] + 1)
     assert len(keyings) == 2
     for side, times in keyings.items():
@@ -704,6 +700,78 @@ def test_join_keys_agree_with_naive_search_on_three_unknowns():
             for c in flatten_and(f))
         solved += bool(fast)
     assert trials > 80 and partial > 30 and solved > 15
+
+
+def test_join_indexes_and_side_programs_match_the_keying_walks():
+    # per prefix, the candidates of u that the index by key states and the
+    # side programs give must be those, in order, that the walks they
+    # replaced give: each candidate and each side keyed bottom-up by
+    # `_class_keys` under the assignment.  Sides hold one or two earlier
+    # unknowns, whose terms lie inside and outside E's universe
+    rng = random.Random(2024)
+    h = FunctionSymbol("h", 1)
+    sig = Signature(_EQ_SIG.function_symbols | {h}, frozenset())
+    u1, u2 = Unknown(1), Unknown(2)
+    a, b = _EQ_CONSTS
+
+    def side_of(held):
+        leaves = [*held, *held, a, b]
+        t = rng.choice(held)
+        for _ in range(rng.randint(0, 2)):
+            roll = rng.random()
+            t = (Application(_EQ_F, (t,)) if roll < 0.3 else Application(h, (t,)) if roll < 0.4
+                 else Application(_EQ_G, (t, rng.choice(leaves)) if roll < 0.7
+                                  else (rng.choice(leaves), t)))
+        if not set(held) <= set(syntax.nodes(t)):
+            t = Application(_EQ_G, (t, held[-1] if held[0] in syntax.nodes(t) else held[0]))
+        return t
+
+    seen = Counter()
+    for _ in range(400):
+        bound = rng.randint(1, 3)
+        target = rng.choice([None, a, b, Application(_EQ_F, (a,))])
+        eqs = tuple((e.lhs, e.rhs) for e in _random_ground_equations(rng))
+        stream = skeleton._class_member_buckets(
+            None if target is None else (eqs, skeleton._HOLE, target), sig, bound)
+        if not stream or not any(stream):
+            continue
+        sized = [(n, bucket) for n, bucket in enumerate(stream) if bucket]
+        held_streams = [skeleton._class_member_buckets(None, sig, rng.randint(1, 2))
+                        for _ in (u1, u2)]
+        filters = []
+        for _ in range(rng.randint(1, 2)):
+            held = rng.choice([(u1,), (u2,), (u1, u2)])
+            e = eqs if rng.random() < 0.5 else tuple(
+                (x.lhs, x.rhs) for x in _random_ground_equations(rng))
+            filters.append((e, side_of(held), held))
+        # the new path: one table per E, every term keyed after its arguments
+        tables = {e: skeleton._congruence_table(e)[1] for e, _, _ in filters}
+        own = {e: skeleton._key_states(stream.rank, tables[e]) for e in tables}
+        held_keys = [{e: skeleton._key_states(held_stream.rank, tables[e]) for e in tables}
+                     for held_stream in held_streams]
+        index = skeleton._index(sized, [own[e] for e, _, _ in filters])
+        programs = [skeleton._side_program(side, tables[e], {
+            v: (v.index - 1, held_keys[v.index - 1][e]) for v in held})
+            for e, side, held in filters]
+        # the walks: the reference keyers, one per E for the search
+        keys_of = functools.cache(reference_skeleton._class_keys)
+        reference_index = reference_skeleton._indexed(sized, [keys_of(e) for e, _, _ in filters])
+        sides = [(keys_of(e), side) for e, side, _ in filters]
+        for prefix in itertools.product(*(itertools.chain(*s) for s in held_streams)):
+            got = index.get(tuple([run(prefix) for run in programs]), ())
+            want = reference_index.get(
+                reference_skeleton._side_keys(sides, dict(zip((u1, u2), prefix))), ())
+            assert [(n, list(terms)) for n, terms in got] == \
+                [(n, list(terms)) for n, terms in want], ([str(s) for _, s, _ in filters], prefix)
+            seen["found" if want else "none"] += 1
+            universe = {n for e, _, _ in filters for pair in e for side in pair
+                        for n in syntax.subterms(side)}
+            seen["inside" if prefix[0] in universe else "outside"] += 1
+        seen["two held"] += any(len(held) == 2 for _, _, held in filters)
+        seen["two filters"] += len(filters) == 2
+    assert seen["found"] > 500 and seen["none"] > 3000, seen
+    assert seen["inside"] > 2000 and seen["outside"] > 2000, seen
+    assert seen["two held"] > 100 and seen["two filters"] > 100, seen
 
 
 def _random_linked_formula(rng, unknowns):
@@ -787,30 +855,83 @@ def test_the_search_keys_each_prefix_once(monkeypatch):
     # mul(2,3,7) at bound 22 has no solution, and the encoding of
     # `0 * 3 = x1; 0 + x2 = 1` its first at bound 16.  Walked once per
     # total, their join depths were entered 194 810 and 533 572 times.
-    # Merged by total, each prefix is read once, and a depth's sides are
-    # keyed once per tuple of the terms they hold: 8 855 and 7 890 tuples
-    keyed = []  # per keying, the sides and the terms they hold
-    side_keys = skeleton._side_keys
+    # Merged by total, each prefix is read once, and a depth's side
+    # programs run together, once per tuple of the terms that the sides of
+    # the depth hold: 8 855 and 7 890 tuples over all depths
+    runs = []  # per run of a side program: the program, its slots' places, the prefix
+    side_program = skeleton._side_program
 
-    def counted(sides, assignment):
-        held = sorted({n for _, side in sides for n in syntax.nodes(side)
-                       if isinstance(n, Unknown)}, key=lambda u: u.index)
-        keyed.append((tuple(side for _, side in sides), tuple(assignment[u] for u in held)))
-        return side_keys(sides, assignment)
+    def counted(side, table, slots):
+        run, program = side_program(side, table, slots), len(programs)
+        places = {place for place, _ in slots.values()}
+        programs.append(side)
 
-    monkeypatch.setattr(skeleton, "_side_keys", counted)
+        def counted_run(prefix):
+            runs.append((program, places, prefix))
+            return run(prefix)
+
+        return counted_run
+
+    def keyed(most):
+        """Each run's program, depth and the terms that its depth's sides
+        hold, no two alike, at most `most` (depth, terms) pairs, and the
+        programs of one depth run equally often."""
+        held = {}  # per depth, the places of the prefix its sides hold
+        for _, places, prefix in runs:
+            held.setdefault(len(prefix), set()).update(places)
+        keyings = [(program, len(prefix), tuple(prefix[i] for i in sorted(held[len(prefix)])))
+                   for program, _, prefix in runs]
+        assert len(keyings) == len(set(keyings))
+        assert len({(depth, terms) for _, depth, terms in keyings}) <= most
+        per_depth = {}
+        for (program, depth), times in Counter(k[:2] for k in keyings).items():
+            per_depth.setdefault(depth, set()).add(times)
+        assert all(len(times) == 1 for times in per_depth.values())
+
+    monkeypatch.setattr(skeleton, "_side_program", counted)
     z, w1, w2 = zero(), Variable("w1"), Variable("w2")
     matrix = arith.mul(numeral(2, z), numeral(3, z), numeral(7, z), w1, w2)
+    programs = []
     assert solve_bounded(make_skeleton(ExistentialFormula((w1, w2), matrix), 1),
                          max_size=22) is None
-    assert len(keyed) == len(set(keyed)) <= 8855
-    keyed.clear()
+    assert len(programs) == 2
+    keyed(8855)
+    runs.clear()
+    programs = []
     psi = arith.encoding(arith.parse_diophantine("0 * 3 = x1\n0 + x2 = 1"))
     sk = make_skeleton(psi, 1)
     found = next(iter_formula_solutions(flatten_and(sk.formula), sk.unknown_tuples[0],
                                         max_size=16))
     assert [found[u] for u in sk.unknown_tuples[0][:2]] == [numeral(0, z), numeral(1, z)]
-    assert len(keyed) == len(set(keyed)) <= 7890
+    keyed(7890)
+
+
+def test_the_search_neither_sorts_nor_keys_terms_by_walking_them(monkeypatch):
+    # cold, mul(2,3,7) at bound 22 sorted its streams with 17 706
+    # `canonical_key` walks and keyed its candidates and sides with 53 130
+    # `rebuild` walks.  The enumeration ranks each term as it builds it, and
+    # a join key is one table lookup from the keys of a term's arguments
+    z, w1, w2 = zero(), Variable("w1"), Variable("w2")
+    matrix = arith.mul(numeral(2, z), numeral(3, z), numeral(7, z), w1, w2)
+    sk = make_skeleton(ExistentialFormula((w1, w2), matrix), 1)
+    walks = Counter()
+
+    def counting(name, walk):
+        def counted(*args, **kwargs):
+            walks[name] += 1
+            return walk(*args, **kwargs)
+        return counted
+
+    for name in ("canonical_key", "rebuild"):
+        walk = counting(name, getattr(syntax, name))
+        monkeypatch.setattr(syntax, name, walk)
+        monkeypatch.setattr(skeleton, name, walk, raising=False)
+    skeleton._class_member_buckets.cache_clear()
+    try:
+        assert solve_bounded(sk, max_size=22) is None
+    finally:
+        skeleton._class_member_buckets.cache_clear()
+    assert walks == {}
 
 
 def test_the_search_checks_no_prefix_beyond_the_first_solution(monkeypatch):
@@ -829,11 +950,11 @@ def test_the_search_checks_no_prefix_beyond_the_first_solution(monkeypatch):
     checked = []  # per check, the conjunct and the terms of its unknowns
     holds = skeleton.SearchMemo.holds
 
-    def counted(memo, c, used, assignment):
+    def counted(memo, c, used, assignment, last):
         terms = tuple(assignment[u] for u in used)
         assert sum(t.size for t in terms) <= 7, [str(t) for t in terms]
         checked.append((c, terms))
-        return holds(memo, c, used, assignment)
+        return holds(memo, c, used, assignment, last)
 
     monkeypatch.setattr(skeleton.SearchMemo, "holds", counted)
     first = next(iter_formula_solutions(conjuncts, [x1, x2, x3], sig, 10))
@@ -849,6 +970,26 @@ def test_the_search_checks_no_prefix_beyond_the_first_solution(monkeypatch):
     assert next(reference_skeleton.iter_formula_solutions(conjuncts, [x1, x2, x3], sig, 10)) == first
     assert len(merged) == len(set(merged)) and set(checked) <= set(merged)
     assert len(checked) > len(set(checked))
+
+
+def test_a_check_decides_its_conjunct_on_the_match_the_plan_made(monkeypatch):
+    # searched over (*2, *1), `*1 = f(*2)` waits for *1, the unknown
+    # assigned last, though *2 is the last of its own unknowns; deciding
+    # it puts the hole on *1 as the plan did, so each conjunct is matched
+    # once, with its last unknown
+    matched = []
+    horn = skeleton._horn
+
+    def matching(conjunct, u):
+        matched.append((conjunct, u))
+        return horn(conjunct, u)
+
+    monkeypatch.setattr(skeleton, "_horn", matching)
+    joined, restriction = flatten_and(parse_formula("*1 = f(*2) & *2 = a"))
+    u1, u2 = Unknown(1), Unknown(2)
+    found = list(iter_formula_solutions([joined, restriction], [u2, u1], max_size=3))
+    assert [{u: str(t) for u, t in f.items()} for f in found] == [{u2: "a", u1: "f(a)"}]
+    assert matched == [(joined, u1), (restriction, u2)]
 
 
 def test_a_learned_failure_still_lets_every_conjunct_be_checked():
@@ -920,8 +1061,8 @@ def _random_horn_conjunct(rng, unknowns):
 
 def test_equational_horn_conjuncts_are_decided_by_one_closure(monkeypatch):
     # `SearchMemo.holds` decides an equational Horn conjunct E -> l = r under
-    # an assignment σ on the closure of E' (E with the hole for the last of
-    # its unknowns, u), hole = σ(u) and v = σ(v) for its other unknowns, with no
+    # an assignment σ on the closure of E' (E with the hole for the unknown
+    # assigned last, u), hole = σ(u) and v = σ(v) for its other unknowns, with no
     # substitution and no qcheck; every verdict must be qcheck's on the
     # substituted conjunct
     rng = random.Random(4211)
@@ -944,7 +1085,9 @@ def test_equational_horn_conjuncts_are_decided_by_one_closure(monkeypatch):
     seen = Counter()
     for c, sigma, expected in cases:
         used = memo.walk(c)[0]
-        assert memo.holds(c, used, sigma) == expected, (
+        # the hole may go on any of them, as a search may assign any last
+        last = rng.choice(used) if used else None
+        assert memo.holds(c, used, sigma, last) == expected, (
             str(c), {str(u): str(t) for u, t in sigma.items()})
         seen[expected] += 1
         seen["unknowns", len(used)] += 1
@@ -982,8 +1125,8 @@ def test_the_verification_rejects_what_a_loose_restriction_admits(monkeypatch):
             loosened.append(restriction)
         return buckets(None, sig, max_size)
 
-    def deciding(memo, c, used, assignment):
-        verdict = holds(memo, c, used, assignment)
+    def deciding(memo, c, used, assignment, last):
+        verdict = holds(memo, c, used, assignment, last)
         decided.append((c, tuple(assignment[u] for u in used), verdict))
         return verdict
 
@@ -1020,6 +1163,15 @@ def test_the_hole_is_no_parsed_term():
         parse_term(skeleton._HOLE.symbol.name)
 
 
+def _keyed(terms, equalities):
+    """The class key under the equalities of every subterm of the terms,
+    each keyed after its arguments, and the table they were keyed into."""
+    universe = sorted({n for t in terms for n in syntax.subterms(t)}, key=canonical_key)
+    table = skeleton._congruence_table(tuple(equalities))[1]
+    keys = skeleton._key_states(universe, table)
+    return keys, table
+
+
 def test_class_keys_decide_ground_implications():
     # two ground terms have one class key exactly when the equations imply
     # that they are equal; terms outside the equations' universe meet its
@@ -1040,11 +1192,11 @@ def test_class_keys_decide_ground_implications():
             t = rng.choice(pool)
             pool += [Application(_EQ_F, (t,)), Application(h, (t,)),
                      Application(_EQ_G, (t, rng.choice(pool)))]
-        keys = skeleton._class_keys(tuple((e.lhs, e.rhs) for e in eqs))
+        keys, _ = _keyed(pool, [(e.lhs, e.rhs) for e in eqs])
         for _ in range(12):
             s, t = rng.choice(pool), rng.choice(pool)
             claim = Implies(conj(eqs), Equality(s, t)) if eqs else Equality(s, t)
-            agree = keys(s) == keys(t)
+            agree = keys[s] == keys[t]
             assert agree == qcheck.is_quasitautology(claim), str(claim)
             if agree and s is not t and not {s, t} <= universe:
                 outside_agree += 1
@@ -1054,7 +1206,11 @@ def test_class_keys_decide_ground_implications():
 
 
 def test_class_keys_read_unknown_leaves_through_the_assignment():
-    # a term with unknowns has the key of its instance, which is not built
+    # a side program gives a term with unknowns the key of its instance,
+    # which is not built, from the keys of the terms in the unknowns'
+    # slots.  Where the instance's key is none the table holds, it returns
+    # None, which no keyed candidate matches: a candidate has the side's
+    # key exactly when the equations imply that it equals the instance
     rng = random.Random(1414)
     u1, u2 = Unknown(1), Unknown(2)
 
@@ -1065,18 +1221,28 @@ def test_class_keys_read_unknown_leaves_through_the_assignment():
             return Application(_EQ_F, (rterm(depth - 1, leaves),))
         return Application(_EQ_G, (rterm(depth - 1, leaves), rterm(depth - 1, leaves)))
 
-    patterns = 0
-    for _ in range(300):
-        keys = skeleton._class_keys(tuple((e.lhs, e.rhs) for e in _random_ground_equations(rng)))
+    patterns = matched = missing = 0
+    for case in range(300):
+        eqs = [(e.lhs, e.rhs) for e in _random_ground_equations(rng)]
         pattern = rterm(3, [*_EQ_CONSTS, u1, u2])
         sigma = {u1: rterm(2, _EQ_CONSTS), u2: rterm(2, _EQ_CONSTS)}
         instance = substitute(pattern, sigma)
-        if rng.random() < 0.5:  # either may meet the remembered keys first
-            assert keys(pattern, sigma) == keys(instance), str(pattern)
-        else:
-            assert keys(instance) == keys(pattern, sigma), str(pattern)
+        candidates = [rterm(3, _EQ_CONSTS) for _ in range(6)]
+        if case % 2:  # the instance among the candidates keyed
+            candidates.append(instance)
+        keys, table = _keyed([*sigma.values(), *candidates], eqs)
+        run = skeleton._side_program(pattern, table, {u1: (0, keys), u2: (1, keys)})
+        key = run((sigma[u1], sigma[u2]))
+        if instance in keys:
+            assert key == keys[instance], str(pattern)
+        for c in candidates:
+            claim = Implies(conj([Equality(*e) for e in eqs]), Equality(instance, c)) if eqs \
+                else Equality(instance, c)
+            assert (key == keys[c]) == qcheck.is_quasitautology(claim), (str(pattern), str(c))
+            matched += key == keys[c]
         patterns += not pattern.ground
-    assert patterns > 150
+        missing += key is None
+    assert patterns > 150 and matched > 300 and missing > 30
 
 
 _HYP_CONSTS = [Application(FunctionSymbol(n, 0), ()) for n in ("a", "b", "c")]
@@ -1194,7 +1360,7 @@ def _nested(restriction):
 def _accepted_roots(restriction, stream):
     """The classes of the closure of E' that the terms of a restriction's
     stream fall in."""
-    keys = skeleton._class_keys(restriction[0])
+    keys = reference_skeleton._class_keys(restriction[0])
     return {keys(t) for bucket in stream for t in bucket}
 
 
@@ -1446,15 +1612,15 @@ _ENUM_POOL = [FunctionSymbol(n, 0) for n in ("a", "b", "c", "d")] + \
     [FunctionSymbol(n, 2) for n in ("g", "pair")]
 
 
-def _random_class_query(rng):
-    """Ground equations and a target term over _ENUM_POOL, which may use
+def _random_class_query(rng, pool=_ENUM_POOL):
+    """Ground equations and a target term over the pool, which may use
     symbols outside the signature enumerated, as sreu hypotheses do.
 
     Sides are flat (a symbol applied to constants).  Equations between
     constants and between applications of one symbol put several tuples of
     argument classes into one class, so its members come from several state
     tuples; an equation t = f(.., t, ..) makes t's class infinite."""
-    consts = [f for f in _ENUM_POOL if f.arity == 0]
+    consts = [f for f in pool if f.arity == 0]
 
     def flat(symbol):
         return Application(symbol, tuple(Application(rng.choice(consts), ())
@@ -1466,21 +1632,21 @@ def _random_class_query(rng):
         if roll < 0.4:
             eqs.append((flat(rng.choice(consts)), flat(rng.choice(consts))))
             continue
-        lhs = flat(rng.choice(_ENUM_POOL))
+        lhs = flat(rng.choice(pool))
         if roll < 0.55:
-            wrapper = rng.choice([f for f in _ENUM_POOL if f.arity])
+            wrapper = rng.choice([f for f in pool if f.arity])
             args = list(flat(wrapper).args)
             args[rng.randrange(wrapper.arity)] = lhs
             rhs = Application(wrapper, tuple(args))
         elif lhs.args and roll < 0.8:
             rhs = flat(lhs.symbol)
         else:
-            rhs = flat(rng.choice(_ENUM_POOL))
+            rhs = flat(rng.choice(pool))
         eqs.append((lhs, rhs))
     applications = [t for eq in eqs for t in eq if t.args]
     if applications and rng.random() < 0.8:
         return tuple(eqs), rng.choice(applications)
-    return tuple(eqs), flat(rng.choice(_ENUM_POOL))
+    return tuple(eqs), flat(rng.choice(pool))
 
 
 def _random_signature(rng, least):
@@ -1497,9 +1663,12 @@ def test_enumerator_matches_reference_enumerators():
     for _ in range(60):
         sig = _random_signature(rng, 1)
         bound = rng.randint(0, 5)
-        got = [b.get(0, []) for b in skeleton._sized_terms(sig, bound, skeleton._any_term)]
+        sized, rank = skeleton._sized_terms(sig, bound, skeleton._any_term)
+        got = [b.get(0, []) for b in sized]
         want = reference_skeleton._terms_by_size(sig, bound)
         assert got == want, (sig, bound)
+        # each term's rank is its place by size and then in canonical order
+        assert rank == {t: place for place, t in enumerate(itertools.chain(*want))}
         # the cached stream of an unconstrained unknown is the same enumeration
         unconstrained = skeleton._class_member_buckets.__wrapped__(None, sig, bound)
         assert unconstrained == tuple(tuple(b) for b in want), (sig, bound)
@@ -1514,6 +1683,69 @@ def test_enumerator_matches_reference_enumerators():
         assert got == want, (eqs, target, sig, bound)
         shared_buckets += sum(len(b) > 1 for b in got)
     assert shared_buckets > 300  # buckets of several members, whose order is checked
+
+
+_ORDER_POOL = [FunctionSymbol(n, 0) for n in ("a", "b", "c")] + \
+    [FunctionSymbol(n, 1) for n in ("f", "s")] + [FunctionSymbol("g", 2)] + \
+    [FunctionSymbol(n, 3) for n in ("f", "h")]
+
+
+def test_class_streams_come_in_canonical_order_by_construction():
+    # every bucket of a stream, restricted or not, is in canonical order
+    # as it comes from the cache, with symbols of arity 0 to 3.  Over {a,
+    # b, s/1, f/3} at size 5, a loop over the compositions of the argument
+    # sizes builds f(b, a, s(a)) before f(a, s(a), a), which comes first.
+    # A restriction whose hole sits below a symbol may accept several
+    # classes, whose members are merged
+    rng = random.Random(3141)
+    a, b = (Application(FunctionSymbol(n, 0), ()) for n in ("a", "b"))
+    s, f = FunctionSymbol("s", 1), FunctionSymbol("f", 3)
+    trap = Signature(frozenset({a.symbol, b.symbol, s, f}), frozenset())
+    size_five = skeleton._class_member_buckets.__wrapped__(None, trap, 5)[5]
+    first, later = (Application(f, (a, Application(s, (a,)), a)),
+                    Application(f, (b, a, Application(s, (a,)))))
+    assert size_five.index(first) < size_five.index(later)
+    checked = Counter()
+    for case in range(1000):
+        least = 1 if case % 4 == 0 else 5
+        sig = Signature(frozenset(rng.sample(_ORDER_POOL, rng.randint(least, len(_ORDER_POOL)))),
+                        frozenset())
+        bound = rng.randint(0, 5)
+        if case % 4 == 0:
+            restriction = None
+        else:
+            eqs, target = _random_class_query(rng, _ORDER_POOL)
+            restriction = (eqs, skeleton._HOLE, target)
+        stream = skeleton._class_member_buckets.__wrapped__(restriction, sig, bound)
+        for bucket in stream or ():
+            assert bucket == reference_skeleton._canonical(bucket), (restriction, sig, bound)
+            checked["restricted" if restriction else "unconstrained", len(bucket) > 1] += 1
+            checked["ternary"] += any(t.symbol.arity == 3 for t in bucket)
+    # `f(x1, c) = t, …, f(xk, c) = t -> f(hole, c) = t` accepts the classes
+    # of x1, …, xk
+    consts = [f for f in _ORDER_POOL if f.arity == 0]
+
+    def small():
+        symbol = rng.choice(_ORDER_POOL)
+        return Application(symbol, tuple(Application(rng.choice(consts), ())
+                                         for _ in range(symbol.arity)))
+
+    for _ in range(300):
+        wrapper, target = rng.choice([f for f in _ORDER_POOL if f.arity]), small()
+        place, fill = rng.randrange(wrapper.arity), [small() for _ in range(wrapper.arity)]
+
+        def wrap(x):
+            return Application(wrapper, (*fill[:place], x, *fill[place + 1:]))
+
+        eqs = tuple((wrap(small()), target) for _ in range(rng.randint(2, 4)))
+        restriction = (eqs, wrap(skeleton._HOLE), target)
+        sig = Signature(frozenset(rng.sample(_ORDER_POOL, 5)) | set(consts), frozenset())
+        stream = skeleton._class_member_buckets.__wrapped__(restriction, sig, rng.randint(1, 4))
+        for bucket in stream or ():
+            assert bucket == reference_skeleton._canonical(bucket), restriction
+            checked["several classes"] += len(_accepted_roots(restriction, [bucket])) > 1
+    assert checked["restricted", True] > 250 and checked["unconstrained", True] > 250, checked
+    assert checked["ternary"] > 100 and checked["several classes"] > 50, checked
 
 
 def test_class_member_cache_is_bounded():
