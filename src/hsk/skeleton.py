@@ -5,13 +5,20 @@ size first, then component-wise term order) so results are reproducible.
 It takes a conjunction as the sequence of its conjuncts: a skeleton's are
 those of its formula, an sreu problem's are its constraints.
 
-One pass over the conjuncts plans the search, and gives each conjunct one
-of four roles, which it keeps for the whole search.  A conjunct without
-unknowns is *decided at once*, so a search without unknowns ends with the
-plan.  Any other waits for the depth of its last unknown u, the one the
-search assigns last, and is matched once against `E' -> l = r` (`_horn`),
-with E' a set of equations and a fresh constant, the hole, for u wherever
-u occurs.  It is then
+A search is planned before it runs.  The plan builds everything that does
+not depend on the terms assigned: each conjunct's role, each unknown's
+stream, and for a search with join filters its key tables, the key states
+of its streams' terms, its indexes and its side programs.  The run then
+only reads prefixes, the terms of the first unknowns, and the candidates
+the plan gives each.
+
+One pass over the conjuncts gives each conjunct one of four roles, which
+it keeps for the whole search.  A conjunct without unknowns is *decided at
+once*, so a search without unknowns ends with the plan.  Any other waits
+for the depth of its last unknown u, the one the search assigns last, and
+is matched once against `E' -> l = r` (`_horn`), with E' a set of
+equations and a fresh constant, the hole, for u wherever u occurs.  It is
+then
 - a *class restriction* of u where the match is ground throughout;
 - a *join filter* of u where E' is ground and hole-free and the bare hole
   faces a side of earlier unknowns;
@@ -35,28 +42,28 @@ roots, merged by rank, with the ranks (`Stream`), in its one LRU cache of
 share them.  u's stream
 is the bucket-wise intersection of its restrictions' streams, and a
 restriction whose stream is empty ends the search at plan time.  A
-restriction that accepts no class fails whatever u is, and one whose E'
-alone implies l = r holds whatever u is: those two verdicts hold at every
-size and over every signature, so the memo keeps them.
+restriction that accepts no class fails whatever u is, at every size and
+over every signature, so the memo keeps that verdict.
 
 A join filter `E -> u = side` holds earlier unknowns in its side, so it is
 decided only during the search.  The closure of E and its transition table
 (`_congruence_table`) give every ground term a class key, the state of a
 bottom-up key automaton, and the conjunct is valid exactly when u and the
-side have one key.  A search keys into one table per E: when the first
-prefix reaches u, each term that the enumerations of u's and the held
-unknowns' streams built gets its key from its arguments' keys, in rank
-order, one lookup each (`_key_states`).  u's index is its stream by size
-and by its candidates' key states, and each side is compiled once to a
+side have one key.  The plan builds one table per distinct E and keys
+into it each term that the enumerations of u's and the held unknowns'
+streams built, from its arguments' keys, in rank order, one lookup each
+(`_key_states`).  Then u's index is its stream by size and by its
+candidates' key states (`_index`), and each side is compiled once to a
 postorder program over its unknowns' slots (`_side_program`), which runs
 on the key states of the prefix's terms, without building the instance,
 once per tuple of terms assigned to the unknowns the depth's sides hold.
 The search then reads only the candidates whose keys are those of the
 filters' sides: a hash join that drops a candidate only where a check
-would have rejected it, so the stream keeps its order.  Tables, keys and
-indexes live as long as one search.  Every reported witness is still
-verified, conjunct by conjunct, apart from the streams and keys that found
-it: a conjunction is valid exactly when each of its conjuncts is.
+would have rejected it, so the stream keeps its order.  Tables, keys,
+indexes and programs live as long as one search.  Every reported witness
+is still verified, conjunct by conjunct, apart from the streams and keys
+that found it: a conjunction is valid exactly when each of its conjuncts
+is.
 
 The search reads each prefix, the terms of the unknowns before u, once.
 The depths are a chain of generators, built by a loop, each reading the
@@ -73,9 +80,8 @@ total emitted has come.  The last depth feeds the final verification.
 A `SearchMemo` holds what does not depend on the signature or the bound:
 the walk of each conjunct (its unknowns in first occurrence order and its
 symbols), its match with each unknown as the hole and the role that match
-gives it, or the restriction's verdict at every size once its stream has
-shown that it holds, the set of conjuncts known to fail whatever their
-terms, and the verdict of each conjunct decided by a check or a witness's
+gives it, the set of conjuncts known to fail whatever their terms, and
+the verdict of each conjunct decided by a check or a witness's
 verification, under the conjunct and the terms assigned to its own
 unknowns.  An equational Horn conjunct is decided by one congruence
 closure over its match and the terms of its unknowns, any other by qcheck
@@ -88,8 +94,8 @@ tuple of terms.  A search that holds a conjunct known to fail ends before
 it builds a signature or a stream, as most of the k^k problems do; where
 the memo has met all its conjuncts and no unknowns are given to check, it
 ends before its walks too.  The memo lives as long as the command.
-Streams and keys are still built per search: they depend on the
-signature and the bound.
+Streams, keys, indexes and programs are still built per search: they
+depend on the signature and the bound.
 """
 
 from __future__ import annotations
@@ -334,10 +340,6 @@ def _horn(conjunct: Formula, u: Unknown) -> Horn | None:
 
 
 _RESTRICTION, _JOIN, _CHECK = "restriction", "join", "check"
-# What a restriction's stream may show, at every size and over every
-# signature: it holds whatever u is.  One that fails whatever u is joins
-# `SearchMemo.failing`.
-_HOLDS = "holds"
 
 
 def _role(horn: Horn | None) -> str:
@@ -352,7 +354,7 @@ def _role(horn: Horn | None) -> str:
     if all(t.ground for t in (l, r, *hyps)):
         return _RESTRICTION
     if l is _HOLE and all(t.ground for t in hyps) and not any(
-            s is _HOLE or type(s) is Variable for t in (r, *hyps) for s in subterms(t)):
+            s is _HOLE for t in (r, *hyps) for s in subterms(t)):
         return _JOIN
     return _CHECK
 
@@ -539,14 +541,13 @@ class SearchMemo:
     walk, its match and role with each unknown as the hole, and each
     verdict of a check or a witness's verification under the conjunct and
     the terms of its own unknowns, on which alone that verdict depends.
-    A restriction's role gives way to `_HOLDS` once its stream shows that
-    it holds whatever u is, and the restriction joins `failing` once its
-    stream shows that it fails whatever u is, since those verdicts hold at
-    every size and over every signature; a stream empty only within its
-    bound teaches nothing.  `failing` also takes a false conjunct without
-    unknowns.  A restriction has one unknown, so neither kind depends on
-    the order of a search's unknowns.  The searches of one command share
-    one memo, which lives as long as the command."""
+    A restriction joins `failing` once its stream shows that it fails
+    whatever u is, since that verdict holds at every size and over every
+    signature; a stream empty only within its bound teaches nothing.
+    `failing` also takes a false conjunct without unknowns.  A restriction
+    has one unknown, so its verdict does not depend on the order of a
+    search's unknowns.  The searches of one command share one memo, which
+    lives as long as the command."""
 
     def __init__(self) -> None:
         self.walks: dict[Formula, Walk] = {}
@@ -638,8 +639,10 @@ def iter_formula_solutions(
     of each conjunct gives its unknowns and its symbols; without `unknowns`
     the search takes the conjuncts', in first occurrence order, and without
     `sig` their symbols.  Given `unknowns` must include every unknown of the
-    conjuncts.  Walks, matches and verdicts come from `memo`, a fresh one
-    if none is given, and what the search learns goes back into it.
+    conjuncts.  Walks, matches, failures and verdicts come from `memo`, a
+    fresh one if none is given, and what the search learns goes back into
+    it.  Key tables, key states, indexes and side programs are built at
+    plan time, before the first prefix, and live as long as the search.
     """
     if max_size < 0:
         raise ContractError("size bound must be >= 0")
@@ -647,9 +650,11 @@ def iter_formula_solutions(
         raise ContractError("empty conjunction")
     memo = SearchMemo() if memo is None else memo
     # A conjunct known to fail whatever its terms ends the search before a
-    # signature or a stream is built.  Where the memo has met every
-    # conjunct, their walks raise nothing, so a search without given
-    # unknowns to check ends before it walks them.
+    # signature or a stream is built, and before the walks where those
+    # raised nothing when the memo met them and no given unknowns need
+    # checking.  Most problems of one `sreu` conversion end there, which
+    # keeps `sreu` about 5 % faster than ending them after their walks
+    # (`prewalk_exit` in BENCH_planned_search.json).
     known_to_fail = not memo.failing.isdisjoint(conjuncts)
     if known_to_fail and unknowns is None and all(c in memo.walks for c in conjuncts):
         return
@@ -676,9 +681,9 @@ def iter_formula_solutions(
     # waits for the depth of its last unknown u, and its match there with
     # the hole for u gives its role (`_role`): a class restriction of u, a
     # join filter of u, or a check of every candidate.  A restriction whose
-    # stream shows that it holds whatever u is keeps `_HOLDS` in the memo
-    # instead, and one whose stream shows that it fails, like a false
-    # conjunct without unknowns, joins the memo's failing conjuncts.
+    # stream shows that it holds whatever u is drops out of the search, and
+    # one whose stream shows that it fails, like a false conjunct without
+    # unknowns, joins the memo's failing conjuncts.
     # per unknown, the streams of its class restrictions
     restricted: list[list[Stream]] = [[] for _ in unknowns]
     # per depth, each check with its unknowns and the last of them
@@ -702,7 +707,6 @@ def iter_formula_solutions(
         if role is _RESTRICTION:
             stream = _class_member_buckets(horn, sig, max_size)
             if stream is None:  # it holds whatever u is
-                memo.horns[c, last] = (_HOLDS, horn)
                 continue
             if not stream:  # it fails whatever u is
                 memo.failing.add(c)
@@ -716,9 +720,8 @@ def iter_formula_solutions(
             filters_at_depth[depth].append((equalities, side, held))
             for v in (last, *held):
                 keyed_by[position[v]][equalities] = None
-        elif role is _CHECK:
+        else:
             checks_at_depth[depth].append((c, used, last))
-        # and a restriction that holds whatever u is (_HOLDS) drops out
     if not unknowns:  # the plan decided every conjunct
         yield {}
         return
@@ -732,59 +735,58 @@ def iter_formula_solutions(
         return
     min_size = [candidates[0][0] for candidates in sized]
 
+    # per depth, u's candidates for a prefix where u has join filters
+    fittings: list[Callable[[tuple[Term, ...]], Sizes] | None] = [None] * len(unknowns)
+    if any(filters_at_depth):  # the many small searches of `sreu` have none
+        # One table per E, and the key states of every keyed unknown's
+        # terms under each of its Es, all before any side program is
+        # compiled, so that a program may read a missing entry as no
+        # candidate.
+        tables = {e: _congruence_table(e)[1]
+                  for e in dict.fromkeys(e for keyed in keyed_by for e in keyed)}
+        keys = [{e: _key_states(stream.rank, tables[e]) for e in keyed}
+                for stream, keyed in zip(per_unknown, keyed_by)]
+
+        def join(depth: int) -> Callable[[tuple[Term, ...]], Sizes]:
+            """u's candidates for a prefix: those whose keys are those of
+            its filters' sides, once per tuple of the terms the sides hold."""
+            filters = filters_at_depth[depth]
+            index = _index(sized[depth], [keys[depth][e] for e, _, _ in filters])
+            programs = [_side_program(side, tables[e], {v: (position[v], keys[position[v]][e])
+                                                        for v in side_unknowns})
+                        for e, side, side_unknowns in filters]
+
+            def fitting(prefix: tuple[Term, ...]) -> Sizes:
+                return index.get(tuple([run(prefix) for run in programs]), ())
+
+            held = sorted({position[v] for _, _, side_unknowns in filters
+                           for v in side_unknowns})
+            if len(held) == depth:  # the sides hold the whole prefix, which comes once
+                return fitting
+            # they hold part of it, which other prefixes share
+            project = itemgetter(*held)
+            found_for: dict[Hashable, Sizes] = {}
+
+            def shared(prefix: tuple[Term, ...]) -> Sizes:
+                terms_held = project(prefix)
+                found = found_for.get(terms_held)
+                if found is None:
+                    found = found_for[terms_held] = fitting(prefix)
+                return found
+
+            return shared
+
+        fittings = [join(depth) if filters else None
+                    for depth, filters in enumerate(filters_at_depth)]
     assignment: dict[Unknown, Term] = {}
-
-    def prune_fails(depth: int) -> bool:
-        """A conjunct whose last unknown is this one fails."""
-        for c, used, last in checks_at_depth[depth]:
-            if not memo.holds(c, used, assignment, last):
-                return True
-        return False
-
-    # Only a search with join filters keys terms: one table per E, and the
-    # key states of each unknown's terms, built when first read.  Both live
-    # as long as the search.
-    tables: dict[Equalities, dict[tuple, Hashable]] = {}
-    key_states: dict[int, dict[Equalities, dict[Term, Hashable]]] = {}
-
-    def keys_of(i: int) -> dict[Equalities, dict[Term, Hashable]]:
-        """The key of each term of unknown i under each E it is keyed by."""
-        found = key_states.get(i)
-        if found is None:
-            for equalities in keyed_by[i]:
-                if equalities not in tables:
-                    tables[equalities] = _congruence_table(equalities)[1]
-            found = key_states[i] = {e: _key_states(per_unknown[i].rank, tables[e])
-                                     for e in keyed_by[i]}
-        return found
-
-    def join(depth: int) -> Callable[[tuple[Term, ...]], Sizes]:
-        """u's candidates for a prefix: those whose keys are those of its
-        filters' sides.  u's candidates are keyed before any side program
-        is compiled, so a program may read a missing entry as no
-        candidate."""
-        filters = filters_at_depth[depth]
-        own = keys_of(depth)
-        index = _index(sized[depth], [own[equalities] for equalities, _, _ in filters])
-        slots = [{v: (position[v], keys_of(position[v])[equalities]) for v in held}
-                 for equalities, _, held in filters]
-        programs = [_side_program(side, tables[equalities], slot)
-                    for (equalities, side, _), slot in zip(filters, slots)]
-        return lambda prefix: index.get(tuple([run(prefix) for run in programs]), ())
 
     def merged(depth: int, prefixes: Iterator[Prefixed]) -> Iterator[Prefixed]:
         """The prefixes over unknowns[:depth + 1] that pass their checks, in
         order, from those over unknowns[:depth], with a marker (size, None)
         once every prefix of size at most size has come.  While a prefix is
         yielded, the assignment holds its terms."""
-        u, low = unknowns[depth], min_size[depth]
-        if filters_at_depth[depth]:  # the terms of a prefix that its side keys depend on
-            held = sorted({position[v] for _, _, side_unknowns in filters_at_depth[depth]
-                           for v in side_unknowns})
-            project = None if len(held) == depth else itemgetter(*held)
-        fitting: Callable[[tuple[Term, ...]], Sizes] | None = None
-        # per tuple of the terms the sides hold, u's candidates by size
-        found_for: dict[Hashable, Sizes] = {}
+        u, low, checks, fitting = (unknowns[depth], min_size[depth], checks_at_depth[depth],
+                                   fittings[depth])
         waiting: dict[int, list[tuple[tuple[Term, ...], Sequence[Term]]]] = {}
         # per unknown of the prefix, each term's place by size and then in
         # canonical order, from the enumeration that built it
@@ -800,7 +802,10 @@ def iter_formula_solutions(
                 assignment.update(zip(unknowns, prefix))
                 for t in terms:
                     assignment[u] = t
-                    if not prune_fails(depth):
+                    for c, used, last in checks:
+                        if not memo.holds(c, used, assignment, last):
+                            break
+                    else:
                         yield total, (*prefix, t)
 
         ready = -1  # every total up to this one is emitted
@@ -811,18 +816,7 @@ def iter_formula_solutions(
                 ready = size + low
                 yield ready, None
                 continue
-            if not filters_at_depth[depth]:
-                found = sized[depth]
-            else:
-                if fitting is None:  # the first prefix has come
-                    fitting = join(depth)
-                if project is None:  # the sides hold the whole prefix, which comes once
-                    found = fitting(prefix)
-                else:  # they hold part of it, which other prefixes share
-                    terms_held = project(prefix)
-                    found = found_for.get(terms_held)
-                    if found is None:
-                        found = found_for[terms_held] = fitting(prefix)
+            found = sized[depth] if fitting is None else fitting(prefix)
             for n, terms in found:
                 waiting.setdefault(size + n, []).append((prefix, terms))
         for total in sorted(waiting):  # every prefix has come

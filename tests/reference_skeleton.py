@@ -30,7 +30,6 @@ from typing import Callable, Hashable, Iterator, Mapping, Sequence
 from hsk import qcheck
 from hsk.skeleton import (
     _CHECK,
-    _HOLDS,
     _JOIN,
     _RESTRICTION,
     Equalities,
@@ -57,6 +56,9 @@ from hsk.syntax import (
 )
 
 _INJECTED_CONSTANT = FunctionSymbol("c#0", 0)
+# the role a restriction keeps in the memo once its stream shows that it
+# holds whatever u is
+_HOLDS = "holds"
 
 
 def _sorted_symbols(sig: Signature) -> list[FunctionSymbol]:

@@ -14,8 +14,12 @@ the current code: ``PYTHONPATH=src python tests/test_output_digest.py``.
 Beside the outputs, batch 0 of seed 7 of each workload pins the work that
 makes them, in counts that do not depend on the machine: the conjuncts
 `SearchMemo.holds` decides (its verdict-cache misses), the calls of
-`qcheck.entails` and `qcheck.falsifying_literals`, and the matches
-`skeleton._horn` makes.  A change that moves a count on purpose updates it
+`qcheck.entails` and `qcheck.falsifying_literals`, the matches
+`skeleton._horn` makes, and the enumeration and join work of `skeleton`:
+the enumerations `_sized_terms` builds, the closures `_congruence_table`
+builds, the calls of `_intersection` and `_key_states`, the indexes
+`_index` builds, the sides `_side_program` compiles and the runs of the
+programs it compiles.  A change that moves a count on purpose updates it
 here and says in CHANGES.md why.
 """
 
@@ -58,17 +62,22 @@ def test_batch_outputs_match_their_digest(workload, seed):
     assert batch_digest(workload, seed) == DIGESTS[workload, seed]
 
 
-# workload: (decisions, entails, falsifying_literals, _horn) in batch 0 of seed 7
+# The skeleton functions whose calls are counted, after the first four counts.
+SKELETON_WORK = ("_sized_terms", "_congruence_table", "_intersection", "_key_states",
+                 "_index", "_side_program")
+# workload: (decisions, entails, falsifying_literals, _horn, *SKELETON_WORK,
+# side-program runs) in batch 0 of seed 7
 WORK = {
-    "validity": (0, 0, 232, 0),
-    "solve": (176, 116, 58, 269),
-    "sreu": (671, 671, 0, 497),
+    "validity": (0, 0, 232, 0, 0, 0, 0, 0, 0, 0, 0),
+    "solve": (176, 116, 58, 269, 113, 127, 86, 56, 14, 28, 1518),
+    "sreu": (671, 671, 0, 497, 155, 401, 79, 0, 0, 0, 0),
 }
 
 
 @pytest.mark.parametrize("workload", WORK)
 def test_batch_work_matches_its_counts(workload, monkeypatch):
-    counts = dict.fromkeys(("decisions", "entails", "falsifying_literals", "_horn"), 0)
+    counts = dict.fromkeys(("decisions", "entails", "falsifying_literals", "_horn",
+                            *SKELETON_WORK, "side-program runs"), 0)
     holds = skeleton.SearchMemo.holds
 
     def deciding(memo, c, used, assignment, last):
@@ -83,8 +92,14 @@ def test_batch_work_matches_its_counts(workload, monkeypatch):
 
     monkeypatch.setattr(skeleton.SearchMemo, "holds", deciding)
     for module, name in ((qcheck, "entails"), (qcheck, "falsifying_literals"),
-                         (skeleton, "_horn")):
+                         *((skeleton, name) for name in ("_horn", *SKELETON_WORK))):
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    compile_side = skeleton._side_program  # counts its compiles
+
+    def compiling(*args):  # and the runs of the programs it compiles
+        return counting("side-program runs", compile_side(*args))
+
+    monkeypatch.setattr(skeleton, "_side_program", compiling)
     batch_digest(workload, 7)
     assert tuple(counts.values()) == WORK[workload]
 
